@@ -17,13 +17,13 @@ from .fusion import (
     OnlineTransform,
     block_forward,
     fuse_block,
+    fuse_ffn,
+    fuse_input,
+    fuse_v_out,
     gelu,
     layer_norm,
     plan_fusion,
     softmax,
-    unfuse_ffn,
-    unfuse_input,
-    unfuse_v_out,
 )
 from .gptq import CalibrationSet, GptqConfig, gptq_quantize, hessian, layer_objective
 from .hadamard import (
@@ -96,6 +96,9 @@ __all__ = [
     "estimate_cost",
     "factorize",
     "fuse_block",
+    "fuse_ffn",
+    "fuse_input",
+    "fuse_v_out",
     "gelu",
     "gen_activations",
     "gptq_quantize",
@@ -120,9 +123,6 @@ __all__ = [
     "snap_per_channel",
     "softmax",
     "spread_indicator",
-    "unfuse_ffn",
-    "unfuse_input",
-    "unfuse_v_out",
     "write_tensors",
     "__version__",
 ]

@@ -24,13 +24,14 @@ import numpy as np
 from .errors import FormatError, FpqtError
 from .formats import parse_format
 from .fusion import (
+    LAYER_NAMES,
     V_MODES,
     DiTBlockWeights,
     fuse_block,
+    fuse_ffn,
+    fuse_input,
+    fuse_v_out,
     plan_fusion,
-    unfuse_ffn,
-    unfuse_input,
-    unfuse_v_out,
 )
 from .hadamard import apply_right, build, op_count, realize
 from .harness import HarnessConfig, estimate_cost, run
@@ -39,7 +40,6 @@ from .select import SelectionConfig, select_format, selection_table, spread_indi
 from .tensors import channel_stat, read_tensors, write_tensors
 
 _DENSE_CHECK_LIMIT = 4096
-_MATRIX_NAMES = ("w_q", "w_k", "w_v", "w_out", "w_fc1", "w_fc2")
 
 
 class UsageError(Exception):
@@ -202,8 +202,9 @@ def cmd_hadamard(args: argparse.Namespace) -> int:
             )
         x = np.random.default_rng(args.seed or 0).standard_normal((8, args.dim))
         dense = realize(spec)
-        err = float(np.abs(apply_right(x, spec) - x @ dense).max())
-        ops["check_max_abs_err"] = err
+        ops["check_max_abs_err"] = float(np.abs(apply_right(x, spec) - x @ dense).max())
+        back = apply_right(x, spec, transpose=True)
+        ops["check_max_abs_err_transpose"] = float(np.abs(back - x @ dense.T).max())
         ortho = float(np.abs(dense.T @ dense - np.eye(args.dim)).max())
         ops["check_orthonormality_err"] = ortho
     print(json.dumps(ops, sort_keys=True, indent=2))
@@ -212,7 +213,7 @@ def cmd_hadamard(args: argparse.Namespace) -> int:
 
 def cmd_fuse(args: argparse.Namespace) -> int:
     tensors = read_tensors(args.input)
-    missing = [n for n in _MATRIX_NAMES if n not in tensors]
+    missing = [n for n in LAYER_NAMES if n not in tensors]
     if missing:
         raise ValueError(f"container is missing required tensors: {missing}")
     n = tensors["w_q"].shape[0]
@@ -231,12 +232,14 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     )
     plan = plan_fusion(weights, args.seed, args.v_mode)
     if args.invert:
-        new = unfuse_input(unfuse_v_out(unfuse_ffn(weights, plan), plan), plan)
+        new = weights
+        for fuse in (fuse_ffn, fuse_v_out, fuse_input):
+            new = fuse(new, plan, inverse=True)
         online = ()
     else:
         new, online = fuse_block(weights, plan)
     out = dict(tensors)
-    for name in _MATRIX_NAMES:
+    for name in LAYER_NAMES:
         out[name] = getattr(new, name)
     write_tensors(args.output, out)
     verb = "unfused" if args.invert else "fused"
@@ -303,7 +306,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rows", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--check", action="store_true",
-                   help="verify the fast path against the dense matrix")
+                   help="verify the fast path, x H and x H^T, against the dense matrix")
     p.set_defaults(func=cmd_hadamard)
 
     p = sub.add_parser("fuse", help="fold transforms into block weights")

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.special
 
 from .errors import ShapeError
-from .hadamard import HadamardSpec, apply_right, build, realize
+from .hadamard import HadamardSpec, apply_right, build
 from .tensors import WORKING_DTYPE
 
 LN_EPS = 1e-6
@@ -145,81 +145,62 @@ def plan_fusion(
     )
 
 
-def head_transform(plan: FusionPlan) -> np.ndarray:
-    """Dense H_h (x) H_d, the composed value-path transform."""
-    return np.kron(realize(plan.heads_spec), realize(plan.head_spec))
-
-
 # ---------------------------------------------------------------------------
-# Offline weight fusion (dense; runs once, before quantization)
+# Offline weight fusion (fast factored transforms; runs once, before quantization)
 # ---------------------------------------------------------------------------
 
 
-def fuse_input(weights: DiTBlockWeights, plan: FusionPlan) -> DiTBlockWeights:
-    """Fold H^T into every layer fed by a transformed block input."""
-    ht = realize(plan.input_spec).T
-    return replace(
-        weights,
-        w_q=ht @ weights.w_q,
-        w_k=ht @ weights.w_k,
-        w_v=ht @ weights.w_v,
-        w_fc1=ht @ weights.w_fc1,
-    )
+def _transposed(x: np.ndarray) -> np.ndarray:
+    """C-contiguous x.T; a transposed view would make every later ravel copy."""
+    return np.ascontiguousarray(x.T)
 
 
-def unfuse_input(weights: DiTBlockWeights, plan: FusionPlan) -> DiTBlockWeights:
-    """Inverse of fuse_input: fold H back in."""
-    h = realize(plan.input_spec)
-    return replace(
-        weights,
-        w_q=h @ weights.w_q,
-        w_k=h @ weights.w_k,
-        w_v=h @ weights.w_v,
-        w_fc1=h @ weights.w_fc1,
-    )
+def _value_right(x: np.ndarray, plan: FusionPlan, transpose: bool) -> np.ndarray:
+    """x @ (H_h (x) H_d), or x @ (H_h (x) H_d)^T when transpose is set.
+
+    (I_h (x) H_d) and (H_h (x) I_d) commute, so either direction is the
+    per-head stage followed by the cross-head mix."""
+    d = plan.head_spec.dim
+    per_head = apply_right(x.reshape(-1, d), plan.head_spec, transpose=transpose)
+    return cross_head_apply(per_head.reshape(x.shape), plan.heads_spec, d, transpose=transpose)
 
 
-def _blockwise_right(w: np.ndarray, hd: np.ndarray, heads: int) -> np.ndarray:
-    """w @ (I_heads (x) hd): mix columns within each head slice."""
-    d = hd.shape[0]
-    out = w.reshape(w.shape[0], heads, d) @ hd
-    return out.reshape(w.shape)
+def fuse_input(
+    weights: DiTBlockWeights, plan: FusionPlan, inverse: bool = False
+) -> DiTBlockWeights:
+    """Fold H^T into every layer fed by a transformed block input, or with
+    inverse=True fold H back in.  H^T W = (W^T H)^T, so both run apply_right."""
+    spec = plan.input_spec
+    return replace(weights, **{
+        name: _transposed(apply_right(getattr(weights, name).T, spec, transpose=inverse))
+        for name in ("w_q", "w_k", "w_v", "w_fc1")
+    })
 
 
-def fuse_v_out(weights: DiTBlockWeights, plan: FusionPlan) -> DiTBlockWeights:
-    """Fold the value-path transform into W_v and its inverse into W_out."""
+def fuse_v_out(
+    weights: DiTBlockWeights, plan: FusionPlan, inverse: bool = False
+) -> DiTBlockWeights:
+    """Fold the value-path transform into W_v and its inverse into W_out, or
+    with inverse=True undo that."""
     if plan.v_mode == "per_head_exact":
-        hd = realize(plan.head_spec)
-        w_v = _blockwise_right(weights.w_v, hd, weights.heads)
-        w_out = head_transform(plan).T @ weights.w_out
-    else:  # paper_literal
-        hh = head_transform(plan)
-        w_v = weights.w_v @ hh
-        w_out = hh @ weights.w_out
+        # W_v (I_h (x) H_d) and (H_h (x) H_d)^T W_out
+        d = plan.head_spec.dim
+        w_v = apply_right(weights.w_v.reshape(-1, d), plan.head_spec, transpose=inverse)
+        w_v = w_v.reshape(weights.w_v.shape)
+        w_out = _transposed(_value_right(weights.w_out.T, plan, inverse))
+    else:  # paper_literal: W_v (H_h (x) H_d) and (H_h (x) H_d) W_out
+        w_v = _value_right(weights.w_v, plan, inverse)
+        w_out = _transposed(_value_right(weights.w_out.T, plan, not inverse))
     return replace(weights, w_v=w_v, w_out=w_out)
 
 
-def unfuse_v_out(weights: DiTBlockWeights, plan: FusionPlan) -> DiTBlockWeights:
-    """Inverse of fuse_v_out."""
-    if plan.v_mode == "per_head_exact":
-        hd = realize(plan.head_spec)
-        w_v = _blockwise_right(weights.w_v, hd.T, weights.heads)
-        w_out = head_transform(plan) @ weights.w_out
-    else:
-        hh = head_transform(plan)
-        w_v = weights.w_v @ hh.T
-        w_out = hh.T @ weights.w_out
-    return replace(weights, w_v=w_v, w_out=w_out)
-
-
-def fuse_ffn(weights: DiTBlockWeights, plan: FusionPlan) -> DiTBlockWeights:
-    """Fold H_hidden^T into W_fc2 (pairs with the online post-GELU transform)."""
-    return replace(weights, w_fc2=realize(plan.hidden_spec).T @ weights.w_fc2)
-
-
-def unfuse_ffn(weights: DiTBlockWeights, plan: FusionPlan) -> DiTBlockWeights:
-    """Inverse of fuse_ffn."""
-    return replace(weights, w_fc2=realize(plan.hidden_spec) @ weights.w_fc2)
+def fuse_ffn(
+    weights: DiTBlockWeights, plan: FusionPlan, inverse: bool = False
+) -> DiTBlockWeights:
+    """Fold H_hidden^T into W_fc2 (pairs with the online post-GELU transform),
+    or with inverse=True fold H_hidden back in."""
+    w_fc2 = apply_right(weights.w_fc2.T, plan.hidden_spec, transpose=inverse)
+    return replace(weights, w_fc2=_transposed(w_fc2))
 
 
 def schedule_ffn_online(plan: FusionPlan) -> OnlineTransform:
@@ -266,8 +247,10 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def cross_head_apply(x: np.ndarray, heads_spec: HadamardSpec, head_dim: int) -> np.ndarray:
-    """Apply (H_h (x) I_d) on the right of an (m, h*d) batch.
+def cross_head_apply(
+    x: np.ndarray, heads_spec: HadamardSpec, head_dim: int, transpose: bool = False
+) -> np.ndarray:
+    """Apply (H_h (x) I_d), or its transpose, on the right of an (m, h*d) batch.
 
     Only log2(h) butterfly stages per within-head coordinate: cost
     m * n * log2(h) additions via the fast path on the head axis.
@@ -277,7 +260,7 @@ def cross_head_apply(x: np.ndarray, heads_spec: HadamardSpec, head_dim: int) -> 
     if n != h * head_dim:
         raise ShapeError(f"expected (m, {h * head_dim}) input, got {x.shape}")
     cols = x.reshape(m, h, head_dim).transpose(0, 2, 1).reshape(m * head_dim, h)
-    mixed = apply_right(cols, heads_spec)
+    mixed = apply_right(cols, heads_spec, transpose=transpose)
     return mixed.reshape(m, head_dim, h).transpose(0, 2, 1).reshape(m, n)
 
 

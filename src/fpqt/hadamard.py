@@ -7,14 +7,18 @@ static data).  Entries are normalized by 1/sqrt(n) so the realized matrix
 is orthogonal, and an optional seeded random +-1 diagonal D can be folded
 in on the right (default D = I).
 
-apply_right computes x @ H via the fast path: a butterfly network over the
-power-of-two factor plus one small dense stage for the base factor.  For an
-m x n input that costs m*n*log2(p) + m*n*(q-1) additions and m*n + m*n*q
-multiplications (the dense stage disappears when q = 1, leaving only the
-m*n normalization multiplies; the sign diagonal folds into normalization
-and adds nothing).  An orthogonal transform spreads any single-channel
-energy spike uniformly across all channels, which is what crushes
-channel-wise outliers before quantization.
+apply_right computes x @ H or x @ H^T without the dense matrix: with
+H_p = H_a (x) H_r, a the largest power of two dividing p with a^2 <= n, it
+runs one dense multiply by the small (H_r (x) H_q) / sqrt(n) and one by H_a
+on the other axis.  The operation counts (OpCounter, op_count) model the
+kernel hardware would run, not numpy's FLOPs: butterflies over the
+power-of-two factor and one dense base stage, m*n*log2(p) + m*n*(q-1)
+additions and m*n + m*n*q multiplications for an m x n input (the dense
+stage disappears when q = 1, leaving only the m*n normalization multiplies;
+the sign diagonal folds into normalization and adds nothing).  An
+orthogonal transform spreads any single-channel energy spike uniformly
+across all channels, which is what crushes channel-wise outliers before
+quantization.
 """
 
 from __future__ import annotations
@@ -168,7 +172,7 @@ def sign_diagonal(spec: HadamardSpec) -> np.ndarray | None:
 
 
 def realize(spec: HadamardSpec) -> np.ndarray:
-    """Dense orthogonal matrix; for tests and offline weight fusion."""
+    """Dense orthogonal matrix: the reference for tests and `fpqt hadamard --check`."""
     h = np.kron(scipy.linalg.hadamard(spec.p, dtype=WORKING_DTYPE), base_matrix(spec.q))
     h /= math.sqrt(spec.dim)
     d = sign_diagonal(spec)
@@ -178,57 +182,58 @@ def realize(spec: HadamardSpec) -> np.ndarray:
 
 
 class OpCounter:
-    """Tallies the additions and multiplications a transform actually performs."""
+    """Tallies the additions and multiplications of the butterfly-plus-base
+    kernel that a transform models (see the module docstring)."""
 
     def __init__(self):
         self.adds = 0
         self.muls = 0
 
 
-def apply_right(x: np.ndarray, spec: HadamardSpec, counter: OpCounter | None = None) -> np.ndarray:
-    """Compute x @ H for an (m, dim) batch via the fast factored path.
+def apply_right(
+    x: np.ndarray, spec: HadamardSpec, counter: OpCounter | None = None, transpose: bool = False
+) -> np.ndarray:
+    """Compute x @ H, or x @ H^T when transpose is set, for an (m, dim) batch.
 
-    Butterfly stages over the power-of-two factor, one dense multiply for
-    the base factor, then a single normalization (and sign) multiply.
+    The sign diagonal scales the output (x @ H) or the input (x @ H^T); the
+    Sylvester factors are symmetric, so only H_q is transposed.  A column-major
+    x, such as the W.T fusion passes to get H^T W, gives a column-major result.
     """
     x = np.asarray(x, dtype=WORKING_DTYPE)
     if x.ndim != 2 or x.shape[1] != spec.dim:
         raise ShapeError(f"expected (m, {spec.dim}) input, got {x.shape}")
     m = x.shape[0]
-    y = x.reshape(m, spec.p, spec.q)
-
-    half = 1
-    while half < spec.p:
-        y = y.reshape(m, -1, 2, half, spec.q)
-        a = y[:, :, 0]
-        b = y[:, :, 1]
-        y = np.stack((a + b, a - b), axis=2)
-        if counter is not None:
-            counter.adds += a.size + b.size
-        half *= 2
-
-    y = y.reshape(m, spec.p, spec.q)
-    if spec.q > 1:
-        y = y @ base_matrix(spec.q)
-        if counter is not None:
-            counter.muls += m * spec.p * spec.q * spec.q
-            counter.adds += m * spec.p * spec.q * (spec.q - 1)
-
-    y = y.reshape(m, spec.dim)
-    scale = np.full(spec.dim, 1.0 / math.sqrt(spec.dim), dtype=WORKING_DTYPE)
+    a = 1
+    while spec.p % (2 * a) == 0 and (2 * a) ** 2 <= spec.dim:
+        a *= 2
+    rq = spec.dim // a
+    inner = np.kron(scipy.linalg.hadamard(spec.p // a), base_matrix(spec.q)) / math.sqrt(spec.dim)
+    h_a = scipy.linalg.hadamard(a, dtype=WORKING_DTYPE)
     d = sign_diagonal(spec)
-    if d is not None:
-        scale = scale * d
+    if transpose:
+        inner = inner.T
+        if d is not None:
+            x = x * d
+    if x.flags.c_contiguous:
+        y = (x.reshape(m * a, rq) @ inner).reshape(m, a, rq)
+        y = (h_a @ y if a > 1 else y).reshape(m, spec.dim)
+    else:  # e.g. a transposed weight: the same stages on x.T, without copying it
+        y = (inner.T @ x.T.reshape(a, rq, m)).reshape(a, rq * m)
+        y = (h_a @ y if a > 1 else y).reshape(spec.dim, m).T
+    if d is not None and not transpose:
+        y = y * d
     if counter is not None:
-        counter.muls += y.size
-    return y * scale
+        counter.adds += m * spec.dim * (spec.log2_p + spec.q - 1)
+        counter.muls += m * spec.dim * (1 + (spec.q if spec.q > 1 else 0))
+    return y
 
 
 def op_count(m: int, spec: HadamardSpec) -> dict[str, int]:
-    """Exact operation counts of apply_right on an (m, dim) input.
+    """Operation counts of the modeled kernel on an (m, dim) input.
 
-    adds = m*n*log2(p) + m*n*(q-1), muls = m*n + (m*n*q if q > 1 else 0);
-    the same tallies an OpCounter accumulates on a real call.
+    adds = m*n*log2(p) + m*n*(q-1), muls = m*n + (m*n*q if q > 1 else 0):
+    butterflies plus one base stage (module docstring), the same tallies an
+    OpCounter accumulates on a real apply_right call in either direction.
     """
     if m < 0:
         raise ValueError(f"row count must be nonnegative, got {m}")

@@ -35,7 +35,7 @@ from .fusion import (
     plan_fusion,
 )
 from .gptq import CalibrationSet, GptqConfig, gptq_quantize
-from .hadamard import apply_right, build, op_count
+from .hadamard import apply_right, build, factorize, op_count
 from .quantize import minmax_quantize, quant_error
 from .select import SelectionConfig, select_format, spread_indicator
 from .tensors import WORKING_DTYPE, channel_stat
@@ -85,6 +85,14 @@ class HarnessConfig:
         if self.weight_format != "auto":
             parse_format(self.weight_format)
         SelectionConfig(n_bits=self.weight_bits, alpha=self.alpha)
+        if self.use_hadamard:
+            for field, order in (("n", self.n), ("hidden", self.hidden_dim),
+                                 ("n // heads", self.n // self.heads), ("heads", self.heads)):
+                try:
+                    factorize(order)
+                except ValueError as exc:
+                    raise ValueError(f"use_hadamard needs a transform of order "
+                                     f"{field} = {order}: {exc}") from None
 
     @property
     def hidden_dim(self) -> int:

@@ -48,6 +48,11 @@ class TestHadamardCommand:
         assert data["check_max_abs_err"] < 1e-10
         assert data["check_orthonormality_err"] < 1e-12
 
+    def test_check_mode_covers_the_transpose(self, capsys):
+        code, out, _ = run_cli(capsys, "hadamard", "--dim", "56", "--seed", "3", "--check")
+        assert code == 0
+        assert json.loads(out)["check_max_abs_err_transpose"] < 1e-12
+
     def test_unconstructible_dim_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "hadamard", "--dim", "6")
         assert code == 1

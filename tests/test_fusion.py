@@ -18,13 +18,9 @@ from fpqt.fusion import (
     fuse_input,
     fuse_v_out,
     gelu,
-    head_transform,
     layer_norm,
     plan_fusion,
     softmax,
-    unfuse_ffn,
-    unfuse_input,
-    unfuse_v_out,
 )
 from fpqt.hadamard import build, realize
 
@@ -53,6 +49,21 @@ def make_weights(n=32, heads=2, hidden=None, seed=0) -> DiTBlockWeights:
 
 def rel_err(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def dense_fusion(w, plan) -> dict[str, np.ndarray]:
+    """fuse_block's weights computed with realized dense transforms."""
+    hn, hf = realize(plan.input_spec), realize(plan.hidden_spec)
+    hd, hv = realize(plan.head_spec), np.kron(realize(plan.heads_spec), realize(plan.head_spec))
+    out = {name: hn.T @ getattr(w, name) for name in ("w_q", "w_k", "w_v", "w_fc1")}
+    out["w_fc2"] = hf.T @ w.w_fc2
+    if plan.v_mode == "per_head_exact":
+        out["w_v"] = out["w_v"] @ np.kron(np.eye(w.heads), hd)
+        out["w_out"] = hv.T @ w.w_out
+    else:
+        out["w_v"] = out["w_v"] @ hv
+        out["w_out"] = hv @ w.w_out
+    return out
 
 
 class TestBlockWeights:
@@ -113,7 +124,7 @@ class TestOfflineFusion:
     def test_input_fusion_roundtrip(self, seed):
         w = make_weights()
         plan = plan_fusion(w, seed=seed)
-        back = unfuse_input(fuse_input(w, plan), plan)
+        back = fuse_input(fuse_input(w, plan), plan, inverse=True)
         for name in ("w_q", "w_k", "w_v", "w_fc1"):
             assert rel_err(getattr(back, name), getattr(w, name)) < 1e-12
         assert back.w_out is w.w_out  # untouched layers pass through
@@ -122,15 +133,38 @@ class TestOfflineFusion:
     def test_v_out_fusion_roundtrip(self, v_mode):
         w = make_weights(heads=4)
         plan = plan_fusion(w, seed=1, v_mode=v_mode)
-        back = unfuse_v_out(fuse_v_out(w, plan), plan)
+        back = fuse_v_out(fuse_v_out(w, plan), plan, inverse=True)
         assert rel_err(back.w_v, w.w_v) < 1e-12
         assert rel_err(back.w_out, w.w_out) < 1e-12
 
     def test_ffn_fusion_roundtrip(self):
-        w = make_weights()
-        plan = plan_fusion(w, seed=2)
-        back = unfuse_ffn(fuse_ffn(w, plan), plan)
-        assert rel_err(back.w_fc2, w.w_fc2) < 1e-12
+        for hidden in (64, 896):  # 896 = 32 * 28: a q = 28 width
+            w = make_weights(hidden=hidden)
+            plan = plan_fusion(w, seed=2)
+            back = fuse_ffn(fuse_ffn(w, plan), plan, inverse=True)
+            assert rel_err(back.w_fc2, w.w_fc2) < 1e-12
+
+    @pytest.mark.parametrize("v_mode", ["per_head_exact", "paper_literal"])
+    def test_fused_weights_match_dense_fusion(self, v_mode):
+        # orders 48, 224, 12 and 4: base factors 12, 28, 12 and a power of two
+        w = make_weights(n=48, heads=4, hidden=224)
+        plan = plan_fusion(w, seed=5, v_mode=v_mode)  # every factor gets a nontrivial sign diagonal
+        fused, _ = fuse_block(w, plan)
+        for name, want in dense_fusion(w, plan).items():
+            assert rel_err(getattr(fused, name), want) < 1e-12, name
+
+    @pytest.mark.parametrize("v_mode", ["per_head_exact", "paper_literal"])
+    def test_fused_weights_are_c_contiguous(self, v_mode):
+        # a transposed view would make every later ravel of the weight copy
+        w = make_weights(n=48, heads=4)
+        plan = plan_fusion(w, seed=1, v_mode=v_mode)
+        fused, _ = fuse_block(w, plan)
+        back = fused
+        for fuse in (fuse_ffn, fuse_v_out, fuse_input):
+            back = fuse(back, plan, inverse=True)
+        for weights in (fused, back):
+            for name, m in weights.matrices().items():
+                assert m.flags.c_contiguous, name
 
     def test_transform_cancellation_identity(self, rng):
         # (x H)(H^T W) == x W, the identity every fusion rests on
@@ -147,7 +181,7 @@ class TestOfflineFusion:
         hd = realize(plan.head_spec)
         hh = realize(plan.heads_spec)
         left = np.kron(np.eye(2), hd) @ np.kron(hh, np.eye(12))
-        assert np.allclose(left, head_transform(plan), atol=1e-12)
+        assert np.allclose(left, np.kron(hh, hd), atol=1e-12)
 
 
 class TestOnlineSchedule:
@@ -181,8 +215,9 @@ class TestCrossHeadApply:
         h, d = 4, 6
         spec = build(h, seed=3)
         x = rng.standard_normal((5, h * d))
-        dense = x @ np.kron(realize(spec), np.eye(d))
-        assert np.abs(cross_head_apply(x, spec, d) - dense).max() < 1e-12
+        dense = np.kron(realize(spec), np.eye(d))
+        assert np.abs(cross_head_apply(x, spec, d) - x @ dense).max() < 1e-12
+        assert np.abs(cross_head_apply(x, spec, d, transpose=True) - x @ dense.T).max() < 1e-12
 
     def test_shape_check(self, rng):
         with pytest.raises(ShapeError):

@@ -118,6 +118,18 @@ class TestApplyRight:
         x = rng.standard_normal((7, n))
         assert np.abs(apply_right(x, spec) - x @ realize(spec)).max() < 1e-10
 
+    @pytest.mark.parametrize("q", BASE_ORDERS)
+    @pytest.mark.parametrize("seed", [None, 11])
+    def test_both_directions_match_dense(self, q, seed, rng):
+        # p = 128 splits as a = 32, r = 4 at q = 12 and 28 (orders 1536, 3584)
+        for p in (1, 8, 128):
+            spec = HadamardSpec(dim=p * q, p=p, q=q, seed=seed)
+            h = realize(spec)
+            rows = rng.standard_normal((5, spec.dim))
+            for x in (rows, np.asfortranarray(rows)):  # fusion passes column-major W.T
+                assert np.abs(apply_right(x, spec) - x @ h).max() < 1e-12
+                assert np.abs(apply_right(x, spec, transpose=True) - x @ h.T).max() < 1e-12
+
     def test_identity_rows_recover_the_matrix(self):
         spec = build(48)
         assert np.abs(apply_right(np.eye(48), spec) - realize(spec)).max() < 1e-12
@@ -152,11 +164,12 @@ class TestOpCounts:
     @pytest.mark.parametrize("n", [1, 2, 8, 12, 24, 48, 56, 64])
     def test_counter_matches_closed_form(self, m, n, rng):
         spec = build(n)
-        counter = OpCounter()
-        apply_right(rng.standard_normal((m, n)), spec, counter)
         want = op_count(m, spec)
-        assert counter.adds == want["adds"]
-        assert counter.muls == want["muls"]
+        for transpose in (False, True):
+            counter = OpCounter()
+            apply_right(rng.standard_normal((m, n)), spec, counter, transpose=transpose)
+            assert counter.adds == want["adds"]
+            assert counter.muls == want["muls"]
 
     def test_power_of_two_add_count_is_m_n_log2_n(self):
         for m, n in [(1, 64), (5, 256), (3, 1024)]:

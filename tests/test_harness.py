@@ -49,6 +49,20 @@ class TestConfig:
             HarnessConfig(calib_samples=0)
         HarnessConfig(weight_format="E3M0")  # concrete format is fine
 
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            ({"n": 36}, "n = 36"),
+            ({"n": 48, "heads": 3}, "heads = 3"),
+            ({"n": 64, "hidden": 200}, "hidden = 200"),
+            ({"n": 48, "heads": 8}, "n // heads = 6"),
+        ],
+    )
+    def test_unconstructible_transform_order_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            HarnessConfig(**kwargs)
+        HarnessConfig(**kwargs, use_hadamard=False)  # only the transform needs them
+
 
 class TestSeededInputs:
     def test_weights_shapes_and_scaling(self):
