@@ -50,13 +50,11 @@ from .quantize import (
     channel_bias,
     minmax_quantize,
     quant_error,
-    round_to_grid,
     snap_per_channel,
 )
 from .select import SelectionConfig, select_format, selection_table, spread_indicator
 from .tensors import (
     channel_stat,
-    matmul,
     quantile_nearest_rank,
     read_tensors,
     write_tensors,
@@ -107,7 +105,6 @@ __all__ = [
     "init_weights",
     "layer_norm",
     "layer_objective",
-    "matmul",
     "minmax_quantize",
     "op_count",
     "parse_format",
@@ -116,7 +113,6 @@ __all__ = [
     "quantile_nearest_rank",
     "read_tensors",
     "realize",
-    "round_to_grid",
     "run",
     "select_format",
     "selection_table",

@@ -4,11 +4,15 @@ Classic GPTQ machinery: accumulate H = 2 X^T X from calibration inputs,
 dampen the diagonal, process input dimensions one at a time (in natural
 order, blocked for locality), and after rounding each one, shift its
 rounding error onto the not-yet-quantized dimensions through the upper
-Cholesky factor of the inverse Hessian.  The single change from the
-integer-grid original is the rounding step: values snap to the nearest
-point of a minifloat grid whose per-output-channel exponent bias is frozen
-from the original weights before any error propagation, so every output
-channel keeps the grid MinMax would have given it.
+Cholesky factor U of the inverse Hessian (H^-1 = U^T U).  U comes from one
+Cholesky and one triangular inverse: the lower factor L of the
+index-reversed Hessian, reversed back on both axes, is an upper R with
+H = R R^T, so U = R^-1.  Input dimension j is row j of the weights, so each
+step snaps one contiguous row.  The single change from the integer-grid
+original is the rounding step: values snap to the nearest point of a
+minifloat grid whose per-output-channel exponent bias is frozen from the
+original weights before any error propagation, so every output channel
+keeps the grid MinMax would have given it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import scipy.linalg
 
 from .errors import NumericalError, ShapeError
 from .formats import FpFormat
-from .quantize import QuantizedTensor, channel_bias, snap_per_channel
+from .quantize import QuantizedTensor, _grid_constants, _snap, channel_bias
 from .tensors import WORKING_DTYPE
 
 
@@ -82,6 +86,19 @@ def layer_objective(w: np.ndarray, w_hat: np.ndarray, cal: CalibrationSet) -> fl
     return float(np.sum(diff * diff))
 
 
+def _inverse_hessian_factor(h: np.ndarray) -> np.ndarray:
+    """Upper-triangular U with positive diagonal and U^T U = h^-1, by the
+    reversed Cholesky and dtrtri; NumericalError unless h is positive-definite."""
+    try:
+        lower = scipy.linalg.cholesky(h[::-1, ::-1], lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"dampened Hessian is not positive-definite: {exc}") from exc
+    u, info = scipy.linalg.lapack.dtrtri(lower[::-1, ::-1], lower=0)
+    if info != 0:
+        raise NumericalError(f"Hessian factor is singular (dtrtri info={info})")
+    return u
+
+
 def gptq_quantize(
     w: np.ndarray, cal: CalibrationSet, fmt: FpFormat, cfg: GptqConfig = GptqConfig()
 ) -> QuantizedTensor:
@@ -93,7 +110,7 @@ def gptq_quantize(
     grids, identical bias vector).  Raises NumericalError when the dampened
     Hessian is not positive-definite.
     """
-    w = np.asarray(w, dtype=WORKING_DTYPE)
+    w = np.array(w, dtype=WORKING_DTYPE, order="C")  # the sweep updates it in place
     if w.ndim != 2:
         raise ShapeError(f"weights must be 2-D, got shape {w.shape}")
     if not np.isfinite(w).all():
@@ -102,34 +119,28 @@ def gptq_quantize(
         raise ShapeError(f"weights {w.shape} do not match calibration dim {cal.in_dim}")
     in_dim = w.shape[0]
     bias = channel_bias(w, fmt, channel_axis=-1)
+    vmax, lo = _grid_constants(fmt, bias)
 
     h = hessian(cal)
-    wt = w.T.copy()  # (out, in): quantize one input dim at a time
     dead = np.diag(h) == 0.0
     if dead.any():
         h[dead, dead] = 1.0
-        wt[:, dead] = 0.0
+        w[dead] = 0.0
     h[np.diag_indices(in_dim)] += cfg.damping * float(np.mean(np.diag(h)))
+    u = _inverse_hessian_factor(h)
 
-    try:
-        chol = scipy.linalg.cho_factor(h, lower=True)
-        hinv = scipy.linalg.cho_solve(chol, np.eye(in_dim))
-        u = scipy.linalg.cholesky(hinv, lower=False)  # upper factor of H^-1
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"dampened Hessian is not positive-definite: {exc}") from exc
-
-    q = np.empty_like(wt)
+    q = np.empty_like(w)
     for i1 in range(0, in_dim, cfg.block_size):
         i2 = min(i1 + cfg.block_size, in_dim)
-        block = wt[:, i1:i2].copy()
+        block = w[i1:i2]
         err = np.empty_like(block)
         for j in range(i1, i2):
-            col = block[:, j - i1]
-            qcol = snap_per_channel(col, fmt, bias)
-            e = (col - qcol) / u[j, j]
-            block[:, j - i1 + 1 :] -= np.outer(e, u[j, j + 1 : i2])
-            err[:, j - i1] = e
-            q[:, j] = qcol
+            k = j - i1
+            q[j] = block[k]
+            _snap(q[j], fmt.n_m, vmax, lo)
+            np.subtract(block[k], q[j], out=err[k])
+            err[k] /= u[j, j]
+            block[k + 1 :] -= u[j, j + 1 : i2, None] * err[k]
         if i2 < in_dim:
-            wt[:, i2:] -= err @ u[i1:i2, i2:]
-    return QuantizedTensor(values=q.T.copy(), fmt=fmt, bias=bias, channel_axis=-1)
+            w[i2:] -= u[i1:i2, i2:].T @ err
+    return QuantizedTensor(values=q, fmt=fmt, bias=bias, channel_axis=-1)

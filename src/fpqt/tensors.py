@@ -35,17 +35,6 @@ WORKING_DTYPE = np.float64
 STORAGE_DTYPE = np.dtype("<f4")
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2-D matrix product with an explicit shape check."""
-    a = np.asarray(a, dtype=WORKING_DTYPE)
-    b = np.asarray(b, dtype=WORKING_DTYPE)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def quantile_nearest_rank(values: np.ndarray, alpha: float) -> float:
     """Lower nearest-rank quantile of |values|: the ceil(alpha/100 * N)-th
     smallest magnitude (1-based).  alpha must lie strictly inside (0, 100)."""

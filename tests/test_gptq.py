@@ -6,6 +6,7 @@ from fpqt.formats import BiasedFormat, FpFormat, grid, parse_format
 from fpqt.gptq import (
     CalibrationSet,
     GptqConfig,
+    _inverse_hessian_factor,
     gptq_quantize,
     hessian,
     layer_objective,
@@ -68,6 +69,24 @@ class TestHessianAndObjective:
             layer_objective(np.zeros((4, 2)), np.zeros((4, 3)), cal)
         with pytest.raises(ShapeError):
             layer_objective(np.zeros((3, 2)), np.zeros((3, 2)), cal)
+
+
+class TestInverseHessianFactor:
+    def test_upper_factor_of_the_inverse(self, rng):
+        for in_dim in (1, 5, 64, 200):
+            x = rng.standard_normal((3 * in_dim, in_dim))
+            x[:, 0] *= 20.0
+            h = hessian(CalibrationSet(x))
+            h[np.diag_indices(in_dim)] += 0.01 * float(np.mean(np.diag(h)))
+            u = _inverse_hessian_factor(h)
+            assert np.array_equal(u, np.triu(u))
+            assert np.all(np.diag(u) > 0.0)
+            assert np.max(np.abs(u.T @ u @ h - np.eye(in_dim))) <= 1e-12
+
+    def test_not_positive_definite_raises(self):
+        for h in (-np.eye(3), np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2))):
+            with pytest.raises(NumericalError):
+                _inverse_hessian_factor(h)
 
 
 class TestGptqQuantize:
@@ -169,6 +188,14 @@ class TestGptqQuantize:
             gptq_quantize(np.zeros(4), cal, E2M1)
         with pytest.raises(NumericalError):
             gptq_quantize(np.full((4, 2), np.nan), cal, E2M1)
+
+    def test_column_major_weights_give_the_same_result(self, rng):
+        w = rng.standard_normal((20, 6))
+        cal = CalibrationSet(rng.standard_normal((60, 20)))
+        a = gptq_quantize(w, cal, E2M1, GptqConfig(block_size=8))
+        b = gptq_quantize(np.asfortranarray(w), cal, E2M1, GptqConfig(block_size=8))
+        assert np.array_equal(a.values, b.values)
+        assert a.values.flags.c_contiguous
 
     def test_output_format_metadata(self, rng):
         w = rng.standard_normal((8, 4))

@@ -1,3 +1,7 @@
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,7 +11,6 @@ from fpqt.quantize import (
     channel_bias,
     minmax_quantize,
     quant_error,
-    round_to_grid,
     snap_per_channel,
 )
 from oracles import oracle_grid, oracle_nearest
@@ -58,6 +61,17 @@ class TestChannelBias:
             channel_bias(np.array([[np.nan]]), E2M1)
         with pytest.raises(NumericalError):
             channel_bias(np.array([[np.inf]]), E2M1)
+
+    def test_exact_without_warnings_at_float64_extremes(self):
+        big = np.finfo(np.float64).max
+        a = np.array([[1.7e308, big, 5e-324, 3e-310], [-1.0, -big, 0.0, 1e-320]])
+        for fmt in FORMATS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                b = channel_bias(a, fmt, channel_axis=-1)
+            for amax, bj in zip(np.abs(a).max(axis=0), b.tolist()):
+                lo = Fraction(fmt.max_val) * Fraction(2) ** bj
+                assert lo <= Fraction(amax) < 2 * lo
 
 
 class TestMinMaxQuantize:
@@ -151,37 +165,81 @@ class TestMinMaxQuantize:
         assert np.array_equal(q.values, np.zeros((4, 2)))
         assert q.bias.tolist() == [0, 0]
 
+    def test_empty_tensor_gets_zero_bias_per_channel(self):
+        q = minmax_quantize(np.zeros((0, 3)), E2M1, -1)
+        assert q.values.shape == (0, 3)
+        assert q.bias.tolist() == [0, 0, 0]
+        assert minmax_quantize(np.zeros((0, 3)), E2M1, 0).bias.shape == (0,)
+        assert minmax_quantize(np.zeros((0, 3)), E2M1, None).bias == 0
+
+    def test_negative_zero_maps_to_positive_zero(self):
+        q = minmax_quantize(np.array([[-0.0], [-1e-9], [12.0]]), E2M1, -1)
+        assert not np.signbit(q.values[0, 0])  # -0.0 input
+        assert q.values[1, 0] == 0.0 and np.signbit(q.values[1, 0])  # negative, rounds to 0
+
 
 class TestRoundToGrid:
+    """snap_per_channel with a scalar bias: one fixed biased grid."""
+
     def test_matches_oracle_on_fixed_grid(self, rng):
         for fmt in FORMAT_SUBSET:
             for bias in (-3, 0, 2):
                 bf = BiasedFormat(fmt, bias)
                 levels = oracle_grid(fmt.n_e, fmt.n_m, bias)
                 x = rng.uniform(-1.5 * bf.value_max, 1.5 * bf.value_max, size=40)
-                got = round_to_grid(x, bf)
+                got = snap_per_channel(x, fmt, bias)
                 for xi, gi in zip(x, got):
                     assert gi == oracle_nearest(xi, levels)
 
     def test_ties_round_away_from_zero(self):
-        bf = BiasedFormat(E2M1, 0)  # grid {0,1,2,3,4,6,8,12}
-        assert round_to_grid(np.array([0.5]), bf)[0] == 1.0
-        assert round_to_grid(np.array([-0.5]), bf)[0] == -1.0
-        assert round_to_grid(np.array([2.5]), bf)[0] == 3.0
-        assert round_to_grid(np.array([5.0]), bf)[0] == 6.0
-        assert round_to_grid(np.array([7.0]), bf)[0] == 8.0
-        assert round_to_grid(np.array([10.0]), bf)[0] == 12.0
+        # bias 0 grid {0,1,2,3,4,6,8,12}
+        assert snap_per_channel(np.array([0.5]), E2M1, 0)[0] == 1.0
+        assert snap_per_channel(np.array([-0.5]), E2M1, 0)[0] == -1.0
+        assert snap_per_channel(np.array([2.5]), E2M1, 0)[0] == 3.0
+        assert snap_per_channel(np.array([5.0]), E2M1, 0)[0] == 6.0
+        assert snap_per_channel(np.array([7.0]), E2M1, 0)[0] == 8.0
+        assert snap_per_channel(np.array([10.0]), E2M1, 0)[0] == 12.0
 
     def test_clamps_beyond_ceiling(self):
-        bf = BiasedFormat(E2M1, 0)
-        assert round_to_grid(np.array([1e9, -1e9]), bf).tolist() == [12.0, -12.0]
+        assert snap_per_channel(np.array([1e9, -1e9]), E2M1, 0).tolist() == [12.0, -12.0]
 
     def test_snap_per_channel_agrees_with_round_to_grid(self, rng):
+        # a per-element bias vector snaps each element as its scalar bias would
         x = rng.standard_normal(20) * 10.0
         biases = rng.integers(-3, 3, size=20)
         got = snap_per_channel(x, E2M1, biases)
         for i in range(20):
-            assert got[i] == round_to_grid(x[i : i + 1], BiasedFormat(E2M1, int(biases[i])))[0]
+            assert got[i] == snap_per_channel(x[i : i + 1], E2M1, int(biases[i]))[0]
+
+    def test_agrees_with_minmax_on_its_biases(self, rng):
+        a = rng.standard_normal((7, 5)) * np.exp(rng.uniform(-6, 6, size=5))
+        for fmt in FORMATS:
+            q = minmax_quantize(a, fmt, channel_axis=-1)
+            assert np.array_equal(snap_per_channel(a, fmt, q.bias), q.values)
+
+    def test_does_not_modify_its_input(self, rng):
+        x = rng.standard_normal(6) * 5.0
+        before = x.copy()
+        snap_per_channel(x, E2M1, 0)
+        assert np.array_equal(x, before)
+
+    def test_rejects_non_finite(self):
+        for bad in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
+            with pytest.raises(NumericalError):
+                snap_per_channel(np.array(bad), E2M1, np.array([0]))
+
+    def test_rejects_bias_that_does_not_broadcast(self):
+        with pytest.raises(ShapeError):
+            snap_per_channel(np.ones(3), E2M1, np.zeros(4, dtype=np.int64))
+        with pytest.raises(ShapeError):
+            snap_per_channel(np.ones(3), E2M1, np.zeros((2, 3), dtype=np.int64))
+
+    def test_rejects_bias_outside_float64_range(self):
+        # E2M1 max_val is 12 = 0.75 * 2^4: the ceiling overflows past bias 1020
+        assert snap_per_channel(np.array([1.5e308]), E2M1, 1020)[0] == math.ldexp(12.0, 1020)
+        for bias in (1021, -1080, 2**40):
+            with pytest.raises(NumericalError):
+                snap_per_channel(np.array([1.0]), E2M1, bias)
 
 
 class TestQuantError:
@@ -211,3 +269,23 @@ class TestQuantError:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             quant_error(np.zeros(3), np.zeros(4))
+
+    def test_power_of_two_scale_leaves_ratios_bitwise_equal(self, rng):
+        a = rng.standard_normal((6, 4))
+        q = minmax_quantize(a, E2M1, -1).values
+        e = quant_error(a, q)
+        for k in (-1000, -30, 7, 1000):
+            es = quant_error(a * 2.0**k, q * 2.0**k)
+            assert es["sqnr_db"] == e["sqnr_db"]
+            assert es["cosine"] == e["cosine"]
+            assert es["max_abs"] == e["max_abs"] * 2.0**k
+
+    def test_finite_near_float64_max(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            e = quant_error(1e200 * np.array([1.0, 2.0]), 1e200 * np.array([1.0, 1.5]))
+        # signal 2.5, noise 0.125 (times 1e400): 10 log10(20) dB
+        assert e["sqnr_db"] == pytest.approx(10 * np.log10(20.0), rel=1e-12)
+        assert e["cosine"] == pytest.approx(4.0 / math.sqrt(5.0 * 3.25), rel=1e-12)
+        assert e["max_abs"] == pytest.approx(0.5e200, rel=1e-12)
+        assert e["mse"] == float("inf")  # 1.25e399 exceeds float64

@@ -6,26 +6,11 @@ import pytest
 from fpqt.errors import FormatError, NumericalError, ShapeError
 from fpqt.tensors import (
     channel_stat,
-    matmul,
     quantile_nearest_rank,
     read_tensors,
     write_tensors,
 )
-from oracles import oracle_matmul, oracle_quantile_nearest_rank
-
-
-class TestMatmul:
-    def test_matches_triple_loop_oracle(self, rng):
-        for _ in range(10):
-            a = rng.standard_normal((5, 7))
-            b = rng.standard_normal((7, 3))
-            assert np.allclose(matmul(a, b), oracle_matmul(a, b), atol=1e-12)
-
-    def test_shape_errors(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-        with pytest.raises(ShapeError):
-            matmul(np.zeros(3), np.zeros((3, 2)))
+from oracles import oracle_quantile_nearest_rank
 
 
 class TestQuantileNearestRank:
