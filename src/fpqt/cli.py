@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -83,27 +84,7 @@ def _add_harness_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _harness_config(args: argparse.Namespace) -> HarnessConfig:
-    return HarnessConfig(
-        n=args.n,
-        heads=args.heads,
-        tokens=args.tokens,
-        hidden=args.hidden,
-        outlier_channels=args.outlier_channels,
-        outlier_scale=args.outlier_scale,
-        seed=args.seed,
-        weight_format=args.weight_format,
-        weight_bits=args.weight_bits,
-        act_format=args.act_format,
-        quantize_weights=args.quantize_weights,
-        quantize_acts=args.quantize_acts,
-        use_hadamard=args.use_hadamard,
-        hadamard_seed=args.hadamard_seed,
-        v_mode=args.v_mode,
-        method=args.method,
-        calib_samples=args.calib_samples,
-        alpha=args.alpha,
-        heavy_tail_fraction=args.heavy_tail_fraction,
-    )
+    return HarnessConfig(**{f.name: getattr(args, f.name) for f in fields(HarnessConfig)})
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +199,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
         raise ValueError(f"container is missing required tensors: {missing}")
     n = tensors["w_q"].shape[0]
     weights = DiTBlockWeights(
-        w_q=tensors["w_q"],
-        w_k=tensors["w_k"],
-        w_v=tensors["w_v"],
-        w_out=tensors["w_out"],
-        w_fc1=tensors["w_fc1"],
-        w_fc2=tensors["w_fc2"],
+        **{name: tensors[name] for name in LAYER_NAMES},
         heads=args.heads,
         ln1_gamma=tensors.get("ln1_gamma", np.ones(n)),
         ln1_beta=tensors.get("ln1_beta", np.zeros(n)),
@@ -238,10 +214,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
         online = ()
     else:
         new, online = fuse_block(weights, plan)
-    out = dict(tensors)
-    for name in LAYER_NAMES:
-        out[name] = getattr(new, name)
-    write_tensors(args.output, out)
+    write_tensors(args.output, {**tensors, **new.matrices()})
     verb = "unfused" if args.invert else "fused"
     print(f"{verb} block (n={n}, heads={args.heads}, v_mode={args.v_mode}) "
           f"-> {args.output}")

@@ -15,6 +15,9 @@ outlier-free rotated activations.  Concretely:
   * feed-forward hidden: GELU output -> apply H_hidden online; W_fc2 absorbs
     H_hidden^T.
 
+FusionPlan.online is the one schedule of these online stages, in forward
+order; fuse_block returns it and harness.estimate_cost costs it.
+
 The 'paper_literal' value mode instead folds the full H_h (x) H_d into W_v
 with no online stage; column mixing then crosses head boundaries before
 per-head attention, so it is only equivalent for a single head.  It is kept
@@ -46,6 +49,12 @@ V_MODES = ("per_head_exact", "paper_literal")
 LAYER_NAMES = ("w_q", "w_k", "w_v", "w_out", "w_fc1", "w_fc2")
 
 
+def layer_shapes(n: int, hidden: int) -> dict[str, tuple[int, int]]:
+    """(in_dim, out_dim) of each linear layer, in LAYER_NAMES order."""
+    shapes = ((n, n), (n, n), (n, n), (n, n), (n, hidden), (hidden, n))
+    return dict(zip(LAYER_NAMES, shapes))
+
+
 @dataclass(frozen=True)
 class DiTBlockWeights:
     """Weights of one block; matrices are input_dim x output_dim."""
@@ -63,15 +72,10 @@ class DiTBlockWeights:
     ln2_beta: np.ndarray
 
     def __post_init__(self):
-        n = self.w_q.shape[0]
-        hidden = self.w_fc1.shape[1]
-        for name in ("w_q", "w_k", "w_v", "w_out"):
-            if getattr(self, name).shape != (n, n):
-                raise ShapeError(f"{name} must be {(n, n)}, got {getattr(self, name).shape}")
-        if self.w_fc1.shape != (n, hidden):
-            raise ShapeError(f"w_fc1 must be (n, hidden), got {self.w_fc1.shape}")
-        if self.w_fc2.shape != (hidden, n):
-            raise ShapeError(f"w_fc2 must be {(hidden, n)}, got {self.w_fc2.shape}")
+        n = self.n
+        for name, shape in layer_shapes(n, self.hidden).items():
+            if getattr(self, name).shape != shape:
+                raise ShapeError(f"{name} must be {shape}, got {getattr(self, name).shape}")
         for name in ("ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta"):
             if getattr(self, name).shape != (n,):
                 raise ShapeError(f"{name} must be {(n,)}, got {getattr(self, name).shape}")
@@ -128,6 +132,15 @@ class FusionPlan:
     def __post_init__(self):
         if self.v_mode not in V_MODES:
             raise ValueError(f"unknown v_mode {self.v_mode!r}; have {V_MODES}")
+
+    @property
+    def online(self) -> tuple[OnlineTransform, ...]:
+        """The runtime transforms that cancel this plan's fusion, in
+        ONLINE_POINTS order; paper_literal has no post-attention mix."""
+        specs = {"attn_input": self.input_spec, "post_attention": self.heads_spec,
+                 "ffn_input": self.input_spec, "post_gelu": self.hidden_spec}
+        return tuple(OnlineTransform(p, specs[p]) for p in ONLINE_POINTS
+                     if p != "post_attention" or self.v_mode == "per_head_exact")
 
 
 def plan_fusion(
@@ -203,24 +216,11 @@ def fuse_ffn(
     return replace(weights, w_fc2=_transposed(w_fc2))
 
 
-def schedule_ffn_online(plan: FusionPlan) -> OnlineTransform:
-    """The online stage paired with fuse_ffn: transform after GELU."""
-    return OnlineTransform(point="post_gelu", spec=plan.hidden_spec)
-
-
 def fuse_block(
     weights: DiTBlockWeights, plan: FusionPlan
 ) -> tuple[DiTBlockWeights, tuple[OnlineTransform, ...]]:
-    """Fully fuse a block; returns the new weights and the online schedule."""
-    fused = fuse_ffn(fuse_v_out(fuse_input(weights, plan), plan), plan)
-    online = [
-        OnlineTransform(point="attn_input", spec=plan.input_spec),
-        OnlineTransform(point="ffn_input", spec=plan.input_spec),
-        schedule_ffn_online(plan),
-    ]
-    if plan.v_mode == "per_head_exact":
-        online.insert(1, OnlineTransform(point="post_attention", spec=plan.heads_spec))
-    return fused, tuple(online)
+    """Fully fuse a block; returns the new weights and plan.online."""
+    return fuse_ffn(fuse_v_out(fuse_input(weights, plan), plan), plan), plan.online
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,13 @@ def hessian(cal: CalibrationSet) -> np.ndarray:
     """Proxy Hessian of the layer reconstruction objective: 2 X^T X.
 
     Symmetric positive-semidefinite; damping happens inside gptq_quantize.
+    Raises NumericalError when the calibration set overflows it.
     """
-    return 2.0 * (cal.x.T @ cal.x)
+    with np.errstate(over="ignore"):
+        h = 2.0 * (cal.x.T @ cal.x)
+    if not np.isfinite(h).all():
+        raise NumericalError("calibration set overflows the Hessian 2 X^T X in float64")
+    return h
 
 
 def layer_objective(w: np.ndarray, w_hat: np.ndarray, cal: CalibrationSet) -> float:
@@ -107,8 +112,8 @@ def gptq_quantize(
     Deterministic: natural input-dim order, fixed block size, no shuffling.
     The per-output-channel exponent biases are frozen from the original w,
     so the result is directly comparable to plain MinMax rounding (identical
-    grids, identical bias vector).  Raises NumericalError when the dampened
-    Hessian is not positive-definite.
+    grids, identical bias vector).  Raises NumericalError when the calibration
+    set overflows the Hessian or the dampened Hessian is not positive-definite.
     """
     w = np.array(w, dtype=WORKING_DTYPE, order="C")  # the sweep updates it in place
     if w.ndim != 2:
@@ -126,7 +131,10 @@ def gptq_quantize(
     if dead.any():
         h[dead, dead] = 1.0
         w[dead] = 0.0
-    h[np.diag_indices(in_dim)] += cfg.damping * float(np.mean(np.diag(h)))
+    with np.errstate(over="ignore"):
+        h[np.diag_indices(in_dim)] += cfg.damping * float(np.mean(np.diag(h)))
+    if not np.isfinite(np.diag(h)).all():
+        raise NumericalError("calibration set overflows the dampened Hessian in float64")
     u = _inverse_hessian_factor(h)
 
     q = np.empty_like(w)

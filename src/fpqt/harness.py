@@ -28,16 +28,18 @@ from .formats import parse_format
 from .fusion import (
     LAYER_NAMES,
     DiTBlockWeights,
+    FusionPlan,
     OnlineTransform,
     block_forward,
     fuse_block,
     layer_norm,
+    layer_shapes,
     plan_fusion,
 )
 from .gptq import CalibrationSet, GptqConfig, gptq_quantize
 from .hadamard import apply_right, build, factorize, op_count
 from .quantize import minmax_quantize, quant_error
-from .select import SelectionConfig, select_format, spread_indicator
+from .select import SelectionConfig, format_for_spread, spread_indicator
 from .tensors import WORKING_DTYPE, channel_stat
 
 SCHEMA_VERSION = 1
@@ -109,14 +111,7 @@ class QuantReport:
     cost: dict
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "config": self.config,
-            "layers": self.layers,
-            "end_to_end": self.end_to_end,
-            "distribution": self.distribution,
-            "cost": self.cost,
-        }
+        return asdict(self)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
@@ -150,7 +145,7 @@ def init_weights(cfg: HarnessConfig) -> DiTBlockWeights:
     """Gaussian weights scaled by 1/sqrt(in_dim); optional heavy-tail
     entries (scaled 10x) to diversify per-matrix format selection."""
     rng = _rng(cfg, 0)
-    n, hidden = cfg.n, cfg.hidden_dim
+    n = cfg.n
 
     def mat(in_dim: int, out_dim: int) -> np.ndarray:
         w = rng.standard_normal((in_dim, out_dim)) / math.sqrt(in_dim)
@@ -160,12 +155,7 @@ def init_weights(cfg: HarnessConfig) -> DiTBlockWeights:
         return w
 
     return DiTBlockWeights(
-        w_q=mat(n, n),
-        w_k=mat(n, n),
-        w_v=mat(n, n),
-        w_out=mat(n, n),
-        w_fc1=mat(n, hidden),
-        w_fc2=mat(hidden, n),
+        **{name: mat(*shape) for name, shape in layer_shapes(n, cfg.hidden_dim).items()},
         heads=cfg.heads,
         ln1_gamma=np.ones(n, dtype=WORKING_DTYPE),
         ln1_beta=np.zeros(n, dtype=WORKING_DTYPE),
@@ -223,12 +213,12 @@ def quantize_block_weights(
     calib: dict[str, CalibrationSet] | None,
 ) -> tuple[DiTBlockWeights, dict]:
     """Quantize the six linear layers; returns new weights and per-layer metrics."""
-    sel_cfg = SelectionConfig(n_bits=cfg.weight_bits, alpha=cfg.alpha)
     quantized = {}
     reports = {}
     for name, w in weights.matrices().items():
+        spread = spread_indicator(w, cfg.alpha)
         if cfg.weight_format == "auto":
-            fmt = select_format(w, sel_cfg)
+            fmt = format_for_spread(spread, cfg.weight_bits)
         else:
             fmt = parse_format(cfg.weight_format)
         if cfg.method == "gptq":
@@ -240,7 +230,7 @@ def quantize_block_weights(
         reports[name] = {
             "format": str(fmt),
             "method": cfg.method,
-            "spread": spread_indicator(w, cfg.alpha),
+            "spread": spread,
             "bias_min": int(qt.bias.min()),
             "bias_max": int(qt.bias.max()),
             "weight_mse": err["mse"],
@@ -264,35 +254,22 @@ def distribution_stats(batch: np.ndarray) -> dict:
 
 def estimate_cost(cfg: HarnessConfig) -> dict:
     """Static operation and byte accounting for one forward pass."""
-    n, h, t, hidden = cfg.n, cfg.heads, cfg.tokens, cfg.hidden_dim
-    dims = {
-        "w_q": (n, n),
-        "w_k": (n, n),
-        "w_v": (n, n),
-        "w_out": (n, n),
-        "w_fc1": (n, hidden),
-        "w_fc2": (hidden, n),
-    }
+    n, h, t = cfg.n, cfg.heads, cfg.tokens
+    dims = layer_shapes(n, cfg.hidden_dim)
     layer_macs = {name: t * din * dout for name, (din, dout) in dims.items()}
     attention_macs = 2 * t * t * n  # scores and context, summed over heads
 
     hadamard_ops = {"adds": 0, "muls": 0, "transforms": []}
     if cfg.use_hadamard:
-        # Op counts are independent of the sign-diagonal seed, so the specs
+        # Op counts are independent of the sign-diagonal seed, so the plan
         # can be built from dimensions alone without touching any weights.
-        input_spec, hidden_spec, heads_spec = build(n), build(hidden), build(h)
-        stages = [
-            ("attn_input", op_count(t, input_spec)),
-            ("ffn_input", op_count(t, input_spec)),
-            ("post_gelu", op_count(t, hidden_spec)),
-        ]
-        if cfg.v_mode == "per_head_exact":
-            # cross-head mix runs the fast path on (tokens * head_dim, heads)
-            stages.insert(1, ("post_attention", op_count(t * (n // h), heads_spec)))
-        for point, ops in stages:
+        plan = FusionPlan(build(n), build(cfg.hidden_dim), build(n // h), build(h), cfg.v_mode)
+        for tr in plan.online:
+            # the cross-head mix runs the fast path on (tokens * head_dim, heads)
+            ops = op_count(t * (n // h) if tr.point == "post_attention" else t, tr.spec)
             hadamard_ops["adds"] += ops["adds"]
             hadamard_ops["muls"] += ops["muls"]
-            hadamard_ops["transforms"].append({"point": point, **ops})
+            hadamard_ops["transforms"].append({"point": tr.point, **ops})
 
     param_count = sum(din * dout for din, dout in dims.values())
     out_channels = sum(dout for _, dout in dims.values())
@@ -314,15 +291,12 @@ def run(cfg: HarnessConfig) -> QuantReport:
     x = gen_activations(cfg, index=0)
     ref = block_forward(x, weights)
 
+    pre = layer_norm(x, weights.ln1_gamma, weights.ln1_beta)
+    qbase, online, post = weights, (), pre
     if cfg.use_hadamard:
         plan = plan_fusion(weights, cfg.hadamard_seed, cfg.v_mode)
         qbase, online = fuse_block(weights, plan)
-    else:
-        plan = None
-        qbase, online = weights, ()
-
-    pre = layer_norm(x, weights.ln1_gamma, weights.ln1_beta)
-    post = apply_right(pre, plan.input_spec) if plan is not None else pre
+        post = apply_right(pre, plan.input_spec)
 
     layer_reports: dict = {}
     if cfg.quantize_weights:

@@ -46,21 +46,25 @@ def spread_indicator(w: np.ndarray, alpha: float = 25.0) -> float:
     return top / denom
 
 
-def select_format(w: np.ndarray, cfg: SelectionConfig = SelectionConfig()) -> FpFormat:
-    """Pick the candidate layout whose range_ratio best matches the spread.
+def format_for_spread(s_w: float, n_bits: int = 4) -> FpFormat:
+    """Pick the candidate layout whose range_ratio best matches a spread.
 
-    Minimizes |log2 r - log2 s_w| over candidate_formats(cfg.n_bits); ties
+    Minimizes |log2 r - log2 s_w| over candidate_formats(n_bits); ties
     prefer the layout with more mantissa bits.  An infinite spread selects
     the widest-range (largest n_e) candidate outright.
     """
-    s_w = spread_indicator(w, cfg.alpha)
-    candidates = candidate_formats(cfg.n_bits)
+    candidates = candidate_formats(n_bits)
     if math.isinf(s_w):
         return candidates[-1]
     log_s = math.log2(s_w)
     # candidates are ordered by ascending n_e, i.e. descending n_m, so the
     # first minimum is the preferred tie-break
     return min(candidates, key=lambda f: abs(math.log2(f.range_ratio) - log_s))
+
+
+def select_format(w: np.ndarray, cfg: SelectionConfig = SelectionConfig()) -> FpFormat:
+    """Pick a layout for w: format_for_spread of its spread indicator."""
+    return format_for_spread(spread_indicator(w, cfg.alpha), cfg.n_bits)
 
 
 def selection_table(w: np.ndarray, cfg: SelectionConfig = SelectionConfig()) -> dict:
@@ -70,4 +74,5 @@ def selection_table(w: np.ndarray, cfg: SelectionConfig = SelectionConfig()) -> 
     for f in candidate_formats(cfg.n_bits):
         dist = float("inf") if math.isinf(s_w) else abs(math.log2(f.range_ratio) - math.log2(s_w))
         rows.append({"format": str(f), "range_ratio": f.range_ratio, "log2_distance": dist})
-    return {"spread": s_w, "alpha": cfg.alpha, "selected": str(select_format(w, cfg)), "candidates": rows}
+    selected = str(format_for_spread(s_w, cfg.n_bits))
+    return {"spread": s_w, "alpha": cfg.alpha, "selected": selected, "candidates": rows}

@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from fpqt.cli import main
+from fpqt.cli import _harness_config, build_parser, main
 from fpqt.formats import BiasedFormat, FpFormat, grid
+from fpqt.harness import HarnessConfig
 from fpqt.tensors import read_tensors, write_tensors
 
 
@@ -246,3 +248,44 @@ class TestSimulateAndCost:
         data = json.loads(out)
         tr = {t["point"]: t for t in data["hadamard"]["transforms"]}
         assert tr["attn_input"]["adds"] == 28672 * (10 + 27)
+
+
+class TestHarnessFlags:
+    # one non-default value per HarnessConfig field, valid with every other default
+    FLAGS = {
+        "n": ("--n", "48", 48),
+        "heads": ("--heads", "8", 8),
+        "tokens": ("--tokens", "7", 7),
+        "hidden": ("--hidden", "96", 96),
+        "outlier_channels": ("--outlier-channels", "3", 3),
+        "outlier_scale": ("--outlier-scale", "5.5", 5.5),
+        "seed": ("--seed", "9", 9),
+        "weight_format": ("--weight-format", "E3M0", "E3M0"),
+        "weight_bits": ("--weight-bits", "5", 5),
+        "act_format": ("--act-format", "E3M2", "E3M2"),
+        "quantize_weights": ("--no-weight-quant", None, False),
+        "quantize_acts": ("--no-act-quant", None, False),
+        "use_hadamard": ("--no-hadamard", None, False),
+        "hadamard_seed": ("--hadamard-seed", "4", 4),
+        "v_mode": ("--v-mode", "paper_literal", "paper_literal"),
+        "method": ("--method", "rtn", "rtn"),
+        "calib_samples": ("--calib-samples", "33", 33),
+        "alpha": ("--alpha", "10.0", 10.0),
+        "heavy_tail_fraction": ("--heavy-tail-fraction", "0.25", 0.25),
+    }
+
+    @pytest.mark.parametrize("command", ["simulate", "cost"])
+    def test_defaults_are_the_config_defaults(self, command):
+        args = build_parser().parse_args([command])
+        assert _harness_config(args) == HarnessConfig()
+
+    def test_table_covers_every_field(self):
+        assert list(self.FLAGS) == [f.name for f in fields(HarnessConfig)]
+
+    @pytest.mark.parametrize("field", list(FLAGS))
+    def test_flag_lands_in_its_own_field(self, field):
+        flag, text, want = self.FLAGS[field]
+        assert want != getattr(HarnessConfig(), field)
+        for command in ("simulate", "cost"):
+            args = build_parser().parse_args([command, flag] + ([text] if text else []))
+            assert _harness_config(args) == replace(HarnessConfig(), **{field: want})

@@ -51,6 +51,20 @@ class TestHessianAndObjective:
         want = 2.0 * oracle_matmul(x.T.copy(), x)
         assert np.allclose(hessian(CalibrationSet(x)), want, atol=1e-12)
 
+    def test_overflowing_calibration_set_is_numerical_error(self, rng):
+        cal = CalibrationSet(1e200 * rng.standard_normal((10, 4)))
+        with pytest.raises(NumericalError, match="calibration set"):
+            hessian(cal)
+        with pytest.raises(NumericalError, match="calibration set"):
+            gptq_quantize(rng.standard_normal((4, 3)), cal, E2M1)
+
+    def test_overflowing_damping_is_numerical_error(self, rng):
+        # every entry of 2 X^T X is finite, but the mean of its diagonal is not
+        cal = CalibrationSet(1e153 * rng.standard_normal((10, 400)))
+        assert np.isfinite(hessian(cal)).all()
+        with pytest.raises(NumericalError, match="calibration set"):
+            gptq_quantize(rng.standard_normal((400, 3)), cal, E2M1)
+
     def test_objective_matches_manual_sum(self, rng):
         x = rng.standard_normal((6, 4))
         w = rng.standard_normal((4, 2))

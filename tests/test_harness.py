@@ -15,7 +15,7 @@ from fpqt.harness import (
     quantize_block_weights,
     run,
 )
-from fpqt.fusion import LAYER_NAMES
+from fpqt.fusion import LAYER_NAMES, fuse_block, layer_shapes, plan_fusion
 
 
 SMALL = dict(n=16, heads=2, tokens=24, hidden=32, calib_samples=48)
@@ -69,6 +69,8 @@ class TestSeededInputs:
         cfg = HarnessConfig(**SMALL)
         w = init_weights(cfg)
         assert w.w_fc1.shape == (16, 32)
+        assert {name: m.shape for name, m in w.matrices().items()} == layer_shapes(16, 32)
+        assert tuple(layer_shapes(16, 32)) == LAYER_NAMES
         assert w.heads == 2
         # 1/sqrt(in_dim) scaling keeps column norms near 1
         norms = np.linalg.norm(w.w_q, axis=0)
@@ -225,6 +227,14 @@ class TestEstimateCost:
         assert "post_attention" in points(per_head)
         assert "post_attention" not in points(literal)
         assert per_head["hadamard"]["adds"] > literal["hadamard"]["adds"]
+
+    @pytest.mark.parametrize("v_mode", ["per_head_exact", "paper_literal"])
+    def test_costed_points_are_the_fused_schedule(self, v_mode):
+        cfg = HarnessConfig(**SMALL, v_mode=v_mode)
+        w = init_weights(cfg)
+        _, online = fuse_block(w, plan_fusion(w, v_mode=v_mode))
+        costed = [t["point"] for t in estimate_cost(cfg)["hadamard"]["transforms"]]
+        assert costed == [t.point for t in online]
 
     def test_no_transform_costs_nothing(self):
         cost = estimate_cost(HarnessConfig(**SMALL, use_hadamard=False))
