@@ -17,9 +17,6 @@ from .fusion import (
     OnlineTransform,
     block_forward,
     fuse_block,
-    fuse_ffn,
-    fuse_input,
-    fuse_v_out,
     gelu,
     layer_norm,
     plan_fusion,
@@ -94,9 +91,6 @@ __all__ = [
     "estimate_cost",
     "factorize",
     "fuse_block",
-    "fuse_ffn",
-    "fuse_input",
-    "fuse_v_out",
     "gelu",
     "gen_activations",
     "gptq_quantize",

@@ -29,9 +29,6 @@ from .fusion import (
     V_MODES,
     DiTBlockWeights,
     fuse_block,
-    fuse_ffn,
-    fuse_input,
-    fuse_v_out,
     plan_fusion,
 )
 from .hadamard import apply_right, build, op_count, realize
@@ -207,13 +204,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
         ln2_beta=tensors.get("ln2_beta", np.zeros(n)),
     )
     plan = plan_fusion(weights, args.seed, args.v_mode)
-    if args.invert:
-        new = weights
-        for fuse in (fuse_ffn, fuse_v_out, fuse_input):
-            new = fuse(new, plan, inverse=True)
-        online = ()
-    else:
-        new, online = fuse_block(weights, plan)
+    new, online = fuse_block(weights, plan, inverse=args.invert)
     write_tensors(args.output, {**tensors, **new.matrices()})
     verb = "unfused" if args.invert else "fused"
     print(f"{verb} block (n={n}, heads={args.heads}, v_mode={args.v_mode}) "

@@ -15,8 +15,10 @@ outlier-free rotated activations.  Concretely:
   * feed-forward hidden: GELU output -> apply H_hidden online; W_fc2 absorbs
     H_hidden^T.
 
-FusionPlan.online is the one schedule of these online stages, in forward
-order; fuse_block returns it and harness.estimate_cost costs it.
+fuse_block is the one fusion call: it folds every offline factor into the
+weights and returns FusionPlan.online, the one schedule of the online
+stages in forward order, which harness.estimate_cost costs;
+fuse_block(..., inverse=True) undoes a fusion.
 
 The 'paper_literal' value mode instead folds the full H_h (x) H_d into W_v
 with no online stage; column mixing then crosses head boundaries before
@@ -168,59 +170,40 @@ def _transposed(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.T)
 
 
-def _value_right(x: np.ndarray, plan: FusionPlan, transpose: bool) -> np.ndarray:
-    """x @ (H_h (x) H_d), or x @ (H_h (x) H_d)^T when transpose is set.
-
-    (I_h (x) H_d) and (H_h (x) I_d) commute, so either direction is the
-    per-head stage followed by the cross-head mix."""
+def _value_right(x: np.ndarray, plan: FusionPlan, transpose: bool, mix: bool = True) -> np.ndarray:
+    """x @ (I_h (x) H_d), then with mix @ (H_h (x) I_d) for x @ (H_h (x) H_d);
+    transpose applies the transposes.  The two factors commute, so either
+    direction runs the per-head stage first."""
     d = plan.head_spec.dim
-    per_head = apply_right(x.reshape(-1, d), plan.head_spec, transpose=transpose)
-    return cross_head_apply(per_head.reshape(x.shape), plan.heads_spec, d, transpose=transpose)
-
-
-def fuse_input(
-    weights: DiTBlockWeights, plan: FusionPlan, inverse: bool = False
-) -> DiTBlockWeights:
-    """Fold H^T into every layer fed by a transformed block input, or with
-    inverse=True fold H back in.  H^T W = (W^T H)^T, so both run apply_right."""
-    spec = plan.input_spec
-    return replace(weights, **{
-        name: _transposed(apply_right(getattr(weights, name).T, spec, transpose=inverse))
-        for name in ("w_q", "w_k", "w_v", "w_fc1")
-    })
-
-
-def fuse_v_out(
-    weights: DiTBlockWeights, plan: FusionPlan, inverse: bool = False
-) -> DiTBlockWeights:
-    """Fold the value-path transform into W_v and its inverse into W_out, or
-    with inverse=True undo that."""
-    if plan.v_mode == "per_head_exact":
-        # W_v (I_h (x) H_d) and (H_h (x) H_d)^T W_out
-        d = plan.head_spec.dim
-        w_v = apply_right(weights.w_v.reshape(-1, d), plan.head_spec, transpose=inverse)
-        w_v = w_v.reshape(weights.w_v.shape)
-        w_out = _transposed(_value_right(weights.w_out.T, plan, inverse))
-    else:  # paper_literal: W_v (H_h (x) H_d) and (H_h (x) H_d) W_out
-        w_v = _value_right(weights.w_v, plan, inverse)
-        w_out = _transposed(_value_right(weights.w_out.T, plan, not inverse))
-    return replace(weights, w_v=w_v, w_out=w_out)
-
-
-def fuse_ffn(
-    weights: DiTBlockWeights, plan: FusionPlan, inverse: bool = False
-) -> DiTBlockWeights:
-    """Fold H_hidden^T into W_fc2 (pairs with the online post-GELU transform),
-    or with inverse=True fold H_hidden back in."""
-    w_fc2 = apply_right(weights.w_fc2.T, plan.hidden_spec, transpose=inverse)
-    return replace(weights, w_fc2=_transposed(w_fc2))
+    y = apply_right(x.reshape(-1, d), plan.head_spec, transpose=transpose).reshape(x.shape)
+    return cross_head_apply(y, plan.heads_spec, d, transpose=transpose) if mix else y
 
 
 def fuse_block(
-    weights: DiTBlockWeights, plan: FusionPlan
+    weights: DiTBlockWeights, plan: FusionPlan, inverse: bool = False
 ) -> tuple[DiTBlockWeights, tuple[OnlineTransform, ...]]:
-    """Fully fuse a block; returns the new weights and plan.online."""
-    return fuse_ffn(fuse_v_out(fuse_input(weights, plan), plan), plan), plan.online
+    """Fold every offline factor into the weights and return them with
+    plan.online, or with inverse=True fold the factors back out and return ().
+    W_v takes its left factor, then its right one; the inverse runs in reverse."""
+
+    def left(w: np.ndarray, spec: HadamardSpec) -> np.ndarray:  # H^T W = (W^T H)^T, or H W
+        return _transposed(apply_right(w.T, spec, transpose=inverse))
+
+    # per_head_exact: W_v (I_h (x) H_d) and (H_h (x) H_d)^T W_out;
+    # paper_literal: W_v (H_h (x) H_d) and (H_h (x) H_d) W_out
+    literal = plan.v_mode == "paper_literal"
+    if inverse:
+        w_v = left(_value_right(weights.w_v, plan, True, mix=literal), plan.input_spec)
+    else:
+        w_v = _value_right(left(weights.w_v, plan.input_spec), plan, False, mix=literal)
+    fused = replace(
+        weights,
+        **{name: left(getattr(weights, name), plan.input_spec) for name in ("w_q", "w_k", "w_fc1")},
+        w_v=w_v,
+        w_out=_transposed(_value_right(weights.w_out.T, plan, inverse != literal)),
+        w_fc2=left(weights.w_fc2, plan.hidden_spec),
+    )
+    return fused, () if inverse else plan.online
 
 
 # ---------------------------------------------------------------------------

@@ -223,8 +223,9 @@ def apply_right(
     if d is not None and not transpose:
         y = y * d
     if counter is not None:
-        counter.adds += m * spec.dim * (spec.log2_p + spec.q - 1)
-        counter.muls += m * spec.dim * (1 + (spec.q if spec.q > 1 else 0))
+        ops = op_count(m, spec)
+        counter.adds += ops["adds"]
+        counter.muls += ops["muls"]
     return y
 
 

@@ -27,17 +27,17 @@ import scipy.stats
 from .formats import parse_format
 from .fusion import (
     LAYER_NAMES,
+    V_MODES,
     DiTBlockWeights,
     FusionPlan,
     OnlineTransform,
     block_forward,
     fuse_block,
-    layer_norm,
     layer_shapes,
     plan_fusion,
 )
-from .gptq import CalibrationSet, GptqConfig, gptq_quantize
-from .hadamard import apply_right, build, factorize, op_count
+from .gptq import CalibrationSet, gptq_quantize
+from .hadamard import build, factorize, op_count
 from .quantize import minmax_quantize, quant_error
 from .select import SelectionConfig, format_for_spread, spread_indicator
 from .tensors import WORKING_DTYPE, channel_stat
@@ -69,8 +69,14 @@ class HarnessConfig:
     heavy_tail_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.n < 1 or self.tokens < 1:
-            raise ValueError("n and tokens must be positive")
+        for name, value in (("n", self.n), ("tokens", self.tokens), ("hidden", self.hidden_dim),
+                            ("calib_samples", self.calib_samples)):
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if not math.isfinite(self.outlier_scale):
+            raise ValueError(f"outlier_scale must be finite, got {self.outlier_scale}")
+        if self.v_mode not in V_MODES:
+            raise ValueError(f"v_mode must be one of {V_MODES}, got {self.v_mode!r}")
         if self.heads < 1 or self.n % self.heads != 0:
             raise ValueError(f"heads {self.heads} must divide n {self.n}")
         if not 0 <= self.outlier_channels <= self.n:
@@ -79,8 +85,6 @@ class HarnessConfig:
             )
         if self.method not in ("gptq", "rtn"):
             raise ValueError(f"method must be gptq or rtn, got {self.method!r}")
-        if self.calib_samples < 1:
-            raise ValueError("calib_samples must be positive")
         if not 0.0 <= self.heavy_tail_fraction <= 1.0:
             raise ValueError("heavy_tail_fraction must be in [0, 1]")
         parse_format(self.act_format)
@@ -115,21 +119,6 @@ class QuantReport:
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-
-def _to_py(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize them."""
-    if isinstance(obj, dict):
-        return {k: _to_py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_py(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_to_py(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +278,13 @@ def run(cfg: HarnessConfig) -> QuantReport:
     """Run the full pipeline once and report."""
     weights = init_weights(cfg)
     x = gen_activations(cfg, index=0)
-    ref = block_forward(x, weights)
+    taps: dict[str, np.ndarray] = {}
+    ref = block_forward(x, weights, taps=taps)
+    pre, taps = taps["w_q"], {}  # keep only the post-norm block input across quantization
 
-    pre = layer_norm(x, weights.ln1_gamma, weights.ln1_beta)
-    qbase, online, post = weights, (), pre
+    qbase, online = weights, ()
     if cfg.use_hadamard:
-        plan = plan_fusion(weights, cfg.hadamard_seed, cfg.v_mode)
-        qbase, online = fuse_block(weights, plan)
-        post = apply_right(pre, plan.input_spec)
+        qbase, online = fuse_block(weights, plan_fusion(weights, cfg.hadamard_seed, cfg.v_mode))
 
     layer_reports: dict = {}
     if cfg.quantize_weights:
@@ -310,15 +298,15 @@ def run(cfg: HarnessConfig) -> QuantReport:
     if cfg.quantize_acts:
         act_quant = lambda a, layer: minmax_quantize(a, act_fmt, channel_axis=-1).values
 
-    out = block_forward(x, qbase, online, act_quant=act_quant)
+    out = block_forward(x, qbase, online, act_quant=act_quant, taps=taps)
+    post = taps["w_q"]  # the same input after the online transform
 
     return QuantReport(
         schema_version=SCHEMA_VERSION,
-        config=_to_py(asdict(cfg)),
-        layers=_to_py(layer_reports),
-        end_to_end=_to_py(quant_error(ref, out)),
-        distribution=_to_py(
-            {"pre_hadamard": distribution_stats(pre), "post_hadamard": distribution_stats(post)}
-        ),
-        cost=_to_py(estimate_cost(cfg)),
+        config=asdict(cfg),
+        layers=layer_reports,
+        end_to_end=quant_error(ref, out),
+        distribution={"pre_hadamard": distribution_stats(pre),
+                      "post_hadamard": distribution_stats(post)},
+        cost=estimate_cost(cfg),
     )

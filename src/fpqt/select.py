@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formats import FpFormat, candidate_formats
-from .tensors import WORKING_DTYPE, quantile_nearest_rank
+from .tensors import _partitioned_magnitudes
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,11 @@ def spread_indicator(w: np.ndarray, alpha: float = 25.0) -> float:
     Scale-invariant.  A constant tensor (all-zero included) gives exactly
     1.0; a zero quantile under a nonzero max gives the +inf sentinel.
     """
-    w = np.asarray(w, dtype=WORKING_DTYPE)
-    if w.size == 0:
+    if np.size(w) == 0:
         raise ValueError("spread of an empty tensor is undefined")
-    top = float(np.max(np.abs(w)))
-    denom = quantile_nearest_rank(w, alpha)
+    mags, k = _partitioned_magnitudes(w, alpha)  # one pass over |W| for both
+    denom = float(mags[k])
+    top = float(mags[k:].max())
     if denom == 0.0:
         return 1.0 if top == 0.0 else float("inf")
     return top / denom

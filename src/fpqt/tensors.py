@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import BinaryIO
 
 import numpy as np
 
@@ -35,16 +34,30 @@ WORKING_DTYPE = np.float64
 STORAGE_DTYPE = np.dtype("<f4")
 
 
+def _rank(alpha: float, size: int) -> int:
+    """0-based index of the lower nearest-rank alpha-quantile of size values:
+    the ceil(alpha/100 * size)-th smallest (1-based)."""
+    if not 0.0 < alpha < 100.0:
+        raise ValueError(f"alpha must be in (0, 100) exclusive, got {alpha}")
+    if size == 0:
+        raise ValueError("quantile of an empty tensor is undefined")
+    return math.ceil(alpha / 100.0 * size) - 1
+
+
+def _partitioned_magnitudes(values: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
+    """|values| as a new flat array partitioned at k = _rank(alpha, size):
+    flat[k] is the quantile and every entry after it is at least as large."""
+    flat = np.abs(np.asarray(values, dtype=WORKING_DTYPE)).ravel()
+    k = _rank(alpha, flat.size)
+    flat.partition(k)
+    return flat, k
+
+
 def quantile_nearest_rank(values: np.ndarray, alpha: float) -> float:
     """Lower nearest-rank quantile of |values|: the ceil(alpha/100 * N)-th
     smallest magnitude (1-based).  alpha must lie strictly inside (0, 100)."""
-    if not 0.0 < alpha < 100.0:
-        raise ValueError(f"alpha must be in (0, 100) exclusive, got {alpha}")
-    flat = np.abs(np.asarray(values, dtype=WORKING_DTYPE)).ravel()
-    if flat.size == 0:
-        raise ValueError("quantile of an empty tensor is undefined")
-    k = math.ceil(alpha / 100.0 * flat.size)
-    return float(np.partition(flat, k - 1)[k - 1])
+    flat, k = _partitioned_magnitudes(values, alpha)
+    return float(flat[k])
 
 
 def channel_stat(x: np.ndarray, stat: str, alpha: float | None = None) -> np.ndarray:
@@ -64,10 +77,7 @@ def channel_stat(x: np.ndarray, stat: str, alpha: float | None = None) -> np.nda
     if stat == "quantile":
         if alpha is None:
             raise ValueError("stat 'quantile' requires alpha")
-        if not 0.0 < alpha < 100.0:
-            raise ValueError(f"alpha must be in (0, 100) exclusive, got {alpha}")
-        k = math.ceil(alpha / 100.0 * x.shape[0])
-        return np.sort(mag, axis=0)[k - 1]
+        return np.sort(mag, axis=0)[_rank(alpha, x.shape[0])]
     raise ValueError(f"unknown stat {stat!r}; expected max_abs, median_abs, or quantile")
 
 

@@ -14,9 +14,6 @@ from fpqt.fusion import (
     block_forward,
     cross_head_apply,
     fuse_block,
-    fuse_ffn,
-    fuse_input,
-    fuse_v_out,
     gelu,
     layer_norm,
     plan_fusion,
@@ -119,30 +116,36 @@ class TestNonlinearities:
         assert np.allclose(softmax(x), naive, atol=1e-14)
 
 
+def assert_block_roundtrip(w, plan):
+    """fuse_block then fuse_block(..., inverse=True) gives back every matrix,
+    and the inverse schedules no online transform."""
+    fused, online = fuse_block(w, plan)
+    assert online == plan.online
+    back, none = fuse_block(fused, plan, inverse=True)
+    assert none == ()
+    for name, m in w.matrices().items():
+        assert rel_err(getattr(back, name), m) < 1e-12, name
+        assert not np.array_equal(getattr(fused, name), m), name  # every layer was fused
+    assert back.ln1_gamma is w.ln1_gamma  # the norms pass through
+
+
 class TestOfflineFusion:
+    # whole-block round trips; each name says which factor its inputs vary:
+    # the block input's sign seed, the value-path mode, the feed-forward width
     @pytest.mark.parametrize("seed", [None, 3])
     def test_input_fusion_roundtrip(self, seed):
         w = make_weights()
-        plan = plan_fusion(w, seed=seed)
-        back = fuse_input(fuse_input(w, plan), plan, inverse=True)
-        for name in ("w_q", "w_k", "w_v", "w_fc1"):
-            assert rel_err(getattr(back, name), getattr(w, name)) < 1e-12
-        assert back.w_out is w.w_out  # untouched layers pass through
+        assert_block_roundtrip(w, plan_fusion(w, seed=seed))
 
     @pytest.mark.parametrize("v_mode", ["per_head_exact", "paper_literal"])
     def test_v_out_fusion_roundtrip(self, v_mode):
         w = make_weights(heads=4)
-        plan = plan_fusion(w, seed=1, v_mode=v_mode)
-        back = fuse_v_out(fuse_v_out(w, plan), plan, inverse=True)
-        assert rel_err(back.w_v, w.w_v) < 1e-12
-        assert rel_err(back.w_out, w.w_out) < 1e-12
+        assert_block_roundtrip(w, plan_fusion(w, seed=1, v_mode=v_mode))
 
     def test_ffn_fusion_roundtrip(self):
         for hidden in (64, 896):  # 896 = 32 * 28: a q = 28 width
             w = make_weights(hidden=hidden)
-            plan = plan_fusion(w, seed=2)
-            back = fuse_ffn(fuse_ffn(w, plan), plan, inverse=True)
-            assert rel_err(back.w_fc2, w.w_fc2) < 1e-12
+            assert_block_roundtrip(w, plan_fusion(w, seed=2))
 
     @pytest.mark.parametrize("v_mode", ["per_head_exact", "paper_literal"])
     def test_fused_weights_match_dense_fusion(self, v_mode):
@@ -159,9 +162,7 @@ class TestOfflineFusion:
         w = make_weights(n=48, heads=4)
         plan = plan_fusion(w, seed=1, v_mode=v_mode)
         fused, _ = fuse_block(w, plan)
-        back = fused
-        for fuse in (fuse_ffn, fuse_v_out, fuse_input):
-            back = fuse(back, plan, inverse=True)
+        back, _ = fuse_block(fused, plan, inverse=True)
         for weights in (fused, back):
             for name, m in weights.matrices().items():
                 assert m.flags.c_contiguous, name

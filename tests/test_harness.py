@@ -63,6 +63,21 @@ class TestConfig:
             HarnessConfig(**kwargs)
         HarnessConfig(**kwargs, use_hadamard=False)  # only the transform needs them
 
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            ({"v_mode": "bogus"}, "v_mode"),
+            ({"hidden": 0, "use_hadamard": False}, "hidden"),
+            ({"hidden": -4, "use_hadamard": False}, "hidden"),
+            ({"outlier_scale": float("inf")}, "outlier_scale"),
+            ({"outlier_scale": float("nan")}, "outlier_scale"),
+        ],
+    )
+    def test_bad_field_rejected_before_the_run(self, kwargs, field):
+        # each would otherwise fail only once run() has started
+        with pytest.raises(ValueError, match=field):
+            HarnessConfig(**kwargs)
+
 
 class TestSeededInputs:
     def test_weights_shapes_and_scaling(self):

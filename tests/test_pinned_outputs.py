@@ -13,6 +13,11 @@ The report digests cover run(cfg).to_json() and the estimate_cost JSON of
 the CLI's `cost` command; they were taken before the layer shapes, the
 online schedule and the per-weight spread each got a single owner, and fix
 the whole pipeline's output for those configs (same BLAS caveat).
+
+The fusion digests cover fuse_block's matrices and those of its inverse,
+applied to the same unfused block; they were taken when the inverse was
+a chain of three per-stage calls, so they fix the order in which W_v's two
+factors are folded in and out.
 """
 
 import hashlib
@@ -23,8 +28,9 @@ import pytest
 
 from fpqt.errors import NumericalError
 from fpqt.formats import candidate_formats, parse_format
+from fpqt.fusion import fuse_block, plan_fusion
 from fpqt.gptq import CalibrationSet, GptqConfig, gptq_quantize
-from fpqt.harness import HarnessConfig, estimate_cost, run
+from fpqt.harness import HarnessConfig, estimate_cost, init_weights, run
 from fpqt.quantize import minmax_quantize
 
 MINMAX_DIGEST = "b9a2b4b9851763489fec46e311c5c142b40095c2de3c51fc20f1da33d5103d78"
@@ -62,6 +68,18 @@ REPORT_DIGESTS = {
     ),
 }
 COST_DIGEST = "3abbc0bec90392ed1913251bc8a4917a1374f4477faee3571c586f7a0e15353b"
+# (fused, inverted) for n=48, heads=4, hidden=224 and plan seed 5: orders 48,
+# 224, 12 and 4 (base factors 12, 28, 12 and a power of two), all sign-flipped
+FUSION_DIGESTS = {
+    "per_head_exact": (
+        "43bb0653ab63cdefd3e305997d868eacf12658583a60e1378c0ce0579d30170f",
+        "6297d4f3bfaf68f01f3147724408efdf8d95c5f711327fddbc8253aef4640b3a",
+    ),
+    "paper_literal": (
+        "c489a7a0800e9f911c66394f227d22b976f7706c04c622e910204f09f7d971ef",
+        "d3da3f0e9a3c024d1549ca2af0a6b85821b31be839081354ccfed8d997303cf6",
+    ),
+}
 
 
 def _minmax_inputs():
@@ -136,3 +154,20 @@ def test_cost_digest_is_pinned():
     cost = estimate_cost(HarnessConfig(n=28672, heads=28, tokens=1))
     text = json.dumps(cost, sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == COST_DIGEST
+
+
+def matrices_digest(weights) -> str:
+    """SHA-256 over the six matrices' bytes, in LAYER_NAMES order."""
+    h = hashlib.sha256()
+    for m in weights.matrices().values():
+        h.update(m.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("v_mode", list(FUSION_DIGESTS))
+def test_fusion_digest_is_pinned(v_mode):
+    w = init_weights(HarnessConfig(n=48, heads=4, hidden=224))
+    plan = plan_fusion(w, seed=5, v_mode=v_mode)
+    fused, _ = fuse_block(w, plan)
+    inverted, _ = fuse_block(w, plan, inverse=True)
+    assert (matrices_digest(fused), matrices_digest(inverted)) == FUSION_DIGESTS[v_mode]

@@ -56,6 +56,17 @@ class TestSpreadIndicator:
         with pytest.raises(ValueError):
             spread_indicator(np.array([]), 25.0)
 
+    def test_any_layout_matches_composition_and_input_is_untouched(self, rng):
+        # the magnitudes are partitioned in place, so they must be a copy
+        base = rng.standard_normal((30, 20))
+        layouts = (base, np.asfortranarray(base), base[::3, 1::2], base.T, base.ravel(), base[0].tolist())
+        for w in layouts:
+            before = np.array(w, copy=True)
+            for alpha in (0.1, 25.0, 99.9):
+                want = float(np.abs(before).max()) / oracle_quantile_nearest_rank(before, alpha)
+                assert spread_indicator(w, alpha) == want
+            assert np.array_equal(np.asarray(w), before)
+
 
 class TestSelectFormat:
     @pytest.mark.parametrize(

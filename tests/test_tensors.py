@@ -45,6 +45,12 @@ class TestQuantileNearestRank:
         with pytest.raises(ValueError):
             quantile_nearest_rank(np.array([]), 50.0)
 
+    def test_input_is_untouched(self, rng):
+        for vals in (rng.standard_normal((7, 5)), np.abs(rng.standard_normal(35))):
+            before = vals.copy()
+            quantile_nearest_rank(vals, 40.0)
+            assert np.array_equal(vals, before)
+
 
 class TestChannelStat:
     def test_max_abs_and_median_abs(self):
@@ -65,6 +71,10 @@ class TestChannelStat:
             channel_stat(np.zeros((2, 2)), "quantile")
         with pytest.raises(ValueError):
             channel_stat(np.zeros((2, 2)), "nope")
+
+    def test_quantile_of_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            channel_stat(np.zeros((0, 3)), "quantile", alpha=50.0)
 
 
 class TestContainerRoundtrip:
