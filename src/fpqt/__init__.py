@@ -9,6 +9,7 @@ and an end-to-end measurement harness on a toy block.
 from .errors import FormatError, FpqtError, NumericalError, ShapeError
 from .formats import BiasedFormat, FpFormat, candidate_formats, grid, parse_format
 from .fusion import (
+    LAYER_INPUTS,
     LAYER_NAMES,
     ONLINE_POINTS,
     V_MODES,
@@ -50,12 +51,7 @@ from .quantize import (
     snap_per_channel,
 )
 from .select import SelectionConfig, select_format, selection_table, spread_indicator
-from .tensors import (
-    channel_stat,
-    quantile_nearest_rank,
-    read_tensors,
-    write_tensors,
-)
+from .tensors import channel_max_median_ratio, channel_stat, read_tensors, write_tensors
 
 __version__ = "0.1.0"
 
@@ -71,6 +67,7 @@ __all__ = [
     "GptqConfig",
     "HadamardSpec",
     "HarnessConfig",
+    "LAYER_INPUTS",
     "LAYER_NAMES",
     "NumericalError",
     "ONLINE_POINTS",
@@ -87,6 +84,7 @@ __all__ = [
     "build",
     "candidate_formats",
     "channel_bias",
+    "channel_max_median_ratio",
     "channel_stat",
     "estimate_cost",
     "factorize",
@@ -104,7 +102,6 @@ __all__ = [
     "parse_format",
     "plan_fusion",
     "quant_error",
-    "quantile_nearest_rank",
     "read_tensors",
     "realize",
     "run",

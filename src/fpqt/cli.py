@@ -35,7 +35,7 @@ from .hadamard import apply_right, build, op_count, realize
 from .harness import HarnessConfig, estimate_cost, run
 from .quantize import minmax_quantize, quant_error
 from .select import SelectionConfig, select_format, selection_table, spread_indicator
-from .tensors import channel_stat, read_tensors, write_tensors
+from .tensors import channel_max_median_ratio, read_tensors, write_tensors
 
 _DENSE_CHECK_LIMIT = 4096
 
@@ -103,11 +103,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             "spread": spread_indicator(t, args.alpha),
         }
         if t.ndim == 2:
-            cmax = channel_stat(t, "max_abs")
-            med = float(np.median(cmax))
-            entry["channel_max_median_ratio"] = (
-                float("inf") if med == 0.0 else float(cmax.max()) / med
-            )
+            entry["channel_max_median_ratio"] = channel_max_median_ratio(t)
         stats[name] = entry
     if args.json:
         print(json.dumps(stats, sort_keys=True, indent=2))

@@ -49,6 +49,9 @@ LN_EPS = 1e-6
 ONLINE_POINTS = ("attn_input", "post_attention", "ffn_input", "post_gelu")
 V_MODES = ("per_head_exact", "paper_literal")
 LAYER_NAMES = ("w_q", "w_k", "w_v", "w_out", "w_fc1", "w_fc2")
+# the input point each linear layer reads; W_q, W_k and W_v share one input
+LAYER_INPUTS = {"w_q": "attn_input", "w_k": "attn_input", "w_v": "attn_input",
+                "w_out": "post_attention", "w_fc1": "ffn_input", "w_fc2": "post_gelu"}
 
 
 def layer_shapes(n: int, hidden: int) -> dict[str, tuple[int, int]]:
@@ -212,7 +215,12 @@ def fuse_block(
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Per-token layer norm with learned scale/shift, eps = 1e-6."""
+    """Per-token layer norm with learned scale/shift, eps = 1e-6.  A row peaking
+    beyond 2^256 is first scaled by an exact power of two into [2^127, 2^128),
+    so its variance cannot overflow and eps stays negligible beside it."""
+    _, k = np.frexp(np.abs(x).max(axis=-1, keepdims=True))
+    if (k > 256).any():
+        x = np.ldexp(x, np.where(k > 256, 128 - k, 0))
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     return (x - mean) / np.sqrt(var + LN_EPS) * gamma + beta
@@ -266,10 +274,11 @@ def block_forward(
     act_quant: Callable[[np.ndarray, str], np.ndarray] | None = None,
     taps: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Run the block.  online transforms fire at their named points;
-    act_quant(a, layer_name), when given, quantizes each linear layer's
-    input; taps, when given, records each layer's input (post-transform,
-    pre-quantization) under its layer name."""
+    """Run the block.  online transforms fire at their named points.  The
+    six linear layers read four inputs, one per ONLINE_POINTS entry (see
+    LAYER_INPUTS); act_quant(a, point), when given, quantizes each input
+    once, and taps, when given, records each one (post-transform,
+    pre-quantization) under its point name."""
     x = np.asarray(x, dtype=WORKING_DTYPE)
     if x.ndim != 2 or x.shape[1] != weights.n:
         raise ShapeError(f"expected (tokens, {weights.n}) input, got {x.shape}")
@@ -279,26 +288,24 @@ def block_forward(
             raise ValueError(f"duplicate online transform at {t.point!r}")
         at[t.point] = t
 
-    def feed(a: np.ndarray, layer: str) -> np.ndarray:
+    def feed(a: np.ndarray, point: str) -> np.ndarray:
         if taps is not None:
-            taps[layer] = a
-        return act_quant(a, layer) if act_quant is not None else a
+            taps[point] = a
+        return act_quant(a, point) if act_quant is not None else a
 
     a = layer_norm(x, weights.ln1_gamma, weights.ln1_beta)
     if "attn_input" in at:
         a = apply_right(a, at["attn_input"].spec)
-    q = feed(a, "w_q") @ weights.w_q
-    k = feed(a, "w_k") @ weights.w_k
-    v = feed(a, "w_v") @ weights.w_v
-    ctx = _attention(q, k, v, weights.heads)
+    a = feed(a, "attn_input")
+    ctx = _attention(a @ weights.w_q, a @ weights.w_k, a @ weights.w_v, weights.heads)
     if "post_attention" in at:
         ctx = cross_head_apply(ctx, at["post_attention"].spec, weights.head_dim)
-    x2 = x + feed(ctx, "w_out") @ weights.w_out
+    x2 = x + feed(ctx, "post_attention") @ weights.w_out
 
     f = layer_norm(x2, weights.ln2_gamma, weights.ln2_beta)
     if "ffn_input" in at:
         f = apply_right(f, at["ffn_input"].spec)
-    g = gelu(feed(f, "w_fc1") @ weights.w_fc1)
+    g = gelu(feed(f, "ffn_input") @ weights.w_fc1)
     if "post_gelu" in at:
         g = apply_right(g, at["post_gelu"].spec)
-    return x2 + feed(g, "w_fc2") @ weights.w_fc2
+    return x2 + feed(g, "post_gelu") @ weights.w_fc2

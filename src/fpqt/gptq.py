@@ -7,17 +7,20 @@ rounding error onto the not-yet-quantized dimensions through the upper
 Cholesky factor U of the inverse Hessian (H^-1 = U^T U).  U comes from one
 Cholesky and one triangular inverse: the lower factor L of the
 index-reversed Hessian, reversed back on both axes, is an upper R with
-H = R R^T, so U = R^-1.  Input dimension j is row j of the weights, so each
-step snaps one contiguous row.  The single change from the integer-grid
-original is the rounding step: values snap to the nearest point of a
-minifloat grid whose per-output-channel exponent bias is frozen from the
-original weights before any error propagation, so every output channel
-keeps the grid MinMax would have given it.
+H = R R^T, so U = R^-1.  H, its damping and U belong to the CalibrationSet,
+which computes U once for all weights that read its inputs.  Input dimension
+j is row j of the weights, so each step snaps one contiguous row.  The
+single change from the integer-grid original is the rounding step: values
+snap to the nearest point of a minifloat grid whose per-output-channel
+exponent bias is frozen from the original weights before any error
+propagation, so every output channel keeps the grid MinMax would have given
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -27,16 +30,20 @@ from .formats import FpFormat
 from .quantize import QuantizedTensor, _grid_constants, _snap, channel_bias
 from .tensors import WORKING_DTYPE
 
+DAMPING = 1e-2  # added to the Hessian diagonal, relative to its mean
+
 
 @dataclass(frozen=True)
 class CalibrationSet:
     """Layer inputs gathered from full-precision forward passes: one row
-    per sample, one column per input dimension."""
+    per sample, one column per input dimension.  x is a read-only copy, so
+    the cached factor always matches it."""
 
     x: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=WORKING_DTYPE)
+        x = np.array(self.x, dtype=WORKING_DTYPE)
+        x.flags.writeable = False
         if x.ndim != 2:
             raise ShapeError(f"calibration set must be 2-D, got shape {x.shape}")
         if x.shape[0] == 0:
@@ -53,24 +60,37 @@ class CalibrationSet:
     def in_dim(self) -> int:
         return self.x.shape[1]
 
+    @cached_property
+    def inverse_hessian_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dead, U), computed once: the input dimensions no sample reaches, and
+        the upper U with U^T U = H^-1 for H with its dead diagonal set to 1,
+        then dampened; NumericalError if H overflows or is not positive-definite."""
+        h = hessian(self)
+        dead = np.diag(h) == 0.0
+        h[dead, dead] = 1.0
+        with np.errstate(over="ignore"):
+            h[np.diag_indices(self.in_dim)] += DAMPING * float(np.mean(np.diag(h)))
+        if not np.isfinite(np.diag(h)).all():
+            raise NumericalError("calibration set overflows the dampened Hessian in float64")
+        u = _inverse_hessian_factor(h)
+        dead.flags.writeable = u.flags.writeable = False  # shared by every caller
+        return dead, u
+
 
 @dataclass(frozen=True)
 class GptqConfig:
     block_size: int = 64
-    damping: float = 1e-2
 
     def __post_init__(self):
         if self.block_size < 1:
             raise ValueError(f"block_size must be positive, got {self.block_size}")
-        if self.damping <= 0.0:
-            raise ValueError(f"damping must be positive, got {self.damping}")
 
 
 def hessian(cal: CalibrationSet) -> np.ndarray:
     """Proxy Hessian of the layer reconstruction objective: 2 X^T X.
 
-    Symmetric positive-semidefinite; damping happens inside gptq_quantize.
-    Raises NumericalError when the calibration set overflows it.
+    Symmetric positive-semidefinite; CalibrationSet.inverse_hessian_factor
+    dampens it.  Raises NumericalError when the calibration set overflows it.
     """
     with np.errstate(over="ignore"):
         h = 2.0 * (cal.x.T @ cal.x)
@@ -112,7 +132,8 @@ def gptq_quantize(
     Deterministic: natural input-dim order, fixed block size, no shuffling.
     The per-output-channel exponent biases are frozen from the original w,
     so the result is directly comparable to plain MinMax rounding (identical
-    grids, identical bias vector).  Raises NumericalError when the calibration
+    grids, identical bias vector).  Weights quantized against one cal share
+    its inverse-Hessian factor.  Raises NumericalError when the calibration
     set overflows the Hessian or the dampened Hessian is not positive-definite.
     """
     w = np.array(w, dtype=WORKING_DTYPE, order="C")  # the sweep updates it in place
@@ -126,16 +147,8 @@ def gptq_quantize(
     bias = channel_bias(w, fmt, channel_axis=-1)
     vmax, lo = _grid_constants(fmt, bias)
 
-    h = hessian(cal)
-    dead = np.diag(h) == 0.0
-    if dead.any():
-        h[dead, dead] = 1.0
-        w[dead] = 0.0
-    with np.errstate(over="ignore"):
-        h[np.diag_indices(in_dim)] += cfg.damping * float(np.mean(np.diag(h)))
-    if not np.isfinite(np.diag(h)).all():
-        raise NumericalError("calibration set overflows the dampened Hessian in float64")
-    u = _inverse_hessian_factor(h)
+    dead, u = cal.inverse_hessian_factor
+    w[dead] = 0.0
 
     q = np.empty_like(w)
     for i1 in range(0, in_dim, cfg.block_size):

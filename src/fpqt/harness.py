@@ -26,7 +26,8 @@ import scipy.stats
 
 from .formats import parse_format
 from .fusion import (
-    LAYER_NAMES,
+    LAYER_INPUTS,
+    ONLINE_POINTS,
     V_MODES,
     DiTBlockWeights,
     FusionPlan,
@@ -40,7 +41,7 @@ from .gptq import CalibrationSet, gptq_quantize
 from .hadamard import build, factorize, op_count
 from .quantize import minmax_quantize, quant_error
 from .select import SelectionConfig, format_for_spread, spread_indicator
-from .tensors import WORKING_DTYPE, channel_stat
+from .tensors import WORKING_DTYPE, channel_max_median_ratio
 
 SCHEMA_VERSION = 1
 HEAVY_TAIL_SCALE = 10.0
@@ -182,18 +183,13 @@ def collect_calibration(
     weights: DiTBlockWeights,
     online: tuple[OnlineTransform, ...],
 ) -> dict[str, CalibrationSet]:
-    """Per-layer inputs from full-precision forwards on fresh seeded batches."""
+    """The four layer inputs, by point, from full-precision forwards on fresh seeded batches."""
     draws = math.ceil(cfg.calib_samples / cfg.tokens)
-    collected: dict[str, list[np.ndarray]] = {name: [] for name in LAYER_NAMES}
-    for i in range(draws):
-        taps: dict[str, np.ndarray] = {}
+    tapped: list[dict[str, np.ndarray]] = [{} for _ in range(draws)]
+    for i, taps in enumerate(tapped):
         block_forward(gen_activations(cfg, index=i + 1), weights, online, taps=taps)
-        for name in LAYER_NAMES:
-            collected[name].append(taps[name])
-    return {
-        name: CalibrationSet(np.vstack(chunks)[: cfg.calib_samples])
-        for name, chunks in collected.items()
-    }
+    return {point: CalibrationSet(np.vstack([t[point] for t in tapped])[: cfg.calib_samples])
+            for point in ONLINE_POINTS}
 
 
 def quantize_block_weights(
@@ -211,7 +207,7 @@ def quantize_block_weights(
         else:
             fmt = parse_format(cfg.weight_format)
         if cfg.method == "gptq":
-            qt = gptq_quantize(w, calib[name], fmt)
+            qt = gptq_quantize(w, calib[LAYER_INPUTS[name]], fmt)
         else:
             qt = minmax_quantize(w, fmt, channel_axis=-1)
         quantized[name] = qt.values
@@ -231,12 +227,8 @@ def quantize_block_weights(
 def distribution_stats(batch: np.ndarray) -> dict:
     """Channel outlier profile: max over per-channel maxima divided by their
     median, plus excess kurtosis of the flattened values."""
-    cmax = channel_stat(batch, "max_abs")
-    med = float(np.median(cmax))
-    top = float(cmax.max())
-    ratio = float("inf") if med == 0.0 else top / med
     return {
-        "channel_max_median_ratio": ratio,
+        "channel_max_median_ratio": channel_max_median_ratio(batch),
         "excess_kurtosis": float(scipy.stats.kurtosis(batch.ravel())),
     }
 
@@ -280,7 +272,7 @@ def run(cfg: HarnessConfig) -> QuantReport:
     x = gen_activations(cfg, index=0)
     taps: dict[str, np.ndarray] = {}
     ref = block_forward(x, weights, taps=taps)
-    pre, taps = taps["w_q"], {}  # keep only the post-norm block input across quantization
+    pre, taps = taps["attn_input"], {}  # keep only the block input across quantization
 
     qbase, online = weights, ()
     if cfg.use_hadamard:
@@ -288,18 +280,16 @@ def run(cfg: HarnessConfig) -> QuantReport:
 
     layer_reports: dict = {}
     if cfg.quantize_weights:
-        calib = None
-        if cfg.method == "gptq":
-            calib = collect_calibration(cfg, qbase, online)
-        qbase, layer_reports = quantize_block_weights(cfg, qbase, calib)
+        qbase, layer_reports = quantize_block_weights(  # the calibration sets die with the call
+            cfg, qbase, collect_calibration(cfg, qbase, online) if cfg.method == "gptq" else None)
 
     act_fmt = parse_format(cfg.act_format)
     act_quant = None
     if cfg.quantize_acts:
-        act_quant = lambda a, layer: minmax_quantize(a, act_fmt, channel_axis=-1).values
+        act_quant = lambda a, point: minmax_quantize(a, act_fmt, channel_axis=-1).values
 
     out = block_forward(x, qbase, online, act_quant=act_quant, taps=taps)
-    post = taps["w_q"]  # the same input after the online transform
+    post = taps["attn_input"]  # the same input after the online transform
 
     return QuantReport(
         schema_version=SCHEMA_VERSION,

@@ -166,9 +166,10 @@ def quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
     cosine is 1.0 for identical tensors and 0.0 when exactly one side is
     all zeros.  Beyond a peak magnitude of 2^+-256, where sums of squares
     could overflow or sink into subnormals, both tensors are first scaled
-    exactly by the power of two that brings the peak into [0.5, 1): ratios
-    are unchanged, and mse and max_abs are scaled back (+inf only when the
-    true value exceeds float64).
+    exactly by the power of two that brings the peak into [0.5, 1); an error
+    whose own peak then lies beyond 2^+-256 is scaled the same way before it
+    is squared.  Ratios are unchanged, and mse and max_abs are scaled back
+    (+inf only when the true value exceeds float64).
     """
     a = np.asarray(a, dtype=WORKING_DTYPE)
     q = np.asarray(q, dtype=WORKING_DTYPE)
@@ -183,12 +184,17 @@ def quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
         k = 0
     diff = a - q
     max_abs = float(np.abs(diff, out=diff).max())
+    _, kd = math.frexp(max_abs)
+    if abs(kd) > 256:
+        np.ldexp(diff, -kd, out=diff)
+    else:
+        kd = 0
     mse = float(np.mean(np.multiply(diff, diff, out=diff)))
     signal = float(np.mean(a * a))
     if mse == 0.0 or signal == 0.0:
         sqnr_db = float("inf")
     else:
-        sqnr_db = 10.0 * float(np.log10(signal / mse))
+        sqnr_db = 10.0 * float(np.log10(signal / mse)) - 20.0 * math.log10(2.0) * kd
     na = float(np.linalg.norm(a.ravel()))
     nq = float(np.linalg.norm(q.ravel()))
     if na == 0.0 and nq == 0.0:
@@ -198,5 +204,5 @@ def quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
     else:
         cosine = float(np.dot(a.ravel(), q.ravel()) / (na * nq))
     with np.errstate(over="ignore"):
-        mse, max_abs = float(np.ldexp(mse, 2 * k)), float(np.ldexp(max_abs, k))
+        mse, max_abs = float(np.ldexp(mse, 2 * (k + kd))), float(np.ldexp(max_abs, k))
     return {"mse": mse, "max_abs": max_abs, "sqnr_db": sqnr_db, "cosine": cosine}

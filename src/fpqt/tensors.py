@@ -34,51 +34,38 @@ WORKING_DTYPE = np.float64
 STORAGE_DTYPE = np.dtype("<f4")
 
 
-def _rank(alpha: float, size: int) -> int:
-    """0-based index of the lower nearest-rank alpha-quantile of size values:
-    the ceil(alpha/100 * size)-th smallest (1-based)."""
+def _partitioned_magnitudes(values: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
+    """|values| as a new flat array partitioned at the 0-based index k of its
+    lower nearest-rank alpha-quantile, the ceil(alpha/100 * size)-th smallest
+    (1-based): flat[k] is the quantile and every entry after it is at least
+    as large.  alpha must lie strictly inside (0, 100)."""
     if not 0.0 < alpha < 100.0:
         raise ValueError(f"alpha must be in (0, 100) exclusive, got {alpha}")
-    if size == 0:
-        raise ValueError("quantile of an empty tensor is undefined")
-    return math.ceil(alpha / 100.0 * size) - 1
-
-
-def _partitioned_magnitudes(values: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
-    """|values| as a new flat array partitioned at k = _rank(alpha, size):
-    flat[k] is the quantile and every entry after it is at least as large."""
     flat = np.abs(np.asarray(values, dtype=WORKING_DTYPE)).ravel()
-    k = _rank(alpha, flat.size)
+    if flat.size == 0:
+        raise ValueError("quantile of an empty tensor is undefined")
+    k = math.ceil(alpha / 100.0 * flat.size) - 1
     flat.partition(k)
     return flat, k
 
 
-def quantile_nearest_rank(values: np.ndarray, alpha: float) -> float:
-    """Lower nearest-rank quantile of |values|: the ceil(alpha/100 * N)-th
-    smallest magnitude (1-based).  alpha must lie strictly inside (0, 100)."""
-    flat, k = _partitioned_magnitudes(values, alpha)
-    return float(flat[k])
-
-
-def channel_stat(x: np.ndarray, stat: str, alpha: float | None = None) -> np.ndarray:
-    """Per-channel statistic of a 2-D batch (rows = samples, columns = channels).
-
-    stat is one of 'max_abs', 'median_abs', or 'quantile' (which needs alpha
-    in (0, 100) exclusive, lower nearest-rank convention on magnitudes).
-    """
+def channel_stat(x: np.ndarray, stat: str) -> np.ndarray:
+    """Per-channel statistic of a 2-D batch (rows = samples, columns = channels);
+    stat 'max_abs', the peak magnitude of each channel, is the one there is."""
     x = np.asarray(x, dtype=WORKING_DTYPE)
     if x.ndim != 2:
         raise ShapeError(f"channel_stat needs a 2-D batch, got shape {x.shape}")
-    mag = np.abs(x)
-    if stat == "max_abs":
-        return mag.max(axis=0)
-    if stat == "median_abs":
-        return np.median(mag, axis=0)
-    if stat == "quantile":
-        if alpha is None:
-            raise ValueError("stat 'quantile' requires alpha")
-        return np.sort(mag, axis=0)[_rank(alpha, x.shape[0])]
-    raise ValueError(f"unknown stat {stat!r}; expected max_abs, median_abs, or quantile")
+    if stat != "max_abs":
+        raise ValueError(f"unknown stat {stat!r}; expected max_abs")
+    return np.abs(x).max(axis=0)
+
+
+def channel_max_median_ratio(x: np.ndarray) -> float:
+    """Channel outlier profile of a 2-D batch: the largest per-channel peak
+    magnitude over the median of those peaks; +inf when the median is 0."""
+    cmax = channel_stat(x, "max_abs")
+    med = float(np.median(cmax))
+    return float("inf") if med == 0.0 else float(cmax.max()) / med
 
 
 # ---------------------------------------------------------------------------

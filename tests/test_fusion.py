@@ -6,6 +6,7 @@ import scipy.stats
 
 from fpqt.errors import ShapeError
 from fpqt.fusion import (
+    LAYER_INPUTS,
     LAYER_NAMES,
     ONLINE_POINTS,
     DiTBlockWeights,
@@ -94,6 +95,16 @@ class TestNonlinearities:
             var = x[i].var()
             want = (x[i] - mu) / np.sqrt(var + 1e-6) * g + b
             assert np.allclose(got[i], want, atol=1e-14)
+
+    def test_layer_norm_of_a_huge_row_does_not_overflow(self, rng):
+        x = rng.standard_normal((4, 10))
+        g, b = rng.standard_normal(10), rng.standard_normal(10)
+        big = x.copy()
+        big[1] *= 2.0**600  # its variance would be 2^1200
+        got = layer_norm(big, g, b)  # pytest turns an overflow warning into an error
+        want = layer_norm(x, g, b)
+        assert np.array_equal(got[[0, 2, 3]], want[[0, 2, 3]])  # other rows untouched
+        assert np.allclose(got[1], (x[1] - x[1].mean()) / x[1].std() * g + b, atol=1e-12)
 
     def test_gelu_matches_gaussian_cdf(self, rng):
         x = rng.standard_normal(100) * 4.0
@@ -271,9 +282,10 @@ class TestBlockForward:
         x = rng.standard_normal((6, 16))
         taps = {}
         block_forward(x, w, taps=taps)
-        assert set(taps) == set(LAYER_NAMES)
-        for name, a in taps.items():
-            assert a.shape == (6, w.matrices()[name].shape[0])
+        assert list(taps) == list(ONLINE_POINTS)
+        assert [a.shape for a in taps.values()] == [(6, 16), (6, 16), (6, 16), (6, 32)]
+        for name, mat in w.matrices().items():  # every layer's input is one tap
+            assert taps[LAYER_INPUTS[name]].shape[1] == mat.shape[0]
 
     def test_taps_see_post_transform_inputs(self, rng):
         w = make_weights(n=16, heads=2)
@@ -282,7 +294,8 @@ class TestBlockForward:
         block_forward(x, w, taps=t0)
         fused, online = fuse_block(w, plan_fusion(w))
         block_forward(x, fused, online, taps=t1)
-        assert not np.allclose(t0["w_q"], t1["w_q"])
+        assert not np.allclose(t0["attn_input"], t1["attn_input"])
+        assert np.allclose(t0["attn_input"], t1["attn_input"] @ realize(online[0].spec).T)
 
     def test_identity_act_quant_is_a_no_op(self, rng):
         w = make_weights()
@@ -305,4 +318,5 @@ class TestBlockForward:
             return a
 
         block_forward(rng.standard_normal((3, w.n)), w, act_quant=q)
-        assert seen == list(LAYER_NAMES)
+        assert seen == list(ONLINE_POINTS)  # once per input, so W_q, W_k, W_v share one
+        assert sorted(set(LAYER_INPUTS.values())) == sorted(ONLINE_POINTS)

@@ -3,6 +3,7 @@ import pytest
 
 from fpqt.errors import NumericalError, ShapeError
 from fpqt.formats import BiasedFormat, FpFormat, grid, parse_format
+from fpqt import gptq
 from fpqt.gptq import (
     CalibrationSet,
     GptqConfig,
@@ -40,9 +41,9 @@ class TestGptqConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             GptqConfig(block_size=0)
-        with pytest.raises(ValueError):
-            GptqConfig(damping=0.0)
-        GptqConfig(block_size=1, damping=1e-6)
+        with pytest.raises(TypeError):  # damping is the module constant DAMPING
+            GptqConfig(damping=1e-6)
+        GptqConfig(block_size=1)
 
 
 class TestHessianAndObjective:
@@ -210,6 +211,38 @@ class TestGptqQuantize:
         b = gptq_quantize(np.asfortranarray(w), cal, E2M1, GptqConfig(block_size=8))
         assert np.array_equal(a.values, b.values)
         assert a.values.flags.c_contiguous
+
+    def test_cached_factor_gives_the_same_bytes(self, rng):
+        w = rng.standard_normal((24, 5))
+        x = rng.standard_normal((40, 24))
+        x[:, 7] = 0.0  # a dead dimension, so the cached mask is used too
+        warm = CalibrationSet(x)
+        gptq_quantize(rng.standard_normal((24, 3)), warm, E2M1)  # caches the factor
+        dead, u = warm.inverse_hessian_factor
+        a = gptq_quantize(w, warm, E2M1, GptqConfig(block_size=8))
+        b = gptq_quantize(w, CalibrationSet(x), E2M1, GptqConfig(block_size=8))
+        assert a.values.tobytes() == b.values.tobytes()
+        assert warm.inverse_hessian_factor[1] is u
+        assert dead.tolist() == [j == 7 for j in range(24)]
+        assert np.array_equal(u, np.triu(u)) and (np.diag(u) > 0.0).all()
+
+    def test_cached_factor_cannot_go_stale(self, rng):
+        x = rng.standard_normal((30, 6))
+        w = rng.standard_normal((6, 4))
+        cal = CalibrationSet(x)
+        before = gptq_quantize(w, cal, E2M1).values
+        x[:, 2] = 0.0  # the caller's array, not the set's
+        assert not cal.x.flags.writeable and not np.shares_memory(cal.x, x)
+        assert np.array_equal(gptq_quantize(w, cal, E2M1).values, before)
+
+    def test_factor_is_computed_once_per_set(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gptq, "_inverse_hessian_factor",
+                            lambda h: calls.append(h.shape) or _inverse_hessian_factor(h))
+        cal = CalibrationSet(rng.standard_normal((30, 6)))
+        for _ in range(3):
+            gptq_quantize(rng.standard_normal((6, 4)), cal, E2M1)
+        assert calls == [(6, 6)]
 
     def test_output_format_metadata(self, rng):
         w = rng.standard_normal((8, 4))

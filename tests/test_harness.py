@@ -1,7 +1,11 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+
+from fpqt import gptq
 
 from fpqt.formats import FpFormat
 from fpqt.harness import (
@@ -15,7 +19,7 @@ from fpqt.harness import (
     quantize_block_weights,
     run,
 )
-from fpqt.fusion import LAYER_NAMES, fuse_block, layer_shapes, plan_fusion
+from fpqt.fusion import LAYER_INPUTS, LAYER_NAMES, ONLINE_POINTS, fuse_block, layer_shapes, plan_fusion
 
 
 SMALL = dict(n=16, heads=2, tokens=24, hidden=32, calib_samples=48)
@@ -138,12 +142,23 @@ class TestCalibration:
         cfg = HarnessConfig(**SMALL)  # 48 samples from 24-token batches
         w = init_weights(cfg)
         calib = collect_calibration(cfg, w, ())
-        assert set(calib) == set(LAYER_NAMES)
-        for name, cal in calib.items():
+        assert list(calib) == list(ONLINE_POINTS)
+        for cal in calib.values():
             assert cal.samples == 48
-        assert calib["w_fc2"].in_dim == 32
+        assert [cal.in_dim for cal in calib.values()] == [16, 16, 16, 32]
         odd = HarnessConfig(n=16, heads=2, tokens=24, hidden=32, calib_samples=50)
-        assert collect_calibration(odd, w, ())["w_q"].samples == 50
+        assert collect_calibration(odd, w, ())["attn_input"].samples == 50
+
+    def test_one_factor_per_layer_input(self, monkeypatch):
+        calls = []
+        original = gptq._inverse_hessian_factor
+        monkeypatch.setattr(gptq, "_inverse_hessian_factor",
+                            lambda h: calls.append(h.shape) or original(h))
+        cfg = HarnessConfig()
+        run(cfg)
+        n, hidden = cfg.n, cfg.hidden_dim
+        assert calls == [(n, n), (n, n), (n, n), (hidden, hidden)]
+        assert len(set(LAYER_INPUTS.values())) == len(calls) < len(LAYER_NAMES)
 
 
 class TestQuantizeBlockWeights:
@@ -212,6 +227,17 @@ class TestRun:
         assert w_only.end_to_end["mse"] > 0.0
         assert a_only.end_to_end["mse"] > 0.0
         assert a_only.layers == {}
+
+    def test_huge_outlier_scale_stays_finite(self):
+        # the outlier channels square past float64 in a plain layer norm
+        cfg = HarnessConfig(**SMALL, outlier_scale=1e160, method="rtn")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run(cfg)
+        assert math.isfinite(rep.end_to_end["sqnr_db"])
+        assert rep.end_to_end["mse"] > 0.0
+        for side in rep.distribution.values():
+            assert not any(math.isnan(v) for v in side.values())
 
     def test_no_hadamard_distribution_sides_match(self):
         rep = run(HarnessConfig(**SMALL, use_hadamard=False))

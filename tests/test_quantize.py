@@ -289,3 +289,13 @@ class TestQuantError:
         assert e["cosine"] == pytest.approx(4.0 / math.sqrt(5.0 * 3.25), rel=1e-12)
         assert e["max_abs"] == pytest.approx(0.5e200, rel=1e-12)
         assert e["mse"] == float("inf")  # 1.25e399 exceeds float64
+
+    def test_small_error_under_a_huge_peak_is_not_lost(self):
+        # scaled by the peak alone, the error's square sinks below float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            e = quant_error(np.array([1e160, 1.0]), np.array([1e160, 1.5]))
+        assert e["mse"] == 0.125
+        assert e["max_abs"] == 0.5
+        # signal 5e319, noise 0.125: 10 log10(4e320) dB
+        assert e["sqnr_db"] == pytest.approx(3200.0 + 10 * np.log10(4.0), rel=1e-12)

@@ -5,12 +5,20 @@ import pytest
 
 from fpqt.errors import FormatError, NumericalError, ShapeError
 from fpqt.tensors import (
+    _partitioned_magnitudes,
+    channel_max_median_ratio,
     channel_stat,
-    quantile_nearest_rank,
     read_tensors,
     write_tensors,
 )
 from oracles import oracle_quantile_nearest_rank
+
+
+def quantile_nearest_rank(values, alpha):
+    """The quantile spread_indicator divides by, read from the partition."""
+    flat, k = _partitioned_magnitudes(values, alpha)
+    assert (flat[:k] <= flat[k]).all() and (flat[k:] >= flat[k]).all()
+    return float(flat[k])
 
 
 class TestQuantileNearestRank:
@@ -42,7 +50,7 @@ class TestQuantileNearestRank:
             quantile_nearest_rank(np.ones(3), 0.0)
         with pytest.raises(ValueError):
             quantile_nearest_rank(np.ones(3), 100.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty"):
             quantile_nearest_rank(np.array([]), 50.0)
 
     def test_input_is_untouched(self, rng):
@@ -56,25 +64,24 @@ class TestChannelStat:
     def test_max_abs_and_median_abs(self):
         x = np.array([[1.0, -5.0], [-3.0, 2.0], [2.0, 0.0]])
         assert channel_stat(x, "max_abs").tolist() == [3.0, 5.0]
-        assert channel_stat(x, "median_abs").tolist() == [2.0, 2.0]
+        # channel peaks 3 and 5: largest 5 over median 4
+        assert channel_max_median_ratio(x) == 1.25
 
-    def test_quantile_matches_columnwise_oracle(self, rng):
-        x = rng.standard_normal((13, 4))
-        got = channel_stat(x, "quantile", alpha=30.0)
-        want = [oracle_quantile_nearest_rank(x[:, j], 30.0) for j in range(4)]
-        assert got.tolist() == want
+    def test_max_median_ratio_zero_median_is_inf(self):
+        x = np.zeros((4, 3))
+        x[0, 0] = 2.0
+        assert channel_max_median_ratio(x) == float("inf")
+        assert channel_max_median_ratio(np.zeros((2, 2))) == float("inf")
+        assert channel_max_median_ratio(np.full((2, 3), -7.0)) == 1.0
 
     def test_validation(self):
         with pytest.raises(ShapeError):
             channel_stat(np.zeros(4), "max_abs")
-        with pytest.raises(ValueError):
-            channel_stat(np.zeros((2, 2)), "quantile")
-        with pytest.raises(ValueError):
-            channel_stat(np.zeros((2, 2)), "nope")
-
-    def test_quantile_of_empty_batch_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            channel_stat(np.zeros((0, 3)), "quantile", alpha=50.0)
+        with pytest.raises(ShapeError):
+            channel_max_median_ratio(np.zeros(4))
+        for stat in ("median_abs", "quantile", "nope"):
+            with pytest.raises(ValueError, match="unknown stat"):
+                channel_stat(np.zeros((2, 2)), stat)
 
 
 class TestContainerRoundtrip:
