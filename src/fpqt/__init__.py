@@ -51,7 +51,14 @@ from .quantize import (
     snap_per_channel,
 )
 from .select import SelectionConfig, select_format, selection_table, spread_indicator
-from .tensors import channel_max_median_ratio, channel_stat, read_tensors, write_tensors
+from .tensors import (
+    channel_max_median_ratio,
+    channel_stat,
+    iter_tensors,
+    read_tensors,
+    tensor_names,
+    write_tensors,
+)
 
 __version__ = "0.1.0"
 
@@ -95,6 +102,7 @@ __all__ = [
     "grid",
     "hessian",
     "init_weights",
+    "iter_tensors",
     "layer_norm",
     "layer_objective",
     "minmax_quantize",
@@ -110,6 +118,7 @@ __all__ = [
     "snap_per_channel",
     "softmax",
     "spread_indicator",
+    "tensor_names",
     "write_tensors",
     "__version__",
 ]

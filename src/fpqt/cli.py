@@ -16,8 +16,8 @@ Exit codes: 0 success; 1 usage, configuration, or numerical error;
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from contextlib import closing
 from dataclasses import fields
 
 import numpy as np
@@ -32,10 +32,17 @@ from .fusion import (
     plan_fusion,
 )
 from .hadamard import apply_right, build, op_count, realize
-from .harness import HarnessConfig, estimate_cost, run
+from .harness import HarnessConfig, estimate_cost, run, strict_json
 from .quantize import minmax_quantize, quant_error
 from .select import SelectionConfig, select_format, selection_table, spread_indicator
-from .tensors import channel_max_median_ratio, read_tensors, write_tensors
+from .tensors import (
+    _write_entries,
+    channel_max_median_ratio,
+    iter_tensors,
+    read_tensors,
+    tensor_names,
+    write_tensors,
+)
 
 _DENSE_CHECK_LIMIT = 4096
 
@@ -90,23 +97,23 @@ def _harness_config(args: argparse.Namespace) -> HarnessConfig:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    tensors = read_tensors(args.file)
     stats = {}
-    for name, t in tensors.items():
-        entry = {
-            "shape": list(t.shape),
-            "min": float(t.min()),
-            "max": float(t.max()),
-            "mean": float(t.mean()),
-            "std": float(t.std()),
-            "max_abs": float(np.abs(t).max()),
-            "spread": spread_indicator(t, args.alpha),
-        }
-        if t.ndim == 2:
-            entry["channel_max_median_ratio"] = channel_max_median_ratio(t)
-        stats[name] = entry
+    with closing(iter_tensors(args.file)) as entries:
+        for name, t in entries:
+            entry = {
+                "shape": list(t.shape),
+                "min": float(t.min()),
+                "max": float(t.max()),
+                "mean": float(t.mean()),
+                "std": float(t.std()),
+                "max_abs": float(np.abs(t).max()),
+                "spread": spread_indicator(t, args.alpha),
+            }
+            if t.ndim == 2:
+                entry["channel_max_median_ratio"] = channel_max_median_ratio(t)
+            stats[name] = entry
     if args.json:
-        print(json.dumps(stats, sort_keys=True, indent=2))
+        print(strict_json(stats))
     else:
         for name, e in stats.items():
             line = (
@@ -121,11 +128,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_select_format(args: argparse.Namespace) -> int:
-    tensors = read_tensors(args.file)
     cfg = SelectionConfig(n_bits=args.bits, alpha=args.alpha)
-    tables = {name: selection_table(t, cfg) for name, t in tensors.items()}
+    with closing(iter_tensors(args.file)) as entries:
+        tables = {name: selection_table(t, cfg) for name, t in entries}
     if args.json:
-        print(json.dumps(tables, sort_keys=True, indent=2))
+        print(strict_json(tables))
     else:
         for name, tab in tables.items():
             best = next(
@@ -139,28 +146,37 @@ def cmd_select_format(args: argparse.Namespace) -> int:
 
 
 def cmd_quantize(args: argparse.Namespace) -> int:
-    tensors = read_tensors(args.input)
-    cfg = SelectionConfig(n_bits=args.bits, alpha=args.alpha)
-    out: dict[str, np.ndarray] = {}
-    for name, t in tensors.items():
+    names = tensor_names(args.input)
+    taken = set(names)
+    for name in names:
         bias_name = f"{name}.bias"
-        if bias_name in tensors:
+        if bias_name in taken:
             raise ValueError(
                 f"container already holds {bias_name!r}; refusing to overwrite"
             )
-        fmt = select_format(t, cfg) if args.format == "auto" else parse_format(args.format)
-        a = t.reshape(-1, 1) if t.ndim == 1 else t
-        qt = minmax_quantize(a, fmt, channel_axis=-1)
-        values = qt.values.reshape(t.shape)
-        err = quant_error(t, values)
-        out[name] = values
-        out[bias_name] = qt.bias.astype(np.float64)
-        print(
-            f"{name}: format={fmt} channels={qt.bias.size} "
-            f"mse={err['mse']:.6g} sqnr_db={err['sqnr_db']:.4f}"
-        )
-    write_tensors(args.output, out)
-    print(f"wrote {len(out)} tensors to {args.output}")
+    cfg = SelectionConfig(n_bits=args.bits, alpha=args.alpha)
+    fixed = None if args.format == "auto" else parse_format(args.format)
+    lines = []
+
+    def quantized(entries):
+        for name, t in entries:
+            fmt = select_format(t, cfg) if fixed is None else fixed
+            a = t.reshape(-1, 1) if t.ndim == 1 else t
+            qt = minmax_quantize(a, fmt, channel_axis=-1)
+            values = qt.values.reshape(t.shape)
+            err = quant_error(t, values)
+            lines.append(
+                f"{name}: format={fmt} channels={qt.bias.size} "
+                f"mse={err['mse']:.6g} sqnr_db={err['sqnr_db']:.4f}"
+            )
+            yield name, values
+            yield f"{name}.bias", qt.bias.astype(np.float64)
+
+    with closing(iter_tensors(args.input)) as entries:
+        count = _write_entries(args.output, quantized(entries))
+    for line in lines:
+        print(line)
+    print(f"wrote {count} tensors to {args.output}")
     return 0
 
 
@@ -181,7 +197,7 @@ def cmd_hadamard(args: argparse.Namespace) -> int:
         ops["check_max_abs_err_transpose"] = float(np.abs(back - x @ dense.T).max())
         ortho = float(np.abs(dense.T @ dense - np.eye(args.dim)).max())
         ops["check_orthonormality_err"] = ortho
-    print(json.dumps(ops, sort_keys=True, indent=2))
+    print(strict_json(ops))
     return 0
 
 
@@ -226,7 +242,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
-    print(json.dumps(estimate_cost(_harness_config(args)), sort_keys=True, indent=2))
+    print(strict_json(estimate_cost(_harness_config(args))))
     return 0
 
 

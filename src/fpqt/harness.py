@@ -119,7 +119,22 @@ class QuantReport:
         return asdict(self)
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+        return strict_json(self.to_dict(), indent=indent)
+
+
+def strict_json(obj, indent: int = 2) -> str:
+    """Deterministic, strict JSON text: keys sorted, and the +inf sentinel
+    (an unbounded sqnr_db, spread or channel ratio) written as null.  Any
+    other non-finite float raises ValueError."""
+    return json.dumps(_inf_as_null(obj), sort_keys=True, indent=indent, allow_nan=False)
+
+
+def _inf_as_null(obj):
+    if isinstance(obj, dict):
+        return {k: _inf_as_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_inf_as_null(v) for v in obj]
+    return None if isinstance(obj, float) and obj == math.inf else obj
 
 
 # ---------------------------------------------------------------------------

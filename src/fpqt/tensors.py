@@ -15,12 +15,21 @@ Container layout (all integers little-endian):
             dims u64 * ndim, payload float32 * prod(dims), row-major
 
 No NaN or Inf value is admitted through I/O in either direction.
+
+The container is read and written one entry at a time.  iter_tensors
+streams validated entries, each payload read straight from the file;
+read_tensors collects that stream into a dict, and tensor_names walks the
+headers alone, seeking over payloads.  Writes go to a temporary file in the
+output's directory, get their entry count patched in at the end, and then
+replace the output, so a failure part way leaves the output as it was.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -32,6 +41,9 @@ DTYPE_F32 = 0
 
 WORKING_DTYPE = np.float64
 STORAGE_DTYPE = np.dtype("<f4")
+# numpy refuses a shape whose nonzero dims multiply past this, even when
+# another dim is 0
+_MAX_ELEMS = np.iinfo(np.intp).max // np.dtype(WORKING_DTYPE).itemsize
 
 
 def _partitioned_magnitudes(values: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
@@ -73,90 +85,155 @@ def channel_max_median_ratio(x: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    """Write named tensors to an FPQT container, casting values to float32."""
-    blobs = []
-    for name, value in tensors.items():
-        arr = np.ascontiguousarray(np.asarray(value, dtype=WORKING_DTYPE))
-        if not np.isfinite(arr).all():
-            raise NumericalError(f"tensor {name!r} contains NaN or Inf")
-        name_bytes = name.encode("utf-8")
-        if len(name_bytes) > 0xFFFF:
-            raise ValueError(f"tensor name too long: {len(name_bytes)} bytes")
-        if arr.ndim > 0xFF:
-            raise ShapeError(f"tensor {name!r} has too many dims: {arr.ndim}")
-        header = struct.pack("<H", len(name_bytes)) + name_bytes
-        header += struct.pack("<BB", DTYPE_F32, arr.ndim)
-        header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-        payload = arr.astype(STORAGE_DTYPE).tobytes(order="C")
-        blobs.append(header + payload)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<B", VERSION))
-        fh.write(struct.pack("<I", len(blobs)))
-        for blob in blobs:
-            fh.write(blob)
-
-
-def read_tensors(path) -> dict[str, np.ndarray]:
-    """Read an FPQT container back into float64 arrays.
+def iter_tensors(path) -> Iterator[tuple[str, np.ndarray]]:
+    """Yield the entries of an FPQT container as (name, float64 array), in
+    file order, reading one payload at a time.
 
     Raises FormatError (carrying the byte offset of the defect) on bad magic,
     unsupported version or dtype, truncation, duplicate names, trailing
-    bytes, or non-finite payload values.
+    bytes, or non-finite payload values.  The trailing-bytes check runs once
+    the last entry has been consumed.  The file is closed when the stream
+    ends, fails or is closed.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    return _parse_container(data)
+        yield from _entries(fh, load=True)
 
 
-def _parse_container(data: bytes) -> dict[str, np.ndarray]:
-    def need(offset: int, count: int, what: str) -> None:
-        if offset + count > len(data):
+def read_tensors(path) -> dict[str, np.ndarray]:
+    """Read a whole FPQT container into float64 arrays (see iter_tensors)."""
+    return dict(iter_tensors(path))
+
+
+def tensor_names(path) -> list[str]:
+    """Entry names of an FPQT container, in file order, from its headers
+    alone: payloads are seeked over, so every structural check of
+    iter_tensors runs but the non-finite check does not."""
+    with open(path, "rb") as fh:
+        return [name for name, _ in _entries(fh, load=False)]
+
+
+def _entries(fh, load: bool):
+    """Walk an open container, yielding (name, float64 array), or (name, None)
+    with the payload skipped when load is False.  Each field is checked
+    against the file size before it is read."""
+    size = os.fstat(fh.fileno()).st_size
+    offset = 0
+
+    def take(count: int, what: str) -> int:
+        """Claim the next count bytes; return the offset they start at."""
+        nonlocal offset
+        if offset + count > size:
             raise FormatError(f"truncated container: expected {what}", offset)
+        offset += count
+        return offset - count
 
-    need(0, 4, "magic")
-    if data[:4] != MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}", 0)
-    need(4, 1, "version byte")
-    version = data[4]
+    take(4, "magic")
+    magic = fh.read(4)
+    if magic != MAGIC:
+        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
+    take(1, "version byte")
+    (version,) = fh.read(1)
     if version != VERSION:
         raise FormatError(f"unsupported version {version}", 4)
-    need(5, 4, "entry count")
-    (count,) = struct.unpack_from("<I", data, 5)
-    offset = 9
+    take(4, "entry count")
+    (count,) = struct.unpack("<I", fh.read(4))
 
-    tensors: dict[str, np.ndarray] = {}
+    seen: set[str] = set()
     for _ in range(count):
-        need(offset, 2, "name length")
-        (name_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        need(offset, name_len, "name")
+        take(2, "name length")
+        (name_len,) = struct.unpack("<H", fh.read(2))
+        at = take(name_len, "name")
         try:
-            name = data[offset : offset + name_len].decode("utf-8")
+            name = fh.read(name_len).decode("utf-8")
         except UnicodeDecodeError:
-            raise FormatError("tensor name is not valid UTF-8", offset) from None
-        if name in tensors:
-            raise FormatError(f"duplicate tensor name {name!r}", offset)
-        offset += name_len
-        need(offset, 2, "dtype tag and ndim")
-        dtype_tag, ndim = data[offset], data[offset + 1]
+            raise FormatError("tensor name is not valid UTF-8", at) from None
+        if name in seen:
+            raise FormatError(f"duplicate tensor name {name!r}", at)
+        seen.add(name)
+        at = take(2, "dtype tag and ndim")
+        dtype_tag, ndim = fh.read(2)
         if dtype_tag != DTYPE_F32:
-            raise FormatError(f"unsupported dtype tag {dtype_tag}", offset)
-        offset += 2
-        need(offset, 8 * ndim, "dims")
-        dims = struct.unpack_from(f"<{ndim}Q", data, offset)
-        offset += 8 * ndim
-        n_elems = 1
-        for d in dims:
-            n_elems *= d
-        payload_offset = offset
-        need(offset, 4 * n_elems, f"payload of {name!r}")
-        arr = np.frombuffer(data, dtype=STORAGE_DTYPE, count=n_elems, offset=offset)
-        offset += 4 * n_elems
-        if not np.isfinite(arr).all():
-            raise FormatError(f"tensor {name!r} contains NaN or Inf", payload_offset)
-        tensors[name] = arr.astype(WORKING_DTYPE).reshape(dims)
-    if offset != len(data):
-        raise FormatError(f"{len(data) - offset} trailing bytes after last entry", offset)
-    return tensors
+            raise FormatError(f"unsupported dtype tag {dtype_tag}", at)
+        dims_at = take(8 * ndim, "dims")
+        dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
+        n_bytes = 4 * math.prod(dims)
+        at = take(n_bytes, f"payload of {name!r}")
+        # a nonempty entry this large is already truncated; an empty one is not
+        if math.prod(d for d in dims if d) > _MAX_ELEMS:
+            raise FormatError(f"dims {dims} of {name!r} exceed the array size limit", dims_at)
+        if not load:
+            fh.seek(n_bytes, os.SEEK_CUR)
+            yield name, None
+            continue
+        payload = np.empty(n_bytes // 4, dtype=STORAGE_DTYPE)
+        if fh.readinto(payload) != n_bytes:
+            raise FormatError(f"truncated container: expected payload of {name!r}", at)
+        if not np.isfinite(payload).all():
+            raise FormatError(f"tensor {name!r} contains NaN or Inf", at)
+        yield name, payload.astype(WORKING_DTYPE).reshape(dims)
+    if offset != size:
+        raise FormatError(f"{size - offset} trailing bytes after last entry", offset)
+
+
+def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
+    """Write named tensors to an FPQT container, casting values to float32."""
+    _write_entries(path, tensors.items())
+
+
+def _write_entries(path, pairs: Iterable[tuple[str, np.ndarray]]) -> int:
+    """Write (name, array) pairs to an FPQT container one entry at a time and
+    return how many were written.
+
+    The entries go to a new file in the directory of path (of its target, if
+    path is a symlink), which replaces it only once the last pair has been
+    written; if pairs or a check raises, that file is removed and path is
+    left as it was.  Raises NumericalError for a value that is NaN or Inf in
+    float32, and ValueError for a repeated name.
+    """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise FileExistsError(f"{path!r} exists and is not a regular file")
+    tmp, fd = _create_beside(path)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<BI", VERSION, 0))
+            names: set[str] = set()
+            for name, value in pairs:
+                if name in names:
+                    raise ValueError(f"duplicate tensor name {name!r}")
+                names.add(name)
+                arr = np.asarray(value, dtype=WORKING_DTYPE)
+                name_bytes = name.encode("utf-8")
+                if len(name_bytes) > 0xFFFF:
+                    raise ValueError(f"tensor name too long: {len(name_bytes)} bytes")
+                if arr.ndim > 0xFF:
+                    raise ShapeError(f"tensor {name!r} has too many dims: {arr.ndim}")
+                with np.errstate(over="ignore"):
+                    payload = np.ascontiguousarray(arr, dtype=STORAGE_DTYPE)
+                if not np.isfinite(payload).all():
+                    raise NumericalError(
+                        f"tensor {name!r} contains NaN or Inf (or overflows float32)"
+                    )
+                fh.write(struct.pack("<H", len(name_bytes)) + name_bytes)
+                fh.write(struct.pack(f"<BB{arr.ndim}Q", DTYPE_F32, arr.ndim, *arr.shape))
+                fh.write(payload)
+            fh.seek(len(MAGIC) + 1)
+            fh.write(struct.pack("<I", len(names)))
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+    return len(names)
+
+
+def _create_beside(path: str) -> tuple[str, int]:
+    """Create a new, empty file in path's directory and return its name and a
+    write descriptor.  Its mode is 0o666 less the umask, as open(path, "wb")
+    would give path itself."""
+    head, tail = os.path.split(path)
+    while True:
+        tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+        try:
+            return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue

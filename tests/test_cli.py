@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import struct
 from dataclasses import fields, replace
 
 import numpy as np
@@ -151,9 +154,96 @@ class TestQuantizeCommand:
     def test_bias_name_collision_rejected(self, capsys, tmp_path, rng):
         src, dst = str(tmp_path / "a.fpqt"), str(tmp_path / "b.fpqt")
         write_tensors(src, {"w": rng.standard_normal(4), "w.bias": np.ones(1)})
-        code, _, err = run_cli(capsys, "quantize", src, dst)
+        code, out, err = run_cli(capsys, "quantize", src, dst)
         assert code == 1
         assert "w.bias" in err
+        assert out == "" and os.listdir(tmp_path) == ["a.fpqt"]  # checked before any work
+
+
+class TestQuantizeAtomicOutput:
+    """A bad input leaves no partial OUT: the output goes to a temporary file
+    beside OUT that replaces it only after the last entry is written."""
+
+    def _src_with_nan_in_last_payload(self, tmp_path, rng):
+        src = str(tmp_path / "in.fpqt")
+        write_tensors(src, {"a": rng.standard_normal((4, 3)), "b": rng.standard_normal(5)})
+        with open(src, "r+b") as fh:
+            fh.seek(-4, os.SEEK_END)
+            fh.write(struct.pack("<f", np.nan))
+        return src
+
+    def test_nan_in_last_tensor_creates_no_output(self, capsys, tmp_path, rng):
+        src = self._src_with_nan_in_last_payload(tmp_path, rng)
+        dst = tmp_path / "out.fpqt"
+        code, out, err = run_cli(capsys, "quantize", src, str(dst))
+        assert code == 2 and "NaN" in err and out == ""
+        assert sorted(os.listdir(tmp_path)) == ["in.fpqt"]
+
+    def test_nan_in_last_tensor_keeps_existing_output(self, capsys, tmp_path, rng):
+        src = self._src_with_nan_in_last_payload(tmp_path, rng)
+        dst = tmp_path / "out.fpqt"
+        write_tensors(str(dst), {"keep": np.ones(3)})
+        before = dst.read_bytes()
+        code, _, _ = run_cli(capsys, "quantize", src, str(dst))
+        assert code == 2
+        assert dst.read_bytes() == before
+        assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+    def test_output_may_be_the_input(self, capsys, tmp_path, rng):
+        a, b = tmp_path / "a.fpqt", tmp_path / "b.fpqt"
+        write_tensors(str(a), {"w": rng.standard_normal((6, 3)), "v": rng.standard_normal(4)})
+        assert run_cli(capsys, "quantize", str(a), str(b))[0] == 0
+        assert run_cli(capsys, "quantize", str(a), str(a))[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["a.fpqt", "b.fpqt"]
+
+    def test_output_mode_follows_umask(self, capsys, tmp_path, rng):
+        src, dst = str(tmp_path / "in.fpqt"), tmp_path / "out.fpqt"
+        write_tensors(src, {"w": rng.standard_normal(4)})
+        old = os.umask(0o022)
+        try:
+            code, _, _ = run_cli(capsys, "quantize", src, str(dst))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(dst.stat().st_mode) == 0o644
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+class TestStrictJsonDumps:
+    """An infinite spread or channel ratio is written as null, never as the
+    non-standard Infinity."""
+
+    def _src(self, tmp_path):
+        # |values| have a zero 25% quantile under a nonzero max: spread = +inf,
+        # and column medians of 0 give channel_max_median_ratio = +inf
+        path = str(tmp_path / "spiky.fpqt")
+        w = np.zeros((4, 3))
+        w[0, 0] = 1.0
+        write_tensors(path, {"w": w})
+        return path
+
+    def test_inspect_json(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "inspect", self._src(tmp_path), "--json")
+        assert code == 0
+        data = json.loads(out, parse_constant=_reject_constant)
+        assert data["w"]["spread"] is None
+        assert data["w"]["channel_max_median_ratio"] is None
+
+    def test_select_format_json(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "select-format", self._src(tmp_path), "--json")
+        assert code == 0
+        data = json.loads(out, parse_constant=_reject_constant)
+        assert data["w"]["spread"] is None
+        assert {c["log2_distance"] for c in data["w"]["candidates"]} == {None}
+        assert data["w"]["selected"] == "E3M0"
+
+    def test_text_output_still_prints_inf(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "inspect", self._src(tmp_path))
+        assert code == 0 and "spread=inf" in out
 
 
 class TestFuseCommand:

@@ -18,11 +18,33 @@ from fpqt.harness import (
     outlier_columns,
     quantize_block_weights,
     run,
+    strict_json,
 )
 from fpqt.fusion import LAYER_INPUTS, LAYER_NAMES, ONLINE_POINTS, fuse_block, layer_shapes, plan_fusion
 
 
 SMALL = dict(n=16, heads=2, tokens=24, hidden=32, calib_samples=48)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+class TestStrictJson:
+    def test_inf_anywhere_becomes_null(self):
+        text = strict_json({"b": [1.0, math.inf, (2, math.inf)], "a": {"x": math.inf}})
+        assert json.loads(text, parse_constant=_reject_constant) == {
+            "a": {"x": None}, "b": [1.0, None, [2, None]],
+        }
+
+    def test_finite_output_matches_plain_json(self):
+        obj = {"z": 1.5, "a": [1, 2.25, "s", None, True], "m": {"k": -0.0}}
+        assert strict_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_other_non_finite_values_raise(self, bad):
+        with pytest.raises(ValueError):
+            strict_json({"a": [bad]})
 
 
 class TestConfig:
@@ -189,6 +211,12 @@ class TestRun:
         assert rep.end_to_end["mse"] == 0.0
         assert rep.end_to_end["max_abs"] == 0.0
         assert rep.end_to_end["sqnr_db"] == float("inf")
+
+    def test_infinite_sqnr_is_written_as_strict_json_null(self):
+        rep = run(HarnessConfig(use_hadamard=False, quantize_weights=False, quantize_acts=False))
+        assert rep.end_to_end["sqnr_db"] == float("inf")  # in memory the sentinel stays
+        data = json.loads(rep.to_json(), parse_constant=_reject_constant)
+        assert data["end_to_end"]["sqnr_db"] is None
 
     def test_transform_alone_is_numerically_invisible(self):
         cfg = HarnessConfig(**SMALL, quantize_weights=False, quantize_acts=False)

@@ -18,20 +18,30 @@ The fusion digests cover fuse_block's matrices and those of its inverse,
 applied to the same unfused block; they were taken when the inverse was
 a chain of three per-stage calls, so they fix the order in which W_v's two
 factors are folded in and out.
+
+The container digests cover the OUT file and stdout of `fpqt quantize`
+under --format auto and E2M1, and the stdout of `inspect` and
+`select-format` (text and --json), on one seeded container; they were taken
+when the CLI read and wrote the whole container at once, so they fix the
+streamed path's bytes.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 
+from fpqt.cli import main
 from fpqt.errors import NumericalError
 from fpqt.formats import candidate_formats, parse_format
 from fpqt.fusion import fuse_block, plan_fusion
 from fpqt.gptq import CalibrationSet, GptqConfig, gptq_quantize
 from fpqt.harness import HarnessConfig, estimate_cost, init_weights, run
 from fpqt.quantize import minmax_quantize
+from fpqt.tensors import write_tensors
 
 MINMAX_DIGEST = "b9a2b4b9851763489fec46e311c5c142b40095c2de3c51fc20f1da33d5103d78"
 GPTQ_DIGESTS = {
@@ -80,6 +90,13 @@ FUSION_DIGESTS = {
         "d3da3f0e9a3c024d1549ca2af0a6b85821b31be839081354ccfed8d997303cf6",
     ),
 }
+# (OUT file + stdout) of `fpqt quantize --format <key>`; auto picks E2M1,
+# E1M2 and E3M0 for the three entries
+CONTAINER_DIGESTS = {
+    "auto": "cc9b6ddf24c8155c3ef630e4f6d41097cd3d7d9e4c32333fd845c92a937261c1",
+    "E2M1": "4fcbe04dfecaeb0eebe80ee7e39ec47a6ca8c0876b3c55519faceb0e5f8a6267",
+}
+REPORT_COMMANDS_DIGEST = "aaa3c9d947a869ce55601d91a602c979e1e49597cb4eeb9a70535f95822332d5"
 
 
 def _minmax_inputs():
@@ -171,3 +188,52 @@ def test_fusion_digest_is_pinned(v_mode):
     fused, _ = fuse_block(w, plan)
     inverted, _ = fuse_block(w, plan, inverse=True)
     assert (matrices_digest(fused), matrices_digest(inverted)) == FUSION_DIGESTS[v_mode]
+
+
+def _container_inputs():
+    """Seeded entries: a 1-D vector, a Gaussian matrix, and a matrix with 2 %
+    of its entries scaled 10x (heavy-tailed, so auto picks E3M0)."""
+    rng = np.random.default_rng(20261018)
+    heavy = rng.standard_normal((32, 24)) / 4.0
+    heavy[rng.random(heavy.shape) < 0.02] *= 10.0
+    return {
+        "vec": rng.standard_normal(37),
+        "mat": rng.standard_normal((16, 12)) / 3.0,
+        "heavy": heavy,
+    }
+
+
+def container_digest(fmt: str) -> str:
+    """SHA-256 of the OUT file `fpqt quantize --format fmt` writes for the
+    seeded container, plus its stdout; paths are relative to the cwd."""
+    write_tensors("in.fpqt", _container_inputs())
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["quantize", "in.fpqt", "out.fpqt", "--format", fmt]) == 0
+    with open("out.fpqt", "rb") as fh:
+        h = hashlib.sha256(fh.read())
+    h.update(stdout.getvalue().encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("fmt", list(CONTAINER_DIGESTS))
+def test_container_quantize_digest_is_pinned(tmp_path, monkeypatch, fmt):
+    monkeypatch.chdir(tmp_path)
+    assert container_digest(fmt) == CONTAINER_DIGESTS[fmt]
+
+
+def report_commands_digest() -> str:
+    """SHA-256 of the stdout of inspect and select-format, as text and as
+    --json, on the seeded container."""
+    write_tensors("in.fpqt", _container_inputs())
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        for argv in (["inspect"], ["inspect", "--json"],
+                     ["select-format"], ["select-format", "--json"]):
+            assert main([argv[0], "in.fpqt", *argv[1:]]) == 0
+    return hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+
+
+def test_report_commands_digest_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert report_commands_digest() == REPORT_COMMANDS_DIGEST

@@ -1,14 +1,23 @@
+import os
+import stat
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from fpqt import tensors
 from fpqt.errors import FormatError, NumericalError, ShapeError
 from fpqt.tensors import (
     _partitioned_magnitudes,
+    _write_entries,
     channel_max_median_ratio,
     channel_stat,
+    iter_tensors,
     read_tensors,
+    tensor_names,
     write_tensors,
 )
 from oracles import oracle_quantile_nearest_rank
@@ -122,7 +131,9 @@ class TestContainerErrors:
         with open(path, "rb") as fh:
             return bytearray(fh.read())
 
-    def _expect(self, tmp_path, data, offset=None):
+    def _expect(self, tmp_path, data, offset=None, structural=True):
+        """read_tensors raises FormatError at offset; so does the header-only
+        tensor_names, with the same message, for a structural defect."""
         path = str(tmp_path / "bad.fpqt")
         with open(path, "wb") as fh:
             fh.write(bytes(data))
@@ -131,6 +142,12 @@ class TestContainerErrors:
         if offset is not None:
             assert exc.value.offset == offset
         assert "byte offset" in str(exc.value)
+        if structural:
+            with pytest.raises(FormatError) as names_exc:
+                tensor_names(path)
+            assert str(names_exc.value) == str(exc.value)
+        else:
+            assert tensor_names(path) == ["a"]
 
     def test_bad_magic(self, tmp_path):
         data = self._valid_bytes(tmp_path)
@@ -173,8 +190,179 @@ class TestContainerErrors:
         data = self._valid_bytes(tmp_path)
         payload_offset = len(data) - 8
         data[payload_offset : payload_offset + 4] = struct.pack("<f", np.nan)
-        self._expect(tmp_path, data, offset=payload_offset)
+        self._expect(tmp_path, data, offset=payload_offset, structural=False)
+
+    def test_bad_utf8_name(self, tmp_path):
+        data = self._valid_bytes(tmp_path)
+        data[11] = 0xFF  # the one-byte name "a"
+        self._expect(tmp_path, data, offset=11)
+
+    def test_empty_entry_with_oversized_dims(self, tmp_path):
+        # dims (0, 2**62): no payload bytes, but no array can take that shape
+        data = bytearray(b"FPQT\x01" + struct.pack("<IH", 1, 1) + b"e")
+        data += struct.pack("<BB2Q", 0, 2, 0, 2**62)
+        self._expect(tmp_path, data, offset=14)
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_tensors(str(tmp_path / "does_not_exist.fpqt"))
+
+
+class TestStreaming:
+    def _write(self, tmp_container, rng):
+        path = tmp_container()
+        ts = {"v": rng.standard_normal(5), "m": rng.standard_normal((3, 4)), "s": np.array(2.5)}
+        write_tensors(path, ts)
+        return path, ts
+
+    def test_entries_come_in_file_order(self, tmp_container, rng):
+        path, ts = self._write(tmp_container, rng)
+        assert tensor_names(path) == list(ts)
+        for (name, arr), (want_name, want) in zip(iter_tensors(path), ts.items(), strict=True):
+            assert name == want_name and arr.dtype == np.float64
+            np.testing.assert_array_equal(arr, want.astype(np.float32))
+
+    def test_trailing_bytes_found_once_the_stream_is_drained(self, tmp_container, rng):
+        path, ts = self._write(tmp_container, rng)
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        stream = iter_tensors(path)
+        assert [next(stream)[0] for _ in ts] == list(ts)
+        with pytest.raises(FormatError, match="trailing"):
+            next(stream)
+
+    def test_abandoned_stream_closes_its_file(self, tmp_container, rng, monkeypatch):
+        path, _ = self._write(tmp_container, rng)
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(tensors, "open", recording_open, raising=False)
+        stream = iter_tensors(path)
+        next(stream)
+        assert not opened[0].closed
+        stream.close()
+        assert opened[0].closed
+
+
+class TestAtomicWrite:
+    def _entries(self, *names, fail_after=None):
+        for i, name in enumerate(names):
+            if i == fail_after:
+                raise FormatError("bad input entry", 0)
+            yield name, np.arange(3.0) + i
+
+    def test_failure_leaves_existing_output_and_no_temp_file(self, tmp_path):
+        path = str(tmp_path / "out.fpqt")
+        write_tensors(path, {"old": np.ones(2)})
+        before = Path(path).read_bytes()
+        for bad in (self._entries("a", "b", fail_after=1),
+                    self._entries("a", "b", "a"),
+                    iter([("a", np.ones(2)), ("b", np.array([np.nan]))])):
+            with pytest.raises((FormatError, ValueError, NumericalError)):
+                _write_entries(path, bad)
+            assert Path(path).read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.fpqt"]
+
+    def test_failure_creates_no_output(self, tmp_path):
+        path = str(tmp_path / "out.fpqt")
+        with pytest.raises(FormatError):
+            _write_entries(path, self._entries("a", fail_after=0))
+        assert os.listdir(tmp_path) == []
+
+    def test_duplicate_name_rejected(self, tmp_container):
+        with pytest.raises(ValueError, match="duplicate"):
+            _write_entries(tmp_container(), self._entries("a", "a"))
+
+    def test_value_beyond_float32_rejected(self, tmp_container):
+        with pytest.raises(NumericalError):
+            write_tensors(tmp_container(), {"a": np.array([1.0, 1e39])})
+
+    def test_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_tensors(str(tmp_path / "new.fpqt"), {"a": np.ones(1)})
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "new.fpqt").st_mode) == 0o640
+
+    def test_symlink_target_is_replaced_and_link_kept(self, tmp_path):
+        target, link = tmp_path / "target.fpqt", tmp_path / "link.fpqt"
+        write_tensors(str(target), {"old": np.ones(1)})
+        link.symlink_to(target)
+        write_tensors(str(link), {"new": np.ones(1)})
+        assert link.is_symlink() and list(read_tensors(str(target))) == ["new"]
+
+    def test_non_regular_target_refused(self, tmp_path):
+        with pytest.raises(FileExistsError, match="not a regular file"):
+            write_tensors(str(tmp_path), {"a": np.ones(1)})
+        assert os.listdir(tmp_path) == []
+
+
+# derandomized: the same examples on every run, and no example database on disk
+_FUZZ_SETTINGS = settings(
+    max_examples=40, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+_entry_shapes = st.lists(st.integers(0, 3), min_size=0, max_size=3).map(tuple)
+
+
+@st.composite
+def _containers(draw):
+    """Bytes of a valid 3-entry container with small random shapes."""
+    names = draw(st.lists(st.text(min_size=0, max_size=4), min_size=3, max_size=3, unique=True))
+    shapes = draw(st.lists(_entry_shapes, min_size=3, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return {name: rng.standard_normal(shape) for name, shape in zip(names, shapes)}
+
+
+def _parse_both(path):
+    """(names, entries) of the container at path; either parser may raise
+    FormatError, and nothing else."""
+    try:
+        names = tensor_names(path)
+    except FormatError as exc:
+        assert isinstance(exc.offset, int) and exc.offset >= 0
+        names = None
+    try:
+        entries = read_tensors(path)
+    except FormatError as exc:
+        assert isinstance(exc.offset, int) and exc.offset >= 0
+        entries = None
+    if entries is not None:
+        assert names == list(entries)
+    return names, entries
+
+
+class TestContainerFuzz:
+    @_FUZZ_SETTINGS
+    @given(_containers())
+    def test_every_strict_prefix_is_a_format_error(self, tmp_path, ts):
+        path = str(tmp_path / "fuzz.fpqt")
+        write_tensors(path, ts)
+        data = Path(path).read_bytes()
+        assert _parse_both(path)[0] == list(ts)
+        for cut in range(len(data)):
+            with open(path, "wb") as fh:
+                fh.write(data[:cut])
+            for parse in (tensor_names, read_tensors):
+                with pytest.raises(FormatError) as exc:
+                    parse(path)
+                assert 0 <= exc.value.offset <= cut
+
+    @_FUZZ_SETTINGS
+    @given(_containers(), st.data())
+    def test_flipped_byte_parses_or_is_a_format_error(self, tmp_path, ts, data):
+        path = str(tmp_path / "fuzz.fpqt")
+        write_tensors(path, ts)
+        raw = bytearray(Path(path).read_bytes())
+        for _ in range(8):
+            at = data.draw(st.integers(0, len(raw) - 1))
+            flip = data.draw(st.integers(1, 255))
+            raw[at] ^= flip
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            _parse_both(path)
+            raw[at] ^= flip
