@@ -24,12 +24,24 @@ under --format auto and E2M1, and the stdout of `inspect` and
 `select-format` (text and --json), on one seeded container; they were taken
 when the CLI read and wrote the whole container at once, so they fix the
 streamed path's bytes.
+
+Summation-order protocol.  A change that only reorders floating-point sums
+(a BLAS call for a numpy loop, say) may move the report digests, but not the
+numbers behind them beyond SUM_ORDER_RTOL.  REPORT_NUMBERS holds every value
+of the pinned run() reports, json.loads(run(cfg).to_json()) keyed by
+REPORT_DIGESTS name, taken before attention moved from einsum to matmul.
+Each float must stay within SUM_ORDER_RTOL of it relative; ints (biases,
+counts), strings (formats), booleans, nulls and the key sets must match
+exactly.  A rounding that flips near a grid tie moves one value a whole
+grid step and fails this check; the bound is never widened for it.  Only
+the digests of reports that pass here may be re-taken.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +89,8 @@ REPORT_DIGESTS = {
         "1289300cb8c2d9460f5bec813d8e1bcc42beafcc1c81a9c2524dc596e8c42667",
     ),
 }
+REPORT_NUMBERS = Path(__file__).with_name("pinned_report_numbers.json")
+SUM_ORDER_RTOL = 1e-12
 COST_DIGEST = "3abbc0bec90392ed1913251bc8a4917a1374f4477faee3571c586f7a0e15353b"
 # (fused, inverted) for n=48, heads=4, hidden=224 and plan seed 5: orders 48,
 # 224, 12 and 4 (base factors 12, 28, 12 and a power of two), all sign-flipped
@@ -165,6 +179,51 @@ def test_gptq_output_digest_is_pinned():
 def test_report_digest_is_pinned(name):
     kwargs, want = REPORT_DIGESTS[name]
     assert hashlib.sha256(run(HarnessConfig(**kwargs)).to_json().encode()).hexdigest() == want
+
+
+def assert_within_sum_order(got, want, path: str = "report") -> None:
+    """Every float of got within SUM_ORDER_RTOL of want, relative; every
+    other value, every key set and every length equal."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), path
+        for key in want:
+            assert_within_sum_order(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_within_sum_order(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert type(got) is float and abs(got - want) <= SUM_ORDER_RTOL * abs(want), (path, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+def test_report_numbers_cover_the_pinned_reports():
+    assert json.loads(REPORT_NUMBERS.read_text()).keys() == REPORT_DIGESTS.keys()
+
+
+@pytest.mark.parametrize("name", list(REPORT_DIGESTS))
+def test_report_numbers_within_sum_order_bound(name):
+    want = json.loads(REPORT_NUMBERS.read_text())[name]
+    got = json.loads(run(HarnessConfig(**REPORT_DIGESTS[name][0])).to_json())
+    assert_within_sum_order(got, want)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: r["end_to_end"].update(mse=r["end_to_end"]["mse"] * (1 + 1e-11)),
+    lambda r: r["layers"]["w_q"].update(bias_min=r["layers"]["w_q"]["bias_min"] + 1),
+    lambda r: r["layers"]["w_q"].update(format="E3M0"),
+    lambda r: r["layers"]["w_q"].update(bias_min=float(r["layers"]["w_q"]["bias_min"])),
+    lambda r: r["cost"]["hadamard"]["transforms"].pop(),
+    lambda r: r["distribution"].pop("pre_hadamard"),
+], ids=["float_beyond_bound", "bias", "format", "int_as_float", "list_length", "key_set"])
+def test_sum_order_check_rejects(edit):
+    want = json.loads(REPORT_NUMBERS.read_text())["rtn"]
+    got = json.loads(json.dumps(want))
+    assert_within_sum_order(got, want)
+    edit(got)
+    with pytest.raises(AssertionError):
+        assert_within_sum_order(got, want)
 
 
 def test_cost_digest_is_pinned():
