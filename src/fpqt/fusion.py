@@ -26,9 +26,10 @@ per-head attention, so it is only equivalent for a single head.  It is kept
 for measurement, not asserted as an invariance.
 
 The block itself is a pre-norm transformer block: LN -> multi-head
-attention -> residual, LN -> GELU feed-forward -> residual.  Softmax,
-GELU (exact erf form), and layer norms stay in full precision; the six
-linear layers are the quantization surface.
+attention -> residual, LN -> GELU feed-forward -> residual.  Attention
+runs as batched matmul over heads, so its scores and context go through
+BLAS.  Softmax, GELU (exact erf form), and layer norms stay in full
+precision; the six linear layers are the quantization surface.
 """
 
 from __future__ import annotations
@@ -227,15 +228,21 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact-erf GELU: 0.5 x (1 + erf(x / sqrt(2)))."""
-    return 0.5 * x * (1.0 + scipy.special.erf(x / math.sqrt(2.0)))
+    """Exact-erf GELU: (0.5 x) (1 + erf(x / sqrt(2))), in one fresh buffer."""
+    y = np.asarray(x / math.sqrt(2.0))  # a 0-d input divides to a scalar
+    scipy.special.erf(y, out=y)
+    y += 1.0
+    y *= 0.5 * x
+    return y
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    """Numerically stable softmax: x - max, exponentiated and normalized in
+    one fresh buffer."""
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def cross_head_apply(
@@ -256,15 +263,16 @@ def cross_head_apply(
 
 
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
+    """Scaled dot-product attention per head, as batched matmul over heads."""
     tokens, n = q.shape
     d = n // heads
-    qh = q.reshape(tokens, heads, d)
-    kh = k.reshape(tokens, heads, d)
-    vh = v.reshape(tokens, heads, d)
-    scores = np.einsum("thd,shd->hts", qh, kh) / math.sqrt(d)
-    attn = softmax(scores, axis=-1)
-    ctx = np.einsum("hts,shd->thd", attn, vh)
-    return ctx.reshape(tokens, n)
+    qh = q.reshape(tokens, heads, d).transpose(1, 0, 2)  # (heads, tokens, d)
+    kh = k.reshape(tokens, heads, d).transpose(1, 2, 0)  # (heads, d, tokens)
+    vh = v.reshape(tokens, heads, d).transpose(1, 0, 2)
+    scores = qh @ kh
+    scores /= math.sqrt(d)
+    ctx = softmax(scores) @ vh
+    return ctx.transpose(1, 0, 2).reshape(tokens, n)
 
 
 def block_forward(

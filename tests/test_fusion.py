@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from fpqt.errors import ShapeError
@@ -12,6 +13,7 @@ from fpqt.fusion import (
     DiTBlockWeights,
     FusionPlan,
     OnlineTransform,
+    _attention,
     block_forward,
     cross_head_apply,
     fuse_block,
@@ -125,6 +127,84 @@ class TestNonlinearities:
         x = rng.standard_normal((3, 5))
         naive = np.exp(x) / np.exp(x).sum(axis=-1, keepdims=True)
         assert np.allclose(softmax(x), naive, atol=1e-14)
+
+
+def reference_softmax(x, axis=-1):
+    """softmax as three fresh arrays: the expression the in-place one keeps."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def reference_gelu(x):
+    """gelu as the one expression the in-place one keeps: (0.5 x) (1 + erf)."""
+    return 0.5 * x * (1.0 + scipy.special.erf(x / math.sqrt(2.0)))
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 vs 0.0 too
+
+
+class TestInPlaceNonlinearities:
+    """softmax and gelu compute in their own buffers, bit-identical to the
+    expressions they replaced, and leave their input untouched."""
+
+    @staticmethod
+    def softmax_inputs(rng):
+        wide = rng.standard_normal((6, 9)) * np.exp2(rng.integers(-30, 30, size=(6, 1)))
+        huge = rng.standard_normal((4, 9))
+        huge[0, 3], huge[1, 0], huge[2, [1, 5]], huge[3] = 1e300, -1e300, (1e300, -1e300), 1e300
+        return [rng.standard_normal((5, 7)), wide, huge, rng.standard_normal((2, 3, 4)) * 50.0]
+
+    @staticmethod
+    def gelu_inputs(rng):
+        tiny = np.array([5e-324, -5e-324, 1e-310, -1e-310, 0.0, -0.0])
+        # x (1 + erf) overflows near the float64 maximum where (0.5 x) (1 + erf) does not
+        huge = np.finfo(np.float64).max * np.array([1.0, -1.0, 0.6, -0.6])
+        return [rng.standard_normal(500) * 6.0, np.linspace(-40.0, -38.0, 2001),
+                -38.0 - 2.0 * rng.random((7, 11)), tiny, huge, rng.standard_normal((3, 4)) * 1e300]
+
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_softmax_is_bit_identical_and_leaves_its_input(self, rng, axis):
+        for x in self.softmax_inputs(rng):
+            before = x.copy()
+            assert_same_bits(softmax(x, axis=axis), reference_softmax(before, axis=axis))
+            assert_same_bits(x, before)
+
+    def test_gelu_is_bit_identical_and_leaves_its_input(self, rng):
+        for x in self.gelu_inputs(rng):
+            before = x.copy()
+            assert_same_bits(gelu(x), reference_gelu(before))
+            assert_same_bits(x, before)
+
+    def test_gelu_of_a_zero_dim_input(self):
+        assert gelu(np.float64(1.5)) == reference_gelu(np.float64(1.5))
+
+
+def einsum_attention(q, k, v, heads):
+    """Attention as per-token einsums over (tokens, heads, head_dim) views."""
+    tokens, n = q.shape
+    d = n // heads
+    qh, kh, vh = (a.reshape(tokens, heads, d) for a in (q, k, v))
+    scores = np.einsum("thd,shd->hts", qh, kh) / math.sqrt(d)
+    ctx = np.einsum("hts,shd->thd", reference_softmax(scores), vh)
+    return ctx.reshape(tokens, n)
+
+
+class TestAttention:
+    @pytest.mark.parametrize("head_dim", [1, 16, 64])
+    @pytest.mark.parametrize("tokens", [1, 3, 128])
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_matches_einsum_reference(self, heads, tokens, head_dim):
+        rng = np.random.default_rng([heads, tokens, head_dim])
+        n = heads * head_dim
+        q, k, v = (rng.standard_normal((tokens, n)) * s for s in (3.0, 1.0, 1.0))
+        got = _attention(q, k, v, heads)
+        want = einsum_attention(q, k, v, heads)
+        assert got.shape == (tokens, n)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def assert_block_roundtrip(w, plan):
@@ -320,3 +400,17 @@ class TestBlockForward:
         block_forward(rng.standard_normal((3, w.n)), w, act_quant=q)
         assert seen == list(ONLINE_POINTS)  # once per input, so W_q, W_k, W_v share one
         assert sorted(set(LAYER_INPUTS.values())) == sorted(ONLINE_POINTS)
+
+    @pytest.mark.parametrize("tokens", [1, 5])
+    def test_fused_forward_taps_then_quantizes_each_point_in_order(self, rng, tokens):
+        w = make_weights(n=32, heads=4)
+        fused, online = fuse_block(w, plan_fusion(w, seed=1))
+        taps, seen = {}, []
+
+        def q(a, point):
+            assert a is taps[point]  # tapped before it is quantized
+            seen.append(point)
+            return a
+
+        block_forward(rng.standard_normal((tokens, w.n)), fused, online, act_quant=q, taps=taps)
+        assert list(taps) == seen == list(ONLINE_POINTS)

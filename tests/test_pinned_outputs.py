@@ -12,7 +12,10 @@ the same bytes.
 The report digests cover run(cfg).to_json() and the estimate_cost JSON of
 the CLI's `cost` command; they were taken before the layer shapes, the
 online schedule and the per-weight spread each got a single owner, and fix
-the whole pipeline's output for those configs (same BLAS caveat).
+the whole pipeline's output for those configs (same BLAS caveat).  Five of
+them (all but rtn and heavy_tail) were re-taken when attention moved from
+einsum to batched matmul; their numbers held within SUM_ORDER_RTOL of
+REPORT_NUMBERS, the largest move 5.2e-16 relative.
 
 The fusion digests cover fuse_block's matrices and those of its inverse,
 applied to the same unfused block; they were taken when the inverse was
@@ -62,23 +65,23 @@ GPTQ_DIGESTS = {
 }
 
 REPORT_DIGESTS = {
-    "gptq": ({}, "e47174f04a3b7af11dbccbe0f272f17f928e7271f9809909cb4f50d4c42a13dd"),
+    "gptq": ({}, "fdd181be18a447ed27b48e05aacb150d7633de32276a0246ddd1a5012775036a"),
     "rtn": (
         dict(method="rtn"),
         "6b9f0da488be0f47fa6b3bdb1957b26f04d285a3f1af6d383ca79e2fb581eaae",
     ),
     "paper_literal": (
         dict(v_mode="paper_literal"),
-        "02b88f79e5ff68675144815123b37bff11e67188d7f9865c74d8bd47f0032765",
+        "1085c7a1a5a6eaccf2bff734f2bf51fd30a051216bb094fde9eab3639624f195",
     ),
     "no_hadamard": (
         dict(use_hadamard=False),
-        "e1df8792270e6d16555dd2fd3428beb78f38ca66a03b9d8d2630714e554c09e6",
+        "5700fa4c7143dd69e2d555abe5c260446ec706a650adfe1d1b3b1b8fa4a79503",
     ),
     # order 12 factors (n = 48 = 4 * 12, hidden = 192) with sign diagonals
     "q12_signs": (
         dict(n=48, heads=4, hidden=192, hadamard_seed=3),
-        "8fc74197e0a4a0f8832d7c0438bcb2ff794907ff5df3a6c8f7db29d535f1d118",
+        "acd0893a40527bfc746ddee42fd591f0ca060b0d140cf68b41db1e339a61a588",
     ),
     "heavy_tail": (
         dict(heavy_tail_fraction=0.05, seed=4),
@@ -86,7 +89,7 @@ REPORT_DIGESTS = {
     ),
     "e3m0_rtn": (
         dict(weight_format="E3M0", method="rtn"),
-        "1289300cb8c2d9460f5bec813d8e1bcc42beafcc1c81a9c2524dc596e8c42667",
+        "dfe4f65dd935025132fff103b23475ae8ebde7ac6d3d1d240e6fc743eb164922",
     ),
 }
 REPORT_NUMBERS = Path(__file__).with_name("pinned_report_numbers.json")
