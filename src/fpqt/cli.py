@@ -22,7 +22,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import FormatError, FpqtError
+from .errors import FormatError, FpqtError, ShapeError
 from .formats import parse_format
 from .fusion import (
     LAYER_NAMES,
@@ -96,10 +96,20 @@ def _harness_config(args: argparse.Namespace) -> HarnessConfig:
 # ---------------------------------------------------------------------------
 
 
+def _nonempty(name: str, t: np.ndarray) -> np.ndarray:
+    """t, or ShapeError naming the entry when it holds no values: an empty
+    tensor has no extremes, moments or spread to select a format by."""
+    if t.size == 0:
+        raise ShapeError(f"entry {name!r} is empty (shape {t.shape}); "
+                         f"its statistics are undefined")
+    return t
+
+
 def cmd_inspect(args: argparse.Namespace) -> int:
     stats = {}
     with closing(iter_tensors(args.file)) as entries:
         for name, t in entries:
+            t = _nonempty(name, t)
             entry = {
                 "shape": list(t.shape),
                 "min": float(t.min()),
@@ -130,7 +140,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 def cmd_select_format(args: argparse.Namespace) -> int:
     cfg = SelectionConfig(n_bits=args.bits, alpha=args.alpha)
     with closing(iter_tensors(args.file)) as entries:
-        tables = {name: selection_table(t, cfg) for name, t in entries}
+        tables = {name: selection_table(_nonempty(name, t), cfg) for name, t in entries}
     if args.json:
         print(strict_json(tables))
     else:
@@ -160,7 +170,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
 
     def quantized(entries):
         for name, t in entries:
-            fmt = select_format(t, cfg) if fixed is None else fixed
+            fmt = select_format(_nonempty(name, t), cfg) if fixed is None else fixed
             a = t.reshape(-1, 1) if t.ndim == 1 else t
             qt = minmax_quantize(a, fmt, channel_axis=-1)
             values = qt.values.reshape(t.shape)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fpqt.cli import _harness_config, build_parser, main
+from fpqt.errors import ShapeError
 from fpqt.formats import BiasedFormat, FpFormat, grid
 from fpqt.harness import HarnessConfig
 from fpqt.tensors import read_tensors, write_tensors
@@ -207,6 +208,37 @@ class TestQuantizeAtomicOutput:
             os.umask(old)
         assert code == 0
         assert stat.S_IMODE(dst.stat().st_mode) == 0o644
+
+
+class TestEmptyEntry:
+    """A zero-size entry is a valid container entry, but has no statistics:
+    every command that needs them raises ShapeError naming it."""
+
+    @staticmethod
+    def _src(tmp_path):
+        path = str(tmp_path / "in.fpqt")
+        write_tensors(path, {"a": np.ones(3), "e": np.zeros((0, 4))})
+        return path
+
+    @pytest.mark.parametrize("argv", [["inspect"], ["inspect", "--json"], ["select-format"],
+                                      ["select-format", "--json"], ["quantize", "--format", "auto"]])
+    def test_statistics_of_an_empty_entry_are_a_shape_error(self, capsys, tmp_path, argv):
+        src, dst = self._src(tmp_path), tmp_path / "out.fpqt"
+        files = [src, str(dst)] if argv[0] == "quantize" else [src]
+        args = build_parser().parse_args([argv[0], *files, *argv[1:]])
+        with pytest.raises(ShapeError, match="entry 'e' is empty"):
+            args.func(args)
+        code, out, err = run_cli(capsys, argv[0], *files, *argv[1:])
+        assert code == 1 and out == ""
+        assert err == "fpqt: error: entry 'e' is empty (shape (0, 4)); its statistics are undefined\n"
+        assert not dst.exists()
+
+    def test_a_fixed_format_quantizes_an_empty_entry(self, capsys, tmp_path):
+        dst = str(tmp_path / "out.fpqt")
+        code, out, _ = run_cli(capsys, "quantize", self._src(tmp_path), dst, "--format", "E2M1")
+        assert code == 0 and "e: format=E2M1 channels=4" in out
+        got = read_tensors(dst)
+        assert got["e"].shape == (0, 4) and got["e.bias"].shape == (4,)
 
 
 def _reject_constant(name):
