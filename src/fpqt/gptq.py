@@ -1,20 +1,14 @@
 """Hessian-guided weight rounding on minifloat grids.
 
-Classic GPTQ machinery: accumulate H = 2 X^T X from calibration inputs,
-dampen the diagonal, process input dimensions one at a time (in natural
-order, blocked for locality), and after rounding each one, shift its
-rounding error onto the not-yet-quantized dimensions through the upper
-Cholesky factor U of the inverse Hessian (H^-1 = U^T U).  U comes from one
-Cholesky and one triangular inverse: the lower factor L of the
-index-reversed Hessian, reversed back on both axes, is an upper R with
-H = R R^T, so U = R^-1.  H, its damping and U belong to the CalibrationSet,
-which computes U once for all weights that read its inputs.  Input dimension
-j is row j of the weights, so each step snaps one contiguous row.  The
-single change from the integer-grid original is the rounding step: values
-snap to the nearest point of a minifloat grid whose per-output-channel
-exponent bias is frozen from the original weights before any error
-propagation, so every output channel keeps the grid MinMax would have given
-it.
+GPTQ accumulates H = 2 X^T X from calibration inputs, dampens its diagonal,
+and snaps input dimension j (row j of the weights, natural order, blocked)
+after feeding forward the errors of the rows before it.  With H = R R^T, R
+upper, the classic update through U = R^-1, w'_j = w_j - sum_{i<j} U[i, j] e_i
+with e_i = (w'_i - q_i) / U[i, i], solves U^T e = W - Q, so e = R^T (W - Q)
+and w'_j = w_j + sum_{i<j} S[i, j] (w_i - q_i) with S[i, j] = R[i, j] / R[j, j]
+on the original w: no triangular inverse, no division in the sweep.  Each
+CalibrationSet factors once for all weights that read its inputs; each output
+channel snaps on the grid MinMax would give it, its bias frozen from w.
 """
 
 from __future__ import annotations
@@ -48,6 +42,8 @@ class CalibrationSet:
             raise ShapeError(f"calibration set must be 2-D, got shape {x.shape}")
         if x.shape[0] == 0:
             raise ValueError("calibration set has no samples")
+        if x.shape[1] == 0:
+            raise ShapeError(f"calibration set has no input dimensions, shape {x.shape}")
         if not np.isfinite(x).all():
             raise NumericalError("calibration set contains NaN or Inf")
         object.__setattr__(self, "x", x)
@@ -61,10 +57,11 @@ class CalibrationSet:
         return self.x.shape[1]
 
     @cached_property
-    def inverse_hessian_factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dead, U), computed once: the input dimensions no sample reaches, and
-        the upper U with U^T U = H^-1 for H with its dead diagonal set to 1,
-        then dampened; NumericalError if H overflows or is not positive-definite."""
+    def hessian_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dead, S^T), computed once: the input dimensions no sample reaches, and
+        R^T with row j divided by R[j, j] (C-contiguous, unit lower-triangular) for
+        R R^T = H, H's dead diagonal set to 1 and dampened; NumericalError if H
+        overflows or is not positive-definite."""
         h = hessian(self)
         dead = np.diag(h) == 0.0
         h[dead, dead] = 1.0
@@ -72,9 +69,10 @@ class CalibrationSet:
             h[np.diag_indices(self.in_dim)] += DAMPING * float(np.mean(np.diag(h)))
         if not np.isfinite(np.diag(h)).all():
             raise NumericalError("calibration set overflows the dampened Hessian in float64")
-        u = _inverse_hessian_factor(h)
-        dead.flags.writeable = u.flags.writeable = False  # shared by every caller
-        return dead, u
+        r = _upper_cholesky(h)
+        st = np.divide(r.T, np.diag(r)[:, None], out=h)  # h is spent
+        dead.flags.writeable = st.flags.writeable = False  # shared by every caller
+        return dead, st
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ class GptqConfig:
 def hessian(cal: CalibrationSet) -> np.ndarray:
     """Proxy Hessian of the layer reconstruction objective: 2 X^T X.
 
-    Symmetric positive-semidefinite; CalibrationSet.inverse_hessian_factor
+    Symmetric positive-semidefinite; CalibrationSet.hessian_factor
     dampens it.  Raises NumericalError when the calibration set overflows it.
     """
     with np.errstate(over="ignore"):
@@ -107,21 +105,23 @@ def layer_objective(w: np.ndarray, w_hat: np.ndarray, cal: CalibrationSet) -> fl
         raise ShapeError(f"mismatched weight shapes {w.shape} and {w_hat.shape}")
     if w.shape[0] != cal.in_dim:
         raise ShapeError(f"weights {w.shape} do not match calibration dim {cal.in_dim}")
-    diff = cal.x @ (w_hat - w)
-    return float(np.sum(diff * diff))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = cal.x @ (w_hat - w)
+        obj = float(np.sum(diff * diff))
+    if not np.isfinite(obj):
+        raise NumericalError("reconstruction error overflows float64")
+    return obj
 
 
-def _inverse_hessian_factor(h: np.ndarray) -> np.ndarray:
-    """Upper-triangular U with positive diagonal and U^T U = h^-1, by the
-    reversed Cholesky and dtrtri; NumericalError unless h is positive-definite."""
+def _upper_cholesky(h: np.ndarray) -> np.ndarray:
+    """Upper-triangular R with positive diagonal and R R^T = h: the lower
+    Cholesky factor of the index-reversed h, reversed back; NumericalError
+    unless h is positive-definite."""
     try:
         lower = scipy.linalg.cholesky(h[::-1, ::-1], lower=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dampened Hessian is not positive-definite: {exc}") from exc
-    u, info = scipy.linalg.lapack.dtrtri(lower[::-1, ::-1], lower=0)
-    if info != 0:
-        raise NumericalError(f"Hessian factor is singular (dtrtri info={info})")
-    return u
+    return lower[::-1, ::-1]
 
 
 def gptq_quantize(
@@ -133,35 +133,34 @@ def gptq_quantize(
     The per-output-channel exponent biases are frozen from the original w,
     so the result is directly comparable to plain MinMax rounding (identical
     grids, identical bias vector).  Weights quantized against one cal share
-    its inverse-Hessian factor.  Raises NumericalError when the calibration
-    set overflows the Hessian or the dampened Hessian is not positive-definite.
+    its Hessian factor.  Raises NumericalError when the calibration set
+    overflows the Hessian, the dampened Hessian is not positive-definite, or
+    the fed-forward errors overflow.
     """
-    w = np.array(w, dtype=WORKING_DTYPE, order="C")  # the sweep updates it in place
+    w = np.array(w, dtype=WORKING_DTYPE, order="C")  # a copy: dead rows are zeroed
     if w.ndim != 2:
         raise ShapeError(f"weights must be 2-D, got shape {w.shape}")
     if not np.isfinite(w).all():
         raise NumericalError("weights contain NaN or Inf")
     if w.shape[0] != cal.in_dim:
         raise ShapeError(f"weights {w.shape} do not match calibration dim {cal.in_dim}")
-    in_dim = w.shape[0]
     bias = channel_bias(w, fmt, channel_axis=-1)
     vmax, lo = _grid_constants(fmt, bias)
 
-    dead, u = cal.inverse_hessian_factor
+    dead, st = cal.hessian_factor
     w[dead] = 0.0
 
     q = np.empty_like(w)
-    for i1 in range(0, in_dim, cfg.block_size):
-        i2 = min(i1 + cfg.block_size, in_dim)
-        block = w[i1:i2]
-        err = np.empty_like(block)
-        for j in range(i1, i2):
-            k = j - i1
-            q[j] = block[k]
-            _snap(q[j], fmt.n_m, vmax, lo)
-            np.subtract(block[k], q[j], out=err[k])
-            err[k] /= u[j, j]
-            block[k + 1 :] -= u[j, j + 1 : i2, None] * err[k]
-        if i2 < in_dim:
-            w[i2:] -= u[i1:i2, i2:].T @ err
+    delta = np.empty_like(w)  # w - q, row by row
+    for i1 in range(0, cal.in_dim, cfg.block_size):
+        i2 = min(i1 + cfg.block_size, cal.in_dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pre = w[i1:i2] + st[i1:i2, :i1] @ delta[:i1]
+            for k, j in enumerate(range(i1, i2)):
+                pre[k] += st[j, i1:j] @ delta[i1:j]
+                q[j] = pre[k]
+                _snap(q[j], fmt.n_m, vmax, lo)
+                np.subtract(w[j], q[j], out=delta[j])
+        if not np.isfinite(pre).all():
+            raise NumericalError("GPTQ error feedback overflows float64")
     return QuantizedTensor(values=q, fmt=fmt, bias=bias, channel_axis=-1)

@@ -104,3 +104,23 @@ def oracle_gptq_2x2(W: np.ndarray, X: np.ndarray, signed_grids) -> tuple[np.ndar
         if second - best_obj < 1e-12 * max(1.0, best_obj):
             unique = False
     return out, unique
+
+
+def oracle_gptq(W: np.ndarray, X: np.ndarray, n_e: int, n_m: int, biases, damping: float):
+    """Textbook GPTQ (Frantar et al., Algorithm 1 unblocked) on per-column grids.
+
+    Inverts the dampened Hessian with numpy, takes the upper factor U of
+    H^-1 = U^T U, and after snapping row j with the scalar oracle pushes the
+    scaled error (w_j - q_j) / U[j, j] onto the later rows through U[j, j+1:].
+    Every input dimension must be reached by some sample.
+    """
+    h = 2.0 * (X.T @ X)
+    h[np.diag_indices_from(h)] += damping * float(np.mean(np.diag(h)))
+    u = np.linalg.cholesky(np.linalg.inv(h)).T
+    w = np.array(W, dtype=np.float64)
+    q = np.empty_like(w)
+    levels = [oracle_grid(n_e, n_m, int(b)) for b in biases]
+    for j in range(w.shape[0]):
+        q[j] = [oracle_nearest(float(v), levels[c]) for c, v in enumerate(w[j])]
+        w[j + 1 :] -= np.outer(u[j, j + 1 :], (w[j] - q[j]) / u[j, j])
+    return q

@@ -7,13 +7,13 @@ from fpqt import gptq
 from fpqt.gptq import (
     CalibrationSet,
     GptqConfig,
-    _inverse_hessian_factor,
+    _upper_cholesky,
     gptq_quantize,
     hessian,
     layer_objective,
 )
 from fpqt.quantize import channel_bias, minmax_quantize
-from oracles import oracle_gptq_2x2, oracle_matmul
+from oracles import oracle_gptq, oracle_gptq_2x2, oracle_matmul
 
 E2M1 = FpFormat(2, 1)
 
@@ -35,6 +35,11 @@ class TestCalibrationSet:
             CalibrationSet(np.zeros((0, 4)))
         with pytest.raises(NumericalError):
             CalibrationSet(np.array([[np.nan, 1.0]]))
+
+    def test_no_input_dimensions_is_shape_error(self):
+        # statistics over zero columns are undefined (numpy warns "Mean of empty slice")
+        with pytest.raises(ShapeError, match=r"\(5, 0\)"):
+            gptq_quantize(np.zeros((0, 3)), CalibrationSet(np.zeros((5, 0))), E2M1)
 
 
 class TestGptqConfig:
@@ -78,6 +83,12 @@ class TestHessianAndObjective:
         w = rng.standard_normal((4, 2))
         assert layer_objective(w, w.copy(), CalibrationSet(np.eye(4))) == 0.0
 
+    def test_overflowing_objective_is_numerical_error(self, rng):
+        cal = CalibrationSet(1e200 * rng.standard_normal((6, 4)))
+        w_hat = 1e200 * rng.standard_normal((4, 2))
+        with pytest.raises(NumericalError, match="overflows"):
+            layer_objective(np.zeros((4, 2)), w_hat, cal)
+
     def test_objective_shape_checks(self, rng):
         cal = CalibrationSet(rng.standard_normal((5, 4)))
         with pytest.raises(ShapeError):
@@ -86,22 +97,29 @@ class TestHessianAndObjective:
             layer_objective(np.zeros((3, 2)), np.zeros((3, 2)), cal)
 
 
-class TestInverseHessianFactor:
-    def test_upper_factor_of_the_inverse(self, rng):
+class TestHessianFactor:
+    def test_upper_cholesky_and_unit_lower_feedback(self, rng):
         for in_dim in (1, 5, 64, 200):
             x = rng.standard_normal((3 * in_dim, in_dim))
             x[:, 0] *= 20.0
-            h = hessian(CalibrationSet(x))
+            cal = CalibrationSet(x)
+            h = hessian(cal)
             h[np.diag_indices(in_dim)] += 0.01 * float(np.mean(np.diag(h)))
-            u = _inverse_hessian_factor(h)
-            assert np.array_equal(u, np.triu(u))
-            assert np.all(np.diag(u) > 0.0)
-            assert np.max(np.abs(u.T @ u @ h - np.eye(in_dim))) <= 1e-12
+            r = _upper_cholesky(h.copy())
+            assert np.array_equal(r, np.triu(r))
+            assert np.all(np.diag(r) > 0.0)
+            assert np.max(np.abs(r @ r.T - h)) <= 1e-12 * np.max(np.abs(h))
+            dead, st = cal.hessian_factor
+            assert not dead.any()
+            assert st.flags.c_contiguous and not st.flags.writeable
+            assert np.array_equal(st, np.tril(st))
+            assert np.array_equal(np.diag(st), np.ones(in_dim))
+            assert np.array_equal(st, r.T / np.diag(r)[:, None])
 
     def test_not_positive_definite_raises(self):
         for h in (-np.eye(3), np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2))):
             with pytest.raises(NumericalError):
-                _inverse_hessian_factor(h)
+                _upper_cholesky(h)
 
 
 class TestGptqQuantize:
@@ -141,6 +159,20 @@ class TestGptqQuantize:
             orr = layer_objective(w, minmax_quantize(w, E2M1, -1).values, cal)
             wins += og <= orr + 1e-12
         assert wins >= 24
+
+    def test_matches_the_textbook_inverse_factor_sweep(self):
+        # the Cholesky-form sweep rounds exactly like GPTQ run on U with
+        # U^T U = H^-1; the two differ by rounding in the last bits only, so a
+        # flip needs a value within ~1e-13 relative of a grid midpoint
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            in_dim = int(rng.integers(2, 90))  # up to two 64-row blocks
+            w = rng.standard_normal((in_dim, 5)) * np.exp2(rng.integers(-3, 4, size=5))
+            x = rng.standard_normal((2 * in_dim, in_dim))
+            x[:, int(rng.integers(in_dim))] *= 25.0
+            q = gptq_quantize(w, CalibrationSet(x), E2M1)
+            want = oracle_gptq(w, x, E2M1.n_e, E2M1.n_m, q.bias, gptq.DAMPING)
+            assert np.array_equal(q.values, want)
 
     def test_matches_exhaustive_optimum_on_two_dim_instances(self):
         # fixed instances where the greedy solution is the (unique) global
@@ -218,13 +250,15 @@ class TestGptqQuantize:
         x[:, 7] = 0.0  # a dead dimension, so the cached mask is used too
         warm = CalibrationSet(x)
         gptq_quantize(rng.standard_normal((24, 3)), warm, E2M1)  # caches the factor
-        dead, u = warm.inverse_hessian_factor
+        dead, st = warm.hessian_factor
         a = gptq_quantize(w, warm, E2M1, GptqConfig(block_size=8))
         b = gptq_quantize(w, CalibrationSet(x), E2M1, GptqConfig(block_size=8))
         assert a.values.tobytes() == b.values.tobytes()
-        assert warm.inverse_hessian_factor[1] is u
+        assert warm.hessian_factor[1] is st
         assert dead.tolist() == [j == 7 for j in range(24)]
-        assert np.array_equal(u, np.triu(u)) and (np.diag(u) > 0.0).all()
+        assert np.array_equal(st, np.tril(st)) and (np.diag(st) == 1.0).all()
+        # a dead dimension neither feeds nor takes error feedback
+        assert not np.delete(st[7], 7).any() and not np.delete(st[:, 7], 7).any()
 
     def test_cached_factor_cannot_go_stale(self, rng):
         x = rng.standard_normal((30, 6))
@@ -237,12 +271,34 @@ class TestGptqQuantize:
 
     def test_factor_is_computed_once_per_set(self, rng, monkeypatch):
         calls = []
-        monkeypatch.setattr(gptq, "_inverse_hessian_factor",
-                            lambda h: calls.append(h.shape) or _inverse_hessian_factor(h))
+        monkeypatch.setattr(gptq, "_upper_cholesky",
+                            lambda h: calls.append(h.shape) or _upper_cholesky(h))
         cal = CalibrationSet(rng.standard_normal((30, 6)))
         for _ in range(3):
             gptq_quantize(rng.standard_normal((6, 4)), cal, E2M1)
         assert calls == [(6, 6)]
+
+    def test_weights_near_float64_max_stay_finite_and_quiet(self):
+        # weights ~5e307 against inputs whose columns share a 50x common
+        # component: the fed-forward errors come close to float64 max
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((64, 16)) + 50.0 * rng.standard_normal((64, 1))
+            w = 5e307 * rng.uniform(-3.0, 3.0, (16, 4))
+            try:
+                q = gptq_quantize(w, CalibrationSet(x), E2M1)
+            except NumericalError:
+                continue
+            assert np.isfinite(q.values).all()
+
+    def test_overflowing_error_feedback_is_numerical_error(self, rng):
+        # x0 is 10 x1, so row 0's rounding error reaches row 1 about 6-fold
+        # and pushes it past float64 max
+        x = rng.standard_normal((32, 2))
+        x[:, 0] = 10.0 * x[:, 1] + 0.1 * rng.standard_normal(32)
+        w = np.array([[1.7e308, 1.0], [1.0e308, 1.0]])
+        with pytest.raises(NumericalError, match="overflows"):
+            gptq_quantize(w, CalibrationSet(x), E2M1)
 
     def test_output_format_metadata(self, rng):
         w = rng.standard_normal((8, 4))

@@ -173,8 +173,8 @@ class TestCalibration:
 
     def test_one_factor_per_layer_input(self, monkeypatch):
         calls = []
-        original = gptq._inverse_hessian_factor
-        monkeypatch.setattr(gptq, "_inverse_hessian_factor",
+        original = gptq._upper_cholesky
+        monkeypatch.setattr(gptq, "_upper_cholesky",
                             lambda h: calls.append(h.shape) or original(h))
         cfg = HarnessConfig()
         run(cfg)

@@ -7,7 +7,8 @@ second Cholesky) and must not move.  Each digest covers the value bytes
 (so the sign of zero counts), the bias vector, and which inputs raise.
 The GPTQ digests also fix BLAS summation order; they were taken with
 numpy's bundled OpenBLAS 0.3.31 on x86-64, where 1 and 2 BLAS threads give
-the same bytes.
+the same bytes.  They held, with every report digest, through the rewrite of
+the sweep from the inverse factor U = R^-1 to the Cholesky form on R itself.
 
 The report digests cover run(cfg).to_json() and the estimate_cost JSON of
 the CLI's `cost` command; they were taken before the layer shapes, the
