@@ -21,7 +21,6 @@ import numpy as np
 
 from fpqt import (
     CalibrationSet,
-    GptqConfig,
     gptq_quantize,
     layer_objective,
     minmax_quantize,
@@ -33,7 +32,7 @@ def compare(w: np.ndarray, x_cal: np.ndarray, x_test: np.ndarray, fmt) -> None:
     cal = CalibrationSet(x=x_cal)
     test = CalibrationSet(x=x_test)
     rtn = minmax_quantize(w, fmt, channel_axis=-1).values
-    hes = gptq_quantize(w, cal, fmt, GptqConfig()).values
+    hes = gptq_quantize(w, cal, fmt).values
     for label, w_hat in (("round-to-nearest", rtn), ("hessian-aware", hes)):
         w_mse = float(np.mean((w - w_hat) ** 2))
         print(f"  {label:17s} weight mse {w_mse:.3e}   "

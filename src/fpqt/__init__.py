@@ -23,7 +23,7 @@ from .fusion import (
     plan_fusion,
     softmax,
 )
-from .gptq import CalibrationSet, GptqConfig, gptq_quantize, hessian, layer_objective
+from .gptq import CalibrationSet, gptq_quantize, hessian, layer_objective
 from .hadamard import (
     BASE_ORDERS,
     HadamardSpec,
@@ -56,7 +56,6 @@ from .tensors import (
     channel_stat,
     iter_tensors,
     read_tensors,
-    tensor_names,
     write_tensors,
 )
 
@@ -71,7 +70,6 @@ __all__ = [
     "FpFormat",
     "FpqtError",
     "FusionPlan",
-    "GptqConfig",
     "HadamardSpec",
     "HarnessConfig",
     "LAYER_INPUTS",
@@ -118,7 +116,6 @@ __all__ = [
     "snap_per_channel",
     "softmax",
     "spread_indicator",
-    "tensor_names",
     "write_tensors",
     "__version__",
 ]

@@ -40,7 +40,6 @@ from .tensors import (
     channel_max_median_ratio,
     iter_tensors,
     read_tensors,
-    tensor_names,
     write_tensors,
 )
 
@@ -156,14 +155,6 @@ def cmd_select_format(args: argparse.Namespace) -> int:
 
 
 def cmd_quantize(args: argparse.Namespace) -> int:
-    names = tensor_names(args.input)
-    taken = set(names)
-    for name in names:
-        bias_name = f"{name}.bias"
-        if bias_name in taken:
-            raise ValueError(
-                f"container already holds {bias_name!r}; refusing to overwrite"
-            )
     cfg = SelectionConfig(n_bits=args.bits, alpha=args.alpha)
     fixed = None if args.format == "auto" else parse_format(args.format)
     lines = []
@@ -171,7 +162,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     def quantized(entries):
         for name, t in entries:
             fmt = select_format(_nonempty(name, t), cfg) if fixed is None else fixed
-            a = t.reshape(-1, 1) if t.ndim == 1 else t
+            a = t.reshape(-1, 1) if t.ndim < 2 else t
             qt = minmax_quantize(a, fmt, channel_axis=-1)
             values = qt.values.reshape(t.shape)
             err = quant_error(t, values)
@@ -216,7 +207,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     missing = [n for n in LAYER_NAMES if n not in tensors]
     if missing:
         raise ValueError(f"container is missing required tensors: {missing}")
-    n = tensors["w_q"].shape[0]
+    n = tensors["w_q"].shape[:1]  # () when w_q is 0-d, which DiTBlockWeights rejects
     weights = DiTBlockWeights(
         **{name: tensors[name] for name in LAYER_NAMES},
         heads=args.heads,
@@ -229,7 +220,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     new, online = fuse_block(weights, plan, inverse=args.invert)
     write_tensors(args.output, {**tensors, **new.matrices()})
     verb = "unfused" if args.invert else "fused"
-    print(f"{verb} block (n={n}, heads={args.heads}, v_mode={args.v_mode}) "
+    print(f"{verb} block (n={weights.n}, heads={args.heads}, v_mode={args.v_mode}) "
           f"-> {args.output}")
     for tr in online:
         print(

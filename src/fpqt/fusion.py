@@ -78,6 +78,9 @@ class DiTBlockWeights:
     ln2_beta: np.ndarray
 
     def __post_init__(self):
+        for name in ("w_q", "w_fc1"):  # n and hidden are read from their shapes
+            if np.ndim(getattr(self, name)) != 2:
+                raise ShapeError(f"{name} must be 2-D, got shape {np.shape(getattr(self, name))}")
         n = self.n
         for name, shape in layer_shapes(n, self.hidden).items():
             if getattr(self, name).shape != shape:
@@ -262,7 +265,7 @@ def cross_head_apply(
     return mixed.reshape(m, head_dim, h).transpose(0, 2, 1).reshape(m, n)
 
 
-def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
+def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
     """Scaled dot-product attention per head, as batched matmul over heads."""
     tokens, n = q.shape
     d = n // heads
@@ -305,7 +308,7 @@ def block_forward(
     if "attn_input" in at:
         a = apply_right(a, at["attn_input"].spec)
     a = feed(a, "attn_input")
-    ctx = _attention(a @ weights.w_q, a @ weights.w_k, a @ weights.w_v, weights.heads)
+    ctx = attention(a @ weights.w_q, a @ weights.w_k, a @ weights.w_v, weights.heads)
     if "post_attention" in at:
         ctx = cross_head_apply(ctx, at["post_attention"].spec, weights.head_dim)
     x2 = x + feed(ctx, "post_attention") @ weights.w_out

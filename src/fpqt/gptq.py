@@ -25,6 +25,7 @@ from .quantize import QuantizedTensor, _grid_constants, _snap, channel_bias
 from .tensors import WORKING_DTYPE
 
 DAMPING = 1e-2  # added to the Hessian diagonal, relative to its mean
+BLOCK_SIZE = 64  # rows per block of the sweep; changes only the summation order
 
 
 @dataclass(frozen=True)
@@ -75,15 +76,6 @@ class CalibrationSet:
         return dead, st
 
 
-@dataclass(frozen=True)
-class GptqConfig:
-    block_size: int = 64
-
-    def __post_init__(self):
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be positive, got {self.block_size}")
-
-
 def hessian(cal: CalibrationSet) -> np.ndarray:
     """Proxy Hessian of the layer reconstruction objective: 2 X^T X.
 
@@ -124,12 +116,10 @@ def _upper_cholesky(h: np.ndarray) -> np.ndarray:
     return lower[::-1, ::-1]
 
 
-def gptq_quantize(
-    w: np.ndarray, cal: CalibrationSet, fmt: FpFormat, cfg: GptqConfig = GptqConfig()
-) -> QuantizedTensor:
+def gptq_quantize(w: np.ndarray, cal: CalibrationSet, fmt: FpFormat) -> QuantizedTensor:
     """Quantize an input_dim x output_dim weight matrix against calibration data.
 
-    Deterministic: natural input-dim order, fixed block size, no shuffling.
+    Deterministic: natural input-dim order, BLOCK_SIZE rows per block, no shuffling.
     The per-output-channel exponent biases are frozen from the original w,
     so the result is directly comparable to plain MinMax rounding (identical
     grids, identical bias vector).  Weights quantized against one cal share
@@ -152,8 +142,8 @@ def gptq_quantize(
 
     q = np.empty_like(w)
     delta = np.empty_like(w)  # w - q, row by row
-    for i1 in range(0, cal.in_dim, cfg.block_size):
-        i2 = min(i1 + cfg.block_size, cal.in_dim)
+    for i1 in range(0, cal.in_dim, BLOCK_SIZE):
+        i2 = min(i1 + BLOCK_SIZE, cal.in_dim)
         with np.errstate(over="ignore", invalid="ignore"):
             pre = w[i1:i2] + st[i1:i2, :i1] @ delta[:i1]
             for k, j in enumerate(range(i1, i2)):

@@ -60,11 +60,13 @@ def channel_bias(a: np.ndarray, fmt: FpFormat, channel_axis: int | None = -1) ->
     exponents the comparison is one of mantissas, so nothing overflows near
     float64 max or rounds near the subnormal range.  Scaling a channel by 2^k
     shifts its bias by exactly k.  An empty channel, like an all-zero one,
-    gets bias 0.
+    gets bias 0.  A channel_axis outside a's dims is a ShapeError.
     """
     a = np.asarray(a, dtype=WORKING_DTYPE)
     axis = None
     if channel_axis is not None:
+        if not -a.ndim <= channel_axis < a.ndim:
+            raise ShapeError(f"channel_axis {channel_axis} is outside shape {a.shape}")
         a = np.moveaxis(a, channel_axis, -1)
         axis = tuple(range(a.ndim - 1))
     amax = np.maximum(a.max(axis=axis, initial=0.0), -a.min(axis=axis, initial=0.0))
@@ -131,7 +133,8 @@ def minmax_quantize(
     """
     values = np.array(a, dtype=WORKING_DTYPE)
     bias = channel_bias(values, fmt, channel_axis)
-    moved = values if channel_axis is None else np.moveaxis(values, channel_axis, -1)
+    # views of values: a 0-d array is snapped through its 1-element view
+    moved = np.atleast_1d(values) if channel_axis is None else np.moveaxis(values, channel_axis, -1)
     _snap(moved, fmt.n_m, *_grid_constants(fmt, bias))
     return QuantizedTensor(values=values, fmt=fmt, bias=bias, channel_axis=channel_axis)
 
@@ -155,7 +158,8 @@ def snap_per_channel(x: np.ndarray, fmt: FpFormat, bias: np.ndarray | int) -> np
     _, exp_v = math.frexp(fmt.max_val)
     if np.any(bias > 1024 - exp_v) or np.any(bias < _MIN_EXP - 1 - exp_v):
         raise NumericalError("exponent bias puts the whole grid outside float64 range")
-    return _snap(x, fmt.n_m, *_grid_constants(fmt, bias))
+    _snap(np.atleast_1d(x), fmt.n_m, *_grid_constants(fmt, bias))  # a view of x, even 0-d
+    return x
 
 
 def quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
@@ -175,6 +179,7 @@ def quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
     q = np.asarray(q, dtype=WORKING_DTYPE)
     if a.shape != q.shape:
         raise ShapeError(f"mismatched shapes {a.shape} and {q.shape}")
+    a, q = np.atleast_1d(a, q)  # 0-d operands would give scalars, not out= buffers
     if a.size == 0:
         return {"mse": 0.0, "max_abs": 0.0, "sqnr_db": float("inf"), "cosine": 1.0}
     _, k = math.frexp(max(a.max(), -a.min(), q.max(), -q.min()))

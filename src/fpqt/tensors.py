@@ -18,10 +18,10 @@ No NaN or Inf value is admitted through I/O in either direction.
 
 The container is read and written one entry at a time.  iter_tensors
 streams validated entries, each payload read straight from the file;
-read_tensors collects that stream into a dict, and tensor_names walks the
-headers alone, seeking over payloads.  Writes go to a temporary file in the
-output's directory, get their entry count patched in at the end, and then
-replace the output, so a failure part way leaves the output as it was.
+read_tensors collects that stream into a dict.  Writes go to a temporary
+file in the output's directory, get their entry count patched in at the
+end, and then replace the output, so a failure part way leaves the output
+as it was; a repeated name is such a failure.
 """
 
 from __future__ import annotations
@@ -91,88 +91,70 @@ def iter_tensors(path) -> Iterator[tuple[str, np.ndarray]]:
 
     Raises FormatError (carrying the byte offset of the defect) on bad magic,
     unsupported version or dtype, truncation, duplicate names, trailing
-    bytes, or non-finite payload values.  The trailing-bytes check runs once
-    the last entry has been consumed.  The file is closed when the stream
-    ends, fails or is closed.
+    bytes, or non-finite payload values.  Each field is checked against the
+    file size before it is read; the trailing-bytes check runs once the last
+    entry has been consumed.  The file is closed when the stream ends, fails
+    or is closed.
     """
     with open(path, "rb") as fh:
-        yield from _entries(fh, load=True)
+        size = os.fstat(fh.fileno()).st_size
+        offset = 0
+
+        def take(count: int, what: str) -> int:
+            """Claim the next count bytes; return the offset they start at."""
+            nonlocal offset
+            if offset + count > size:
+                raise FormatError(f"truncated container: expected {what}", offset)
+            offset += count
+            return offset - count
+
+        take(4, "magic")
+        magic = fh.read(4)
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
+        take(1, "version byte")
+        (version,) = fh.read(1)
+        if version != VERSION:
+            raise FormatError(f"unsupported version {version}", 4)
+        take(4, "entry count")
+        (count,) = struct.unpack("<I", fh.read(4))
+
+        seen: set[str] = set()
+        for _ in range(count):
+            take(2, "name length")
+            (name_len,) = struct.unpack("<H", fh.read(2))
+            at = take(name_len, "name")
+            try:
+                name = fh.read(name_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError("tensor name is not valid UTF-8", at) from None
+            if name in seen:
+                raise FormatError(f"duplicate tensor name {name!r}", at)
+            seen.add(name)
+            at = take(2, "dtype tag and ndim")
+            dtype_tag, ndim = fh.read(2)
+            if dtype_tag != DTYPE_F32:
+                raise FormatError(f"unsupported dtype tag {dtype_tag}", at)
+            dims_at = take(8 * ndim, "dims")
+            dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
+            n_bytes = 4 * math.prod(dims)
+            at = take(n_bytes, f"payload of {name!r}")
+            # a nonempty entry this large is already truncated; an empty one is not
+            if math.prod(d for d in dims if d) > _MAX_ELEMS:
+                raise FormatError(f"dims {dims} of {name!r} exceed the array size limit", dims_at)
+            payload = np.empty(n_bytes // 4, dtype=STORAGE_DTYPE)
+            if fh.readinto(payload) != n_bytes:
+                raise FormatError(f"truncated container: expected payload of {name!r}", at)
+            if not np.isfinite(payload).all():
+                raise FormatError(f"tensor {name!r} contains NaN or Inf", at)
+            yield name, payload.astype(WORKING_DTYPE).reshape(dims)
+        if offset != size:
+            raise FormatError(f"{size - offset} trailing bytes after last entry", offset)
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:
     """Read a whole FPQT container into float64 arrays (see iter_tensors)."""
     return dict(iter_tensors(path))
-
-
-def tensor_names(path) -> list[str]:
-    """Entry names of an FPQT container, in file order, from its headers
-    alone: payloads are seeked over, so every structural check of
-    iter_tensors runs but the non-finite check does not."""
-    with open(path, "rb") as fh:
-        return [name for name, _ in _entries(fh, load=False)]
-
-
-def _entries(fh, load: bool):
-    """Walk an open container, yielding (name, float64 array), or (name, None)
-    with the payload skipped when load is False.  Each field is checked
-    against the file size before it is read."""
-    size = os.fstat(fh.fileno()).st_size
-    offset = 0
-
-    def take(count: int, what: str) -> int:
-        """Claim the next count bytes; return the offset they start at."""
-        nonlocal offset
-        if offset + count > size:
-            raise FormatError(f"truncated container: expected {what}", offset)
-        offset += count
-        return offset - count
-
-    take(4, "magic")
-    magic = fh.read(4)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
-    take(1, "version byte")
-    (version,) = fh.read(1)
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}", 4)
-    take(4, "entry count")
-    (count,) = struct.unpack("<I", fh.read(4))
-
-    seen: set[str] = set()
-    for _ in range(count):
-        take(2, "name length")
-        (name_len,) = struct.unpack("<H", fh.read(2))
-        at = take(name_len, "name")
-        try:
-            name = fh.read(name_len).decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError("tensor name is not valid UTF-8", at) from None
-        if name in seen:
-            raise FormatError(f"duplicate tensor name {name!r}", at)
-        seen.add(name)
-        at = take(2, "dtype tag and ndim")
-        dtype_tag, ndim = fh.read(2)
-        if dtype_tag != DTYPE_F32:
-            raise FormatError(f"unsupported dtype tag {dtype_tag}", at)
-        dims_at = take(8 * ndim, "dims")
-        dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-        n_bytes = 4 * math.prod(dims)
-        at = take(n_bytes, f"payload of {name!r}")
-        # a nonempty entry this large is already truncated; an empty one is not
-        if math.prod(d for d in dims if d) > _MAX_ELEMS:
-            raise FormatError(f"dims {dims} of {name!r} exceed the array size limit", dims_at)
-        if not load:
-            fh.seek(n_bytes, os.SEEK_CUR)
-            yield name, None
-            continue
-        payload = np.empty(n_bytes // 4, dtype=STORAGE_DTYPE)
-        if fh.readinto(payload) != n_bytes:
-            raise FormatError(f"truncated container: expected payload of {name!r}", at)
-        if not np.isfinite(payload).all():
-            raise FormatError(f"tensor {name!r} contains NaN or Inf", at)
-        yield name, payload.astype(WORKING_DTYPE).reshape(dims)
-    if offset != size:
-        raise FormatError(f"{size - offset} trailing bytes after last entry", offset)
 
 
 def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:

@@ -158,7 +158,26 @@ class TestQuantizeCommand:
         code, out, err = run_cli(capsys, "quantize", src, dst)
         assert code == 1
         assert "w.bias" in err
-        assert out == "" and os.listdir(tmp_path) == ["a.fpqt"]  # checked before any work
+        assert out == "" and os.listdir(tmp_path) == ["a.fpqt"]  # the write is atomic
+
+    def test_bias_name_collision_rejected_with_the_bias_entry_first(self, capsys, tmp_path, rng):
+        src, dst = str(tmp_path / "a.fpqt"), str(tmp_path / "b.fpqt")
+        write_tensors(src, {"w.bias": np.ones(1), "w": rng.standard_normal(4)})
+        code, out, err = run_cli(capsys, "quantize", src, dst)
+        assert (code, out) == (1, "")
+        assert err == "fpqt: error: duplicate tensor name 'w.bias'\n"
+        assert os.listdir(tmp_path) == ["a.fpqt"]  # no OUT and no *.tmp
+
+    @pytest.mark.parametrize("fmt", ["E2M1", "auto"])
+    def test_zero_dim_entry_quantizes_as_single_channel(self, capsys, tmp_path, fmt):
+        src, dst = str(tmp_path / "a.fpqt"), str(tmp_path / "b.fpqt")
+        write_tensors(src, {"s": np.array(-2.7), "v": np.array([-2.7])})
+        code, out, _ = run_cli(capsys, "quantize", src, dst, "--format", fmt)
+        assert code == 0 and "s: format=E" in out and "channels=1 " in out
+        back = read_tensors(dst)
+        assert back["s"].shape == () and back["s.bias"].shape == (1,)
+        # the same value as a 1-element vector, on the same grid
+        assert back["s"] == back["v"][0] and back["s.bias"] == back["v.bias"]
 
 
 class TestQuantizeAtomicOutput:
@@ -312,6 +331,16 @@ class TestFuseCommand:
         dst = str(tmp_path / "fused.fpqt")
         run_cli(capsys, "fuse", src, dst, "--heads", "2")
         assert not np.array_equal(read_tensors(dst)["w_q"], read_tensors(src)["w_q"])
+
+    @pytest.mark.parametrize("w_q", [np.array(1.0), np.ones(16)])
+    def test_w_q_that_is_not_a_matrix_is_shape_error(self, capsys, tmp_path, rng, w_q):
+        src = self._write_block(tmp_path, rng)
+        write_tensors(src, {**read_tensors(src), "w_q": w_q})
+        dst = tmp_path / "fused.fpqt"
+        code, out, err = run_cli(capsys, "fuse", src, str(dst), "--heads", "2")
+        assert (code, out) == (1, "")
+        assert err == f"fpqt: error: w_q must be 2-D, got shape {w_q.shape}\n"
+        assert not dst.exists()
 
     def test_missing_matrix_is_config_error(self, capsys, tmp_path, rng):
         path = str(tmp_path / "partial.fpqt")

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from fpqt.fusion import (
     DiTBlockWeights,
     FusionPlan,
     OnlineTransform,
-    _attention,
+    attention,
     block_forward,
     cross_head_apply,
     fuse_block,
@@ -74,8 +76,6 @@ class TestBlockWeights:
 
     def test_shape_validation(self):
         good = make_weights()
-        from dataclasses import replace
-
         with pytest.raises(ShapeError):
             replace(good, w_k=np.zeros((3, 3)))
         with pytest.raises(ShapeError):
@@ -84,6 +84,14 @@ class TestBlockWeights:
             replace(good, ln1_gamma=np.zeros(good.n + 1))
         with pytest.raises(ShapeError):
             replace(good, heads=5)  # 5 does not divide 32
+
+    def test_matrix_the_dims_are_read_from_must_be_2d(self):
+        good = make_weights()
+        for name in ("w_q", "w_fc1"):
+            for bad in (np.array(1.0), np.ones(good.n)):
+                want = re.escape(f"{name} must be 2-D, got shape {bad.shape}")
+                with pytest.raises(ShapeError, match=want):
+                    replace(good, **{name: bad})
 
 
 class TestNonlinearities:
@@ -201,7 +209,7 @@ class TestAttention:
         rng = np.random.default_rng([heads, tokens, head_dim])
         n = heads * head_dim
         q, k, v = (rng.standard_normal((tokens, n)) * s for s in (3.0, 1.0, 1.0))
-        got = _attention(q, k, v, heads)
+        got = attention(q, k, v, heads)
         want = einsum_attention(q, k, v, heads)
         assert got.shape == (tokens, n)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -6,7 +6,6 @@ from fpqt.formats import BiasedFormat, FpFormat, grid, parse_format
 from fpqt import gptq
 from fpqt.gptq import (
     CalibrationSet,
-    GptqConfig,
     _upper_cholesky,
     gptq_quantize,
     hessian,
@@ -40,15 +39,6 @@ class TestCalibrationSet:
         # statistics over zero columns are undefined (numpy warns "Mean of empty slice")
         with pytest.raises(ShapeError, match=r"\(5, 0\)"):
             gptq_quantize(np.zeros((0, 3)), CalibrationSet(np.zeros((5, 0))), E2M1)
-
-
-class TestGptqConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GptqConfig(block_size=0)
-        with pytest.raises(TypeError):  # damping is the module constant DAMPING
-            GptqConfig(damping=1e-6)
-        GptqConfig(block_size=1)
 
 
 class TestHessianAndObjective:
@@ -206,19 +196,6 @@ class TestGptqQuantize:
         q = gptq_quantize(w, CalibrationSet(x), E2M1)
         assert np.isfinite(q.values).all()
 
-    def test_block_size_changes_nothing_materially(self, rng):
-        w = rng.standard_normal((32, 8)) / 4.0
-        x = rng.standard_normal((64, 32))
-        x[:, 5] *= 20.0
-        cal = CalibrationSet(x)
-        obj_small = layer_objective(
-            w, gptq_quantize(w, cal, E2M1, GptqConfig(block_size=4)).values, cal
-        )
-        obj_full = layer_objective(
-            w, gptq_quantize(w, cal, E2M1, GptqConfig(block_size=32)).values, cal
-        )
-        assert obj_small == pytest.approx(obj_full, rel=1e-6)
-
     def test_deterministic(self, rng):
         w = rng.standard_normal((16, 4))
         x = rng.standard_normal((50, 16))
@@ -239,8 +216,8 @@ class TestGptqQuantize:
     def test_column_major_weights_give_the_same_result(self, rng):
         w = rng.standard_normal((20, 6))
         cal = CalibrationSet(rng.standard_normal((60, 20)))
-        a = gptq_quantize(w, cal, E2M1, GptqConfig(block_size=8))
-        b = gptq_quantize(np.asfortranarray(w), cal, E2M1, GptqConfig(block_size=8))
+        a = gptq_quantize(w, cal, E2M1)
+        b = gptq_quantize(np.asfortranarray(w), cal, E2M1)
         assert np.array_equal(a.values, b.values)
         assert a.values.flags.c_contiguous
 
@@ -251,8 +228,8 @@ class TestGptqQuantize:
         warm = CalibrationSet(x)
         gptq_quantize(rng.standard_normal((24, 3)), warm, E2M1)  # caches the factor
         dead, st = warm.hessian_factor
-        a = gptq_quantize(w, warm, E2M1, GptqConfig(block_size=8))
-        b = gptq_quantize(w, CalibrationSet(x), E2M1, GptqConfig(block_size=8))
+        a = gptq_quantize(w, warm, E2M1)
+        b = gptq_quantize(w, CalibrationSet(x), E2M1)
         assert a.values.tobytes() == b.values.tobytes()
         assert warm.hessian_factor[1] is st
         assert dead.tolist() == [j == 7 for j in range(24)]

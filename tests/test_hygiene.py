@@ -1,6 +1,6 @@
-"""Static checks on the package source: every module-level import is used,
-and the package's __all__ lists each public name once and every name
-resolves."""
+"""Static checks on the package source and the demos: every module-level
+import is used, and the package's __all__ lists each public name once and
+every name resolves."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,7 @@ import pytest
 import fpqt
 
 MODULES = sorted(p for p in Path(fpqt.__file__).parent.glob("*.py") if p.name != "__init__.py")
+DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,7 +37,8 @@ def test_checker_finds_an_unused_import():
     assert unused_imports(source) == ["BinaryIO", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + DEMOS,
+                         ids=lambda p: f"demos/{p.name}" if p in DEMOS else p.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 

@@ -54,7 +54,7 @@ from fpqt.cli import main
 from fpqt.errors import NumericalError
 from fpqt.formats import candidate_formats, parse_format
 from fpqt.fusion import fuse_block, plan_fusion
-from fpqt.gptq import CalibrationSet, GptqConfig, gptq_quantize
+from fpqt.gptq import CalibrationSet, gptq_quantize
 from fpqt.harness import HarnessConfig, estimate_cost, init_weights, run
 from fpqt.quantize import minmax_quantize
 from fpqt.tensors import write_tensors
@@ -166,7 +166,7 @@ def gptq_digest(in_dim: int) -> str:
     cal = CalibrationSet(x)
     h = hashlib.sha256()
     for fmt in (parse_format("E2M1"), parse_format("E3M2")):
-        h.update(gptq_quantize(w, cal, fmt, GptqConfig()).values.tobytes())
+        h.update(gptq_quantize(w, cal, fmt).values.tobytes())
     return h.hexdigest()
 
 

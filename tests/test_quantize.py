@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -55,6 +56,14 @@ class TestChannelBias:
         b0 = channel_bias(a, E2M1, -1)
         assert np.array_equal(channel_bias(a * 2.0**7, E2M1, -1), b0 + 7)
         assert np.array_equal(channel_bias(a * 2.0**-9, E2M1, -1), b0 - 9)
+
+    def test_channel_axis_outside_the_dims_is_shape_error(self):
+        for a, axis in ((np.array(2.0), -1), (np.array(2.0), 0), (np.ones(3), 1),
+                        (np.ones((2, 3)), -3)):
+            for quantizer in (channel_bias, minmax_quantize):
+                want = re.escape(f"channel_axis {axis} is outside shape {a.shape}")
+                with pytest.raises(ShapeError, match=want):
+                    quantizer(a, E2M1, channel_axis=axis)
 
     def test_rejects_non_finite(self):
         with pytest.raises(NumericalError):
@@ -172,6 +181,15 @@ class TestMinMaxQuantize:
         assert minmax_quantize(np.zeros((0, 3)), E2M1, 0).bias.shape == (0,)
         assert minmax_quantize(np.zeros((0, 3)), E2M1, None).bias == 0
 
+    def test_zero_dim_tensor_snaps_like_its_one_element_form(self):
+        for fmt in FORMAT_SUBSET:
+            one = minmax_quantize(np.array([-2.7]), fmt, None)
+            got = minmax_quantize(np.array(-2.7), fmt, None)
+            assert got.values.shape == () and got.values == one.values[0] != -2.7
+            assert got.bias == one.bias
+            snapped = snap_per_channel(np.array(-2.7), fmt, one.bias)
+            assert snapped.shape == () and snapped == one.values[0]
+
     def test_negative_zero_maps_to_positive_zero(self):
         q = minmax_quantize(np.array([[-0.0], [-1e-9], [12.0]]), E2M1, -1)
         assert not np.signbit(q.values[0, 0])  # -0.0 input
@@ -265,6 +283,11 @@ class TestQuantError:
         assert e["cosine"] == 1.0
         e2 = quant_error(z, np.ones(3))
         assert e2["cosine"] == 0.0
+
+    def test_zero_dim_operands_match_their_one_element_form(self):
+        got = quant_error(np.array(3.0), np.array(2.5))
+        assert got == quant_error(np.array([3.0]), np.array([2.5]))
+        assert got["mse"] == 0.25
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

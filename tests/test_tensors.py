@@ -17,7 +17,6 @@ from fpqt.tensors import (
     channel_stat,
     iter_tensors,
     read_tensors,
-    tensor_names,
     write_tensors,
 )
 from oracles import oracle_quantile_nearest_rank
@@ -131,9 +130,8 @@ class TestContainerErrors:
         with open(path, "rb") as fh:
             return bytearray(fh.read())
 
-    def _expect(self, tmp_path, data, offset=None, structural=True):
-        """read_tensors raises FormatError at offset; so does the header-only
-        tensor_names, with the same message, for a structural defect."""
+    def _expect(self, tmp_path, data, offset=None):
+        """read_tensors raises FormatError at offset."""
         path = str(tmp_path / "bad.fpqt")
         with open(path, "wb") as fh:
             fh.write(bytes(data))
@@ -142,12 +140,6 @@ class TestContainerErrors:
         if offset is not None:
             assert exc.value.offset == offset
         assert "byte offset" in str(exc.value)
-        if structural:
-            with pytest.raises(FormatError) as names_exc:
-                tensor_names(path)
-            assert str(names_exc.value) == str(exc.value)
-        else:
-            assert tensor_names(path) == ["a"]
 
     def test_bad_magic(self, tmp_path):
         data = self._valid_bytes(tmp_path)
@@ -190,7 +182,7 @@ class TestContainerErrors:
         data = self._valid_bytes(tmp_path)
         payload_offset = len(data) - 8
         data[payload_offset : payload_offset + 4] = struct.pack("<f", np.nan)
-        self._expect(tmp_path, data, offset=payload_offset, structural=False)
+        self._expect(tmp_path, data, offset=payload_offset)
 
     def test_bad_utf8_name(self, tmp_path):
         data = self._valid_bytes(tmp_path)
@@ -217,7 +209,6 @@ class TestStreaming:
 
     def test_entries_come_in_file_order(self, tmp_container, rng):
         path, ts = self._write(tmp_container, rng)
-        assert tensor_names(path) == list(ts)
         for (name, arr), (want_name, want) in zip(iter_tensors(path), ts.items(), strict=True):
             assert name == want_name and arr.dtype == np.float64
             np.testing.assert_array_equal(arr, want.astype(np.float32))
@@ -318,22 +309,13 @@ def _containers(draw):
     return {name: rng.standard_normal(shape) for name, shape in zip(names, shapes)}
 
 
-def _parse_both(path):
-    """(names, entries) of the container at path; either parser may raise
-    FormatError, and nothing else."""
+def _parse(path):
+    """Read the container at path; read_tensors may raise FormatError, with
+    an offset, and nothing else."""
     try:
-        names = tensor_names(path)
+        read_tensors(path)
     except FormatError as exc:
         assert isinstance(exc.offset, int) and exc.offset >= 0
-        names = None
-    try:
-        entries = read_tensors(path)
-    except FormatError as exc:
-        assert isinstance(exc.offset, int) and exc.offset >= 0
-        entries = None
-    if entries is not None:
-        assert names == list(entries)
-    return names, entries
 
 
 class TestContainerFuzz:
@@ -343,14 +325,13 @@ class TestContainerFuzz:
         path = str(tmp_path / "fuzz.fpqt")
         write_tensors(path, ts)
         data = Path(path).read_bytes()
-        assert _parse_both(path)[0] == list(ts)
+        assert list(read_tensors(path)) == list(ts)
         for cut in range(len(data)):
             with open(path, "wb") as fh:
                 fh.write(data[:cut])
-            for parse in (tensor_names, read_tensors):
-                with pytest.raises(FormatError) as exc:
-                    parse(path)
-                assert 0 <= exc.value.offset <= cut
+            with pytest.raises(FormatError) as exc:
+                read_tensors(path)
+            assert 0 <= exc.value.offset <= cut
 
     @_FUZZ_SETTINGS
     @given(_containers(), st.data())
@@ -364,5 +345,5 @@ class TestContainerFuzz:
             raw[at] ^= flip
             with open(path, "wb") as fh:
                 fh.write(raw)
-            _parse_both(path)
+            _parse(path)
             raw[at] ^= flip
