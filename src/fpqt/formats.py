@@ -31,16 +31,15 @@ _FORMAT_RE = re.compile(r"^[eE](\d+)[mM](\d+)$")
 
 @dataclass(frozen=True)
 class FpFormat:
-    """ExMy minifloat format: n_e exponent bits, n_m mantissa bits."""
+    """ExMy minifloat format: n_e in 1..10 exponent bits, n_m in 0..52 mantissa bits."""
 
     n_e: int
     n_m: int
 
     def __post_init__(self):
-        if self.n_e < 1:
-            raise ValueError(f"need at least one exponent bit, got n_e={self.n_e}")
-        if self.n_m < 0:
-            raise ValueError(f"mantissa bits must be nonnegative, got n_m={self.n_m}")
+        # float64 grids: max_val < 2^(2^n_e) is finite up to n_e = 10, and 52 mantissa bits
+        if not (1 <= self.n_e <= 10 and 0 <= self.n_m <= 52):
+            raise ValueError(f"format {self} needs 1 <= n_e <= 10 and 0 <= n_m <= 52 in float64")
 
     @property
     def n_bits(self) -> int:

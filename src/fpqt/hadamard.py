@@ -23,6 +23,7 @@ quantization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -181,6 +182,15 @@ def realize(spec: HadamardSpec) -> np.ndarray:
     return h
 
 
+@functools.lru_cache(maxsize=None)
+def _factors(p: int, q: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """apply_right's read-only stages (H_{p/a} (x) H_q) / sqrt(p q) and H_a."""
+    inner = np.kron(scipy.linalg.hadamard(p // a), base_matrix(q)) / math.sqrt(p * q)
+    h_a = scipy.linalg.hadamard(a, dtype=WORKING_DTYPE)
+    inner.flags.writeable = h_a.flags.writeable = False
+    return inner, h_a
+
+
 class OpCounter:
     """Tallies the additions and multiplications of the butterfly-plus-base
     kernel that a transform models (see the module docstring)."""
@@ -207,8 +217,7 @@ def apply_right(
     while spec.p % (2 * a) == 0 and (2 * a) ** 2 <= spec.dim:
         a *= 2
     rq = spec.dim // a
-    inner = np.kron(scipy.linalg.hadamard(spec.p // a), base_matrix(spec.q)) / math.sqrt(spec.dim)
-    h_a = scipy.linalg.hadamard(a, dtype=WORKING_DTYPE)
+    inner, h_a = _factors(spec.p, spec.q, a)
     d = sign_diagonal(spec)
     if transpose:
         inner = inner.T

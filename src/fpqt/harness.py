@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.stats
 
 from .formats import parse_format
 from .fusion import (
@@ -153,7 +152,8 @@ def init_weights(cfg: HarnessConfig) -> DiTBlockWeights:
     n = cfg.n
 
     def mat(in_dim: int, out_dim: int) -> np.ndarray:
-        w = rng.standard_normal((in_dim, out_dim)) / math.sqrt(in_dim)
+        w = rng.standard_normal((in_dim, out_dim))
+        w /= math.sqrt(in_dim)
         if cfg.heavy_tail_fraction > 0.0:
             mask = rng.random((in_dim, out_dim)) < cfg.heavy_tail_fraction
             w = np.where(mask, w * HEAVY_TAIL_SCALE, w)
@@ -241,10 +241,15 @@ def quantize_block_weights(
 
 def distribution_stats(batch: np.ndarray) -> dict:
     """Channel outlier profile: max over per-channel maxima divided by their
-    median, plus excess kurtosis of the flattened values."""
+    median, plus excess kurtosis m4 / m2^2 - 3 of the flattened values; +inf
+    (the sentinel) when m2 is zero or lost to rounding, as for a constant batch."""
+    mean = batch.ravel().mean()
+    d = (batch.ravel() - mean) ** 2
+    m2 = d.mean()
+    flat = m2 <= (np.finfo(WORKING_DTYPE).eps * mean) ** 2  # scipy.stats.kurtosis's test
     return {
         "channel_max_median_ratio": channel_max_median_ratio(batch),
-        "excess_kurtosis": float(scipy.stats.kurtosis(batch.ravel())),
+        "excess_kurtosis": math.inf if flat else float(np.mean(d * d) / m2**2 - 3),
     }
 
 

@@ -15,6 +15,11 @@ and scale back.  Both scalings are ldexp by int32 exponents, never a
 multiplication by a reciprocal (which overflows for subnormal spacings), so
 results are bit-reproducible and land exactly on grid points.  Per-channel
 grid constants are computed once per call, or once per GPTQ sweep.
+
+The snap and quant_error run in blocks of about 32 K elements along the
+outermost axis in memory, so each chain of elementwise steps stays in cache.
+quant_error's maxima are exact and its sums are numpy's pairwise sums per
+block, never BLAS, so its numbers do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .tensors import WORKING_DTYPE
 
 # exponent of the smallest positive float64, the subnormal 2^-1074
 _MIN_EXP = -1074
+_BLOCK_ELEMS = 1 << 15  # elements per block of the elementwise kernels (256 KiB)
 
 
 @dataclass(frozen=True)
@@ -87,38 +93,54 @@ def _grid_constants(fmt: FpFormat, bias: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.ldexp(fmt.max_val, bias), (bias + (1 - fmt.n_m)).astype(np.int32)
 
 
+def _blocks(x: np.ndarray, *operands: np.ndarray):
+    """(x block, operand blocks...) of about _BLOCK_ELEMS elements along x's axis of
+    largest stride, contiguous pieces of a C- or F-ordered x; operands broadcast."""
+    if x.size <= _BLOCK_ELEMS:  # one block, without broadcast views: they cost more than a GPTQ row
+        yield x, *operands
+        return
+    axis = max(range(x.ndim), key=lambda i: abs(x.strides[i]))
+    n = x.shape[axis]
+    step = max(1, _BLOCK_ELEMS * n // x.size)
+    operands = [np.broadcast_to(o, x.shape) for o in operands]
+    for i in range(0, n, step):
+        block = (slice(None),) * axis + (slice(i, i + step),)
+        yield x[block], *(o[block] for o in operands)
+
+
 def _snap(x: np.ndarray, n_m: int, vmax: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Snap x in place to the nearest grid point, ties away from zero.
+    """Snap a 1-D or larger x in place to the nearest grid point, ties away from zero.
 
     vmax (grid ceiling) and lo (spacing exponent of the lowest level) come
     from _grid_constants and broadcast against x.  Magnitudes above the
     ceiling clamp onto it.  The result takes the sign of x < 0, so -0.0
     maps to +0.0 and a negative value that rounds to zero gives -0.0.
-    Returns x.
+    Returns x (partly snapped when it raises).
     """
-    x += 0.0  # -0.0 becomes +0.0, so copying x's sign back matches x < 0
-    mag = np.minimum(np.abs(x), vmax)
-    exp = np.empty_like(mag, dtype=np.int32)
-    # split mag = m * 2^exp in place, m in [0.5, 1): the mantissa buffer is
-    # the working array, and scaling m by 2^(exp - spacing) is exactly
-    # ldexp(mag, -spacing) without a second float64 array
-    np.frexp(mag, out=(mag, exp))
-    # spacing exponent of the grid level holding mag; the subnormal ramp
-    # shares level 1's spacing (lo), and a zero snaps to 0 at any spacing
-    spacing = exp + np.int32(-1 - n_m)
-    np.maximum(spacing, lo, out=spacing)
-    # raise when a value's spacing is below the smallest float64; a zero sits
-    # on the lowest level, so its grid's lowest spacing must be representable
-    if lo.min(initial=0) < _MIN_EXP and np.any(
-        (spacing < _MIN_EXP) | ((mag == 0.0) & (lo < _MIN_EXP))
-    ):
-        raise NumericalError("grid scale underflowed float64; data magnitude too small")
-    exp -= spacing
-    np.ldexp(mag, exp, out=mag)  # magnitude in units of the grid spacing
-    mag += 0.5
-    np.floor(mag, out=mag)
-    np.ldexp(mag, spacing, out=mag)
-    return np.copysign(mag, x, out=x)
+    may_underflow = lo.min(initial=0) < _MIN_EXP
+    for xb, vmax_b, lo_b in _blocks(x, vmax, lo):
+        xb += 0.0  # -0.0 becomes +0.0, so copying x's sign back matches x < 0
+        mag = np.minimum(np.abs(xb), vmax_b)
+        exp = np.empty_like(mag, dtype=np.int32)
+        # split mag = m * 2^exp in place, m in [0.5, 1): the mantissa buffer is
+        # the working array, and scaling m by 2^(exp - spacing) is exactly
+        # ldexp(mag, -spacing) without a second float64 array
+        np.frexp(mag, out=(mag, exp))
+        # spacing exponent of the grid level holding mag; the subnormal ramp
+        # shares level 1's spacing (lo), and a zero snaps to 0 at any spacing
+        spacing = exp + np.int32(-1 - n_m)
+        np.maximum(spacing, lo_b, out=spacing)
+        # raise when a value's spacing is below the smallest float64; a zero sits
+        # on the lowest level, so its grid's lowest spacing must be representable
+        if may_underflow and np.any((spacing < _MIN_EXP) | ((mag == 0.0) & (lo_b < _MIN_EXP))):
+            raise NumericalError("grid scale underflowed float64; data magnitude too small")
+        exp -= spacing
+        np.ldexp(mag, exp, out=mag)  # magnitude in units of the grid spacing
+        mag += 0.5
+        np.floor(mag, out=mag)
+        np.ldexp(mag, spacing, out=mag)
+        np.copysign(mag, xb, out=xb)
+    return x
 
 
 def minmax_quantize(
@@ -182,32 +204,39 @@ def quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
     a, q = np.atleast_1d(a, q)  # 0-d operands would give scalars, not out= buffers
     if a.size == 0:
         return {"mse": 0.0, "max_abs": 0.0, "sqnr_db": float("inf"), "cosine": 1.0}
-    _, k = math.frexp(max(a.max(), -a.min(), q.max(), -q.min()))
-    if abs(k) > 256:
-        a, q = np.ldexp(a, -k), np.ldexp(q, -k)
-    else:
-        k = 0
-    diff = a - q
-    max_abs = float(np.abs(diff, out=diff).max())
-    _, kd = math.frexp(max_abs)
-    if abs(kd) > 256:
-        np.ldexp(diff, -kd, out=diff)
-    else:
-        kd = 0
-    mse = float(np.mean(np.multiply(diff, diff, out=diff)))
-    signal = float(np.mean(a * a))
-    if mse == 0.0 or signal == 0.0:
-        sqnr_db = float("inf")
-    else:
-        sqnr_db = 10.0 * float(np.log10(signal / mse)) - 20.0 * math.log10(2.0) * kd
-    na = float(np.linalg.norm(a.ravel()))
-    nq = float(np.linalg.norm(q.ravel()))
-    if na == 0.0 and nq == 0.0:
-        cosine = 1.0
-    elif na == 0.0 or nq == 0.0:
-        cosine = 0.0
-    else:
-        cosine = float(np.dot(a.ravel(), q.ravel()) / (na * nq))
+    k = kd = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # sums beyond 2^256 are discarded
+        peak, max_abs, sdd, saa, sqq, saq = _error_sums(a, q, k, kd)
+    if abs(math.frexp(peak)[1]) > 256:
+        k = math.frexp(peak)[1]
+        _, max_abs, sdd, saa, sqq, saq = _error_sums(a, q, k, kd)
+    if abs(math.frexp(max_abs)[1]) > 256:
+        kd = math.frexp(max_abs)[1]
+        _, _, sdd, saa, sqq, saq = _error_sums(a, q, k, kd)
+    mse, signal = sdd / a.size, saa / a.size
+    sqnr_db = float("inf") if mse == 0.0 or signal == 0.0 else (
+        10.0 * float(np.log10(signal / mse)) - 20.0 * math.log10(2.0) * kd)
+    na, nq = math.sqrt(saa), math.sqrt(sqq)
+    cosine = saq / (na * nq) if na and nq else float(na == nq)  # 1.0 when both are zero
     with np.errstate(over="ignore"):
         mse, max_abs = float(np.ldexp(mse, 2 * (k + kd))), float(np.ldexp(max_abs, k))
     return {"mse": mse, "max_abs": max_abs, "sqnr_db": sqnr_db, "cosine": cosine}
+
+
+def _error_sums(a: np.ndarray, q: np.ndarray, k: int, kd: int) -> tuple[float, ...]:
+    """One blocked pass over 2^-k a and 2^-k q: exact peak of |a|, |q| and max|a - q|,
+    then sums of (2^-kd (a - q))^2, a^2, q^2 and a*q by numpy, never BLAS."""
+    peak = max_abs = sdd = saa = sqq = saq = 0.0
+    for ab, qb in _blocks(a, q):
+        if k:
+            ab, qb = np.ldexp(ab, -k), np.ldexp(qb, -k)
+        peak = np.max([peak, ab.max(), -ab.min(), qb.max(), -qb.min()])
+        d = np.subtract(ab, qb)
+        max_abs = np.maximum(max_abs, np.abs(d, out=d).max())
+        if kd:
+            np.ldexp(d, -kd, out=d)
+        sdd += np.multiply(d, d, out=d).sum()
+        saq += np.multiply(ab, qb, out=d).sum()
+        sqq += np.multiply(qb, qb, out=d).sum()
+        saa += np.multiply(ab, ab, out=d).sum()
+    return float(peak), float(max_abs), float(sdd), float(saa), float(sqq), float(saq)

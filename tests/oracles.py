@@ -44,6 +44,45 @@ def oracle_nearest(x: float, levels: list[float]) -> float:
     return best
 
 
+def oracle_snap(a: np.ndarray, n_e: int, n_m: int, bias: np.ndarray) -> np.ndarray:
+    """oracle_nearest for every element of a, on the grid of its broadcast
+    bias; each distinct (value, bias) pair is looked up once."""
+    a = np.asarray(a, dtype=np.float64)
+    pairs = (a + 1j * np.asarray(bias, dtype=np.float64)).ravel()  # (value, bias) as one key
+    unique, inverse = np.unique(pairs, return_inverse=True)
+    snapped = [oracle_nearest(p.real, oracle_grid(n_e, n_m, int(p.imag))) for p in unique.tolist()]
+    return np.array(snapped)[inverse].reshape(a.shape)
+
+
+def oracle_quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
+    """quant_error's metrics from exactly rounded sums (math.fsum) over
+    Python floats.  Both tensors are first scaled by the power of two of
+    their joint peak, and the error by that of its own peak, so no square
+    overflows or sinks to zero; ratios do not depend on the scaling.  An mse
+    beyond float64 is inf."""
+    av, qv = np.ravel(a).tolist(), np.ravel(q).tolist()
+    k = math.frexp(max(map(abs, av + qv)))[1]
+    av, qv = [math.ldexp(x, -k) for x in av], [math.ldexp(x, -k) for x in qv]
+    d = [x - y for x, y in zip(av, qv)]
+    peak_d = max(map(abs, d))
+    kd = math.frexp(peak_d)[1]
+    d = [math.ldexp(x, -kd) for x in d]
+    n = len(av)
+    noise, signal = math.fsum(x * x for x in d) / n, math.fsum(x * x for x in av) / n
+    na = math.sqrt(math.fsum(x * x for x in av))
+    nq = math.sqrt(math.fsum(x * x for x in qv))
+    try:
+        mse = math.ldexp(noise, 2 * (k + kd))
+    except OverflowError:
+        mse = math.inf
+    return {
+        "mse": mse,
+        "max_abs": math.ldexp(peak_d, k),
+        "sqnr_db": 10.0 * math.log10(signal / noise) - 20.0 * math.log10(2.0) * kd,
+        "cosine": math.fsum(x * y for x, y in zip(av, qv)) / (na * nq),
+    }
+
+
 def oracle_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Triple-loop matrix product."""
     m, k = a.shape

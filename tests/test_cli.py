@@ -168,6 +168,15 @@ class TestQuantizeCommand:
         assert err == "fpqt: error: duplicate tensor name 'w.bias'\n"
         assert os.listdir(tmp_path) == ["a.fpqt"]  # no OUT and no *.tmp
 
+    @pytest.mark.parametrize("fmt", ["E11M0", "E1M53"])
+    def test_format_beyond_float64_is_config_error(self, capsys, tmp_path, rng, fmt):
+        src, dst = str(tmp_path / "a.fpqt"), str(tmp_path / "b.fpqt")
+        write_tensors(src, {"w": rng.standard_normal((4, 3))})
+        code, out, err = run_cli(capsys, "quantize", src, dst, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"fpqt: error: format {fmt} needs 1 <= n_e <= 10 and 0 <= n_m <= 52 in float64\n"
+        assert os.listdir(tmp_path) == ["a.fpqt"]  # no OUT and no *.tmp
+
     @pytest.mark.parametrize("fmt", ["E2M1", "auto"])
     def test_zero_dim_entry_quantizes_as_single_channel(self, capsys, tmp_path, fmt):
         src, dst = str(tmp_path / "a.fpqt"), str(tmp_path / "b.fpqt")
@@ -380,6 +389,15 @@ class TestSimulateAndCost:
         assert data["config"]["method"] == "rtn"
         assert data["config"]["use_hadamard"] is False
         assert data["cost"]["hadamard"]["transforms"] == []
+
+    @pytest.mark.parametrize("flag", ["--act-format", "--weight-format"])
+    def test_format_beyond_float64_is_config_error(self, capsys, tmp_path, flag):
+        out_path = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "simulate", *self.SMALL, flag, "E11M0",
+                                 "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == "fpqt: error: format E11M0 needs 1 <= n_e <= 10 and 0 <= n_m <= 52 in float64\n"
+        assert not out_path.exists()
 
     def test_invalid_config_is_error(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--n", "16", "--heads", "5")

@@ -46,6 +46,16 @@ class TestFpFormat:
         with pytest.raises(ValueError):
             FpFormat(2, -1)
 
+    def test_largest_layouts_that_fit_float64(self):
+        assert FpFormat(10, 0).max_val == 2.0**1023
+        assert FpFormat(10, 52).max_val == np.finfo(np.float64).max
+        assert FpFormat(1, 52).max_val == 4.0 - 2.0**-51
+
+    @pytest.mark.parametrize("n_e,n_m", [(11, 0), (10**12, 1), (1, 53), (4, 64)])
+    def test_layouts_that_leave_float64_are_rejected(self, n_e, n_m):
+        with pytest.raises(ValueError, match=f"^format E{n_e}M{n_m} needs 1 <= n_e <= 10"):
+            FpFormat(n_e, n_m)
+
     def test_str(self):
         assert str(FpFormat(2, 1)) == "E2M1"
         assert str(FpFormat(4, 3)) == "E4M3"
@@ -60,6 +70,11 @@ class TestParseFormat:
     def test_rejects_no_exponent_bits(self):
         with pytest.raises(ValueError):
             parse_format("E0M3")
+
+    @pytest.mark.parametrize("text", ["E11M0", "e12m3", "E1M53"])
+    def test_rejects_layouts_beyond_float64(self, text):
+        with pytest.raises(ValueError, match=f"^format {text.upper()} needs 1 <= n_e <= 10"):
+            parse_format(text)
 
     @pytest.mark.parametrize("bad", ["", "M1E2", "E2", "E2M", "2M1", "E2M1x", "fp4"])
     def test_rejects_malformed(self, bad):

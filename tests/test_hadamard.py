@@ -6,6 +6,7 @@ from fpqt.hadamard import (
     BASE_ORDERS,
     HadamardSpec,
     OpCounter,
+    _factors,
     apply_right,
     base_matrix,
     build,
@@ -157,6 +158,18 @@ class TestApplyRight:
         x = rng.standard_normal((3, 32))
         spec = build(32)
         assert np.abs(apply_right(apply_right(x, spec), spec) - x).max() < 1e-12
+
+    def test_factors_are_cached_read_only(self, rng):
+        x, spec = rng.standard_normal((3, 48)), build(48, seed=1)
+        cached = apply_right(x, spec), apply_right(x, spec, transpose=True)
+        inner, h_a = _factors(4, 12, 4)  # order 48 = 4 * 12 runs as (4 x 12) then H_4
+        assert not inner.flags.writeable and not h_a.flags.writeable
+        with pytest.raises(ValueError):
+            inner[0, 0] = 0.0
+        assert _factors(4, 12, 4)[0] is inner
+        _factors.cache_clear()  # freshly built factors give the same bytes
+        assert np.array_equal(apply_right(x, spec), cached[0])
+        assert np.array_equal(apply_right(x, spec, transpose=True), cached[1])
 
 
 class TestOpCounts:

@@ -12,6 +12,7 @@ from fpqt.harness import (
     SCHEMA_VERSION,
     HarnessConfig,
     collect_calibration,
+    distribution_stats,
     estimate_cost,
     gen_activations,
     init_weights,
@@ -74,6 +75,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             HarnessConfig(calib_samples=0)
         HarnessConfig(weight_format="E3M0")  # concrete format is fine
+
+    @pytest.mark.parametrize("field", ["act_format", "weight_format"])
+    def test_format_beyond_float64_rejected(self, field):
+        # E11M0's ceiling 2^2047 would otherwise overflow once run() has started
+        with pytest.raises(ValueError, match="format E11M0 needs 1 <= n_e <= 10"):
+            HarnessConfig(**{field: "E11M0"})
 
     @pytest.mark.parametrize(
         "kwargs,field",
@@ -266,6 +273,22 @@ class TestRun:
         assert rep.end_to_end["mse"] > 0.0
         for side in rep.distribution.values():
             assert not any(math.isnan(v) for v in side.values())
+
+    def test_constant_batch_kurtosis_is_the_inf_sentinel(self):
+        # n = 1: the layer norm maps every token to 0, so the moments are 0 / 0
+        rep = run(HarnessConfig(n=1, heads=1, use_hadamard=False, outlier_channels=0, method="rtn"))
+        data = json.loads(rep.to_json(), parse_constant=_reject_constant)
+        for side in ("pre_hadamard", "post_hadamard"):
+            assert rep.distribution[side]["excess_kurtosis"] == math.inf
+            assert data["distribution"][side]["excess_kurtosis"] is None
+        for x in (np.full((4, 3), 2.5), np.full((2, 2), 1e-300), np.full((1, 1), -7.0)):
+            assert distribution_stats(x)["excess_kurtosis"] == math.inf
+
+    def test_kurtosis_of_known_distributions(self):
+        # two-point +-1: m4 = m2^2 = 1, so excess kurtosis -2
+        assert distribution_stats(np.array([[1.0, -1.0]] * 4))["excess_kurtosis"] == -2.0
+        x = np.random.default_rng(7).standard_normal((400, 500))
+        assert abs(distribution_stats(x)["excess_kurtosis"]) < 0.05
 
     def test_no_hadamard_distribution_sides_match(self):
         rep = run(HarnessConfig(**SMALL, use_hadamard=False))

@@ -1,6 +1,7 @@
 """Static checks on the package source and the demos: every module-level
-import is used, and the package's __all__ lists each public name once and
-every name resolves."""
+import is used, the package's __all__ lists each public name once and
+every name resolves, and the package imports only scipy.linalg and
+scipy.special."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,16 @@ def test_every_module_level_import_is_used(path):
 def test_package_all_resolves_without_duplicates():
     assert len(fpqt.__all__) == len(set(fpqt.__all__))
     assert [name for name in fpqt.__all__ if not hasattr(fpqt, name)] == []
+
+
+def test_package_uses_only_scipy_linalg_and_special():
+    # scipy.stats alone would take over half of a fresh `import fpqt`
+    used = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                used |= {a.name for a in node.names if a.name.split(".")[0] == "scipy"}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                used |= {f"{node.module}.{a.name}" if node.module == "scipy" else node.module
+                         for a in node.names}
+    assert used == {"scipy.linalg", "scipy.special"}

@@ -16,7 +16,13 @@ online schedule and the per-weight spread each got a single owner, and fix
 the whole pipeline's output for those configs (same BLAS caveat).  Five of
 them (all but rtn and heavy_tail) were re-taken when attention moved from
 einsum to batched matmul; their numbers held within SUM_ORDER_RTOL of
-REPORT_NUMBERS, the largest move 5.2e-16 relative.
+REPORT_NUMBERS, the largest move 5.2e-16 relative.  Five (all but q12_signs
+and e3m0_rtn) were re-taken again when quant_error became one blocked pass
+with numpy sums in place of BLAS dot products; the largest distance from
+REPORT_NUMBERS is then 1.4e-15 relative.  quant_error no longer calls BLAS,
+so the 1-vs-2-thread statement above now covers it at every size, not only
+at the toy sizes of the pinned reports; a subprocess test checks the gptq
+and rtn digests and an n=256 report under 1 and 2 threads.
 
 The fusion digests cover fuse_block's matrices and those of its inverse,
 applied to the same unfused block; they were taken when the inverse was
@@ -45,11 +51,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpqt
 from fpqt.cli import main
 from fpqt.errors import NumericalError
 from fpqt.formats import candidate_formats, parse_format
@@ -66,18 +76,18 @@ GPTQ_DIGESTS = {
 }
 
 REPORT_DIGESTS = {
-    "gptq": ({}, "fdd181be18a447ed27b48e05aacb150d7633de32276a0246ddd1a5012775036a"),
+    "gptq": ({}, "0d78679398f64ddf53cd8e25f397549edd2ef7fc57e6e77f9a673f1cfd395a1c"),
     "rtn": (
         dict(method="rtn"),
-        "6b9f0da488be0f47fa6b3bdb1957b26f04d285a3f1af6d383ca79e2fb581eaae",
+        "9fe5cbb6d0fed53226e22bba4af7087a1d3bd2247f8f72af969ba310ef804692",
     ),
     "paper_literal": (
         dict(v_mode="paper_literal"),
-        "1085c7a1a5a6eaccf2bff734f2bf51fd30a051216bb094fde9eab3639624f195",
+        "7e1a395eba6c8acb143a9b5bf2d7cfe20b33a4ad955ad8b3a4e3da79e468f2d6",
     ),
     "no_hadamard": (
         dict(use_hadamard=False),
-        "5700fa4c7143dd69e2d555abe5c260446ec706a650adfe1d1b3b1b8fa4a79503",
+        "7958447f96e570cdc1595b02cab37f459879c5c829c47fd00f5c090998fd815d",
     ),
     # order 12 factors (n = 48 = 4 * 12, hidden = 192) with sign diagonals
     "q12_signs": (
@@ -86,7 +96,7 @@ REPORT_DIGESTS = {
     ),
     "heavy_tail": (
         dict(heavy_tail_fraction=0.05, seed=4),
-        "00687ec5eed60f1f027bae58312f4ae23d37faba6d839689309e2c56cbe4adb8",
+        "0e4308f7c51812ffedaf65e329b54751759ecc1b6ada15288a0b4e0e792fe40e",
     ),
     "e3m0_rtn": (
         dict(weight_format="E3M0", method="rtn"),
@@ -183,6 +193,34 @@ def test_gptq_output_digest_is_pinned():
 def test_report_digest_is_pinned(name):
     kwargs, want = REPORT_DIGESTS[name]
     assert hashlib.sha256(run(HarnessConfig(**kwargs)).to_json().encode()).hexdigest() == want
+
+
+# the gptq and rtn pinned reports, and an n=256 report whose quant_error
+# inputs span many blocks
+THREAD_PROBE_CONFIGS = [REPORT_DIGESTS["gptq"][0], REPORT_DIGESTS["rtn"][0],
+                        dict(n=256, heads=8, method="rtn")]
+THREAD_PROBE = (
+    "import hashlib\nfrom fpqt.harness import HarnessConfig, run\n"
+    f"for kwargs in {THREAD_PROBE_CONFIGS!r}:\n"
+    "    print(hashlib.sha256(run(HarnessConfig(**kwargs)).to_json().encode()).hexdigest())\n"
+)
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    # a child process on the other BLAS thread count (1 or 2) than this one
+    threads = "2" if os.environ.get("OPENBLAS_NUM_THREADS") == "1" else "1"
+    src = str(Path(fpqt.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "MKL_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.Popen([sys.executable, "-c", THREAD_PROBE], env=env,
+                             stdout=subprocess.PIPE, text=True)
+    here = [hashlib.sha256(run(HarnessConfig(**kwargs)).to_json().encode()).hexdigest()
+            for kwargs in THREAD_PROBE_CONFIGS]
+    there = child.communicate(timeout=300)[0].split()
+    assert child.returncode == 0
+    assert there == here
+    assert here[:2] == [REPORT_DIGESTS["gptq"][1], REPORT_DIGESTS["rtn"][1]]
 
 
 def assert_within_sum_order(got, want, path: str = "report") -> None:

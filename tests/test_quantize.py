@@ -9,12 +9,13 @@ import pytest
 from fpqt.errors import NumericalError, ShapeError
 from fpqt.formats import BiasedFormat, FpFormat, grid, parse_format
 from fpqt.quantize import (
+    _BLOCK_ELEMS,
     channel_bias,
     minmax_quantize,
     quant_error,
     snap_per_channel,
 )
-from oracles import oracle_grid, oracle_nearest
+from oracles import oracle_grid, oracle_nearest, oracle_quant_error, oracle_snap
 
 E2M1 = FpFormat(2, 1)
 FORMATS = [FpFormat(1, 2), E2M1, FpFormat(3, 0), FpFormat(2, 5), FpFormat(4, 3)]
@@ -322,3 +323,103 @@ class TestQuantError:
         assert e["max_abs"] == 0.5
         # signal 5e319, noise 0.125: 10 log10(4e320) dB
         assert e["sqnr_db"] == pytest.approx(3200.0 + 10 * np.log10(4.0), rel=1e-12)
+
+
+def assert_snapped(got, a, want):
+    """got equals the oracle's grid points, and its sign bit is a < 0 (the
+    oracle does not tell -0.0 from +0.0)."""
+    assert got.shape == a.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), a < 0)
+
+
+class TestBlockedKernels:
+    """The snap and quant_error run in blocks of about _BLOCK_ELEMS elements;
+    every shape here spans at least three blocks, the last one ragged, or
+    holds a single row wider than a block."""
+
+    ROWS = 3 * (_BLOCK_ELEMS // 7) + 5  # (ROWS, 7): three full blocks of rows and 5 rows
+
+    @staticmethod
+    def pooled(rng, shape):
+        """Values drawn from a small pool (so the oracle sees few distinct
+        pairs), with per-column power-of-two scales and a few exact ties."""
+        pool = np.concatenate([rng.standard_normal(40) * 4.0, [0.0, -0.0, 0.5, -2.5, 5.0]])
+        a = rng.choice(pool, size=shape)
+        return a * np.exp2(rng.integers(-3, 4, size=shape[-1]))
+
+    @staticmethod
+    def expect_minmax(a, fmt, axis):
+        q = minmax_quantize(a, fmt, channel_axis=axis)
+        amax = np.abs(a).max(axis=tuple(i for i in range(a.ndim) if i != axis % a.ndim)
+                            if axis is not None else None)
+        lo, hi = np.ldexp(fmt.max_val, q.bias), np.ldexp(fmt.max_val, q.bias + 1)
+        brackets = (lo <= amax) & (amax < hi)
+        assert np.all(np.where(amax == 0.0, q.bias == 0, brackets))
+        bias = q.bias if axis is None else np.expand_dims(
+            q.bias, tuple(i for i in range(a.ndim) if i != axis % a.ndim))
+        assert_snapped(q.values, a, oracle_snap(a, fmt.n_e, fmt.n_m, bias))
+
+    @pytest.mark.parametrize("axis", [-1, 0, None])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_minmax_matches_oracle_across_blocks(self, rng, axis, order):
+        a = np.asarray(self.pooled(rng, (self.ROWS, 7)), order=order)
+        for fmt in (E2M1, FpFormat(3, 0)):
+            self.expect_minmax(a, fmt, axis)
+
+    @pytest.mark.parametrize("axis", [-1, 0, None])
+    def test_minmax_single_row_wider_than_a_block(self, rng, axis):
+        self.expect_minmax(self.pooled(rng, (2, _BLOCK_ELEMS + 3)), E2M1, axis)
+
+    @pytest.mark.parametrize("axis", [0, 1, -1, None])
+    def test_minmax_three_dimensional(self, rng, axis):
+        self.expect_minmax(self.pooled(rng, (3, _BLOCK_ELEMS // 8 + 1, 8)), E2M1, axis)
+
+    def test_minmax_zero_dim(self):
+        for x in (-2.7, 0.3, 1e-300):
+            self.expect_minmax(np.array(x), E2M1, None)
+
+    @pytest.mark.parametrize("shape", [(ROWS, 7), (2, _BLOCK_ELEMS + 3), (3 * _BLOCK_ELEMS + 11,)])
+    def test_snap_per_channel_matches_oracle_across_blocks(self, rng, shape):
+        a = self.pooled(rng, shape)
+        for bias in (np.int64(-1), rng.integers(-2, 3, size=shape[-1])):
+            assert_snapped(snap_per_channel(a, E2M1, bias), a, oracle_snap(a, 2, 1, bias))
+
+    def test_underflow_in_the_last_block_raises(self, rng):
+        a = self.pooled(rng, (self.ROWS, 7))
+        a[-1] = 5e-324  # only the last row's grid spacing leaves float64
+        with pytest.raises(NumericalError):
+            minmax_quantize(a, E2M1, channel_axis=0)
+        minmax_quantize(a[:-1], E2M1, channel_axis=0)
+
+
+class TestQuantErrorAcrossBlocks:
+    SHAPE = (3 * (_BLOCK_ELEMS // 5) + 2, 5)
+
+    @staticmethod
+    def expect_oracle(a, q):
+        got, want = quant_error(a, q), oracle_quant_error(a, q)
+        assert got["max_abs"] == want["max_abs"]
+        for key in ("mse", "sqnr_db", "cosine"):
+            assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
+
+    def test_matches_fsum_oracle(self, rng):
+        a = rng.standard_normal(self.SHAPE) * np.exp2(rng.integers(-8, 9, size=5))
+        for fmt in (E2M1, FpFormat(4, 3)):
+            self.expect_oracle(a, minmax_quantize(a, fmt).values)
+        self.expect_oracle(a[:, 1:], minmax_quantize(a[:, 1:], E2M1).values)  # a strided view
+        self.expect_oracle(np.asfortranarray(a), minmax_quantize(a, E2M1).values)
+
+    def test_huge_peak_only_in_the_last_block(self, rng):
+        a = rng.standard_normal(self.SHAPE)
+        q = minmax_quantize(a, E2M1).values.copy()
+        a[-1, -1], q[-1, -1] = 2.0**600, 0.75 * 2.0**600  # squares past float64 max
+        self.expect_oracle(a, q)
+        assert quant_error(a, q)["mse"] == math.inf  # 2^1196 / a.size
+
+    def test_tiny_error_only_in_the_last_block(self, rng):
+        a = rng.standard_normal(self.SHAPE)
+        q = a.copy()
+        a[-1, -1], q[-1, -1] = 3 * 2.0**-599, 2 * 2.0**-599  # squares to below 2^-1074
+        self.expect_oracle(a, q)
+        assert quant_error(a, q)["sqnr_db"] > 3000.0
