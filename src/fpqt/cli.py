@@ -309,10 +309,6 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

@@ -56,10 +56,14 @@ class FpFormat:
 
         r = 2^(2^n_e) * (2 - 2^-n_m) / (1 + 2^-n_m).  Strictly increasing in
         n_e at fixed total width, which is what makes it a useful knob for
-        matching a format to how spread-out a tensor is.
+        matching a format to how spread-out a tensor is.  The +inf sentinel
+        when r exceeds float64, as for n_e = 10 with n_m >= 1.
         """
         eps = math.ldexp(1.0, -self.n_m)
-        return math.ldexp((2.0 - eps) / (1.0 + eps), 1 << self.n_e)
+        try:
+            return math.ldexp((2.0 - eps) / (1.0 + eps), 1 << self.n_e)
+        except OverflowError:
+            return math.inf
 
     def __str__(self) -> str:
         return f"E{self.n_e}M{self.n_m}"
@@ -71,11 +75,6 @@ class BiasedFormat:
 
     fmt: FpFormat
     bias: int
-
-    @property
-    def value_max(self) -> float:
-        """Largest representable magnitude: max_val scaled by 2^bias."""
-        return math.ldexp(self.fmt.max_val, self.bias)
 
 
 def parse_format(text: str) -> FpFormat:

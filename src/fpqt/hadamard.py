@@ -1,11 +1,11 @@
 """Hadamard transforms for activation outlier suppression.
 
 An order-n Hadamard matrix is factored as H_n = H_p (x) H_q, where p is the
-largest power of two such that q = n / p has an embedded base matrix
-(q in {1, 2, 4, 12, 20, 28}; 12, 20, 28 are Paley constructions stored as
-static data).  Entries are normalized by 1/sqrt(n) so the realized matrix
-is orthogonal, and an optional seeded random +-1 diagonal D can be folded
-in on the right (default D = I).
+largest power of two such that q = n / p has a base matrix (q in {1, 12,
+20, 28}; 12, 20 and 28 are built by Paley's construction).  Entries are
+normalized by 1/sqrt(n) so the realized matrix is orthogonal, and an
+optional seeded random +-1 diagonal D can be folded in on the right
+(default D = I).
 
 apply_right computes x @ H or x @ H^T without the dense matrix: with
 H_p = H_a (x) H_r, a the largest power of two dividing p with a^2 <= n, it
@@ -33,92 +33,38 @@ import scipy.linalg
 from .errors import ShapeError
 from .tensors import WORKING_DTYPE
 
-# Paley-type base Hadamard matrices.  Verified H @ H.T == n I by the tests;
-# any +-1 matrix with that property works, the particular construction is
-# immaterial.
-_BASE_ROWS = {
-    1: ("+",),
-    2: ("++", "+-"),
-    4: ("++++", "+-+-", "++--", "+--+"),
-    12: (
-        "++++++++++++",
-        "-+-+---+++-+",
-        "-++-+---+++-",
-        "--++-+---+++",
-        "-+-++-+---++",
-        "-++-++-+---+",
-        "-+++-++-+---",
-        "--+++-++-+--",
-        "---+++-++-+-",
-        "----+++-++-+",
-        "-+---+++-++-",
-        "--+---+++-++",
-    ),
-    20: (
-        "++++++++++++++++++++",
-        "-+-++----+-+-++++--+",
-        "-++-++----+-+-++++--",
-        "--++-++----+-+-++++-",
-        "---++-++----+-+-++++",
-        "-+--++-++----+-+-+++",
-        "-++--++-++----+-+-++",
-        "-+++--++-++----+-+-+",
-        "-++++--++-++----+-+-",
-        "--++++--++-++----+-+",
-        "-+-++++--++-++----+-",
-        "--+-++++--++-++----+",
-        "-+-+-++++--++-++----",
-        "--+-+-++++--++-++---",
-        "---+-+-++++--++-++--",
-        "----+-+-++++--++-++-",
-        "-----+-+-++++--++-++",
-        "-+----+-+-++++--++-+",
-        "-++----+-+-++++--++-",
-        "--++----+-+-++++--++",
-    ),
-    28: (
-        "++++++++++++++++++++++++++++",
-        "-+-+--++-+-++---+--+---+++++",
-        "-++-+--++-+-+----+--+-+-++++",
-        "--++-+--++++------+--+++-+++",
-        "-+-++-+--++---++---++++---++",
-        "-++-++-+---+-+-+---+++-+-+-+",
-        "--++-++-+---+++----+++--+++-",
-        "---++-++-+---+---++-++++++--",
-        "-+--++-++-----+-+-++-++++-+-",
-        "--+--++-++-----+++-++-+++--+",
-        "-+---++++++-+--++-+-++---+--",
-        "--+-+-++++++-+--++-+-+----+-",
-        "---+++-+++-++-+--++++------+",
-        "-++++---+++-++-+--++---++---",
-        "-+++-+-+-+++-++-+---+-+-+---",
-        "-+++--+++--++-++-+---+++----",
-        "--++++++----++-++-+---+---++",
-        "-+-++++-+-+--++-++-----+-+-+",
-        "-++-+++--+-+--++-++-----+++-",
-        "--++---+--+---++++++-+--++-+",
-        "-+-+----+--+-+-++++++-+--++-",
-        "-++------+--+++-+++-++-+--++",
-        "-+---++---++++---+++-++-+--+",
-        "--+-+-+---+++-+-+-+++-++-+--",
-        "---+++----+++--+++--++-++-+-",
-        "----+---++-++++++----++-++-+",
-        "-----+-+-++-++++-+-+--++-++-",
-        "------+++-++-+++--+-+--++-++",
-    ),
-}
+# Paley's first construction (R. E. A. C. Paley, "On orthogonal matrices",
+# 1933): over a field GF(r), r = q - 1 = 3 (mod 4), with quadratic character
+# chi, H_q = [[1, 1^T], [-1, I + Q]] where Q[i, j] = chi(x_i - x_j).  Each
+# order maps to (p, c) with GF(r) = GF(p)[t] / (t^k + c_(k-1) t^(k-1) + ...
+# + c_0), c constant term first and empty for a prime field; element x_i has
+# the base-p digits of i, lowest first.
+_PALEY_FIELDS = {12: (11, ()), 20: (19, ()), 28: (3, (2, 0, 1))}
 
-BASE_ORDERS = tuple(sorted(_BASE_ROWS))
+BASE_ORDERS = (1, *_PALEY_FIELDS)
 
 
 def base_matrix(q: int) -> np.ndarray:
     """The unnormalized +-1 base matrix of a supported order."""
-    if q not in _BASE_ROWS:
+    if q == 1:
+        return np.ones((1, 1), dtype=WORKING_DTYPE)
+    if q not in _PALEY_FIELDS:
         raise ValueError(f"no base Hadamard matrix of order {q}; have {BASE_ORDERS}")
-    rows = _BASE_ROWS[q]
-    return np.array(
-        [[1.0 if c == "+" else -1.0 for c in row] for row in rows], dtype=WORKING_DTYPE
-    )
+    p, c = _PALEY_FIELDS[q]
+    k = max(len(c), 1)
+    place = p ** np.arange(k)
+    digits = np.arange(q - 1)[:, np.newaxis] // place % p  # row i holds x_i
+    chi = np.full(q - 1, -1.0)  # 0 at x_0 = 0, +1 on the nonzero squares
+    chi[0] = 0.0
+    for x in digits[1:]:
+        sq = np.convolve(x, x)
+        for d in range(2 * k - 2, k - 1, -1):  # t^d = -t^(d-k) (c_0 + ... + c_(k-1) t^(k-1))
+            sq[d - k : d] -= sq[d] * np.array(c)
+        chi[sq[:k] % p @ place] = 1.0
+    h = np.ones((q, q), dtype=WORKING_DTYPE)
+    h[1:, 0] = -1.0
+    h[1:, 1:] = chi[(digits[:, np.newaxis] - digits) % p @ place] + np.eye(q - 1)
+    return h
 
 
 def factorize(n: int) -> tuple[int, int]:
@@ -152,6 +98,11 @@ class HadamardSpec:
     p: int
     q: int
     seed: int | None = None
+
+    def __post_init__(self):
+        if (self.p, self.q) != factorize(self.dim):
+            raise ValueError(f"dim={self.dim} splits as (p, q) = {factorize(self.dim)}, "
+                             f"not p={self.p}, q={self.q}")
 
     @property
     def log2_p(self) -> int:

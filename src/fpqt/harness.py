@@ -114,18 +114,15 @@ class QuantReport:
     distribution: dict
     cost: dict
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self, indent: int = 2) -> str:
-        return strict_json(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return strict_json(asdict(self))
 
 
-def strict_json(obj, indent: int = 2) -> str:
-    """Deterministic, strict JSON text: keys sorted, and the +inf sentinel
-    (an unbounded sqnr_db, spread or channel ratio) written as null.  Any
-    other non-finite float raises ValueError."""
-    return json.dumps(_inf_as_null(obj), sort_keys=True, indent=indent, allow_nan=False)
+def strict_json(obj) -> str:
+    """Deterministic, strict JSON text: keys sorted, indented by 2, and the
+    +inf sentinel (an unbounded sqnr_db, spread or channel ratio) written as
+    null.  Any other non-finite float raises ValueError."""
+    return json.dumps(_inf_as_null(obj), sort_keys=True, indent=2, allow_nan=False)
 
 
 def _inf_as_null(obj):
@@ -242,9 +239,16 @@ def quantize_block_weights(
 def distribution_stats(batch: np.ndarray) -> dict:
     """Channel outlier profile: max over per-channel maxima divided by their
     median, plus excess kurtosis m4 / m2^2 - 3 of the flattened values; +inf
-    (the sentinel) when m2 is zero or lost to rounding, as for a constant batch."""
-    mean = batch.ravel().mean()
-    d = (batch.ravel() - mean) ** 2
+    (the sentinel) when m2 is zero or lost to rounding, as for a constant batch.
+    A batch whose peak lies beyond 2^+-256 is first scaled by the power of two
+    that brings the peak into [0.5, 1), as in quant_error, so m4 cannot
+    overflow or sink into subnormals; kurtosis is scale-invariant."""
+    x = batch.ravel()
+    _, k = math.frexp(float(np.abs(x).max(initial=0.0)))
+    if abs(k) > 256:
+        x = np.ldexp(x, -k)
+    mean = x.mean()
+    d = (x - mean) ** 2
     m2 = d.mean()
     flat = m2 <= (np.finfo(WORKING_DTYPE).eps * mean) ** 2  # scipy.stats.kurtosis's test
     return {

@@ -25,6 +25,14 @@ class TestTopLevel:
         code, out, err = run_cli(capsys)
         assert code == 1
         assert "usage" in err.lower()
+        assert out == ""
+
+    def test_no_args_from_sys_argv_prints_only_usage(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["fpqt"])
+        assert main() == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")

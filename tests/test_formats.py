@@ -32,6 +32,12 @@ class TestFpFormat:
         assert FpFormat(3, 0).range_ratio == 128.0
         assert math.isclose(FpFormat(1, 2).range_ratio, 5.6)
 
+    def test_range_ratio_beyond_float64_is_the_inf_sentinel(self):
+        assert FpFormat(10, 0).range_ratio == 2.0**1023
+        for n_m in (1, 2, 23, 52):
+            assert FpFormat(10, n_m).range_ratio == math.inf
+        assert FpFormat(9, 52).range_ratio < 2.0**513
+
     def test_range_ratio_increases_with_exponent_bits_at_fixed_width(self):
         for width in (4, 5, 6, 8):
             ratios = [f.range_ratio for f in candidate_formats(width)]
@@ -125,9 +131,9 @@ class TestGrid:
         g = grid(bf)
         assert g.size == 2 ** (f.n_bits - 1)
         assert g[0] == 0.0
-        assert g[-1] == bf.value_max
+        assert g[-1] == math.ldexp(f.max_val, bf.bias)
         assert np.all(np.diff(g) > 0)
 
     def test_biased_value_max(self):
-        assert BiasedFormat(FpFormat(2, 1), -1).value_max == 6.0
-        assert BiasedFormat(FpFormat(2, 1), 3).value_max == 96.0
+        assert grid(BiasedFormat(FpFormat(2, 1), -1))[-1] == math.ldexp(FpFormat(2, 1).max_val, -1) == 6.0
+        assert grid(BiasedFormat(FpFormat(2, 1), 3))[-1] == math.ldexp(FpFormat(2, 1).max_val, 3) == 96.0

@@ -22,7 +22,7 @@ SUPPORTED_DIMS = [1, 2, 4, 8, 12, 16, 20, 24, 28, 40, 48, 56, 64, 96, 112, 1024]
 
 class TestBaseMatrices:
     def test_orders(self):
-        assert BASE_ORDERS == (1, 2, 4, 12, 20, 28)
+        assert BASE_ORDERS == (1, 12, 20, 28)
 
     @pytest.mark.parametrize("q", BASE_ORDERS)
     def test_entries_and_orthogonality(self, q):
@@ -32,8 +32,9 @@ class TestBaseMatrices:
         assert np.array_equal(h @ h.T, q * np.eye(q))
 
     def test_unsupported_order(self):
-        with pytest.raises(ValueError):
-            base_matrix(6)
+        for q in (2, 4, 6):
+            with pytest.raises(ValueError):
+                base_matrix(q)
 
 
 class TestFactorize:
@@ -119,12 +120,13 @@ class TestApplyRight:
         x = rng.standard_normal((7, n))
         assert np.abs(apply_right(x, spec) - x @ realize(spec)).max() < 1e-10
 
-    @pytest.mark.parametrize("q", BASE_ORDERS)
+    @pytest.mark.parametrize("m", [1, 2, 4, 12, 20, 28])
     @pytest.mark.parametrize("seed", [None, 11])
-    def test_both_directions_match_dense(self, q, seed, rng):
-        # p = 128 splits as a = 32, r = 4 at q = 12 and 28 (orders 1536, 3584)
+    def test_both_directions_match_dense(self, m, seed, rng):
+        # orders p * m: p = 128 splits as a = 32, r = 4 at m = 12 and 28
+        # (orders 1536, 3584); m = 2 and 4 give powers of two up to 512
         for p in (1, 8, 128):
-            spec = HadamardSpec(dim=p * q, p=p, q=q, seed=seed)
+            spec = build(p * m, seed=seed)
             h = realize(spec)
             rows = rng.standard_normal((5, spec.dim))
             for x in (rows, np.asfortranarray(rows)):  # fusion passes column-major W.T
@@ -220,3 +222,8 @@ class TestSpec:
 
     def test_log2_p(self):
         assert HadamardSpec(dim=1024, p=1024, q=1).log2_p == 10
+
+    @pytest.mark.parametrize("dim,p,q", [(16, 2, 12), (24, 24, 1), (48, 12, 4), (6, 3, 2)])
+    def test_split_must_be_the_factorization(self, dim, p, q):
+        with pytest.raises(ValueError, match=rf"dim={dim}.*p={p}, q={q}|order {dim}"):
+            HadamardSpec(dim=dim, p=p, q=q)

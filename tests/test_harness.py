@@ -290,6 +290,15 @@ class TestRun:
         x = np.random.default_rng(7).standard_normal((400, 500))
         assert abs(distribution_stats(x)["excess_kurtosis"]) < 0.05
 
+    @pytest.mark.parametrize("scale", [1e80, 1e-100])
+    def test_kurtosis_of_a_huge_or_tiny_batch_does_not_overflow(self, scale):
+        x = np.array([[1.0, -1.0], [0.0, 1e-80]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = distribution_stats(scale * x)["excess_kurtosis"]
+        want = distribution_stats(x)["excess_kurtosis"]
+        assert math.isfinite(got) and math.isclose(got, want, rel_tol=1e-12)
+
     def test_no_hadamard_distribution_sides_match(self):
         rep = run(HarnessConfig(**SMALL, use_hadamard=False))
         assert rep.distribution["pre_hadamard"] == rep.distribution["post_hadamard"]

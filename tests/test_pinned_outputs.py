@@ -35,6 +35,10 @@ under --format auto and E2M1, and the stdout of `inspect` and
 when the CLI read and wrote the whole container at once, so they fix the
 streamed path's bytes.
 
+The base-matrix digests cover base_matrix(q).tobytes() for every base order;
+they were taken when the bases were stored as +- tables, so they fix the
+construction that replaced the tables, entry for entry.
+
 Summation-order protocol.  A change that only reorders floating-point sums
 (a BLAS call for a numpy loop, say) may move the report digests, but not the
 numbers behind them beyond SUM_ORDER_RTOL.  REPORT_NUMBERS holds every value
@@ -65,6 +69,7 @@ from fpqt.errors import NumericalError
 from fpqt.formats import candidate_formats, parse_format
 from fpqt.fusion import fuse_block, plan_fusion
 from fpqt.gptq import CalibrationSet, gptq_quantize
+from fpqt.hadamard import base_matrix
 from fpqt.harness import HarnessConfig, estimate_cost, init_weights, run
 from fpqt.quantize import minmax_quantize
 from fpqt.tensors import write_tensors
@@ -125,6 +130,14 @@ CONTAINER_DIGESTS = {
     "E2M1": "4fcbe04dfecaeb0eebe80ee7e39ec47a6ca8c0876b3c55519faceb0e5f8a6267",
 }
 REPORT_COMMANDS_DIGEST = "aaa3c9d947a869ce55601d91a602c979e1e49597cb4eeb9a70535f95822332d5"
+# base_matrix(q).tobytes() for every base order, taken when the bases were
+# stored as +- tables; only this covers order 20
+BASE_MATRIX_DIGESTS = {
+    1: "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    12: "9618f34bdae24fc54413c604ae0eb4e6bb436298fd119d1920b76abfdbd0262c",
+    20: "5864b42134313a7e63e584907c16848004c15f340f37f3d211fdb59e090c4c5b",
+    28: "7780fde91c7aab6230b742cf5ccb8d460e03fbfaf0aef901c62522b04aa5c72d",
+}
 
 
 def _minmax_inputs():
@@ -272,6 +285,11 @@ def test_cost_digest_is_pinned():
     cost = estimate_cost(HarnessConfig(n=28672, heads=28, tokens=1))
     text = json.dumps(cost, sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == COST_DIGEST
+
+
+@pytest.mark.parametrize("q", list(BASE_MATRIX_DIGESTS))
+def test_base_matrix_digest_is_pinned(q):
+    assert hashlib.sha256(base_matrix(q).tobytes()).hexdigest() == BASE_MATRIX_DIGESTS[q]
 
 
 def matrices_digest(weights) -> str:

@@ -205,7 +205,8 @@ class TestRoundToGrid:
             for bias in (-3, 0, 2):
                 bf = BiasedFormat(fmt, bias)
                 levels = oracle_grid(fmt.n_e, fmt.n_m, bias)
-                x = rng.uniform(-1.5 * bf.value_max, 1.5 * bf.value_max, size=40)
+                value_max = math.ldexp(fmt.max_val, bias)
+                x = rng.uniform(-1.5 * value_max, 1.5 * value_max, size=40)
                 got = snap_per_channel(x, fmt, bias)
                 for xi, gi in zip(x, got):
                     assert gi == oracle_nearest(xi, levels)
