@@ -27,7 +27,11 @@ and rtn digests and an n=256 report under 1 and 2 threads.
 The fusion digests cover fuse_block's matrices and those of its inverse,
 applied to the same unfused block; they were taken when the inverse was
 a chain of three per-stage calls, so they fix the order in which W_v's two
-factors are folded in and out.
+factors are folded in and out.  The benchmark-shape fusion digests and the
+apply_right digest were taken when fusion reached H^T W as (W^T H)^T through
+a column-major branch of apply_right and the cross-head mix ran apply_right
+on a transposed copy, so they fix those bytes at sizes where the inner
+stages split with a = 16, 32 and 128.
 
 The container digests cover the OUT file and stdout of `fpqt quantize`
 under --format auto and E2M1, and the stdout of `inspect` and
@@ -69,7 +73,7 @@ from fpqt.errors import NumericalError
 from fpqt.formats import candidate_formats, parse_format
 from fpqt.fusion import fuse_block, plan_fusion
 from fpqt.gptq import CalibrationSet, gptq_quantize
-from fpqt.hadamard import base_matrix
+from fpqt.hadamard import apply_right, base_matrix, build
 from fpqt.harness import HarnessConfig, estimate_cost, init_weights, run
 from fpqt.quantize import minmax_quantize
 from fpqt.tensors import write_tensors
@@ -123,6 +127,22 @@ FUSION_DIGESTS = {
         "d3da3f0e9a3c024d1549ca2af0a6b85821b31be839081354ccfed8d997303cf6",
     ),
 }
+# the same at serve-w4a4's shape, n=512, heads=8, hidden=1536 and plan seed
+# 7: orders 512, 1536, 64 and 8, where the inner stages split with a = 16
+# (order 512) and a = 32 (order 1536), beyond the n=48 case's 12x12 factors
+BENCH_FUSION_DIGESTS = {
+    "per_head_exact": (
+        "2327abd2f3a88a7a5b72a78d0fa70d1d0e98349e0dcd3193749cdc603e505ad6",
+        "c0e4db6219690b22fd1826c6b4150a1b99437d39fd3bc5cafafdc1cf8695c780",
+    ),
+    "paper_literal": (
+        "d90e9c8d2e96e3f53c268b1034abec92dfa670628651b294edf37166f3d212a8",
+        "0b1cda49d20451615aabd76c96ff7ab7a60d5b913360cb8fa517b7d0e1f579a1",
+    ),
+}
+# apply_right then apply_right(transpose=True) on 16 seeded rows at order
+# 28672 = 1024 * 28 with a sign diagonal (seed 11): a = 128, a 224x224 inner
+APPLY_RIGHT_DIGEST = "5abac987589e42a160654d0a81a0386a4deb5c7c07782b1cb5738f8c1c4b5101"
 # (OUT file + stdout) of `fpqt quantize --format <key>`; auto picks E2M1,
 # E1M2 and E3M0 for the three entries
 CONTAINER_DIGESTS = {
@@ -307,6 +327,23 @@ def test_fusion_digest_is_pinned(v_mode):
     fused, _ = fuse_block(w, plan)
     inverted, _ = fuse_block(w, plan, inverse=True)
     assert (matrices_digest(fused), matrices_digest(inverted)) == FUSION_DIGESTS[v_mode]
+
+
+@pytest.mark.parametrize("v_mode", list(BENCH_FUSION_DIGESTS))
+def test_bench_shape_fusion_digest_is_pinned(v_mode):
+    w = init_weights(HarnessConfig(n=512, heads=8, hidden=1536))
+    plan = plan_fusion(w, seed=7, v_mode=v_mode)
+    fused, _ = fuse_block(w, plan)
+    inverted, _ = fuse_block(w, plan, inverse=True)
+    assert (matrices_digest(fused), matrices_digest(inverted)) == BENCH_FUSION_DIGESTS[v_mode]
+
+
+def test_apply_right_digest_is_pinned():
+    x = np.random.default_rng(28672).standard_normal((16, 28672))
+    spec = build(28672, seed=11)
+    h = hashlib.sha256(apply_right(x, spec).tobytes())
+    h.update(apply_right(x, spec, transpose=True).tobytes())
+    assert h.hexdigest() == APPLY_RIGHT_DIGEST
 
 
 def _container_inputs():
