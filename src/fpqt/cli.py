@@ -254,18 +254,19 @@ def cmd_cost(args: argparse.Namespace) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="fpqt", description=__doc__.splitlines()[0])
+    sel = SelectionConfig()
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("inspect", help="per-tensor statistics of a container")
     p.add_argument("file")
-    p.add_argument("--alpha", type=float, default=25.0)
+    p.add_argument("--alpha", type=float, default=sel.alpha)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("select-format", help="choose a minifloat format per tensor")
     p.add_argument("file")
-    p.add_argument("--bits", type=int, default=4)
-    p.add_argument("--alpha", type=float, default=25.0)
+    p.add_argument("--bits", type=int, default=sel.n_bits)
+    p.add_argument("--alpha", type=float, default=sel.alpha)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_select_format)
 
@@ -274,8 +275,8 @@ def build_parser() -> _Parser:
     p.add_argument("output")
     p.add_argument("--format", default="auto",
                    help="'auto' or a concrete format such as E2M1")
-    p.add_argument("--bits", type=int, default=4, help="width used when --format auto")
-    p.add_argument("--alpha", type=float, default=25.0)
+    p.add_argument("--bits", type=int, default=sel.n_bits, help="width used when --format auto")
+    p.add_argument("--alpha", type=float, default=sel.alpha)
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("hadamard", help="factorization and op counts for one dim")

@@ -18,7 +18,8 @@ outlier-free rotated activations.  Concretely:
 fuse_block is the one fusion call: it folds every offline factor into the
 weights and returns FusionPlan.online, the one schedule of the online
 stages in forward order, which harness.estimate_cost costs;
-fuse_block(..., inverse=True) undoes a fusion.
+fuse_block(..., inverse=True) undoes a fusion.  Every factor is H along one
+axis of a reshaped view of the weight, with no transposed copy.
 
 The 'paper_literal' value mode instead folds the full H_h (x) H_d into W_v
 with no online stage; column mixing then crosses head boundaries before
@@ -42,7 +43,7 @@ import numpy as np
 import scipy.special
 
 from .errors import ShapeError
-from .hadamard import HadamardSpec, apply_right, build
+from .hadamard import HadamardSpec, _mix, apply_right, build
 from .tensors import WORKING_DTYPE
 
 LN_EPS = 1e-6
@@ -172,42 +173,34 @@ def plan_fusion(
 # ---------------------------------------------------------------------------
 
 
-def _transposed(x: np.ndarray) -> np.ndarray:
-    """C-contiguous x.T; a transposed view would make every later ravel copy."""
-    return np.ascontiguousarray(x.T)
-
-
-def _value_right(x: np.ndarray, plan: FusionPlan, transpose: bool, mix: bool = True) -> np.ndarray:
-    """x @ (I_h (x) H_d), then with mix @ (H_h (x) I_d) for x @ (H_h (x) H_d);
-    transpose applies the transposes.  The two factors commute, so either
-    direction runs the per-head stage first."""
-    d = plan.head_spec.dim
-    y = apply_right(x.reshape(-1, d), plan.head_spec, transpose=transpose).reshape(x.shape)
-    return cross_head_apply(y, plan.heads_spec, d, transpose=transpose) if mix else y
-
-
 def fuse_block(
     weights: DiTBlockWeights, plan: FusionPlan, inverse: bool = False
 ) -> tuple[DiTBlockWeights, tuple[OnlineTransform, ...]]:
     """Fold every offline factor into the weights and return them with
     plan.online, or with inverse=True fold the factors back out and return ().
     W_v takes its left factor, then its right one; the inverse runs in reverse."""
-
-    def left(w: np.ndarray, spec: HadamardSpec) -> np.ndarray:  # H^T W = (W^T H)^T, or H W
-        return _transposed(apply_right(w.T, spec, transpose=inverse))
-
-    # per_head_exact: W_v (I_h (x) H_d) and (H_h (x) H_d)^T W_out;
-    # paper_literal: W_v (H_h (x) H_d) and (H_h (x) H_d) W_out
+    h, d = plan.heads_spec.dim, plan.head_spec.dim
     literal = plan.v_mode == "paper_literal"
-    if inverse:
-        w_v = left(_value_right(weights.w_v, plan, True, mix=literal), plan.input_spec)
-    else:
-        w_v = _value_right(left(weights.w_v, plan.input_spec), plan, False, mix=literal)
+
+    def mix(w: np.ndarray, view: tuple[int, ...], spec: HadamardSpec,
+            transpose: bool = inverse) -> np.ndarray:  # H along the middle axis of the view
+        return _mix(w.reshape(view), spec, transpose).reshape(w.shape)
+
+    def left(w: np.ndarray, spec: HadamardSpec = plan.input_spec) -> np.ndarray:  # H^T W, or H W
+        return mix(w, (1, spec.dim, -1), spec)
+
+    def value(w: np.ndarray) -> np.ndarray:  # W_v (I_h (x) H_d), then (H_h (x) I_d) if literal
+        w = mix(w, (-1, d, 1), plan.head_spec)
+        return mix(w, (-1, h, d), plan.heads_spec) if literal else w
+
+    # per_head_exact: (H_h (x) H_d)^T W_out; paper_literal: (H_h (x) H_d) W_out
+    t = inverse != literal
+    w_out = mix(mix(weights.w_out, (h, d, -1), plan.head_spec, t), (1, h, -1), plan.heads_spec, t)
     fused = replace(
         weights,
-        **{name: left(getattr(weights, name), plan.input_spec) for name in ("w_q", "w_k", "w_fc1")},
-        w_v=w_v,
-        w_out=_transposed(_value_right(weights.w_out.T, plan, inverse != literal)),
+        **{name: left(getattr(weights, name)) for name in ("w_q", "w_k", "w_fc1")},
+        w_v=left(value(weights.w_v)) if inverse else value(left(weights.w_v)),
+        w_out=w_out,
         w_fc2=left(weights.w_fc2, plan.hidden_spec),
     )
     return fused, () if inverse else plan.online
@@ -248,10 +241,9 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e
 
 
-def cross_head_apply(
-    x: np.ndarray, heads_spec: HadamardSpec, head_dim: int, transpose: bool = False
-) -> np.ndarray:
-    """Apply (H_h (x) I_d), or its transpose, on the right of an (m, h*d) batch.
+def cross_head_apply(x: np.ndarray, heads_spec: HadamardSpec, head_dim: int) -> np.ndarray:
+    """Apply (H_h (x) I_d) on the right of an (m, h*d) batch: H_h along the
+    head axis of its (m, h, d) view.
 
     Only log2(h) butterfly stages per within-head coordinate: cost
     m * n * log2(h) additions via the fast path on the head axis.
@@ -260,9 +252,7 @@ def cross_head_apply(
     h = heads_spec.dim
     if n != h * head_dim:
         raise ShapeError(f"expected (m, {h * head_dim}) input, got {x.shape}")
-    cols = x.reshape(m, h, head_dim).transpose(0, 2, 1).reshape(m * head_dim, h)
-    mixed = apply_right(cols, heads_spec, transpose=transpose)
-    return mixed.reshape(m, head_dim, h).transpose(0, 2, 1).reshape(m, n)
+    return _mix(x.reshape(m, h, head_dim), heads_spec).reshape(m, n)
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:

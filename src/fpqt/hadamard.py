@@ -7,18 +7,20 @@ normalized by 1/sqrt(n) so the realized matrix is orthogonal, and an
 optional seeded random +-1 diagonal D can be folded in on the right
 (default D = I).
 
-apply_right computes x @ H or x @ H^T without the dense matrix: with
-H_p = H_a (x) H_r, a the largest power of two dividing p with a^2 <= n, it
+Every transform is H along one axis of a view: _mix applies H (or H^T) to
+the middle axis of an (l, dim, r) array, apply_right is its (m, dim, 1)
+case, and the cross-head mix and weight fusion pass reshaped views.  With
+H_p = H_a (x) H_r, a the largest power of two dividing p with a^2 <= n, _mix
 runs one dense multiply by the small (H_r (x) H_q) / sqrt(n) and one by H_a
-on the other axis.  The operation counts (OpCounter, op_count) model the
-kernel hardware would run, not numpy's FLOPs: butterflies over the
-power-of-two factor and one dense base stage, m*n*log2(p) + m*n*(q-1)
-additions and m*n + m*n*q multiplications for an m x n input (the dense
-stage disappears when q = 1, leaving only the m*n normalization multiplies;
-the sign diagonal folds into normalization and adds nothing).  An
-orthogonal transform spreads any single-channel energy spike uniformly
-across all channels, which is what crushes channel-wise outliers before
-quantization.
+across the a slices, without the dense matrix.  The operation counts
+(OpCounter, op_count) model the kernel hardware would run, not numpy's
+FLOPs: butterflies over the power-of-two factor and one dense base stage,
+m*n*log2(p) + m*n*(q-1) additions and m*n + m*n*q multiplications for an
+m x n input (the dense stage disappears when q = 1, leaving only the m*n
+normalization multiplies; the sign diagonal folds into normalization and
+adds nothing).  An orthogonal transform spreads any single-channel energy
+spike uniformly across all channels, which is what crushes channel-wise
+outliers before quantization.
 """
 
 from __future__ import annotations
@@ -134,8 +136,12 @@ def realize(spec: HadamardSpec) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _factors(p: int, q: int, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """apply_right's read-only stages (H_{p/a} (x) H_q) / sqrt(p q) and H_a."""
+def _factors(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """_mix's read-only stages (H_(p/a) (x) H_q) / sqrt(p q) and H_a, with a
+    the largest power of two dividing p such that a^2 <= p q."""
+    a = 1
+    while p % (2 * a) == 0 and (2 * a) ** 2 <= p * q:
+        a *= 2
     inner = np.kron(scipy.linalg.hadamard(p // a), base_matrix(q)) / math.sqrt(p * q)
     h_a = scipy.linalg.hadamard(a, dtype=WORKING_DTYPE)
     inner.flags.writeable = h_a.flags.writeable = False
@@ -151,42 +157,37 @@ class OpCounter:
         self.muls = 0
 
 
+def _mix(x: np.ndarray, spec: HadamardSpec, transpose: bool = False) -> np.ndarray:
+    """H along the middle axis of an (l, dim, r) array: y[i, :, k] = x[i, :, k] @ H,
+    or @ H^T when transpose is set; y is C-contiguous.
+
+    The inner stage is a right GEMM when r = 1 and a batched inner^T @ x
+    otherwise.  The sign diagonal scales the output (x @ H) or the input
+    (x @ H^T); the Sylvester factors are symmetric, so only H_q is transposed.
+    """
+    l, n, r = x.shape
+    inner, h_a = _factors(spec.p, spec.q)
+    a, d = h_a.shape[0], sign_diagonal(spec)
+    if transpose:
+        inner = inner.T
+        x = x if d is None else x * d[:, np.newaxis]
+    y = x.reshape(l * a, n // a) @ inner if r == 1 else inner.T @ x.reshape(l * a, n // a, r)
+    y = (h_a @ y.reshape(l, a, -1) if a > 1 else y).reshape(l, n, r)
+    return y if d is None or transpose else y * d[:, np.newaxis]
+
+
 def apply_right(
     x: np.ndarray, spec: HadamardSpec, counter: OpCounter | None = None, transpose: bool = False
 ) -> np.ndarray:
-    """Compute x @ H, or x @ H^T when transpose is set, for an (m, dim) batch.
-
-    The sign diagonal scales the output (x @ H) or the input (x @ H^T); the
-    Sylvester factors are symmetric, so only H_q is transposed.  A column-major
-    x, such as the W.T fusion passes to get H^T W, gives a column-major result.
-    """
+    """Compute x @ H, or x @ H^T when transpose is set, for an (m, dim) batch."""
     x = np.asarray(x, dtype=WORKING_DTYPE)
     if x.ndim != 2 or x.shape[1] != spec.dim:
         raise ShapeError(f"expected (m, {spec.dim}) input, got {x.shape}")
-    m = x.shape[0]
-    a = 1
-    while spec.p % (2 * a) == 0 and (2 * a) ** 2 <= spec.dim:
-        a *= 2
-    rq = spec.dim // a
-    inner, h_a = _factors(spec.p, spec.q, a)
-    d = sign_diagonal(spec)
-    if transpose:
-        inner = inner.T
-        if d is not None:
-            x = x * d
-    if x.flags.c_contiguous:
-        y = (x.reshape(m * a, rq) @ inner).reshape(m, a, rq)
-        y = (h_a @ y if a > 1 else y).reshape(m, spec.dim)
-    else:  # e.g. a transposed weight: the same stages on x.T, without copying it
-        y = (inner.T @ x.T.reshape(a, rq, m)).reshape(a, rq * m)
-        y = (h_a @ y if a > 1 else y).reshape(spec.dim, m).T
-    if d is not None and not transpose:
-        y = y * d
     if counter is not None:
-        ops = op_count(m, spec)
+        ops = op_count(x.shape[0], spec)
         counter.adds += ops["adds"]
         counter.muls += ops["muls"]
-    return y
+    return _mix(x[:, :, np.newaxis], spec, transpose)[:, :, 0]
 
 
 def op_count(m: int, spec: HadamardSpec) -> dict[str, int]:

@@ -279,7 +279,9 @@ def estimate_cost(cfg: HarnessConfig) -> dict:
     param_count = sum(din * dout for din, dout in dims.values())
     out_channels = sum(dout for _, dout in dims.values())
     bytes_fp32 = 4 * param_count
-    bytes_quant = param_count * cfg.weight_bits // 8
+    fixed = cfg.weight_format != "auto"  # a fixed format has its own width
+    bits = parse_format(cfg.weight_format).n_bits if fixed else cfg.weight_bits
+    bytes_quant = param_count * bits // 8
     return {
         "matmul_macs": {**layer_macs, "attention": attention_macs},
         "hadamard": hadamard_ops,

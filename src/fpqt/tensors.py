@@ -42,8 +42,9 @@ DTYPE_F32 = 0
 WORKING_DTYPE = np.float64
 STORAGE_DTYPE = np.dtype("<f4")
 # numpy refuses a shape whose nonzero dims multiply past this, even when
-# another dim is 0
+# another dim is 0, and more dims than 32 before numpy 2.0 or 64 since
 _MAX_ELEMS = np.iinfo(np.intp).max // np.dtype(WORKING_DTYPE).itemsize
+_MAX_NDIM = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
 
 
 def _partitioned_magnitudes(values: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
@@ -140,8 +141,8 @@ def iter_tensors(path) -> Iterator[tuple[str, np.ndarray]]:
             n_bytes = 4 * math.prod(dims)
             at = take(n_bytes, f"payload of {name!r}")
             # a nonempty entry this large is already truncated; an empty one is not
-            if math.prod(d for d in dims if d) > _MAX_ELEMS:
-                raise FormatError(f"dims {dims} of {name!r} exceed the array size limit", dims_at)
+            if ndim > _MAX_NDIM or math.prod(d for d in dims if d) > _MAX_ELEMS:
+                raise FormatError(f"dims {dims} of {name!r} exceed numpy's array limits", dims_at)
             payload = np.empty(n_bytes // 4, dtype=STORAGE_DTYPE)
             if fh.readinto(payload) != n_bytes:
                 raise FormatError(f"truncated container: expected payload of {name!r}", at)

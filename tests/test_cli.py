@@ -106,6 +106,14 @@ class TestInspectCommand:
         assert code == 2
         assert "container" in err
 
+    def test_more_dims_than_numpy_allows_is_container_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.fpqt"
+        path.write_bytes(b"FPQT\x01" + struct.pack("<IH", 1, 1) + b"e"
+                         + struct.pack("<BB65Q", 0, 65, *[1] * 65) + struct.pack("<f", 1.0))
+        code, _, err = run_cli(capsys, "inspect", str(path))
+        assert code == 2
+        assert err.startswith("fpqt: container error:")
+
 
 class TestSelectFormatCommand:
     def test_selects_expected_format(self, capsys, tmp_path):
@@ -416,6 +424,13 @@ class TestSimulateAndCost:
         data = json.loads(out)
         assert code == 0
         assert data["bytes_ratio_before_bias"] == 8.0
+
+    def test_cost_of_a_fixed_8_bit_format(self, capsys):
+        code, out, _ = run_cli(capsys, "cost", "--weight-format", "E4M3")
+        data = json.loads(out)
+        assert code == 0
+        assert data["weight_bytes_quant"] == data["weight_bytes_fp32"] // 4 == 49152
+        assert data["bytes_ratio_before_bias"] == 4.0
 
     def test_cost_large_dim_factorization(self, capsys):
         code, out, _ = run_cli(

@@ -7,6 +7,7 @@ from fpqt.hadamard import (
     HadamardSpec,
     OpCounter,
     _factors,
+    _mix,
     apply_right,
     base_matrix,
     build,
@@ -129,7 +130,7 @@ class TestApplyRight:
             spec = build(p * m, seed=seed)
             h = realize(spec)
             rows = rng.standard_normal((5, spec.dim))
-            for x in (rows, np.asfortranarray(rows)):  # fusion passes column-major W.T
+            for x in (rows, np.asfortranarray(rows)):  # any memory layout
                 assert np.abs(apply_right(x, spec) - x @ h).max() < 1e-12
                 assert np.abs(apply_right(x, spec, transpose=True) - x @ h.T).max() < 1e-12
 
@@ -164,14 +165,33 @@ class TestApplyRight:
     def test_factors_are_cached_read_only(self, rng):
         x, spec = rng.standard_normal((3, 48)), build(48, seed=1)
         cached = apply_right(x, spec), apply_right(x, spec, transpose=True)
-        inner, h_a = _factors(4, 12, 4)  # order 48 = 4 * 12 runs as (4 x 12) then H_4
+        inner, h_a = _factors(4, 12)  # order 48 = 4 * 12 runs as (1 x 12) then H_4
+        assert inner.shape == (12, 12) and h_a.shape == (4, 4)
         assert not inner.flags.writeable and not h_a.flags.writeable
         with pytest.raises(ValueError):
             inner[0, 0] = 0.0
-        assert _factors(4, 12, 4)[0] is inner
+        assert _factors(4, 12)[0] is inner
         _factors.cache_clear()  # freshly built factors give the same bytes
         assert np.array_equal(apply_right(x, spec), cached[0])
         assert np.array_equal(apply_right(x, spec, transpose=True), cached[1])
+
+
+class TestMix:
+    # orders 1536 = 128 * 12 and 3584 = 128 * 28 split as a = 32, so the H_a
+    # stage mixes 32 slices of an inner stage of order 48 or 112
+    @pytest.mark.parametrize("n", [1536, 3584])
+    @pytest.mark.parametrize("seed", [None, 11])
+    @pytest.mark.parametrize("r", [1, 5])
+    def test_middle_axis_matches_dense(self, n, seed, r, rng):
+        spec = build(n, seed=seed)
+        assert _factors(spec.p, spec.q)[1].shape == (32, 32)
+        h = realize(spec)
+        x = rng.standard_normal((3, n, r))
+        for transpose, dense in ((False, h), (True, h.T)):
+            y = _mix(x, spec, transpose)
+            assert y.shape == x.shape and y.flags.c_contiguous
+            want = (x.transpose(0, 2, 1) @ dense).transpose(0, 2, 1)
+            assert np.abs(y - want).max() < 1e-12
 
 
 class TestOpCounts:

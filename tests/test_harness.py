@@ -320,6 +320,14 @@ class TestEstimateCost:
         assert cost["weight_bytes_quant"] == params // 2
         assert cost["bias_overhead_bytes"] == 4 * 16 + 32 + 16
 
+    @pytest.mark.parametrize("fmt, bits, ratio", [("E4M3", 8, 4.0), ("E2M1", 4, 8.0),
+                                                  ("E2M2", 5, 6.4)])
+    def test_fixed_format_sets_the_width(self, fmt, bits, ratio):
+        # weight_bits sizes only auto-selected formats
+        cost = estimate_cost(HarnessConfig(n=16, hidden=32, heads=2, weight_format=fmt))
+        assert cost["weight_bytes_quant"] == (4 * 16 * 16 + 2 * 16 * 32) * bits // 8
+        assert cost["bytes_ratio_before_bias"] == ratio
+
     def test_transform_ops_follow_v_mode(self):
         base = dict(n=16, heads=2, tokens=10, hidden=32)
         per_head = estimate_cost(HarnessConfig(**base))

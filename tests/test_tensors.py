@@ -195,6 +195,18 @@ class TestContainerErrors:
         data += struct.pack("<BB2Q", 0, 2, 0, 2**62)
         self._expect(tmp_path, data, offset=14)
 
+    @pytest.mark.parametrize("ndim", [65, 255])
+    def test_more_dims_than_numpy_allows(self, tmp_path, ndim):
+        # dims all 1 and a 4-byte payload: only the dim count is at fault
+        data = bytearray(b"FPQT\x01" + struct.pack("<IH", 1, 1) + b"e")
+        data += struct.pack(f"<BB{ndim}Q", 0, ndim, *[1] * ndim) + struct.pack("<f", 1.0)
+        self._expect(tmp_path, data, offset=14)
+
+    def test_thirty_two_dims_read(self, tmp_path):
+        path = str(tmp_path / "deep.fpqt")
+        write_tensors(path, {"e": np.ones((1,) * 32)})
+        assert read_tensors(path)["e"].shape == (1,) * 32
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_tensors(str(tmp_path / "does_not_exist.fpqt"))
