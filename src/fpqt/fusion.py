@@ -15,11 +15,11 @@ outlier-free rotated activations.  Concretely:
   * feed-forward hidden: GELU output -> apply H_hidden online; W_fc2 absorbs
     H_hidden^T.
 
-fuse_block is the one fusion call: it folds every offline factor into the
-weights and returns FusionPlan.online, the one schedule of the online
-stages in forward order, which harness.estimate_cost costs;
-fuse_block(..., inverse=True) undoes a fusion.  Every factor is H along one
-axis of a reshaped view of the weight, with no transposed copy.
+A FusionPlan holds only (n, hidden, heads, seed, v_mode) and builds its four
+factors from them once.  fuse_block, the one fusion call, folds every offline
+factor into a block of those dims and returns FusionPlan.online, the online
+schedule that harness.estimate_cost costs; inverse=True undoes a fusion.
+Every factor is H along one axis of a reshaped view of the weight, no copy.
 
 The 'paper_literal' value mode instead folds the full H_h (x) H_d into W_v
 with no online stage; column mixing then crosses head boundaries before
@@ -36,14 +36,14 @@ precision; the six linear layers are the quantization surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 import scipy.special
 
 from .errors import ShapeError
-from .hadamard import HadamardSpec, _mix, apply_right, build
+from .hadamard import HadamardSpec, _mix, apply_right
 from .tensors import WORKING_DTYPE
 
 LN_EPS = 1e-6
@@ -127,21 +127,35 @@ class OnlineTransform:
 
 @dataclass(frozen=True)
 class FusionPlan:
-    """The four transform factors a block fusion uses.
+    """The four transform factors of a block fusion, built once from its dims:
+    input_spec of order n (block input), hidden_spec of order hidden (FFN),
+    head_spec of order n // heads and heads_spec of order heads, seeded with
+    seed + 0 .. seed + 3 in that order (seed=None: no sign diagonals)."""
 
-    input_spec has order n (block input), hidden_spec order hidden (FFN),
-    head_spec order n/heads, heads_spec order heads.
-    """
-
-    input_spec: HadamardSpec
-    hidden_spec: HadamardSpec
-    head_spec: HadamardSpec
-    heads_spec: HadamardSpec
+    n: int
+    hidden: int
+    heads: int
+    seed: int | None = None
     v_mode: str = "per_head_exact"
+    input_spec: HadamardSpec = field(init=False, repr=False, compare=False)
+    hidden_spec: HadamardSpec = field(init=False, repr=False, compare=False)
+    head_spec: HadamardSpec = field(init=False, repr=False, compare=False)
+    heads_spec: HadamardSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.v_mode not in V_MODES:
             raise ValueError(f"unknown v_mode {self.v_mode!r}; have {V_MODES}")
+        if self.heads < 1 or self.n % self.heads != 0:
+            raise ValueError(f"heads {self.heads} must divide n {self.n}")
+        roles = (("input_spec", "n", self.n), ("hidden_spec", "hidden", self.hidden),
+                 ("head_spec", "n // heads", self.n // self.heads),
+                 ("heads_spec", "heads", self.heads))
+        for k, (name, role, order) in enumerate(roles):
+            try:
+                spec = HadamardSpec(order, None if self.seed is None else self.seed + k)
+            except ValueError as exc:
+                raise ValueError(f"transform of order {role} = {order}: {exc}") from None
+            object.__setattr__(self, name, spec)
 
     @property
     def online(self) -> tuple[OnlineTransform, ...]:
@@ -153,19 +167,10 @@ class FusionPlan:
                      if p != "post_attention" or self.v_mode == "per_head_exact")
 
 
-def plan_fusion(
-    weights: DiTBlockWeights, seed: int | None = None, v_mode: str = "per_head_exact"
-) -> FusionPlan:
-    """Build the four specs for a block's dims; seed=None disables the
-    random sign diagonals, an integer seeds each factor deterministically."""
-    seeds = [None] * 4 if seed is None else [seed + k for k in range(4)]
-    return FusionPlan(
-        input_spec=build(weights.n, seeds[0]),
-        hidden_spec=build(weights.hidden, seeds[1]),
-        head_spec=build(weights.head_dim, seeds[2]),
-        heads_spec=build(weights.heads, seeds[3]),
-        v_mode=v_mode,
-    )
+def plan_fusion(weights: DiTBlockWeights, seed: int | None = None,
+                v_mode: str = "per_head_exact") -> FusionPlan:
+    """The FusionPlan for a block's dims (see FusionPlan for the seeds)."""
+    return FusionPlan(weights.n, weights.hidden, weights.heads, seed, v_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +183,11 @@ def fuse_block(
 ) -> tuple[DiTBlockWeights, tuple[OnlineTransform, ...]]:
     """Fold every offline factor into the weights and return them with
     plan.online, or with inverse=True fold the factors back out and return ().
-    W_v takes its left factor, then its right one; the inverse runs in reverse."""
+    W_v takes its left factor, then its right one; the inverse runs in reverse.
+    ShapeError unless the plan was built for the block's (n, hidden, heads)."""
+    planned, dims = (plan.n, plan.hidden, plan.heads), (weights.n, weights.hidden, weights.heads)
+    if planned != dims:
+        raise ShapeError(f"plan for (n, hidden, heads) = {planned} cannot fuse a block with {dims}")
     h, d = plan.heads_spec.dim, plan.head_spec.dim
     literal = plan.v_mode == "paper_literal"
 
@@ -241,18 +250,17 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e
 
 
-def cross_head_apply(x: np.ndarray, heads_spec: HadamardSpec, head_dim: int) -> np.ndarray:
+def cross_head_apply(x: np.ndarray, heads_spec: HadamardSpec) -> np.ndarray:
     """Apply (H_h (x) I_d) on the right of an (m, h*d) batch: H_h along the
-    head axis of its (m, h, d) view.
+    head axis of its (m, h, d) view, with d = width // h.
 
     Only log2(h) butterfly stages per within-head coordinate: cost
     m * n * log2(h) additions via the fast path on the head axis.
     """
-    m, n = x.shape
     h = heads_spec.dim
-    if n != h * head_dim:
-        raise ShapeError(f"expected (m, {h * head_dim}) input, got {x.shape}")
-    return _mix(x.reshape(m, h, head_dim), heads_spec).reshape(m, n)
+    if x.ndim != 2 or x.shape[1] % h != 0:
+        raise ShapeError(f"expected (m, {h} * head_dim) input, got {x.shape}")
+    return _mix(x.reshape(len(x), h, x.shape[1] // h), heads_spec).reshape(x.shape)
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
@@ -300,7 +308,7 @@ def block_forward(
     a = feed(a, "attn_input")
     ctx = attention(a @ weights.w_q, a @ weights.w_k, a @ weights.w_v, weights.heads)
     if "post_attention" in at:
-        ctx = cross_head_apply(ctx, at["post_attention"].spec, weights.head_dim)
+        ctx = cross_head_apply(ctx, at["post_attention"].spec)
     x2 = x + feed(ctx, "post_attention") @ weights.w_out
 
     f = layer_norm(x2, weights.ln2_gamma, weights.ln2_beta)

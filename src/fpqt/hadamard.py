@@ -3,9 +3,9 @@
 An order-n Hadamard matrix is factored as H_n = H_p (x) H_q, where p is the
 largest power of two such that q = n / p has a base matrix (q in {1, 12,
 20, 28}; 12, 20 and 28 are built by Paley's construction).  Entries are
-normalized by 1/sqrt(n) so the realized matrix is orthogonal, and an
-optional seeded random +-1 diagonal D can be folded in on the right
-(default D = I).
+normalized by 1/sqrt(n) so the realized matrix is orthogonal, and a seeded
+random +-1 diagonal D can be folded in on the right.  A HadamardSpec holds
+only n and that seed (None: D = I); it works out (p, q) once, when built.
 
 Every transform is H along one axis of a view: _mix applies H (or H^T) to
 the middle axis of an (l, dim, r) array, apply_right is its (m, dim, 1)
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -94,17 +94,20 @@ def factorize(n: int) -> tuple[int, int]:
 @dataclass(frozen=True)
 class HadamardSpec:
     """A realized-on-demand orthogonal transform: (H_p (x) H_q) / sqrt(n),
-    optionally right-multiplied by a seeded random sign diagonal."""
+    optionally right-multiplied by a seeded random sign diagonal (seed=None
+    means none).  p and q are factorize(dim), worked out once here."""
 
     dim: int
-    p: int
-    q: int
     seed: int | None = None
+    p: int = field(init=False, compare=False)
+    q: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        if (self.p, self.q) != factorize(self.dim):
-            raise ValueError(f"dim={self.dim} splits as (p, q) = {factorize(self.dim)}, "
-                             f"not p={self.p}, q={self.q}")
+        p, q = factorize(self.dim)
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"sign-diagonal seed must be nonnegative, got {self.seed}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @property
     def log2_p(self) -> int:
@@ -113,8 +116,7 @@ class HadamardSpec:
 
 def build(dim: int, seed: int | None = None) -> HadamardSpec:
     """Validate and factorize an order; seed=None means no sign diagonal."""
-    p, q = factorize(dim)
-    return HadamardSpec(dim=dim, p=p, q=q, seed=seed)
+    return HadamardSpec(dim, seed)
 
 
 def sign_diagonal(spec: HadamardSpec) -> np.ndarray | None:

@@ -37,7 +37,7 @@ from .fusion import (
     plan_fusion,
 )
 from .gptq import CalibrationSet, gptq_quantize
-from .hadamard import build, factorize, op_count
+from .hadamard import op_count
 from .quantize import minmax_quantize, quant_error
 from .select import SelectionConfig, format_for_spread, spread_indicator
 from .tensors import WORKING_DTYPE, channel_max_median_ratio
@@ -73,8 +73,11 @@ class HarnessConfig:
                             ("calib_samples", self.calib_samples)):
             if value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if not math.isfinite(self.outlier_scale):
-            raise ValueError(f"outlier_scale must be finite, got {self.outlier_scale}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        # keeps gen_activations finite: its unit-Gaussian draws lie far below 2^23
+        if not abs(self.outlier_scale) <= 2.0**1000:
+            raise ValueError(f"|outlier_scale| must be at most 2^1000, got {self.outlier_scale}")
         if self.v_mode not in V_MODES:
             raise ValueError(f"v_mode must be one of {V_MODES}, got {self.v_mode!r}")
         if self.heads < 1 or self.n % self.heads != 0:
@@ -91,14 +94,8 @@ class HarnessConfig:
         if self.weight_format != "auto":
             parse_format(self.weight_format)
         SelectionConfig(n_bits=self.weight_bits, alpha=self.alpha)
-        if self.use_hadamard:
-            for field, order in (("n", self.n), ("hidden", self.hidden_dim),
-                                 ("n // heads", self.n // self.heads), ("heads", self.heads)):
-                try:
-                    factorize(order)
-                except ValueError as exc:
-                    raise ValueError(f"use_hadamard needs a transform of order "
-                                     f"{field} = {order}: {exc}") from None
+        if self.use_hadamard:  # names the role of an unconstructible order or a bad seed
+            FusionPlan(self.n, self.hidden_dim, self.heads, self.hadamard_seed, self.v_mode)
 
     @property
     def hidden_dim(self) -> int:
@@ -266,10 +263,8 @@ def estimate_cost(cfg: HarnessConfig) -> dict:
 
     hadamard_ops = {"adds": 0, "muls": 0, "transforms": []}
     if cfg.use_hadamard:
-        # Op counts are independent of the sign-diagonal seed, so the plan
-        # can be built from dimensions alone without touching any weights.
-        plan = FusionPlan(build(n), build(cfg.hidden_dim), build(n // h), build(h), cfg.v_mode)
-        for tr in plan.online:
+        # op counts do not depend on the sign-diagonal seed, so the plan has none
+        for tr in FusionPlan(n, cfg.hidden_dim, h, v_mode=cfg.v_mode).online:
             # the cross-head mix runs the fast path on (tokens * head_dim, heads)
             ops = op_count(t * (n // h) if tr.point == "post_attention" else t, tr.spec)
             hadamard_ops["adds"] += ops["adds"]

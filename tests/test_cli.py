@@ -1,11 +1,15 @@
+import io
 import json
 import os
 import stat
 import struct
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpqt.cli import _harness_config, build_parser, main
 from fpqt.errors import ShapeError
@@ -75,6 +79,12 @@ class TestHadamardCommand:
     def test_check_limit(self, capsys):
         code, _, _ = run_cli(capsys, "hadamard", "--dim", "8192", "--check")
         assert code == 1
+
+    @pytest.mark.parametrize("check", [(), ("--check",)])
+    def test_negative_seed_is_config_error(self, capsys, check):
+        code, out, err = run_cli(capsys, "hadamard", "--dim", "8", "--seed", "-1", *check)
+        assert (code, out) == (1, "")
+        assert err == "fpqt: error: sign-diagonal seed must be nonnegative, got -1\n"
 
 
 class TestInspectCommand:
@@ -367,6 +377,14 @@ class TestFuseCommand:
         assert err == f"fpqt: error: w_q must be 2-D, got shape {w_q.shape}\n"
         assert not dst.exists()
 
+    def test_negative_seed_is_config_error(self, capsys, tmp_path, rng):
+        src = self._write_block(tmp_path, rng)
+        dst = tmp_path / "fused.fpqt"
+        code, out, err = run_cli(capsys, "fuse", src, str(dst), "--heads", "2", "--seed", "-2")
+        assert (code, out) == (1, "")
+        assert err.startswith("fpqt: error: ") and "seed must be nonnegative, got -2" in err
+        assert not dst.exists()
+
     def test_missing_matrix_is_config_error(self, capsys, tmp_path, rng):
         path = str(tmp_path / "partial.fpqt")
         write_tensors(path, {"w_q": rng.standard_normal((4, 4))})
@@ -418,6 +436,12 @@ class TestSimulateAndCost:
     def test_invalid_config_is_error(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--n", "16", "--heads", "5")
         assert code == 1
+
+    @pytest.mark.parametrize("flag", ["--seed", "--hadamard-seed"])
+    def test_negative_seed_is_config_error(self, capsys, flag):
+        code, out, err = run_cli(capsys, "simulate", *self.SMALL, f"{flag}=-1")
+        assert (code, out) == (1, "")
+        assert err.startswith("fpqt: error: ") and "seed must be nonnegative, got -1" in err
 
     def test_cost_output(self, capsys):
         code, out, _ = run_cli(capsys, "cost", *self.SMALL)
@@ -481,3 +505,94 @@ class TestHarnessFlags:
         for command in ("simulate", "cost"):
             args = build_parser().parse_args([command, flag] + ([text] if text else []))
             assert _harness_config(args) == replace(HarnessConfig(), **{field: want})
+
+
+def _main_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _flags(**values):
+    # --flag=value, so that negative numbers such as -1e+300 are not read as flags
+    return [f"--{k.replace('_', '-')}={v}" for k, v in values.items() if v is not None]
+
+
+# derandomized: the same examples on every run, and no example database on disk
+_FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+_SMALL_ORDERS = st.sampled_from([1, 2, 4, 8, 12, 16, 20, 24, 28, 40, 48, 56, 64])
+_SEEDS = st.one_of(st.none(), st.integers(-3, 2**64))
+
+
+_VALID = {
+    "n": st.sampled_from([4, 8, 16]),
+    "heads": st.sampled_from([1, 2, 4]),
+    "tokens": st.integers(1, 8),
+    "hidden": st.one_of(st.none(), st.sampled_from([4, 12, 24, 40, 56])),
+    "outlier_channels": st.integers(0, 4),
+    "outlier_scale": st.one_of(st.floats(-1e6, 1e6), st.sampled_from(
+        [2.0**1000, -(2.0**1000), 1e307, 5e-324])),
+    "seed": st.integers(0, 2**64),
+    "hadamard_seed": st.one_of(st.none(), st.integers(0, 2**64)),
+    "method": st.sampled_from(["gptq", "rtn"]),
+    "calib_samples": st.integers(1, 24),
+    "v_mode": st.sampled_from(["per_head_exact", "paper_literal"]),
+}
+_WIDE = {  # any value the flag's type parses, for the one field drawn out of range
+    "n": st.integers(-2, 17),
+    "heads": st.integers(-2, 17),
+    "tokens": st.integers(-2, 8),
+    "hidden": st.integers(-2, 64),
+    "outlier_channels": st.integers(-2, 17),
+    "outlier_scale": st.one_of(st.sampled_from([1e308, -1e308]), st.floats()),
+    "seed": st.integers(-3, -1),
+    "hadamard_seed": st.integers(-3, -1),
+    "calib_samples": st.integers(-2, 0),
+}
+
+
+@st.composite
+def _harness_argv(draw):
+    """Valid harness flags, or with one field drawn from a wider range."""
+    values = {name: draw(strategy) for name, strategy in _VALID.items()}
+    wide = draw(st.one_of(st.none(), st.sampled_from(sorted(_WIDE))))
+    if wide is not None:
+        values[wide] = draw(_WIDE[wide])
+    return _flags(**values) + (["--no-hadamard"] if draw(st.booleans()) else [])
+
+
+class TestCliFuzz:
+    """Every command either prints its result (exit 0, strict JSON on stdout)
+    or fails with exit 1 or 2 and one `fpqt:` line on stderr; no exception,
+    traceback or RuntimeWarning escapes main()."""
+
+    @staticmethod
+    def _oracle(argv):
+        code, out, err = _main_in_process(argv)
+        assert code in (0, 1, 2), (argv, code)
+        if code == 0:
+            json.loads(out, parse_constant=_reject_constant)
+            assert err == "", argv
+        else:
+            assert out == "", argv
+            assert err.startswith("fpqt: ") and err.count("\n") == 1, (argv, err)
+
+    @_FUZZ
+    @given(data=st.data(), rows=st.integers(-2, 2**40), seed=_SEEDS, check=st.booleans())
+    def test_hadamard(self, data, rows, seed, check):
+        # --check builds the dense matrix, so it draws only small orders
+        small = st.one_of(_SMALL_ORDERS, st.integers(-4, 300))
+        dim = data.draw(small if check else st.one_of(small, st.integers(-2**62, 2**62)))
+        self._oracle(["hadamard", *_flags(dim=dim, rows=rows, seed=seed)]
+                     + (["--check"] if check else []))
+
+    @_FUZZ
+    @given(argv=_harness_argv())
+    def test_cost(self, argv):
+        self._oracle(["cost", *argv])
+
+    @_FUZZ
+    @given(argv=_harness_argv())
+    def test_simulate(self, argv):
+        self._oracle(["simulate", *argv])

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -316,11 +316,73 @@ class TestCrossHeadApply:
         spec = build(h, seed=3)
         x = rng.standard_normal((5, h * d))
         dense = np.kron(realize(spec), np.eye(d))
-        assert np.abs(cross_head_apply(x, spec, d) - x @ dense).max() < 1e-12
+        assert np.abs(cross_head_apply(x, spec) - x @ dense).max() < 1e-12
 
     def test_shape_check(self, rng):
         with pytest.raises(ShapeError):
-            cross_head_apply(rng.standard_normal((2, 10)), build(4), 3)
+            cross_head_apply(rng.standard_normal((2, 10)), build(4))
+        with pytest.raises(ShapeError):
+            cross_head_apply(rng.standard_normal(8), build(4))
+
+    @pytest.mark.parametrize("width", [6, 9, 30])
+    def test_width_heads_does_not_divide_rejected(self, rng, width):
+        with pytest.raises(ShapeError, match=rf"4 \* head_dim.*\(3, {width}\)"):
+            cross_head_apply(rng.standard_normal((3, width)), build(4))
+
+
+class TestFusionPlan:
+    def test_init_parameters(self):
+        names = [f.name for f in fields(FusionPlan) if f.init]
+        assert names == ["n", "hidden", "heads", "seed", "v_mode"]
+
+    @pytest.mark.parametrize("seed", [None, 0, 7])
+    def test_specs_built_from_dims_and_seed(self, seed):
+        plan = FusionPlan(48, 96, 4, seed)
+        specs = (plan.input_spec, plan.hidden_spec, plan.head_spec, plan.heads_spec)
+        assert [s.dim for s in specs] == [48, 96, 12, 4]
+        want = [None] * 4 if seed is None else [seed + k for k in range(4)]
+        assert [s.seed for s in specs] == want
+        assert plan == plan_fusion(make_weights(n=48, heads=4, hidden=96), seed)
+
+    def test_specs_are_read_only(self):
+        plan = FusionPlan(32, 64, 2)
+        with pytest.raises(FrozenInstanceError):
+            plan.input_spec = build(32)
+        with pytest.raises(TypeError):
+            FusionPlan(32, 64, 2, input_spec=build(32))
+
+    @pytest.mark.parametrize("dims,role", [
+        ((36, 144, 4), "n = 36"),
+        ((64, 200, 4), "hidden = 200"),
+        ((24, 96, 4), "n // heads = 6"),
+        ((48, 192, 3), "heads = 3"),
+    ])
+    def test_unconstructible_order_names_its_role(self, dims, role):
+        with pytest.raises(ValueError, match=re.escape(role)):
+            FusionPlan(*dims)
+
+    def test_heads_must_divide_n(self):
+        with pytest.raises(ValueError, match="heads 3 must divide n 32"):
+            FusionPlan(32, 64, 3)
+
+    @pytest.mark.parametrize("seed", [-1, -4])
+    def test_negative_seed_rejected_at_the_plan(self, seed):
+        with pytest.raises(ValueError, match=rf"seed must be nonnegative, got {seed}"):
+            plan_fusion(make_weights(), seed=seed)
+
+    @pytest.mark.parametrize("block,plan_block", [
+        ({"n": 128, "heads": 4}, {"n": 64, "heads": 4}),
+        ({"n": 32, "heads": 4}, {"n": 64, "heads": 4}),
+        ({"n": 64, "heads": 8}, {"n": 64, "heads": 4}),
+        ({"n": 32, "hidden": 128}, {"n": 32, "hidden": 64}),
+    ])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_plan_for_other_dims_rejected(self, block, plan_block, inverse):
+        w, other = make_weights(**block), make_weights(**plan_block)
+        want = (rf"\({other.n}, {other.hidden}, {other.heads}\) cannot fuse a block "
+                rf"with \({w.n}, {w.hidden}, {w.heads}\)")
+        with pytest.raises(ShapeError, match=want):
+            fuse_block(w, plan_fusion(other), inverse=inverse)
 
 
 class TestBlockInvariance:

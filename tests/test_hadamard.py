@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -38,27 +40,27 @@ class TestBaseMatrices:
                 base_matrix(q)
 
 
+FACTORIZATIONS = [
+    (1, (1, 1)),
+    (2, (2, 1)),
+    (4, (4, 1)),
+    (8, (8, 1)),
+    (12, (1, 12)),
+    (20, (1, 20)),
+    (24, (2, 12)),
+    (28, (1, 28)),
+    (40, (2, 20)),
+    (48, (4, 12)),
+    (56, (2, 28)),
+    (64, (64, 1)),
+    (96, (8, 12)),
+    (1024, (1024, 1)),
+    (28672, (1024, 28)),
+]
+
+
 class TestFactorize:
-    @pytest.mark.parametrize(
-        "n,expected",
-        [
-            (1, (1, 1)),
-            (2, (2, 1)),
-            (4, (4, 1)),
-            (8, (8, 1)),
-            (12, (1, 12)),
-            (20, (1, 20)),
-            (24, (2, 12)),
-            (28, (1, 28)),
-            (40, (2, 20)),
-            (48, (4, 12)),
-            (56, (2, 28)),
-            (64, (64, 1)),
-            (96, (8, 12)),
-            (1024, (1024, 1)),
-            (28672, (1024, 28)),
-        ],
-    )
+    @pytest.mark.parametrize("n,expected", FACTORIZATIONS)
     def test_known_factorizations(self, n, expected):
         assert factorize(n) == expected
 
@@ -241,9 +243,28 @@ class TestSpec:
             spec.dim = 4
 
     def test_log2_p(self):
-        assert HadamardSpec(dim=1024, p=1024, q=1).log2_p == 10
+        assert HadamardSpec(1024).log2_p == 10
 
     @pytest.mark.parametrize("dim,p,q", [(16, 2, 12), (24, 24, 1), (48, 12, 4), (6, 3, 2)])
     def test_split_must_be_the_factorization(self, dim, p, q):
-        with pytest.raises(ValueError, match=rf"dim={dim}.*p={p}, q={q}|order {dim}"):
+        # the split is worked out from dim, so a wrong one cannot be passed in
+        with pytest.raises(TypeError):
             HadamardSpec(dim=dim, p=p, q=q)
+
+    @pytest.mark.parametrize("n", [n for n, _ in FACTORIZATIONS])
+    def test_split_is_the_factorization(self, n):
+        spec = HadamardSpec(n)
+        assert (spec.p, spec.q) == factorize(n)
+
+    def test_init_parameters_are_dim_and_seed(self):
+        assert [f.name for f in fields(HadamardSpec) if f.init] == ["dim", "seed"]
+
+    @pytest.mark.parametrize("seed", [-1, -3, -(2**40)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=rf"seed must be nonnegative, got {seed}"):
+            HadamardSpec(8, seed)
+        with pytest.raises(ValueError, match="seed"):
+            build(8, seed)
+
+    def test_zero_seed_is_a_sign_diagonal(self):
+        assert sign_diagonal(HadamardSpec(8, 0)) is not None

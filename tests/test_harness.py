@@ -97,6 +97,31 @@ class TestConfig:
         HarnessConfig(**kwargs, use_hadamard=False)  # only the transform needs them
 
     @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"seed": -1}, "seed must be nonnegative, got -1"),
+            ({"hadamard_seed": -3}, "n = 64: sign-diagonal seed must be nonnegative, got -3"),
+        ],
+    )
+    def test_negative_seed_rejected_before_the_run(self, kwargs, message):
+        # numpy would otherwise stop run() with an error that names no input
+        with pytest.raises(ValueError, match=message):
+            HarnessConfig(**kwargs)
+
+    @pytest.mark.parametrize("scale", [2.0**1000, -(2.0**1000), 1e300])
+    def test_outlier_scale_at_the_bound_runs(self, scale):
+        report = run(HarnessConfig(**SMALL, outlier_scale=scale, method="rtn"))
+        assert math.isfinite(report.end_to_end["mse"])
+
+    @pytest.mark.parametrize(
+        "scale", [np.nextafter(2.0**1000, math.inf), -np.nextafter(2.0**1000, math.inf), 1e308]
+    )
+    def test_outlier_scale_beyond_the_bound_rejected(self, scale):
+        # 1e308 times a unit-Gaussian draw above 1.8 overflows float64
+        with pytest.raises(ValueError, match=r"\|outlier_scale\| must be at most 2\^1000"):
+            HarnessConfig(outlier_scale=float(scale))
+
+    @pytest.mark.parametrize(
         "kwargs,field",
         [
             ({"v_mode": "bogus"}, "v_mode"),
