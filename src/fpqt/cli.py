@@ -16,6 +16,7 @@ Exit codes: 0 success; 1 usage, configuration, or numerical error;
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from contextlib import closing
 from dataclasses import fields
@@ -51,6 +52,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes an exponent form such as -1e+3 for a flag
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # argparse would exit(2); usage errors are exit 1
         raise UsageError(message)
 

@@ -112,9 +112,9 @@ class DiTBlockWeights:
 class OnlineTransform:
     """A transform the runtime applies at a named point of the forward pass.
 
-    point 'post_attention' applies the cross-head mix (H_h (x) I_d) of the
-    given head-count spec; every other point applies the spec's full
-    transform with apply_right.
+    block_forward's per-point feed step runs it: at 'post_attention' the
+    cross-head mix (H_h (x) I_d) of the head-count spec (cross_head_apply),
+    at every other point the spec's full transform (apply_right).
     """
 
     point: str
@@ -283,11 +283,11 @@ def block_forward(
     act_quant: Callable[[np.ndarray, str], np.ndarray] | None = None,
     taps: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Run the block.  online transforms fire at their named points.  The
-    six linear layers read four inputs, one per ONLINE_POINTS entry (see
-    LAYER_INPUTS); act_quant(a, point), when given, quantizes each input
-    once, and taps, when given, records each one (post-transform,
-    pre-quantization) under its point name."""
+    """Run the block.  The six linear layers read four inputs, one per
+    ONLINE_POINTS entry (see LAYER_INPUTS), and each input passes one feed
+    step: the online transform scheduled at its point, if any, then the
+    tap (taps[point] = a, when taps is given), then act_quant(a, point),
+    when given."""
     x = np.asarray(x, dtype=WORKING_DTYPE)
     if x.ndim != 2 or x.shape[1] != weights.n:
         raise ShapeError(f"expected (tokens, {weights.n}) input, got {x.shape}")
@@ -295,26 +295,18 @@ def block_forward(
     for t in online:
         if t.point in at:
             raise ValueError(f"duplicate online transform at {t.point!r}")
-        at[t.point] = t
+        at[t.point] = t.spec
 
     def feed(a: np.ndarray, point: str) -> np.ndarray:
+        if point in at:
+            spec = at[point]
+            a = cross_head_apply(a, spec) if point == "post_attention" else apply_right(a, spec)
         if taps is not None:
             taps[point] = a
         return act_quant(a, point) if act_quant is not None else a
 
-    a = layer_norm(x, weights.ln1_gamma, weights.ln1_beta)
-    if "attn_input" in at:
-        a = apply_right(a, at["attn_input"].spec)
-    a = feed(a, "attn_input")
+    a = feed(layer_norm(x, weights.ln1_gamma, weights.ln1_beta), "attn_input")
     ctx = attention(a @ weights.w_q, a @ weights.w_k, a @ weights.w_v, weights.heads)
-    if "post_attention" in at:
-        ctx = cross_head_apply(ctx, at["post_attention"].spec)
     x2 = x + feed(ctx, "post_attention") @ weights.w_out
-
-    f = layer_norm(x2, weights.ln2_gamma, weights.ln2_beta)
-    if "ffn_input" in at:
-        f = apply_right(f, at["ffn_input"].spec)
-    g = gelu(feed(f, "ffn_input") @ weights.w_fc1)
-    if "post_gelu" in at:
-        g = apply_right(g, at["post_gelu"].spec)
-    return x2 + feed(g, "post_gelu") @ weights.w_fc2
+    f = feed(layer_norm(x2, weights.ln2_gamma, weights.ln2_beta), "ffn_input")
+    return x2 + feed(gelu(f @ weights.w_fc1), "post_gelu") @ weights.w_fc2

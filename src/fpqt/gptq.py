@@ -153,4 +153,4 @@ def gptq_quantize(w: np.ndarray, cal: CalibrationSet, fmt: FpFormat) -> Quantize
                 np.subtract(w[j], q[j], out=delta[j])
         if not np.isfinite(pre).all():
             raise NumericalError("GPTQ error feedback overflows float64")
-    return QuantizedTensor(values=q, fmt=fmt, bias=bias, channel_axis=-1)
+    return QuantizedTensor(values=q, bias=bias)

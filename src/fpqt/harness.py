@@ -73,8 +73,6 @@ class HarnessConfig:
                             ("calib_samples", self.calib_samples)):
             if value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         # keeps gen_activations finite: its unit-Gaussian draws lie far below 2^23
         if not abs(self.outlier_scale) <= 2.0**1000:
             raise ValueError(f"|outlier_scale| must be at most 2^1000, got {self.outlier_scale}")
@@ -96,6 +94,9 @@ class HarnessConfig:
         SelectionConfig(n_bits=self.weight_bits, alpha=self.alpha)
         if self.use_hadamard:  # names the role of an unconstructible order or a bad seed
             FusionPlan(self.n, self.hidden_dim, self.heads, self.hadamard_seed, self.v_mode)
+        for name in ("seed", "hadamard_seed"):  # the report echoes a seed even when unused
+            if (getattr(self, name) or 0) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
     @property
     def hidden_dim(self) -> int:

@@ -40,19 +40,15 @@ _BLOCK_ELEMS = 1 << 15  # elements per block of the elementwise kernels (256 KiB
 
 @dataclass(frozen=True)
 class QuantizedTensor:
-    """Fake-quantized values plus the grid they live on.
+    """Fake-quantized values plus the exponent bias of their grid.
 
     values: float64 array, every element exactly on its channel's grid.
-    fmt: the minifloat format.
     bias: per-channel integer exponent bias, shape (n_channels,) when
-        channel_axis names an axis, 0-d when quantization was per-tensor.
-    channel_axis: the axis of `values` the bias vector runs along, or None.
+        quantization ran along a channel axis, 0-d when it was per-tensor.
     """
 
     values: np.ndarray
-    fmt: FpFormat
     bias: np.ndarray
-    channel_axis: int | None
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -158,7 +154,7 @@ def minmax_quantize(
     # views of values: a 0-d array is snapped through its 1-element view
     moved = np.atleast_1d(values) if channel_axis is None else np.moveaxis(values, channel_axis, -1)
     _snap(moved, fmt.n_m, *_grid_constants(fmt, bias))
-    return QuantizedTensor(values=values, fmt=fmt, bias=bias, channel_axis=channel_axis)
+    return QuantizedTensor(values=values, bias=bias)
 
 
 def snap_per_channel(x: np.ndarray, fmt: FpFormat, bias: np.ndarray | int) -> np.ndarray:

@@ -3,6 +3,7 @@ import json
 import os
 import stat
 import struct
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 
@@ -10,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fpqt.cli import _harness_config, build_parser, main
 from fpqt.errors import ShapeError
 from fpqt.formats import BiasedFormat, FpFormat, grid
+from fpqt.fusion import LAYER_NAMES, V_MODES, layer_shapes
 from fpqt.harness import HarnessConfig
 from fpqt.tensors import read_tensors, write_tensors
 
@@ -443,6 +446,35 @@ class TestSimulateAndCost:
         assert (code, out) == (1, "")
         assert err.startswith("fpqt: error: ") and "seed must be nonnegative, got -1" in err
 
+    def test_negative_hadamard_seed_without_the_transform_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", *self.SMALL, "--no-hadamard",
+                                 "--hadamard-seed", "-1")
+        assert (code, out) == (1, "")
+        assert err == "fpqt: error: hadamard_seed must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("flag", ["--outlier-scale", "--alpha", "--heavy-tail-fraction"])
+    @pytest.mark.parametrize("value", ["-1e+3", "-1e3", "-2.5E-1"])
+    def test_negative_exponent_value_as_its_own_word(self, capsys, flag, value):
+        # argparse alone reads such a word as an unknown flag
+        spaced = run_cli(capsys, "cost", *self.SMALL, flag, value)
+        assert spaced == run_cli(capsys, "cost", *self.SMALL, f"{flag}={value}")
+
+    def test_cost_with_a_negative_exponent_outlier_scale(self, capsys):
+        argv = ("cost", "--n", "16", "--heads", "2")
+        code, out, err = run_cli(capsys, *argv, "--outlier-scale", "-1e+3")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *argv, "--outlier-scale=-1e+3")[1]
+
+    def test_negative_exponent_alpha_is_range_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--alpha", "-1e+1")
+        assert (code, out) == (1, "")
+        assert err == "fpqt: error: alpha must be in (0, 100) exclusive, got -10.0\n"
+
+    def test_option_word_is_still_not_a_float_value(self, capsys):
+        code, out, err = run_cli(capsys, "cost", "--outlier-scale", "--n", "16")
+        assert (code, out) == (1, "")
+        assert err == "fpqt: error: argument --outlier-scale: expected one argument\n"
+
     def test_cost_output(self, capsys):
         code, out, _ = run_cli(capsys, "cost", *self.SMALL)
         data = json.loads(out)
@@ -562,21 +594,123 @@ def _harness_argv(draw):
     return _flags(**values) + (["--no-hadamard"] if draw(st.booleans()) else [])
 
 
+_F32_MAX = float(np.finfo(np.float32).max)
+# float32-exact values: zeros, the smallest subnormal and normal, the extremes
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -3.0, 2.0**-149, -(2.0**-149), 2.0**-126,
+                     _F32_MAX, -_F32_MAX]),
+    st.floats(-_F32_MAX, _F32_MAX, width=32),
+)
+_SHAPES = st.one_of(st.just(()), hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+                    hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5))
+
+
+@st.composite
+def _entries(draw):
+    """Up to three entries: 0-d, 1-D, empty, 2-D or 3-D, constant or drawn;
+    a name may collide with another's '.bias' output."""
+    names = draw(st.lists(st.one_of(st.sampled_from(["w", "w.bias", ""]), st.text(max_size=3)),
+                          max_size=3, unique=True))
+    entries = {}
+    for name in names:
+        shape = draw(_SHAPES)
+        if draw(st.booleans()):
+            entries[name] = np.full(shape, draw(_VALUES))
+        else:
+            entries[name] = draw(hnp.arrays(np.float64, shape, elements=_VALUES))
+    return entries
+
+
+# 'auto', E0..E12 by M0..M64, other case or padding, and strings that are no format
+_FORMATS = st.one_of(
+    st.just("auto"),
+    st.builds("E{}M{}".format, st.integers(0, 12), st.integers(0, 64)),
+    st.sampled_from(["e2m1", " E4M3 ", "E2M1x", "M2E1", "E-1M2", "E2M-1", "E", "", "2"]),
+    st.text(max_size=6),
+)
+_ALPHAS = st.one_of(st.just(25.0), st.floats(-1.0, 101.0, allow_nan=False))
+_BITS = st.one_of(st.just(4), st.integers(0, 10))
+_NORMS = ("ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta")
+
+
+@st.composite
+def _block_entries(draw):
+    """The six matrices and four norm vectors of a small block, one of them
+    perhaps missing or of another shape."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # orders 6, 3 and 0 have no Hadamard transform, so fuse must refuse them
+    n = draw(st.sampled_from([1, 2, 4, 12, 0, 6]))
+    hidden = draw(st.sampled_from([1, 8, 12, 0, 3]))
+    entries = {name: rng.standard_normal(shape) for name, shape in layer_shapes(n, hidden).items()}
+    entries.update({name: rng.standard_normal(n) for name in _NORMS})
+    name = draw(st.sampled_from(LAYER_NAMES + _NORMS))
+    defect = draw(st.one_of(st.none(), st.sampled_from(["missing", "shape"])))
+    if defect == "missing":
+        del entries[name]
+    elif defect == "shape":
+        entries[name] = rng.standard_normal(draw(_SHAPES))
+    return entries
+
+
 class TestCliFuzz:
-    """Every command either prints its result (exit 0, strict JSON on stdout)
-    or fails with exit 1 or 2 and one `fpqt:` line on stderr; no exception,
-    traceback or RuntimeWarning escapes main()."""
+    """Every command either prints its result (exit 0, strict JSON on stdout
+    wherever JSON was asked for) or fails with exit 1 or 2, one `fpqt:` line
+    on stderr, nothing on stdout and, for a command that writes OUT, no OUT
+    and no temporary file left beside it; no exception, traceback or
+    RuntimeWarning escapes main()."""
 
     @staticmethod
-    def _oracle(argv):
+    def _oracle(argv, json_out=True, out_path=None):
         code, out, err = _main_in_process(argv)
         assert code in (0, 1, 2), (argv, code)
         if code == 0:
-            json.loads(out, parse_constant=_reject_constant)
+            if json_out:
+                json.loads(out, parse_constant=_reject_constant)
             assert err == "", argv
         else:
             assert out == "", argv
             assert err.startswith("fpqt: ") and err.count("\n") == 1, (argv, err)
+            if out_path is not None:
+                assert not os.path.exists(out_path), argv
+                assert not [f for f in os.listdir(os.path.dirname(out_path))
+                            if f.endswith(".tmp")], argv
+
+    @staticmethod
+    def _with_container(entries, command):
+        """command(src, out) in a fresh directory holding entries at src."""
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = os.path.join(tmp, "in.fpqt"), os.path.join(tmp, "out.fpqt")
+            write_tensors(src, entries)
+            command(src, out)
+
+    @_FUZZ
+    @given(entries=_entries(), alpha=_ALPHAS, as_json=st.booleans())
+    def test_inspect(self, entries, alpha, as_json):
+        self._with_container(entries, lambda src, out: self._oracle(
+            ["inspect", src, *_flags(alpha=alpha)] + (["--json"] if as_json else []),
+            json_out=as_json))
+
+    @_FUZZ
+    @given(entries=_entries(), bits=_BITS, alpha=_ALPHAS, as_json=st.booleans())
+    def test_select_format(self, entries, bits, alpha, as_json):
+        self._with_container(entries, lambda src, out: self._oracle(
+            ["select-format", src, *_flags(bits=bits, alpha=alpha)]
+            + (["--json"] if as_json else []), json_out=as_json))
+
+    @_FUZZ
+    @given(entries=_entries(), fmt=_FORMATS, bits=_BITS, alpha=_ALPHAS)
+    def test_quantize(self, entries, fmt, bits, alpha):
+        self._with_container(entries, lambda src, out: self._oracle(
+            ["quantize", src, out, *_flags(format=fmt, bits=bits, alpha=alpha)],
+            json_out=False, out_path=out))
+
+    @_FUZZ
+    @given(entries=_block_entries(), heads=st.one_of(st.sampled_from([1, 2]), st.integers(-1, 5)),
+           seed=_SEEDS, v_mode=st.sampled_from(V_MODES), invert=st.booleans())
+    def test_fuse(self, entries, heads, seed, v_mode, invert):
+        self._with_container(entries, lambda src, out: self._oracle(
+            ["fuse", src, out, *_flags(heads=heads, seed=seed, v_mode=v_mode)]
+            + (["--invert"] if invert else []), json_out=False, out_path=out))
 
     @_FUZZ
     @given(data=st.data(), rows=st.integers(-2, 2**40), seed=_SEEDS, check=st.booleans())

@@ -437,14 +437,24 @@ class TestBlockForward:
             assert taps[LAYER_INPUTS[name]].shape[1] == mat.shape[0]
 
     def test_taps_see_post_transform_inputs(self, rng):
+        # each fused tap is the unfused one times the rotation in front of its layer
         w = make_weights(n=16, heads=2)
         x = rng.standard_normal((6, 16))
+        plan = plan_fusion(w, seed=3)
         t0, t1 = {}, {}
         block_forward(x, w, taps=t0)
-        fused, online = fuse_block(w, plan_fusion(w))
-        block_forward(x, fused, online, taps=t1)
-        assert not np.allclose(t0["attn_input"], t1["attn_input"])
-        assert np.allclose(t0["attn_input"], t1["attn_input"] @ realize(online[0].spec).T)
+        block_forward(x, *fuse_block(w, plan), taps=t1)
+        hn, eye_h, eye_d = realize(plan.input_spec), np.eye(w.heads), np.eye(w.head_dim)
+        rotation = {
+            "attn_input": hn,
+            "post_attention": np.kron(eye_h, realize(plan.head_spec))
+            @ np.kron(realize(plan.heads_spec), eye_d),
+            "ffn_input": hn,
+            "post_gelu": realize(plan.hidden_spec),
+        }
+        for point in ONLINE_POINTS:
+            assert not np.allclose(t1[point], t0[point]), point
+            assert rel_err(t1[point], t0[point] @ rotation[point]) < 1e-12, point
 
     def test_identity_act_quant_is_a_no_op(self, rng):
         w = make_weights()

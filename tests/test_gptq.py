@@ -280,7 +280,5 @@ class TestGptqQuantize:
     def test_output_format_metadata(self, rng):
         w = rng.standard_normal((8, 4))
         q = gptq_quantize(w, CalibrationSet(np.eye(8)), E2M1)
-        assert q.fmt == E2M1
-        assert q.channel_axis == -1
         assert q.values.shape == (8, 4)
         assert q.bias.shape == (4,)

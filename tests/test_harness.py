@@ -101,6 +101,9 @@ class TestConfig:
         [
             ({"seed": -1}, "seed must be nonnegative, got -1"),
             ({"hadamard_seed": -3}, "n = 64: sign-diagonal seed must be nonnegative, got -3"),
+            # unused, but the report's config would echo it
+            ({"hadamard_seed": -3, "use_hadamard": False},
+             "hadamard_seed must be nonnegative, got -3"),
         ],
     )
     def test_negative_seed_rejected_before_the_run(self, kwargs, message):
