@@ -18,10 +18,10 @@ from fpqt import (
     HarnessConfig,
     block_forward,
     build,
+    estimate_cost,
     fuse_block,
     init_weights,
     op_count,
-    plan_fusion,
 )
 
 
@@ -36,14 +36,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cfg = HarnessConfig(n=args.dim, heads=args.heads, tokens=args.tokens,
-                        seed=args.seed)
+                        seed=args.seed, hadamard_seed=args.sign_seed)
     weights = init_weights(cfg)
     rng = np.random.default_rng(args.seed + 1)
     x = rng.standard_normal((args.tokens, args.dim))
 
     reference = block_forward(x, weights)
-    plan = plan_fusion(weights, seed=args.sign_seed)
-    fused, online = fuse_block(weights, plan)
+    fused, online = fuse_block(weights, cfg.plan)
     fused_out = block_forward(x, fused, online=online)
 
     err = np.max(np.abs(fused_out - reference)) / np.max(np.abs(reference))
@@ -51,11 +50,7 @@ def main(argv=None) -> int:
     print(f"max relative deviation after fusion: {err:.3e}")
 
     print("\nonline transforms that remain in the forward pass:")
-    for t in online:
-        # the cross-head mix works on rows of width `heads`, one per
-        # (token, head-dim) pair; every other point transforms whole rows
-        rows = args.tokens * weights.head_dim if t.point == "post_attention" else args.tokens
-        ops = op_count(rows, t.spec)
+    for t, ops in zip(online, estimate_cost(cfg)["hadamard"]["transforms"]):
         print(
             f"  {t.point:16s} order={t.spec.dim:5d} factors=({t.spec.p},{t.spec.q})"
             f"  adds={ops['adds']:8d}  muls={ops['muls']:8d}"

@@ -35,8 +35,8 @@ def profiles(rng: np.random.Generator) -> dict[str, np.ndarray]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--bits", type=int, default=4)
-    parser.add_argument("--alpha", type=float, default=25.0)
+    parser.add_argument("--bits", type=int, default=SelectionConfig.n_bits)
+    parser.add_argument("--alpha", type=float, default=SelectionConfig.alpha)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 

@@ -15,6 +15,7 @@ import argparse
 from dataclasses import replace
 
 from fpqt import HarnessConfig, run
+from fpqt.harness import METHODS
 
 
 def main(argv=None) -> int:
@@ -23,9 +24,9 @@ def main(argv=None) -> int:
     parser.add_argument("--heads", type=int, default=4)
     parser.add_argument("--tokens", type=int, default=128)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--weight-bits", type=int, default=4)
-    parser.add_argument("--act-format", default="E2M1")
-    parser.add_argument("--method", choices=("gptq", "rtn"), default="gptq")
+    parser.add_argument("--weight-bits", type=int, default=HarnessConfig.weight_bits)
+    parser.add_argument("--act-format", default=HarnessConfig.act_format)
+    parser.add_argument("--method", choices=METHODS, default=HarnessConfig.method)
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the full report of the transform run here")
     args = parser.parse_args(argv)

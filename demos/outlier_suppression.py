@@ -18,20 +18,19 @@ import numpy as np
 from fpqt import (
     apply_right,
     build,
+    channel_max_median_ratio,
     channel_stat,
     minmax_quantize,
     parse_format,
     quant_error,
-    realize,
 )
 
 
 def profile(name: str, x: np.ndarray) -> None:
     cmax = channel_stat(x, "max_abs")
-    ratio = cmax.max() / np.median(cmax)
     print(
         f"{name}: channel max range [{cmax.min():.3f}, {cmax.max():.3f}], "
-        f"max/median ratio {ratio:.1f}x"
+        f"max/median ratio {channel_max_median_ratio(x):.1f}x"
     )
 
 
@@ -62,12 +61,11 @@ def main(argv=None) -> int:
     ref = x @ w
 
     # quantize activations per channel, then undo the rotation through the
-    # weights: (x H) quantized, times (H^T w)
+    # weights: (x H) quantized, times H^T w = (w^T H)^T, by the fast transform
     qx = minmax_quantize(x, fmt, channel_axis=-1).values
     qy = minmax_quantize(y, fmt, channel_axis=-1).values
-    h = realize(spec)
     out_raw = qx @ w
-    out_rot = qy @ (h.T @ w)
+    out_rot = qy @ apply_right(w.T, spec).T
 
     print(f"\ndownstream matmul error with {fmt} activations:")
     print(f"  without transform: sqnr {quant_error(ref, out_raw)['sqnr_db']:.2f} dB")

@@ -29,11 +29,12 @@ from .fusion import (
     LAYER_NAMES,
     V_MODES,
     DiTBlockWeights,
+    FusionPlan,
     fuse_block,
     plan_fusion,
 )
 from .hadamard import apply_right, build, op_count, realize
-from .harness import HarnessConfig, estimate_cost, run, strict_json
+from .harness import METHODS, HarnessConfig, estimate_cost, run, strict_json
 from .quantize import minmax_quantize, quant_error
 from .select import SelectionConfig, select_format, selection_table, spread_indicator
 from .tensors import (
@@ -80,7 +81,7 @@ def _add_harness_flags(p: argparse.ArgumentParser) -> None:
                    help="'auto' or a concrete format such as E2M1")
     p.add_argument("--weight-bits", type=int, default=d.weight_bits)
     p.add_argument("--act-format", default=d.act_format)
-    p.add_argument("--method", choices=("gptq", "rtn"), default=d.method)
+    p.add_argument("--method", choices=METHODS, default=d.method)
     p.add_argument("--calib-samples", type=int, default=d.calib_samples)
     p.add_argument("--alpha", type=float, default=d.alpha,
                    help="percentile for the spread indicator")
@@ -299,7 +300,7 @@ def build_parser() -> _Parser:
     p.add_argument("output")
     p.add_argument("--heads", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--v-mode", choices=V_MODES, default="per_head_exact")
+    p.add_argument("--v-mode", choices=V_MODES, default=FusionPlan.v_mode)
     p.add_argument("--invert", action="store_true", help="undo a previous fuse")
     p.set_defaults(func=cmd_fuse)
 

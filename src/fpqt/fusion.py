@@ -168,7 +168,7 @@ class FusionPlan:
 
 
 def plan_fusion(weights: DiTBlockWeights, seed: int | None = None,
-                v_mode: str = "per_head_exact") -> FusionPlan:
+                v_mode: str = FusionPlan.v_mode) -> FusionPlan:
     """The FusionPlan for a block's dims (see FusionPlan for the seeds)."""
     return FusionPlan(weights.n, weights.hidden, weights.heads, seed, v_mode)
 

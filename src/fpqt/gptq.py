@@ -123,15 +123,13 @@ def gptq_quantize(w: np.ndarray, cal: CalibrationSet, fmt: FpFormat) -> Quantize
     The per-output-channel exponent biases are frozen from the original w,
     so the result is directly comparable to plain MinMax rounding (identical
     grids, identical bias vector).  Weights quantized against one cal share
-    its Hessian factor.  Raises NumericalError when the calibration set
-    overflows the Hessian, the dampened Hessian is not positive-definite, or
-    the fed-forward errors overflow.
+    its Hessian factor.  Raises NumericalError when w holds NaN or Inf (from
+    channel_bias), the calibration set overflows the Hessian, the dampened
+    Hessian is not positive-definite, or the fed-forward errors overflow.
     """
     w = np.array(w, dtype=WORKING_DTYPE, order="C")  # a copy: dead rows are zeroed
     if w.ndim != 2:
         raise ShapeError(f"weights must be 2-D, got shape {w.shape}")
-    if not np.isfinite(w).all():
-        raise NumericalError("weights contain NaN or Inf")
     if w.shape[0] != cal.in_dim:
         raise ShapeError(f"weights {w.shape} do not match calibration dim {cal.in_dim}")
     bias = channel_bias(w, fmt, channel_axis=-1)

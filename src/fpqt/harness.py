@@ -9,6 +9,10 @@ weights (Hessian-guided or plain MinMax), then at runtime apply the online
 transforms, quantize activations per channel, and run the quantized matmuls
 in working precision.  Softmax, GELU, and layer norms stay full precision.
 
+A HarnessConfig builds its FusionPlan (cfg.plan) and fixed weight format
+(cfg.weight_fmt) once.  estimate_cost costs each transform of cfg.plan.online
+as op_count(tokens * width // order), width being its point's input width.
+
 The report is a plain JSON-serializable structure with a versioned schema;
 serialization is deterministic, so identical config and seed give
 byte-identical reports.
@@ -19,11 +23,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .formats import parse_format
+from .formats import FpFormat, parse_format
 from .fusion import (
     LAYER_INPUTS,
     ONLINE_POINTS,
@@ -34,7 +39,6 @@ from .fusion import (
     block_forward,
     fuse_block,
     layer_shapes,
-    plan_fusion,
 )
 from .gptq import CalibrationSet, gptq_quantize
 from .hadamard import op_count
@@ -44,6 +48,7 @@ from .tensors import WORKING_DTYPE, channel_max_median_ratio
 
 SCHEMA_VERSION = 1
 HEAVY_TAIL_SCALE = 10.0
+METHODS = ("gptq", "rtn")
 
 
 @dataclass(frozen=True)
@@ -56,16 +61,16 @@ class HarnessConfig:
     outlier_scale: float = 100.0
     seed: int = 0
     weight_format: str = "auto"  # 'auto' or a concrete E<k>M<j>
-    weight_bits: int = 4
+    weight_bits: int = SelectionConfig.n_bits
     act_format: str = "E2M1"
     quantize_weights: bool = True
     quantize_acts: bool = True
     use_hadamard: bool = True
     hadamard_seed: Optional[int] = None  # None -> no random sign diagonal
-    v_mode: str = "per_head_exact"
-    method: str = "gptq"  # or 'rtn'
+    v_mode: str = FusionPlan.v_mode
+    method: str = "gptq"  # one of METHODS
     calib_samples: int = 512
-    alpha: float = 25.0
+    alpha: float = SelectionConfig.alpha
     heavy_tail_fraction: float = 0.0
 
     def __post_init__(self):
@@ -84,16 +89,14 @@ class HarnessConfig:
             raise ValueError(
                 f"outlier_channels {self.outlier_channels} must be in 0..n ({self.n})"
             )
-        if self.method not in ("gptq", "rtn"):
+        if self.method not in METHODS:
             raise ValueError(f"method must be gptq or rtn, got {self.method!r}")
         if not 0.0 <= self.heavy_tail_fraction <= 1.0:
             raise ValueError("heavy_tail_fraction must be in [0, 1]")
         parse_format(self.act_format)
-        if self.weight_format != "auto":
-            parse_format(self.weight_format)
+        self.weight_fmt  # built here, as is the plan below, and cached for the run
         SelectionConfig(n_bits=self.weight_bits, alpha=self.alpha)
-        if self.use_hadamard:  # names the role of an unconstructible order or a bad seed
-            FusionPlan(self.n, self.hidden_dim, self.heads, self.hadamard_seed, self.v_mode)
+        self.plan
         for name in ("seed", "hadamard_seed"):  # the report echoes a seed even when unused
             if (getattr(self, name) or 0) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
@@ -101,6 +104,17 @@ class HarnessConfig:
     @property
     def hidden_dim(self) -> int:
         return self.hidden if self.hidden is not None else 4 * self.n
+
+    # built once per config and cached; not fields, so asdict, == and hash skip them
+    @cached_property
+    def weight_fmt(self) -> FpFormat | None:  # None: 'auto' selects each layer's format
+        return None if self.weight_format == "auto" else parse_format(self.weight_format)
+
+    @cached_property
+    def plan(self) -> FusionPlan | None:  # None without the transform
+        if not self.use_hadamard:
+            return None  # else names the role of an unconstructible order or a bad seed
+        return FusionPlan(self.n, self.hidden_dim, self.heads, self.hadamard_seed, self.v_mode)
 
 
 @dataclass(frozen=True)
@@ -212,10 +226,7 @@ def quantize_block_weights(
     reports = {}
     for name, w in weights.matrices().items():
         spread = spread_indicator(w, cfg.alpha)
-        if cfg.weight_format == "auto":
-            fmt = format_for_spread(spread, cfg.weight_bits)
-        else:
-            fmt = parse_format(cfg.weight_format)
+        fmt = cfg.weight_fmt or format_for_spread(spread, cfg.weight_bits)
         if cfg.method == "gptq":
             qt = gptq_quantize(w, calib[LAYER_INPUTS[name]], fmt)
         else:
@@ -257,26 +268,24 @@ def distribution_stats(batch: np.ndarray) -> dict:
 
 def estimate_cost(cfg: HarnessConfig) -> dict:
     """Static operation and byte accounting for one forward pass."""
-    n, h, t = cfg.n, cfg.heads, cfg.tokens
+    n, t = cfg.n, cfg.tokens
     dims = layer_shapes(n, cfg.hidden_dim)
     layer_macs = {name: t * din * dout for name, (din, dout) in dims.items()}
     attention_macs = 2 * t * t * n  # scores and context, summed over heads
 
+    widths = {LAYER_INPUTS[name]: din for name, (din, _) in dims.items()}
     hadamard_ops = {"adds": 0, "muls": 0, "transforms": []}
-    if cfg.use_hadamard:
-        # op counts do not depend on the sign-diagonal seed, so the plan has none
-        for tr in FusionPlan(n, cfg.hidden_dim, h, v_mode=cfg.v_mode).online:
-            # the cross-head mix runs the fast path on (tokens * head_dim, heads)
-            ops = op_count(t * (n // h) if tr.point == "post_attention" else t, tr.spec)
-            hadamard_ops["adds"] += ops["adds"]
-            hadamard_ops["muls"] += ops["muls"]
-            hadamard_ops["transforms"].append({"point": tr.point, **ops})
+    for tr in cfg.plan.online if cfg.plan else ():
+        ops = op_count(t * widths[tr.point] // tr.spec.dim, tr.spec)
+        hadamard_ops["adds"] += ops["adds"]
+        hadamard_ops["muls"] += ops["muls"]
+        hadamard_ops["transforms"].append({"point": tr.point, **ops})
 
     param_count = sum(din * dout for din, dout in dims.values())
     out_channels = sum(dout for _, dout in dims.values())
     bytes_fp32 = 4 * param_count
-    fixed = cfg.weight_format != "auto"  # a fixed format has its own width
-    bits = parse_format(cfg.weight_format).n_bits if fixed else cfg.weight_bits
+    # a fixed format has its own width
+    bits = cfg.weight_fmt.n_bits if cfg.weight_fmt else cfg.weight_bits
     bytes_quant = param_count * bits // 8
     return {
         "matmul_macs": {**layer_macs, "attention": attention_macs},
@@ -296,9 +305,7 @@ def run(cfg: HarnessConfig) -> QuantReport:
     ref = block_forward(x, weights, taps=taps)
     pre, taps = taps["attn_input"], {}  # keep only the block input across quantization
 
-    qbase, online = weights, ()
-    if cfg.use_hadamard:
-        qbase, online = fuse_block(weights, plan_fusion(weights, cfg.hadamard_seed, cfg.v_mode))
+    qbase, online = fuse_block(weights, cfg.plan) if cfg.plan else (weights, ())
 
     layer_reports: dict = {}
     if cfg.quantize_weights:

@@ -30,7 +30,7 @@ class SelectionConfig:
             raise ValueError(f"alpha must be in (0, 100) exclusive, got {self.alpha}")
 
 
-def spread_indicator(w: np.ndarray, alpha: float = 25.0) -> float:
+def spread_indicator(w: np.ndarray, alpha: float = SelectionConfig.alpha) -> float:
     """s_w = max|W| / quantile(|W|, alpha), lower nearest-rank quantile.
 
     Scale-invariant.  A constant tensor (all-zero included) gives exactly
@@ -46,7 +46,7 @@ def spread_indicator(w: np.ndarray, alpha: float = 25.0) -> float:
     return top / denom
 
 
-def format_for_spread(s_w: float, n_bits: int = 4) -> FpFormat:
+def format_for_spread(s_w: float, n_bits: int = SelectionConfig.n_bits) -> FpFormat:
     """Pick the candidate layout whose range_ratio best matches a spread.
 
     Minimizes |log2 r - log2 s_w| over candidate_formats(n_bits); ties

@@ -201,8 +201,8 @@ def _replacing(path) -> Iterator[BinaryIO]:
     symlink) when the block exits cleanly; on any exception it is removed
     and path is left as it was.  The file is new, beside its target, with
     mode 0o666 less the umask, as open(path, "wb") would give.  Raises
-    FileExistsError when path exists and is not a regular file, and names
-    path, not the temporary file, when that file cannot be created."""
+    FileExistsError when path exists and is not a regular file.  An OSError
+    naming no file, or the temporary one, is raised again naming path."""
     real = os.path.realpath(path)
     if os.path.exists(real) and not os.path.isfile(real):
         raise FileExistsError(f"{real!r} exists and is not a regular file")
@@ -220,6 +220,8 @@ def _replacing(path) -> Iterator[BinaryIO]:
         with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, real)
-    except BaseException:
+    except BaseException as exc:
         os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename is None and exc.errno is not None:
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None  # EFBIG, ENOSPC
         raise

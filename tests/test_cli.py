@@ -20,7 +20,7 @@ import fpqt
 from fpqt.cli import _harness_config, build_parser, main
 from fpqt.errors import ShapeError
 from fpqt.formats import BiasedFormat, FpFormat, grid
-from fpqt.fusion import LAYER_NAMES, V_MODES, layer_shapes
+from fpqt.fusion import LAYER_NAMES, V_MODES, FusionPlan, layer_shapes
 from fpqt.harness import HarnessConfig
 from fpqt.tensors import read_tensors, write_tensors
 
@@ -271,13 +271,13 @@ class TestQuantizeAtomicOutput:
         assert stat.S_IMODE(dst.stat().st_mode) == 0o644
 
 
-# simulate --out in a child process whose files may grow to 1024 bytes only;
+# the CLI in a child process whose files may grow to 1024 bytes only;
 # Python ignores SIGXFSZ, so a write past the limit fails with EFBIG
 _FSIZE_PROBE = (
     "import resource, sys\nfrom fpqt.cli import main\n"
     "resource.setrlimit(resource.RLIMIT_FSIZE,"
     " (1024, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
-    "sys.exit(main(['simulate', *sys.argv[2:], '--out', sys.argv[1]]))\n"
+    "sys.exit(main(sys.argv[1:]))\n"
 )
 
 
@@ -332,21 +332,32 @@ class TestFailedWrite:
         assert err == f"fpqt: i/o error: {os.path.realpath(out)!r} exists and is not a regular file\n"
         assert stat.S_ISFIFO(os.lstat(out).st_mode) and os.listdir(tmp_path) == ["fifo"]
 
-    def test_a_report_cut_short_keeps_the_old_one(self, capsys, tmp_path):
+    @staticmethod
+    def _cut_short(capsys, tmp_path, out, *argv):
+        # a good OUT of over 1024 bytes, then the same command past the limit:
+        # exit 2 with an error naming OUT, OUT byte-identical, no *.tmp
         pytest.importorskip("resource")  # the child sets its own file size limit
-        out = tmp_path / "report.json"
-        assert run_cli(capsys, "simulate", *self.SMALL, "--out", str(out))[0] == 0
-        before = out.read_bytes()
+        assert run_cli(capsys, *argv)[0] == 0
+        before, files = out.read_bytes(), sorted(os.listdir(tmp_path))
         assert len(before) > 1024
         src = str(Path(fpqt.__file__).parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        child = subprocess.run([sys.executable, "-c", _FSIZE_PROBE, str(out), *self.SMALL],
+        child = subprocess.run([sys.executable, "-c", _FSIZE_PROBE, *argv],
                                env=env, capture_output=True, text=True, timeout=300)
         assert (child.returncode, child.stdout) == (2, ""), child.stderr
-        assert child.stderr.startswith("fpqt: i/o error: [Errno 27]")
+        assert child.stderr == f"fpqt: i/o error: [Errno 27] File too large: {str(out)!r}\n"
         assert out.read_bytes() == before
-        assert os.listdir(tmp_path) == ["report.json"]
+        assert sorted(os.listdir(tmp_path)) == files
+
+    def test_a_report_cut_short_keeps_the_old_one(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        self._cut_short(capsys, tmp_path, out, "simulate", *self.SMALL, "--out", str(out))
+
+    def test_a_container_cut_short_keeps_the_old_one(self, capsys, tmp_path, rng):
+        src, out = str(tmp_path / "in.fpqt"), tmp_path / "out.fpqt"
+        write_tensors(src, {"w": rng.standard_normal((64, 8))})
+        self._cut_short(capsys, tmp_path, out, "quantize", src, str(out))
 
 
 class TestEmptyEntry:
@@ -418,6 +429,9 @@ class TestStrictJsonDumps:
 
 
 class TestFuseCommand:
+    def test_v_mode_default_is_the_plan_default(self):
+        assert build_parser().parse_args(["fuse", "in", "out"]).v_mode == FusionPlan.v_mode
+
     def _write_block(self, tmp_path, rng, n=16, hidden=32):
         path = str(tmp_path / "block.fpqt")
         write_tensors(

@@ -1,14 +1,17 @@
 import json
 import math
 import warnings
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
-from fpqt import gptq
+from fpqt import fusion, gptq, harness
 
-from fpqt.formats import FpFormat
+from fpqt.formats import FpFormat, parse_format
+from fpqt.hadamard import op_count
 from fpqt.harness import (
+    METHODS,
     SCHEMA_VERSION,
     HarnessConfig,
     collect_calibration,
@@ -21,7 +24,16 @@ from fpqt.harness import (
     run,
     strict_json,
 )
-from fpqt.fusion import LAYER_INPUTS, LAYER_NAMES, ONLINE_POINTS, fuse_block, layer_shapes, plan_fusion
+from fpqt.fusion import (
+    LAYER_INPUTS,
+    LAYER_NAMES,
+    ONLINE_POINTS,
+    FusionPlan,
+    block_forward,
+    fuse_block,
+    layer_shapes,
+    plan_fusion,
+)
 
 
 SMALL = dict(n=16, heads=2, tokens=24, hidden=32, calib_samples=48)
@@ -56,6 +68,38 @@ class TestConfig:
 
     def test_hidden_override(self):
         assert HarnessConfig(n=16, hidden=40).hidden_dim == 40
+
+    def test_plan_and_weight_fmt_are_derived_not_fields(self):
+        a = HarnessConfig(**SMALL, weight_format="E3M0", hadamard_seed=5)
+        b = HarnessConfig(**SMALL, weight_format="E3M0", hadamard_seed=5)
+        assert a.plan == FusionPlan(16, 32, 2, 5) and a.weight_fmt == parse_format("E3M0")
+        assert a.plan is not b.plan  # each config builds its own
+        assert a == b and hash(a) == hash(b)
+        assert list(asdict(a)) == [f.name for f in fields(HarnessConfig)]
+        assert not {"plan", "weight_fmt"} & set(asdict(a))
+        assert HarnessConfig().weight_fmt is None  # 'auto'
+        assert HarnessConfig(use_hadamard=False).plan is None
+
+    def test_replace_rebuilds_plan_and_weight_fmt(self):
+        cfg = HarnessConfig(**SMALL)
+        new = replace(cfg, v_mode="paper_literal", hadamard_seed=2, weight_format="E2M2")
+        assert new.plan == FusionPlan(16, 32, 2, 2, "paper_literal")
+        assert new.weight_fmt == parse_format("E2M2")
+        assert (cfg.plan.v_mode, cfg.plan.seed, cfg.weight_fmt) == ("per_head_exact", None, None)
+        assert replace(new, use_hadamard=False).plan is None
+        assert replace(new, weight_format="auto").weight_fmt is None
+        with pytest.raises(ValueError, match="n // heads = 6"):
+            replace(cfg, n=48, heads=8, hidden=None)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_run_builds_one_plan_and_parses_a_fixed_format_once(self, monkeypatch, method):
+        plans, parsed = [], []
+        init, parse = fusion.FusionPlan.__post_init__, harness.parse_format
+        monkeypatch.setattr(fusion.FusionPlan, "__post_init__",
+                            lambda self: plans.append(self) or init(self))
+        monkeypatch.setattr(harness, "parse_format", lambda text: parsed.append(text) or parse(text))
+        run(HarnessConfig(**SMALL, weight_format="E3M0", act_format="E2M1", method=method))
+        assert len(plans) == 1 and parsed.count("E3M0") == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -367,11 +411,20 @@ class TestEstimateCost:
 
     @pytest.mark.parametrize("v_mode", ["per_head_exact", "paper_literal"])
     def test_costed_points_are_the_fused_schedule(self, v_mode):
-        cfg = HarnessConfig(**SMALL, v_mode=v_mode)
-        w = init_weights(cfg)
-        _, online = fuse_block(w, plan_fusion(w, v_mode=v_mode))
-        costed = [t["point"] for t in estimate_cost(cfg)["hadamard"]["transforms"]]
-        assert costed == [t.point for t in online]
+        # each costed point counts op_count of the rows of transform order that
+        # a fused forward feeds there: heads 1, 2 and n, and order-12 factors
+        for n, hidden, heads in [(16, 32, 1), (16, 32, 2), (16, 32, 16),
+                                 (48, 192, 1), (48, 192, 4), (48, 192, 48)]:
+            cfg = HarnessConfig(n=n, hidden=hidden, heads=heads, tokens=6, v_mode=v_mode)
+            w = init_weights(cfg)
+            fused, online = fuse_block(w, plan_fusion(w, v_mode=v_mode))
+            taps = {}
+            block_forward(gen_activations(cfg), fused, online, taps=taps)
+            costed = estimate_cost(cfg)["hadamard"]["transforms"]
+            assert [t["point"] for t in costed] == [t.point for t in online]
+            for t, tr in zip(costed, online):
+                assert t == {"point": tr.point, **op_count(taps[tr.point].size // tr.spec.dim,
+                                                           tr.spec)}
 
     def test_no_transform_costs_nothing(self):
         cost = estimate_cost(HarnessConfig(**SMALL, use_hadamard=False))
