@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 import scipy.special
 
-from .errors import ShapeError
+from .errors import NumericalError, ShapeError
 from .hadamard import HadamardSpec, _mix, apply_right
 from .tensors import WORKING_DTYPE
 
@@ -291,6 +291,8 @@ def block_forward(
     x = np.asarray(x, dtype=WORKING_DTYPE)
     if x.ndim != 2 or x.shape[1] != weights.n:
         raise ShapeError(f"expected (tokens, {weights.n}) input, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise NumericalError("block input x holds non-finite values")
     at = {}
     for t in online:
         if t.point in at:

@@ -67,6 +67,8 @@ def channel_bias(a: np.ndarray, fmt: FpFormat, channel_axis: int | None = -1) ->
     a = np.asarray(a, dtype=WORKING_DTYPE)
     axis = None
     if channel_axis is not None:
+        if not isinstance(channel_axis, (int, np.integer)):
+            raise TypeError(f"channel_axis must be an integer or None, got {channel_axis!r}")
         if not -a.ndim <= channel_axis < a.ndim:
             raise ShapeError(f"channel_axis {channel_axis} is outside shape {a.shape}")
         a = np.moveaxis(a, channel_axis, -1)
@@ -160,17 +162,21 @@ def minmax_quantize(
 def snap_per_channel(x: np.ndarray, fmt: FpFormat, bias: np.ndarray | int) -> np.ndarray:
     """Snap values onto minifloat grids with a broadcast exponent bias.
 
-    bias is an integer or an integer array that broadcasts against x: a
-    scalar puts every element on one fixed grid, a vector along the last
-    axis gives each column its own.  Nearest point, ties away from zero,
-    magnitudes beyond the ceiling clamped; agrees element-wise with
-    minmax_quantize wherever the bias matches.  Returns a new array shaped
-    like x.
+    bias is an integer or an integer array (whole floats such as 1.0 count)
+    that broadcasts against x: a scalar puts every element on one fixed
+    grid, a vector along the last axis gives each column its own.  Nearest
+    point, ties away from zero, magnitudes beyond the ceiling clamped;
+    agrees element-wise with minmax_quantize wherever the bias matches.
+    Returns a new array shaped like x.
     """
     x = np.array(x, dtype=WORKING_DTYPE)
     if not np.isfinite(x).all():
         raise NumericalError("cannot quantize non-finite values")
     bias = np.asarray(bias)
+    if bias.dtype.kind not in "biuf":
+        raise TypeError(f"bias must be an integer or integer array, got dtype {bias.dtype}")
+    if bias.dtype.kind == "f" and not (whole := bias == np.floor(bias)).all():  # NaN is not whole
+        raise ValueError(f"bias must hold whole numbers, got {bias[~whole][0]}")
     if bias.ndim > x.ndim or any(b not in (1, n) for b, n in zip(bias.shape[::-1], x.shape[::-1])):
         raise ShapeError(f"bias of shape {bias.shape} does not broadcast to values {x.shape}")
     _, exp_v = math.frexp(fmt.max_val)
@@ -183,15 +189,15 @@ def snap_per_channel(x: np.ndarray, fmt: FpFormat, bias: np.ndarray | int) -> np
 def quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
     """Error metrics between a reference tensor and its quantized version.
 
-    Returns mse, max_abs, sqnr_db, and cosine similarity.  sqnr_db is the
-    +inf sentinel when the error is zero or the signal is zero (undefined);
-    cosine is 1.0 for identical tensors and 0.0 when exactly one side is
-    all zeros.  Beyond a peak magnitude of 2^+-256, where sums of squares
+    Returns mse, max_abs, sqnr_db, and cosine similarity.  sqnr_db is the +inf
+    sentinel when the error is zero or the signal is zero (undefined); cosine
+    lies in [-1, 1]: exactly 1.0 for identical tensors, 0.0 when one side alone
+    is all zeros.  Beyond a peak magnitude of 2^+-256, where sums of squares
     could overflow or sink into subnormals, both tensors are first scaled
     exactly by the power of two that brings the peak into [0.5, 1); an error
-    whose own peak then lies beyond 2^+-256 is scaled the same way before it
-    is squared.  Ratios are unchanged, and mse and max_abs are scaled back
-    (+inf only when the true value exceeds float64).
+    whose own peak then lies beyond 2^+-256 is scaled the same way before it is
+    squared.  Ratios are unchanged, and mse and max_abs are scaled back (+inf
+    only when the true value exceeds float64).
     """
     a = np.asarray(a, dtype=WORKING_DTYPE)
     q = np.asarray(q, dtype=WORKING_DTYPE)
@@ -213,7 +219,9 @@ def quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
     sqnr_db = float("inf") if mse == 0.0 or signal == 0.0 else (
         10.0 * float(np.log10(signal / mse)) - 20.0 * math.log10(2.0) * kd)
     na, nq = math.sqrt(saa), math.sqrt(sqq)
-    cosine = saq / (na * nq) if na and nq else float(na == nq)  # 1.0 when both are zero
+    cosine = saq / (na * nq) if na and nq else 0.0
+    # exactly 1.0 when identical (both all-zero included); rounding can pass +-1 otherwise
+    cosine = 1.0 if max_abs == 0.0 else max(-1.0, min(1.0, cosine))
     with np.errstate(over="ignore"):
         mse, max_abs = float(np.ldexp(mse, 2 * (k + kd))), float(np.ldexp(max_abs, k))
     return {"mse": mse, "max_abs": max_abs, "sqnr_db": sqnr_db, "cosine": cosine}

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .formats import FpFormat, candidate_formats
-from .tensors import _partitioned_magnitudes
+from .tensors import WORKING_DTYPE
 
 
 @dataclass(frozen=True)
@@ -24,42 +25,49 @@ class SelectionConfig:
     alpha: float = 25.0
 
     def __post_init__(self):
-        if not 2 <= self.n_bits <= 8:
-            raise ValueError(f"n_bits must be in 2..8, got {self.n_bits}")
+        candidate_formats(self.n_bits)  # rejects a width outside 2..8
         if not 0.0 < self.alpha < 100.0:
             raise ValueError(f"alpha must be in (0, 100) exclusive, got {self.alpha}")
 
 
 def spread_indicator(w: np.ndarray, alpha: float = SelectionConfig.alpha) -> float:
-    """s_w = max|W| / quantile(|W|, alpha), lower nearest-rank quantile.
+    """s_w = max|W| / quantile(|W|, alpha), where the lower nearest-rank
+    quantile is the ceil(alpha/100 * size)-th smallest magnitude (1-based).
 
     Scale-invariant.  A constant tensor (all-zero included) gives exactly
-    1.0; a zero quantile under a nonzero max gives the +inf sentinel.
+    1.0, a zero quantile under a nonzero max the +inf sentinel, and
+    non-finite data a NumericalError.
     """
     if np.size(w) == 0:
         raise ValueError("spread of an empty tensor is undefined")
-    mags, k = _partitioned_magnitudes(w, alpha)  # one pass over |W| for both
-    denom = float(mags[k])
-    top = float(mags[k:].max())
+    SelectionConfig(alpha=alpha)  # checks alpha
+    mags = np.abs(np.asarray(w, dtype=WORKING_DTYPE)).ravel()  # a copy of |W|, partitioned in place
+    k = math.ceil(alpha / 100.0 * mags.size) - 1
+    mags.partition(k)  # mags[k] is the quantile; the max, and any NaN or Inf, lie after it
+    denom, top = float(mags[k]), float(mags[k:].max())
+    if not math.isfinite(top):
+        raise NumericalError("spread of non-finite values is undefined")
     if denom == 0.0:
         return 1.0 if top == 0.0 else float("inf")
     return top / denom
 
 
-def format_for_spread(s_w: float, n_bits: int = SelectionConfig.n_bits) -> FpFormat:
-    """Pick the candidate layout whose range_ratio best matches a spread.
-
-    Minimizes |log2 r - log2 s_w| over candidate_formats(n_bits); ties
-    prefer the layout with more mantissa bits.  An infinite spread selects
-    the widest-range (largest n_e) candidate outright.
-    """
+def _scores(s_w: float, n_bits: int) -> tuple[FpFormat, list[tuple[FpFormat, float]]]:
+    """The layout selected for a spread, and each candidate_formats(n_bits)
+    entry with its |log2 r - log2 s_w|.  An infinite spread is infinitely far
+    from every candidate and selects the widest-range (largest n_e) one."""
     candidates = candidate_formats(n_bits)
     if math.isinf(s_w):
-        return candidates[-1]
+        return candidates[-1], [(f, float("inf")) for f in candidates]
     log_s = math.log2(s_w)
-    # candidates are ordered by ascending n_e, i.e. descending n_m, so the
-    # first minimum is the preferred tie-break
-    return min(candidates, key=lambda f: abs(math.log2(f.range_ratio) - log_s))
+    rows = [(f, abs(math.log2(f.range_ratio) - log_s)) for f in candidates]
+    # candidates ascend in n_e, so a tie goes to the one with more mantissa bits
+    return min(rows, key=lambda row: row[1])[0], rows
+
+
+def format_for_spread(s_w: float, n_bits: int = SelectionConfig.n_bits) -> FpFormat:
+    """Pick the candidate layout whose range_ratio best matches a spread."""
+    return _scores(s_w, n_bits)[0]
 
 
 def select_format(w: np.ndarray, cfg: SelectionConfig = SelectionConfig()) -> FpFormat:
@@ -70,9 +78,6 @@ def select_format(w: np.ndarray, cfg: SelectionConfig = SelectionConfig()) -> Fp
 def selection_table(w: np.ndarray, cfg: SelectionConfig = SelectionConfig()) -> dict:
     """Diagnostic view of the selection: spread plus per-candidate distances."""
     s_w = spread_indicator(w, cfg.alpha)
-    rows = []
-    for f in candidate_formats(cfg.n_bits):
-        dist = float("inf") if math.isinf(s_w) else abs(math.log2(f.range_ratio) - math.log2(s_w))
-        rows.append({"format": str(f), "range_ratio": f.range_ratio, "log2_distance": dist})
-    selected = str(format_for_spread(s_w, cfg.n_bits))
-    return {"spread": s_w, "alpha": cfg.alpha, "selected": selected, "candidates": rows}
+    selected, scores = _scores(s_w, cfg.n_bits)
+    rows = [{"format": str(f), "range_ratio": f.range_ratio, "log2_distance": d} for f, d in scores]
+    return {"spread": s_w, "alpha": cfg.alpha, "selected": str(selected), "candidates": rows}

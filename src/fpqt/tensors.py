@@ -49,21 +49,6 @@ _MAX_ELEMS = np.iinfo(np.intp).max // np.dtype(WORKING_DTYPE).itemsize
 _MAX_NDIM = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
 
 
-def _partitioned_magnitudes(values: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
-    """|values| as a new flat array partitioned at the 0-based index k of its
-    lower nearest-rank alpha-quantile, the ceil(alpha/100 * size)-th smallest
-    (1-based): flat[k] is the quantile and every entry after it is at least
-    as large.  alpha must lie strictly inside (0, 100)."""
-    if not 0.0 < alpha < 100.0:
-        raise ValueError(f"alpha must be in (0, 100) exclusive, got {alpha}")
-    flat = np.abs(np.asarray(values, dtype=WORKING_DTYPE)).ravel()
-    if flat.size == 0:
-        raise ValueError("quantile of an empty tensor is undefined")
-    k = math.ceil(alpha / 100.0 * flat.size) - 1
-    flat.partition(k)
-    return flat, k
-
-
 def channel_stat(x: np.ndarray, stat: str) -> np.ndarray:
     """Per-channel statistic of a 2-D batch (rows = samples, columns = channels);
     stat 'max_abs', the peak magnitude of each channel, is the one there is."""

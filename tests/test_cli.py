@@ -149,6 +149,14 @@ class TestSelectFormatCommand:
         assert code == 0
         assert len(data["w"]["candidates"]) == 4
 
+    def test_width_out_of_range_names_the_total_width(self, capsys, tmp_path):
+        path = str(tmp_path / "w.fpqt")
+        write_tensors(path, {"w": np.ones(4)})
+        want = "fpqt: error: total width must be in 2..8 bits, got 9\n"
+        for argv in (("select-format", path, "--bits", "9"), ("quantize", path, path, "--bits", "9"),
+                     ("simulate", "--weight-bits", "9")):
+            assert run_cli(capsys, *argv) == (1, "", want)
+
 
 class TestQuantizeCommand:
     def test_roundtrip_values_on_grid(self, capsys, tmp_path, rng):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from fpqt.errors import ShapeError
+from fpqt.errors import NumericalError, ShapeError
 from fpqt.fusion import (
     LAYER_INPUTS,
     LAYER_NAMES,
@@ -415,6 +415,17 @@ class TestBlockForward:
             block_forward(np.zeros((4, w.n + 1)), w)
         with pytest.raises(ShapeError):
             block_forward(np.zeros(w.n), w)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_names_x(self, bad):
+        # an all-inf x used to warn inside softmax, and a NaN x came back as NaN
+        w = make_weights()
+        for x in (np.full((4, w.n), bad), np.where(np.eye(4, w.n) == 1, bad, 1.0)):
+            with pytest.raises(NumericalError, match="block input x holds non-finite values"):
+                block_forward(x, w)
+        # the shape check comes first
+        with pytest.raises(ShapeError):
+            block_forward(np.full((4, w.n + 1), bad), w)
 
     def test_duplicate_online_point_rejected(self, rng):
         w = make_weights()

@@ -20,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 from fpqt.errors import NumericalError
 from fpqt.formats import BiasedFormat, FpFormat, grid
 from fpqt.gptq import CalibrationSet, gptq_quantize
-from fpqt.quantize import channel_bias, minmax_quantize
+from fpqt.quantize import channel_bias, minmax_quantize, quant_error
 from oracles import oracle_grid, oracle_nearest
 
 # derandomized: the same examples on every run, and no example database on disk
@@ -129,6 +129,20 @@ class TestScaleEquivariance:
         qs = gptq_quantize(np.ldexp(w, k), CalibrationSet(np.ldexp(cal.x, b)), fmt)
         assert np.array_equal(qs.bias, q.bias + k)
         assert _same_bits(qs.values, np.ldexp(q.values, k))
+
+
+class TestQuantErrorCosine:
+    @_PROPERTY_SETTINGS
+    @given(hnp.arrays(np.float64, st.integers(1, 49), elements=_BANDS["normal"]))
+    # the sums of [1, 2] against itself give 5 / (sqrt(5) * sqrt(5)) = 1 - 2^-52
+    @example(np.array([1.0, 2.0]))
+    def test_identical_opposite_and_near_identical(self, a):
+        assert quant_error(a, a.copy())["cosine"] == 1.0
+        nonzero = bool(a.any())
+        opposite = quant_error(a, -a)["cosine"]
+        assert -1.0 <= opposite <= -1.0 + 1e-12 if nonzero else opposite == 1.0
+        near = quant_error(a, a * (1.0 + 1e-15))["cosine"]
+        assert 1.0 - 1e-12 <= near <= 1.0
 
 
 class TestColumnPermutationEquivariance:

@@ -66,6 +66,14 @@ class TestChannelBias:
                 with pytest.raises(ShapeError, match=want):
                     quantizer(a, E2M1, channel_axis=axis)
 
+    def test_non_integer_channel_axis_is_named(self):
+        for axis in (1.0, 0.0, "0", (0,)):
+            for quantizer in (channel_bias, minmax_quantize):
+                with pytest.raises(TypeError, match=r"^channel_axis must be an integer or None"):
+                    quantizer(np.ones((2, 3)), E2M1, channel_axis=axis)
+        assert np.array_equal(channel_bias(np.ones((2, 3)), E2M1, np.int64(0)),
+                              channel_bias(np.ones((2, 3)), E2M1, 0))
+
     def test_rejects_non_finite(self):
         with pytest.raises(NumericalError):
             channel_bias(np.array([[np.nan]]), E2M1)
@@ -254,6 +262,24 @@ class TestRoundToGrid:
         with pytest.raises(ShapeError):
             snap_per_channel(np.ones(3), E2M1, np.zeros((2, 3), dtype=np.int64))
 
+    def test_whole_float_bias_matches_integer_bias(self, rng):
+        # biases read back from a container are floats
+        x = rng.standard_normal((5, 3)) * 7.0
+        for bias, whole in ((1, 1.0), (np.array([0, -2, 3]), np.array([0.0, -2.0, 3.0]))):
+            assert np.array_equal(snap_per_channel(x, E2M1, whole), snap_per_channel(x, E2M1, bias))
+
+    def test_rejects_non_integral_bias(self):
+        # bias 1.7 used to be truncated to 1 without a word
+        for bias, shown in ((1.7, "1.7"), (np.nan, "nan"), (np.array([1.0, 2.5]), "2.5")):
+            with pytest.raises(ValueError, match=rf"^bias must hold whole numbers, got {shown}$"):
+                snap_per_channel(np.array([1.0, 3.0]), E2M1, bias)
+
+    def test_rejects_non_numeric_bias(self):
+        # bias "1" used to raise numpy's UFuncTypeError
+        for bias in ("1", ["1", "2"], 1j, None):
+            with pytest.raises(TypeError, match=r"^bias must be an integer or integer array"):
+                snap_per_channel(np.array([1.0, 3.0]), E2M1, bias)
+
     def test_rejects_bias_outside_float64_range(self):
         # E2M1 max_val is 12 = 0.75 * 2^4: the ceiling overflows past bias 1020
         assert snap_per_channel(np.array([1.5e308]), E2M1, 1020)[0] == math.ldexp(12.0, 1020)
@@ -277,7 +303,7 @@ class TestQuantError:
         assert e["mse"] == 0.0
         assert e["max_abs"] == 0.0
         assert e["sqnr_db"] == float("inf")
-        assert e["cosine"] == pytest.approx(1.0)
+        assert e["cosine"] == 1.0
 
     def test_simple_known_values(self):
         e = quant_error(np.array([3.0, 4.0]), np.array([3.0, 5.0]))

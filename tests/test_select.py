@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fpqt.errors import NumericalError
 from fpqt.formats import FpFormat
 from fpqt.select import (
     SelectionConfig,
@@ -21,6 +22,55 @@ def tensor_with_spread(s: float, n: int = 100) -> np.ndarray:
     w[25:] = np.linspace(1.0, s, n - 25)
     assert w.max() == s
     return w
+
+
+def oracle_spread(values, alpha):
+    """max|v| over the sorted-magnitude quantile, for a nonzero quantile."""
+    return float(np.abs(np.asarray(values)).max()) / oracle_quantile_nearest_rank(values, alpha)
+
+
+class TestQuantileNearestRank:
+    """spread_indicator's denominator is the lower nearest-rank quantile of |W|."""
+
+    def test_matches_sort_oracle(self, rng):
+        for n in (1, 2, 3, 17, 100):
+            vals = rng.standard_normal(n)
+            for alpha in (1e-9, 10.0, 25.0, 50.0, 75.0, 99.0, 100.0 - 1e-9):
+                assert spread_indicator(vals, alpha) == oracle_spread(vals, alpha)
+
+    def test_small_alpha_gives_min_large_gives_max(self, rng):
+        vals = rng.standard_normal(50)
+        mags = np.abs(vals)
+        assert spread_indicator(vals, 1e-12) == mags.max() / mags.min()
+        assert spread_indicator(vals, 100.0 - 1e-12) == 1.0
+
+    def test_uses_magnitudes(self):
+        # magnitudes 1, 2, 8: the 99th percentile is the max, the median 2
+        assert spread_indicator(np.array([-8.0, 1.0, 2.0]), 99.0) == 1.0
+        assert spread_indicator(np.array([-8.0, 1.0, 2.0]), 50.0) == 4.0
+
+    def test_nearest_rank_convention(self):
+        # N = 4, alpha = 25 -> k = ceil(1) = 1 -> smallest magnitude
+        assert spread_indicator(np.array([4.0, 3.0, 2.0, 1.0]), 25.0) == 4.0
+        # alpha just above 25 -> k = 2
+        assert spread_indicator(np.array([4.0, 3.0, 2.0, 1.0]), 25.01) == 2.0
+
+    def test_rejects_bad_alpha_and_empty(self):
+        with pytest.raises(ValueError, match="alpha"):
+            spread_indicator(np.ones(3), 0.0)
+        with pytest.raises(ValueError, match="alpha"):
+            spread_indicator(np.ones(3), 100.0)
+        with pytest.raises(ValueError, match="empty"):
+            spread_indicator(np.array([]), 50.0)
+        # the empty check comes first
+        with pytest.raises(ValueError, match="empty"):
+            spread_indicator(np.array([]), 0.0)
+
+    def test_input_is_untouched(self, rng):
+        for vals in (rng.standard_normal((7, 5)), np.abs(rng.standard_normal(35))):
+            before = vals.copy()
+            assert spread_indicator(vals, 40.0) == oracle_spread(before, 40.0)
+            assert np.array_equal(vals, before)
 
 
 class TestSpreadIndicator:
@@ -55,6 +105,15 @@ class TestSpreadIndicator:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             spread_indicator(np.array([]), 25.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN spread used to select E1M2 and an infinite max the E3M0 sentinel
+        for w in ([bad, 1.0, 2.0], [1.0, 2.0, bad], [bad, bad]):
+            with pytest.raises(NumericalError, match="non-finite"):
+                spread_indicator(np.array(w), 25.0)
+            with pytest.raises(NumericalError, match="non-finite"):
+                select_format(np.array(w))
 
     def test_any_layout_matches_composition_and_input_is_untouched(self, rng):
         # the magnitudes are partitioned in place, so they must be a copy
@@ -115,13 +174,14 @@ class TestSelectFormat:
 
 class TestSelectionConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        # the width is checked by building the candidates, so the message is theirs
+        with pytest.raises(ValueError, match=r"^total width must be in 2\.\.8 bits, got 1$"):
             SelectionConfig(n_bits=1)
-        with pytest.raises(ValueError):
-            SelectionConfig(n_bits=9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^total width must be in 2\.\.8 bits, got 9$"):
+            SelectionConfig(n_bits=9, alpha=0.0)
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 100\) exclusive, got 0\.0$"):
             SelectionConfig(alpha=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="alpha"):
             SelectionConfig(alpha=100.0)
 
 

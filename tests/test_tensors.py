@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from fpqt import tensors
 from fpqt.errors import FormatError, NumericalError, ShapeError
 from fpqt.tensors import (
-    _partitioned_magnitudes,
     _write_entries,
     channel_max_median_ratio,
     channel_stat,
@@ -19,53 +18,6 @@ from fpqt.tensors import (
     read_tensors,
     write_tensors,
 )
-from oracles import oracle_quantile_nearest_rank
-
-
-def quantile_nearest_rank(values, alpha):
-    """The quantile spread_indicator divides by, read from the partition."""
-    flat, k = _partitioned_magnitudes(values, alpha)
-    assert (flat[:k] <= flat[k]).all() and (flat[k:] >= flat[k]).all()
-    return float(flat[k])
-
-
-class TestQuantileNearestRank:
-    def test_matches_sort_oracle(self, rng):
-        for n in (1, 2, 3, 17, 100):
-            vals = rng.standard_normal(n)
-            for alpha in (1e-9, 10.0, 25.0, 50.0, 75.0, 99.0, 100.0 - 1e-9):
-                assert quantile_nearest_rank(vals, alpha) == oracle_quantile_nearest_rank(
-                    vals, alpha
-                )
-
-    def test_small_alpha_gives_min_large_gives_max(self, rng):
-        vals = rng.standard_normal(50)
-        mags = np.abs(vals)
-        assert quantile_nearest_rank(vals, 1e-12) == mags.min()
-        assert quantile_nearest_rank(vals, 100.0 - 1e-12) == mags.max()
-
-    def test_uses_magnitudes(self):
-        assert quantile_nearest_rank(np.array([-8.0, 1.0, 2.0]), 99.0) == 8.0
-
-    def test_nearest_rank_convention(self):
-        # N = 4, alpha = 25 -> k = ceil(1) = 1 -> smallest magnitude
-        assert quantile_nearest_rank(np.array([4.0, 3.0, 2.0, 1.0]), 25.0) == 1.0
-        # alpha just above 25 -> k = 2
-        assert quantile_nearest_rank(np.array([4.0, 3.0, 2.0, 1.0]), 25.01) == 2.0
-
-    def test_rejects_bad_alpha_and_empty(self):
-        with pytest.raises(ValueError):
-            quantile_nearest_rank(np.ones(3), 0.0)
-        with pytest.raises(ValueError):
-            quantile_nearest_rank(np.ones(3), 100.0)
-        with pytest.raises(ValueError, match="empty"):
-            quantile_nearest_rank(np.array([]), 50.0)
-
-    def test_input_is_untouched(self, rng):
-        for vals in (rng.standard_normal((7, 5)), np.abs(rng.standard_normal(35))):
-            before = vals.copy()
-            quantile_nearest_rank(vals, 40.0)
-            assert np.array_equal(vals, before)
 
 
 class TestChannelStat:
