@@ -1,9 +1,12 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and its config field-type check.
 
 Categories map onto the CLI exit codes: FormatError (and plain I/O errors)
 signal a bad or truncated container file, everything else under FpqtError is
 a domain failure (bad shapes, bad parameters, numerical breakdown).
 """
+
+from dataclasses import fields
+from numbers import Integral, Real
 
 
 class FpqtError(Exception):
@@ -24,3 +27,15 @@ class FormatError(FpqtError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+def check_types(obj) -> None:
+    """ValueError naming the first init field of a dataclass whose value its annotation
+    ("int | None") rejects: an int is a non-bool Integral, kept as int; a float a non-bool Real."""
+    admits = {"int": Integral, "float": Real, "str": str, "bool": bool, "None": type(None)}
+    for f in (f for f in fields(obj) if f.init):
+        value, kinds = getattr(obj, f.name), tuple(admits[k] for k in f.type.split(" | "))
+        if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
+            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        if isinstance(value, Integral) and bool not in kinds:
+            object.__setattr__(obj, f.name, int(value))

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_types
+
 _FORMAT_RE = re.compile(r"^[eE](\d+)[mM](\d+)$")
 
 
@@ -37,6 +39,7 @@ class FpFormat:
     n_m: int
 
     def __post_init__(self):
+        check_types(self)
         # float64 grids: max_val < 2^(2^n_e) is finite up to n_e = 10, and 52 mantissa bits
         if not (1 <= self.n_e <= 10 and 0 <= self.n_m <= 52):
             raise ValueError(f"format {self} needs 1 <= n_e <= 10 and 0 <= n_m <= 52 in float64")

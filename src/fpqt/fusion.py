@@ -19,7 +19,8 @@ A FusionPlan holds only (n, hidden, heads, seed, v_mode) and builds its four
 factors from them once.  fuse_block, the one fusion call, folds every offline
 factor into a block of those dims and returns FusionPlan.online, the online
 schedule that harness.estimate_cost costs; inverse=True undoes a fusion.
-Every factor is H along one axis of a reshaped view of the weight, no copy.
+Every factor is one HadamardSpec.mix: H along the middle axis of a view of
+the weight, no copy.
 
 The 'paper_literal' value mode instead folds the full H_h (x) H_d into W_v
 with no online stage; column mixing then crosses head boundaries before
@@ -43,7 +44,7 @@ import numpy as np
 import scipy.special
 
 from .errors import NumericalError, ShapeError
-from .hadamard import HadamardSpec, _mix, apply_right
+from .hadamard import HadamardSpec, apply_right
 from .tensors import WORKING_DTYPE
 
 LN_EPS = 1e-6
@@ -191,20 +192,16 @@ def fuse_block(
     h, d = plan.heads_spec.dim, plan.head_spec.dim
     literal = plan.v_mode == "paper_literal"
 
-    def mix(w: np.ndarray, view: tuple[int, ...], spec: HadamardSpec,
-            transpose: bool = inverse) -> np.ndarray:  # H along the middle axis of the view
-        return _mix(w.reshape(view), spec, transpose).reshape(w.shape)
-
     def left(w: np.ndarray, spec: HadamardSpec = plan.input_spec) -> np.ndarray:  # H^T W, or H W
-        return mix(w, (1, spec.dim, -1), spec)
+        return spec.mix(w, (1, spec.dim, -1), inverse)
 
     def value(w: np.ndarray) -> np.ndarray:  # W_v (I_h (x) H_d), then (H_h (x) I_d) if literal
-        w = mix(w, (-1, d, 1), plan.head_spec)
-        return mix(w, (-1, h, d), plan.heads_spec) if literal else w
+        w = plan.head_spec.mix(w, (-1, d, 1), inverse)
+        return plan.heads_spec.mix(w, (-1, h, d), inverse) if literal else w
 
     # per_head_exact: (H_h (x) H_d)^T W_out; paper_literal: (H_h (x) H_d) W_out
     t = inverse != literal
-    w_out = mix(mix(weights.w_out, (h, d, -1), plan.head_spec, t), (1, h, -1), plan.heads_spec, t)
+    w_out = plan.heads_spec.mix(plan.head_spec.mix(weights.w_out, (h, d, -1), t), (1, h, -1), t)
     fused = replace(
         weights,
         **{name: left(getattr(weights, name)) for name in ("w_q", "w_k", "w_fc1")},
@@ -260,7 +257,7 @@ def cross_head_apply(x: np.ndarray, heads_spec: HadamardSpec) -> np.ndarray:
     h = heads_spec.dim
     if x.ndim != 2 or x.shape[1] % h != 0:
         raise ShapeError(f"expected (m, {h} * head_dim) input, got {x.shape}")
-    return _mix(x.reshape(len(x), h, x.shape[1] // h), heads_spec).reshape(x.shape)
+    return heads_spec.mix(x, (len(x), h, x.shape[1] // h))
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:

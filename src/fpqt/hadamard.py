@@ -4,35 +4,35 @@ An order-n Hadamard matrix is factored as H_n = H_p (x) H_q, where p is the
 largest power of two such that q = n / p has a base matrix (q in {1, 12,
 20, 28}; 12, 20 and 28 are built by Paley's construction).  Entries are
 normalized by 1/sqrt(n) so the realized matrix is orthogonal, and a seeded
-random +-1 diagonal D can be folded in on the right.  A HadamardSpec holds
-only n and that seed (None: D = I); it works out (p, q) once, when built.
+random +-1 diagonal D can be folded in on the right.
 
-Every transform is H along one axis of a view: _mix applies H (or H^T) to
-the middle axis of an (l, dim, r) array, apply_right is its (m, dim, 1)
-case, and the cross-head mix and weight fusion pass reshaped views.  With
-H_p = H_a (x) H_r, a the largest power of two dividing p with a^2 <= n, _mix
-runs one dense multiply by the small (H_r (x) H_q) / sqrt(n) and one by H_a
-across the a slices, without the dense matrix.  The operation counts
-(OpCounter, op_count) model the kernel hardware would run, not numpy's
-FLOPs: butterflies over the power-of-two factor and one dense base stage,
-m*n*log2(p) + m*n*(q-1) additions and m*n + m*n*q multiplications for an
-m x n input (the dense stage disappears when q = 1, leaving only the m*n
-normalization multiplies; the sign diagonal folds into normalization and
-adds nothing).  An orthogonal transform spreads any single-channel energy
-spike uniformly across all channels, which is what crushes channel-wise
-outliers before quantization.
+A HadamardSpec of n and that seed (None: D = I) is the whole transform.
+Its mix applies H (or H^T) along the middle axis of an (l, dim, r) view;
+apply_right, the cross-head mix and weight fusion each pass their own view.
+With H_p = H_a (x) H_r, a the largest power of two dividing p with
+a^2 <= n, mix runs one dense multiply by the small (H_r (x) H_q) / sqrt(n)
+and one by H_a across the a slices, without the dense matrix.  The
+operation counts (OpCounter, op_count) model the kernel hardware would run,
+not numpy's FLOPs: butterflies over the power-of-two factor and one dense
+base stage, m*n*log2(p) + m*n*(q-1) additions and m*n + m*n*q
+multiplications for an m x n input (the dense stage disappears when
+q = 1, leaving only the m*n normalization multiplies; the sign diagonal
+folds into normalization and adds nothing).  An orthogonal transform
+spreads any single-channel energy spike uniformly across all channels,
+which is what crushes channel-wise outliers before quantization.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .errors import ShapeError
+from .errors import ShapeError, check_types
 from .tensors import WORKING_DTYPE
 
 # Paley's first construction (R. E. A. C. Paley, "On orthogonal matrices",
@@ -93,9 +93,9 @@ def factorize(n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class HadamardSpec:
-    """A realized-on-demand orthogonal transform: (H_p (x) H_q) / sqrt(n),
-    optionally right-multiplied by a seeded random sign diagonal (seed=None
-    means none).  p and q are factorize(dim), worked out once here."""
+    """An orthogonal transform (H_p (x) H_q) / sqrt(n), right-multiplied by a
+    seeded random sign diagonal unless seed is None.  (p, q) = factorize(dim)
+    is worked out here; signs and stages on first use, so any order has op counts."""
 
     dim: int
     seed: int | None = None
@@ -103,15 +103,54 @@ class HadamardSpec:
     q: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        p, q = factorize(self.dim)
+        check_types(self)
+        for name, value in zip("pq", factorize(self.dim)):
+            object.__setattr__(self, name, value)
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"sign-diagonal seed must be nonnegative, got {self.seed}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
 
     @property
     def log2_p(self) -> int:
         return self.p.bit_length() - 1
+
+    @cached_property
+    def signs(self) -> np.ndarray | None:
+        """The read-only +-1 diagonal of a seeded spec, None when seed is None."""
+        if self.seed is None:
+            return None
+        d = np.random.default_rng(self.seed).integers(0, 2, self.dim).astype(WORKING_DTYPE) * 2 - 1
+        d.flags.writeable = False
+        return d
+
+    @cached_property
+    def stages(self) -> tuple[np.ndarray, np.ndarray]:
+        """mix's read-only dense stages (H_(p/a) (x) H_q) / sqrt(n) and H_a,
+        with a the largest power of two dividing p such that a^2 <= n."""
+        p, q = self.p, self.q
+        a = min(p, 1 << (self.dim.bit_length() - 1) // 2)
+        inner = np.kron(scipy.linalg.hadamard(p // a), base_matrix(q)) / math.sqrt(self.dim)
+        h_a = scipy.linalg.hadamard(a, dtype=WORKING_DTYPE)
+        inner.flags.writeable = h_a.flags.writeable = False
+        return inner, h_a
+
+    def mix(self, x: np.ndarray, view: tuple[int, ...], transpose: bool = False) -> np.ndarray:
+        """H along the middle axis of x's (l, dim, r) view: y[i, :, k] = x[i, :, k] @ H,
+        or @ H^T when transpose is set; y is C-contiguous, in x's shape.
+
+        The inner stage is a right GEMM when r = 1 and a batched inner^T @ x
+        otherwise.  The sign diagonal scales the output (x @ H) or the input
+        (x @ H^T); the Sylvester factors are symmetric, so only H_q is transposed.
+        """
+        v = x.reshape(view)
+        l, n, r = v.shape
+        inner, h_a = self.stages
+        a, d = h_a.shape[0], self.signs
+        if transpose:
+            inner = inner.T
+            v = v if d is None else v * d[:, np.newaxis]
+        y = v.reshape(l * a, n // a) @ inner if r == 1 else inner.T @ v.reshape(l * a, n // a, r)
+        y = (h_a @ y.reshape(l, a, -1) if a > 1 else y).reshape(l, n, r)
+        return (y if d is None or transpose else y * d[:, np.newaxis]).reshape(x.shape)
 
 
 def build(dim: int, seed: int | None = None) -> HadamardSpec:
@@ -119,35 +158,11 @@ def build(dim: int, seed: int | None = None) -> HadamardSpec:
     return HadamardSpec(dim, seed)
 
 
-def sign_diagonal(spec: HadamardSpec) -> np.ndarray | None:
-    """The +-1 diagonal for a seeded spec, None when seed is None."""
-    if spec.seed is None:
-        return None
-    rng = np.random.default_rng(spec.seed)
-    return rng.integers(0, 2, size=spec.dim).astype(WORKING_DTYPE) * 2.0 - 1.0
-
-
 def realize(spec: HadamardSpec) -> np.ndarray:
     """Dense orthogonal matrix: the reference for tests and `fpqt hadamard --check`."""
     h = np.kron(scipy.linalg.hadamard(spec.p, dtype=WORKING_DTYPE), base_matrix(spec.q))
     h /= math.sqrt(spec.dim)
-    d = sign_diagonal(spec)
-    if d is not None:
-        h = h * d[np.newaxis, :]
-    return h
-
-
-@functools.lru_cache(maxsize=None)
-def _factors(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """_mix's read-only stages (H_(p/a) (x) H_q) / sqrt(p q) and H_a, with a
-    the largest power of two dividing p such that a^2 <= p q."""
-    a = 1
-    while p % (2 * a) == 0 and (2 * a) ** 2 <= p * q:
-        a *= 2
-    inner = np.kron(scipy.linalg.hadamard(p // a), base_matrix(q)) / math.sqrt(p * q)
-    h_a = scipy.linalg.hadamard(a, dtype=WORKING_DTYPE)
-    inner.flags.writeable = h_a.flags.writeable = False
-    return inner, h_a
+    return h if spec.signs is None else h * spec.signs
 
 
 class OpCounter:
@@ -157,25 +172,6 @@ class OpCounter:
     def __init__(self):
         self.adds = 0
         self.muls = 0
-
-
-def _mix(x: np.ndarray, spec: HadamardSpec, transpose: bool = False) -> np.ndarray:
-    """H along the middle axis of an (l, dim, r) array: y[i, :, k] = x[i, :, k] @ H,
-    or @ H^T when transpose is set; y is C-contiguous.
-
-    The inner stage is a right GEMM when r = 1 and a batched inner^T @ x
-    otherwise.  The sign diagonal scales the output (x @ H) or the input
-    (x @ H^T); the Sylvester factors are symmetric, so only H_q is transposed.
-    """
-    l, n, r = x.shape
-    inner, h_a = _factors(spec.p, spec.q)
-    a, d = h_a.shape[0], sign_diagonal(spec)
-    if transpose:
-        inner = inner.T
-        x = x if d is None else x * d[:, np.newaxis]
-    y = x.reshape(l * a, n // a) @ inner if r == 1 else inner.T @ x.reshape(l * a, n // a, r)
-    y = (h_a @ y.reshape(l, a, -1) if a > 1 else y).reshape(l, n, r)
-    return y if d is None or transpose else y * d[:, np.newaxis]
 
 
 def apply_right(
@@ -189,7 +185,7 @@ def apply_right(
         ops = op_count(x.shape[0], spec)
         counter.adds += ops["adds"]
         counter.muls += ops["muls"]
-    return _mix(x[:, :, np.newaxis], spec, transpose)[:, :, 0]
+    return spec.mix(x, (len(x), spec.dim, 1), transpose)
 
 
 def op_count(m: int, spec: HadamardSpec) -> dict[str, int]:
@@ -199,9 +195,9 @@ def op_count(m: int, spec: HadamardSpec) -> dict[str, int]:
     butterflies plus one base stage (module docstring), the same tallies an
     OpCounter accumulates on a real apply_right call in either direction.
     """
-    if m < 0:
-        raise ValueError(f"row count must be nonnegative, got {m}")
-    n = spec.dim
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 0:
+        raise ValueError(f"row count must be a nonnegative int, got {m!r}")
+    m, n = int(m), spec.dim
     adds = m * n * spec.log2_p + m * n * (spec.q - 1)
     muls = m * n + (m * n * spec.q if spec.q > 1 else 0)
     return {"adds": adds, "muls": muls}

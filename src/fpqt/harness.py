@@ -24,10 +24,10 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
+from .errors import check_types
 from .formats import FpFormat, parse_format
 from .fusion import (
     LAYER_INPUTS,
@@ -56,7 +56,7 @@ class HarnessConfig:
     n: int = 64
     heads: int = 4
     tokens: int = 128
-    hidden: Optional[int] = None  # None -> 4 * n
+    hidden: int | None = None  # None -> 4 * n
     outlier_channels: int = 2
     outlier_scale: float = 100.0
     seed: int = 0
@@ -66,7 +66,7 @@ class HarnessConfig:
     quantize_weights: bool = True
     quantize_acts: bool = True
     use_hadamard: bool = True
-    hadamard_seed: Optional[int] = None  # None -> no random sign diagonal
+    hadamard_seed: int | None = None  # None -> no random sign diagonal
     v_mode: str = FusionPlan.v_mode
     method: str = "gptq"  # one of METHODS
     calib_samples: int = 512
@@ -74,6 +74,7 @@ class HarnessConfig:
     heavy_tail_fraction: float = 0.0
 
     def __post_init__(self):
+        check_types(self)
         for name, value in (("n", self.n), ("tokens", self.tokens), ("hidden", self.hidden_dim),
                             ("calib_samples", self.calib_samples)):
             if value < 1:

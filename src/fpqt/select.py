@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, check_types
 from .formats import FpFormat, candidate_formats
 from .tensors import WORKING_DTYPE
 
@@ -25,6 +25,7 @@ class SelectionConfig:
     alpha: float = 25.0
 
     def __post_init__(self):
+        check_types(self)
         candidate_formats(self.n_bits)  # rejects a width outside 2..8
         if not 0.0 < self.alpha < 100.0:
             raise ValueError(f"alpha must be in (0, 100) exclusive, got {self.alpha}")

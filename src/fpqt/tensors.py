@@ -86,58 +86,48 @@ def iter_tensors(path) -> Iterator[tuple[str, np.ndarray]]:
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        offset = 0
 
-        def take(count: int, what: str) -> int:
-            """Claim the next count bytes; return the offset they start at."""
-            nonlocal offset
-            if offset + count > size:
-                raise FormatError(f"truncated container: expected {what}", offset)
-            offset += count
-            return offset - count
+        def read(count: int, what: str) -> tuple[int, bytes]:
+            """The offset and the bytes of the next count; FormatError if the file has fewer."""
+            at = fh.tell()
+            if at + count > size or len(data := fh.read(count)) != count:
+                raise FormatError(f"truncated container: expected {what}", at)
+            return at, data
 
-        take(4, "magic")
-        magic = fh.read(4)
+        magic = read(4, "magic")[1]
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
-        take(1, "version byte")
-        (version,) = fh.read(1)
+        (version,) = read(1, "version byte")[1]
         if version != VERSION:
             raise FormatError(f"unsupported version {version}", 4)
-        take(4, "entry count")
-        (count,) = struct.unpack("<I", fh.read(4))
+        (count,) = struct.unpack("<I", read(4, "entry count")[1])
 
         seen: set[str] = set()
         for _ in range(count):
-            take(2, "name length")
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            at = take(name_len, "name")
+            (name_len,) = struct.unpack("<H", read(2, "name length")[1])
+            at, raw = read(name_len, "name")
             try:
-                name = fh.read(name_len).decode("utf-8")
+                name = raw.decode("utf-8")
             except UnicodeDecodeError:
                 raise FormatError("tensor name is not valid UTF-8", at) from None
             if name in seen:
                 raise FormatError(f"duplicate tensor name {name!r}", at)
             seen.add(name)
-            at = take(2, "dtype tag and ndim")
-            dtype_tag, ndim = fh.read(2)
+            at, (dtype_tag, ndim) = read(2, "dtype tag and ndim")
             if dtype_tag != DTYPE_F32:
                 raise FormatError(f"unsupported dtype tag {dtype_tag}", at)
-            dims_at = take(8 * ndim, "dims")
-            dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-            n_bytes = 4 * math.prod(dims)
-            at = take(n_bytes, f"payload of {name!r}")
+            dims_at, raw = read(8 * ndim, "dims")
+            dims = struct.unpack(f"<{ndim}Q", raw)
+            at, raw = read(4 * math.prod(dims), f"payload of {name!r}")
             # a nonempty entry this large is already truncated; an empty one is not
             if ndim > _MAX_NDIM or math.prod(d for d in dims if d) > _MAX_ELEMS:
                 raise FormatError(f"dims {dims} of {name!r} exceed numpy's array limits", dims_at)
-            payload = np.empty(n_bytes // 4, dtype=STORAGE_DTYPE)
-            if fh.readinto(payload) != n_bytes:
-                raise FormatError(f"truncated container: expected payload of {name!r}", at)
+            payload = np.frombuffer(raw, dtype=STORAGE_DTYPE)
             if not np.isfinite(payload).all():
                 raise FormatError(f"tensor {name!r} contains NaN or Inf", at)
             yield name, payload.astype(WORKING_DTYPE).reshape(dims)
-        if offset != size:
-            raise FormatError(f"{size - offset} trailing bytes after last entry", offset)
+        if fh.tell() != size:
+            raise FormatError(f"{size - fh.tell()} trailing bytes after last entry", fh.tell())
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:

@@ -87,6 +87,14 @@ class TestHadamardCommand:
         code, _, _ = run_cli(capsys, "hadamard", "--dim", "8192", "--check")
         assert code == 1
 
+    def test_an_order_too_large_to_hold_still_has_op_counts(self, capsys):
+        # a spec builds its 8 TiB signs and dense stage only when a transform runs
+        code, out, _ = run_cli(capsys, "hadamard", "--dim", str(2**40), "--seed", "3")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["p"], data["q"], data["rows"]) == (2**40, 1, 1)
+        assert (data["adds"], data["muls"]) == (2**40 * 40, 2**40)
+
     @pytest.mark.parametrize("check", [(), ("--check",)])
     def test_negative_seed_is_config_error(self, capsys, check):
         code, out, err = run_cli(capsys, "hadamard", "--dim", "8", "--seed", "-1", *check)
@@ -591,6 +599,14 @@ class TestSimulateAndCost:
         assert code == 0
         assert data["weight_bytes_quant"] == data["weight_bytes_fp32"] // 4 == 49152
         assert data["bytes_ratio_before_bias"] == 4.0
+
+    def test_cost_of_an_order_too_large_to_hold(self, capsys):
+        # costing the plan builds none of its signs or stages: 8 TiB each at order 2^40
+        code, out, _ = run_cli(capsys, "cost", "--n", str(2**40), "--heads", "4", "--tokens", "1",
+                               "--hadamard-seed", "3")
+        assert code == 0
+        tr = {t["point"]: t for t in json.loads(out)["hadamard"]["transforms"]}
+        assert tr["attn_input"]["adds"] == 2**40 * 40
 
     def test_cost_large_dim_factorization(self, capsys):
         code, out, _ = run_cli(

@@ -66,6 +66,16 @@ class TestFpFormat:
         assert str(FpFormat(2, 1)) == "E2M1"
         assert str(FpFormat(4, 3)) == "E4M3"
 
+    @pytest.mark.parametrize("n_e,n_m,field", [
+        (2.0, 1, "n_e"), (True, 1, "n_e"), ("2", 1, "n_e"),
+        (2, 1.0, "n_m"), (2, False, "n_m"), (2, None, "n_m"),
+    ])
+    def test_wrong_type_rejected_naming_the_field(self, n_e, n_m, field):
+        # a float once constructed and failed in grid(); True printed as ETrueM1
+        with pytest.raises(ValueError, match=f"^{field} must be int, got "):
+            FpFormat(n_e, n_m)
+        assert FpFormat(np.int64(2), np.uint8(1)) == FpFormat(2, 1)  # any Integral but bool
+
 
 class TestParseFormat:
     def test_roundtrip_and_case(self):

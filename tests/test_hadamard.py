@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -8,15 +9,12 @@ from fpqt.hadamard import (
     BASE_ORDERS,
     HadamardSpec,
     OpCounter,
-    _factors,
-    _mix,
     apply_right,
     base_matrix,
     build,
     factorize,
     op_count,
     realize,
-    sign_diagonal,
 )
 from oracles import oracle_sylvester
 
@@ -93,7 +91,7 @@ class TestRealize:
     def test_sign_diagonal_flips_columns(self):
         spec = build(16, seed=5)
         base = realize(build(16))
-        d = sign_diagonal(spec)
+        d = spec.signs
         assert np.isin(d, (-1.0, 1.0)).all()
         assert np.array_equal(realize(spec), base * d)
         # still orthonormal
@@ -101,13 +99,9 @@ class TestRealize:
         assert np.abs(h.T @ h - np.eye(16)).max() < 1e-12
 
     def test_sign_diagonal_deterministic_and_seed_sensitive(self):
-        assert np.array_equal(
-            sign_diagonal(build(32, seed=3)), sign_diagonal(build(32, seed=3))
-        )
-        assert not np.array_equal(
-            sign_diagonal(build(256, seed=3)), sign_diagonal(build(256, seed=4))
-        )
-        assert sign_diagonal(build(32)) is None
+        assert np.array_equal(build(32, seed=3).signs, build(32, seed=3).signs)
+        assert not np.array_equal(build(256, seed=3).signs, build(256, seed=4).signs)
+        assert build(32).signs is None
 
 
 class TestApplyRight:
@@ -165,17 +159,19 @@ class TestApplyRight:
         assert np.abs(apply_right(apply_right(x, spec), spec) - x).max() < 1e-12
 
     def test_factors_are_cached_read_only(self, rng):
+        # each spec builds its signs and stages once, on first use
         x, spec = rng.standard_normal((3, 48)), build(48, seed=1)
         cached = apply_right(x, spec), apply_right(x, spec, transpose=True)
-        inner, h_a = _factors(4, 12)  # order 48 = 4 * 12 runs as (1 x 12) then H_4
+        inner, h_a = spec.stages  # order 48 = 4 * 12 runs as (1 x 12) then H_4
         assert inner.shape == (12, 12) and h_a.shape == (4, 4)
-        assert not inner.flags.writeable and not h_a.flags.writeable
-        with pytest.raises(ValueError):
-            inner[0, 0] = 0.0
-        assert _factors(4, 12)[0] is inner
-        _factors.cache_clear()  # freshly built factors give the same bytes
-        assert np.array_equal(apply_right(x, spec), cached[0])
-        assert np.array_equal(apply_right(x, spec, transpose=True), cached[1])
+        for operand in (inner, h_a, spec.signs):
+            assert not operand.flags.writeable
+            with pytest.raises(ValueError):
+                operand[0] = 0.0
+        assert spec.stages[0] is inner and spec.signs is spec.signs
+        fresh = build(48, seed=1)  # a freshly built spec gives the same bytes
+        assert np.array_equal(apply_right(x, fresh), cached[0])
+        assert np.array_equal(apply_right(x, fresh, transpose=True), cached[1])
 
 
 class TestMix:
@@ -186,11 +182,11 @@ class TestMix:
     @pytest.mark.parametrize("r", [1, 5])
     def test_middle_axis_matches_dense(self, n, seed, r, rng):
         spec = build(n, seed=seed)
-        assert _factors(spec.p, spec.q)[1].shape == (32, 32)
+        assert spec.stages[1].shape == (32, 32)
         h = realize(spec)
         x = rng.standard_normal((3, n, r))
         for transpose, dense in ((False, h), (True, h.T)):
-            y = _mix(x, spec, transpose)
+            y = spec.mix(x, x.shape, transpose)
             assert y.shape == x.shape and y.flags.c_contiguous
             want = (x.transpose(0, 2, 1) @ dense).transpose(0, 2, 1)
             assert np.abs(y - want).max() < 1e-12
@@ -230,6 +226,13 @@ class TestOpCounts:
         with pytest.raises(ValueError):
             op_count(-1, build(8))
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, True, "3", None])
+    def test_rows_of_another_type_rejected(self, m):
+        # 2.5 once returned float counts
+        with pytest.raises(ValueError, match=rf"^row count must be a nonnegative int, got {m!r}$"):
+            op_count(m, build(8))
+        assert op_count(np.int64(2), build(8)) == op_count(2, build(8))
+
 
 class TestSpec:
     def test_build_carries_factorization(self):
@@ -266,5 +269,25 @@ class TestSpec:
         with pytest.raises(ValueError, match="seed"):
             build(8, seed)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"dim": 64.0}, "dim must be int, got 64.0"),
+        ({"dim": True}, "dim must be int, got True"),
+        ({"dim": "64"}, "dim must be int, got '64'"),
+        ({"dim": 64, "seed": 1.5}, "seed must be int | None, got 1.5"),
+        ({"dim": 64, "seed": False}, "seed must be int | None, got False"),
+    ])
+    def test_wrong_type_rejected_naming_the_field(self, kwargs, message):
+        # each once constructed and failed on first use with a raw TypeError
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HadamardSpec(**kwargs)
+        assert HadamardSpec(np.int64(64), np.uint16(3)) == HadamardSpec(64, 3)
+
+    def test_a_numpy_integer_is_kept_as_an_int(self):
+        # a numpy dim once reached log2_p, which has no bit_length on numpy scalars
+        spec = HadamardSpec(np.int64(96), np.uint16(3))
+        assert type(spec.dim) is int and type(spec.seed) is int
+        assert op_count(np.int64(2), spec) == op_count(2, HadamardSpec(96, 3))
+        assert all(type(v) is int for v in op_count(np.int64(2), spec).values())
+
     def test_zero_seed_is_a_sign_diagonal(self):
-        assert sign_diagonal(HadamardSpec(8, 0)) is not None
+        assert HadamardSpec(8, 0).signs is not None

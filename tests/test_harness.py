@@ -183,6 +183,27 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             HarnessConfig(**kwargs)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n", 64.0), ("tokens", 128.0), ("heads", 4.0), ("hidden", 256.0),
+        ("outlier_channels", 2.0), ("calib_samples", 512.5), ("seed", 1.5),
+        ("hadamard_seed", 1.0), ("tokens", True), ("use_hadamard", "no"), ("weight_bits", 4.0),
+        ("alpha", "25"), ("outlier_scale", "1"), ("heavy_tail_fraction", None),
+        ("act_format", 4), ("weight_format", None), ("method", None), ("quantize_acts", 1),
+    ])
+    def test_wrong_type_rejected_naming_the_field(self, field, value):
+        # each once constructed, or raised a raw TypeError or AttributeError
+        # that the CLI does not catch; an int is never a bool
+        annotation = next(f.type for f in fields(HarnessConfig) if f.name == field)
+        with pytest.raises(ValueError, match=rf"^{field} must be {annotation}, got {value!r}$"):
+            HarnessConfig(**{field: value})
+
+    def test_any_integral_or_real_value_of_the_type_is_accepted(self):
+        cfg = HarnessConfig(n=np.int64(64), heads=np.int16(4), alpha=25, outlier_scale=np.float64(2))
+        assert cfg.plan == HarnessConfig().plan
+        # kept as ints: a numpy n once failed in the cost rule and the report's JSON
+        assert type(cfg.n) is int and type(cfg.heads) is int
+        assert estimate_cost(cfg) == estimate_cost(replace(cfg, n=64, heads=4))
+
 
 class TestSeededInputs:
     def test_weights_shapes_and_scaling(self):

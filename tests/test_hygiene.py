@@ -1,8 +1,8 @@
 """Static checks on the package source and the demos: every module-level
 import is used, the package's __all__ lists each public name once and
 every name resolves, the package imports only scipy.linalg and
-scipy.special, and it opens files for writing only inside
-tensors._replacing."""
+scipy.special, no module imports another's underscore names beyond an
+allow-list, and it opens files for writing only inside tensors._replacing."""
 
 import ast
 from pathlib import Path
@@ -61,6 +61,38 @@ def test_package_uses_only_scipy_linalg_and_special():
                 used |= {f"{node.module}.{a.name}" if node.module == "scipy" else node.module
                          for a in node.names}
     assert used == {"scipy.linalg", "scipy.special"}
+
+
+# the underscore names a package module may import from another one; a name
+# leaves the list once no module imports it, and none joins it
+PRIVATE_IMPORTS = {"gptq.py": {"_grid_constants", "_snap"},
+                   "cli.py": {"_replacing", "_write_entries"}}
+
+
+def private_imports(source: str) -> set[str]:
+    """Underscore names a module imports from another fpqt module, by a
+    relative import or one from fpqt itself."""
+    return {a.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "fpqt")
+            for a in node.names if a.name.startswith("_")}
+
+
+def test_private_import_checker_finds_every_form():
+    source = (
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from .hadamard import HadamardSpec, _mix\n"
+        "from fpqt.quantize import _snap as snap\n"
+        "from . import _private\n"
+        "def f():\n    from .tensors import _replacing\n"
+    )
+    assert private_imports(source) == {"_mix", "_snap", "_private", "_replacing"}
+
+
+@pytest.mark.parametrize("path", sorted(Path(fpqt.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_underscore_names_are_imported_only_from_the_allow_list(path):
+    assert private_imports(path.read_text()) == PRIVATE_IMPORTS.get(path.name, set())
 
 
 _WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}

@@ -184,6 +184,19 @@ class TestSelectionConfig:
         with pytest.raises(ValueError, match="alpha"):
             SelectionConfig(alpha=100.0)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n_bits": 4.0}, "n_bits must be int, got 4.0"),
+        ({"n_bits": True}, "n_bits must be int, got True"),
+        ({"alpha": "25"}, "alpha must be float, got '25'"),
+        ({"alpha": None}, "alpha must be float, got None"),
+        ({"alpha": False}, "alpha must be float, got False"),
+    ])
+    def test_wrong_type_rejected_naming_the_field(self, kwargs, message):
+        # each once escaped as a raw TypeError from a comparison or range()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SelectionConfig(**kwargs)
+        assert SelectionConfig(n_bits=np.int32(4), alpha=25) == SelectionConfig()
+
 
 class TestSelectionTable:
     def test_structure_and_consistency(self):
