@@ -23,8 +23,8 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import FormatError, FpqtError, ShapeError
-from .formats import parse_format
+from .errors import FormatError, FpqtError, NumericalError, ShapeError
+from .formats import FpFormat, parse_format
 from .fusion import (
     LAYER_NAMES,
     V_MODES,
@@ -38,6 +38,7 @@ from .harness import METHODS, HarnessConfig, estimate_cost, run, strict_json
 from .quantize import minmax_quantize, quant_error
 from .select import SelectionConfig, select_format, selection_table, spread_indicator
 from .tensors import (
+    STORAGE_DTYPE,
     _replacing,
     _write_entries,
     channel_max_median_ratio,
@@ -162,6 +163,21 @@ def cmd_select_format(args: argparse.Namespace) -> int:
     return 0
 
 
+def _storable(name: str, values: np.ndarray, fmt: FpFormat, bias: np.ndarray) -> np.ndarray:
+    """values, or NumericalError naming the entry when the float32 container
+    would store some of them off their grid.  The cast is checked only where
+    it can be inexact: a grid with more significant bits than float32, or
+    one stepping below float32's least subnormal, 2^-149."""
+    f32 = np.finfo(STORAGE_DTYPE)
+    lowest_step = int(bias.min(initial=0)) + 1 - fmt.n_m
+    if fmt.n_m > f32.nmant or lowest_step < f32.minexp - f32.nmant:
+        with np.errstate(over="ignore"):
+            if not np.array_equal(values.astype(STORAGE_DTYPE), values):
+                raise NumericalError(f"tensor {name!r} quantized to {fmt} holds values that "
+                                     f"float32 storage would move off the grid")
+    return values
+
+
 def cmd_quantize(args: argparse.Namespace) -> int:
     cfg = SelectionConfig(n_bits=args.bits, alpha=args.alpha)
     fixed = None if args.format == "auto" else parse_format(args.format)
@@ -172,7 +188,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
             fmt = select_format(_nonempty(name, t), cfg) if fixed is None else fixed
             a = t.reshape(-1, 1) if t.ndim < 2 else t
             qt = minmax_quantize(a, fmt, channel_axis=-1)
-            values = qt.values.reshape(t.shape)
+            values = _storable(name, qt.values.reshape(t.shape), fmt, qt.bias)
             err = quant_error(t, values)
             lines.append(
                 f"{name}: format={fmt} channels={qt.bias.size} "

@@ -199,17 +199,15 @@ def fuse_block(
         w = plan.head_spec.mix(w, (-1, d, 1), inverse)
         return plan.heads_spec.mix(w, (-1, h, d), inverse) if literal else w
 
+    # the two wide matrices first: a fold's scratch then meets the fewest folded matrices
+    fused = {"w_fc2": left(weights.w_fc2, plan.hidden_spec),
+             **{name: left(getattr(weights, name)) for name in ("w_fc1", "w_q", "w_k")}}
+    fused["w_v"] = left(value(weights.w_v)) if inverse else value(left(weights.w_v))
     # per_head_exact: (H_h (x) H_d)^T W_out; paper_literal: (H_h (x) H_d) W_out
     t = inverse != literal
-    w_out = plan.heads_spec.mix(plan.head_spec.mix(weights.w_out, (h, d, -1), t), (1, h, -1), t)
-    fused = replace(
-        weights,
-        **{name: left(getattr(weights, name)) for name in ("w_q", "w_k", "w_fc1")},
-        w_v=left(value(weights.w_v)) if inverse else value(left(weights.w_v)),
-        w_out=w_out,
-        w_fc2=left(weights.w_fc2, plan.hidden_spec),
-    )
-    return fused, () if inverse else plan.online
+    fused["w_out"] = plan.heads_spec.mix(plan.head_spec.mix(weights.w_out, (h, d, -1), t),
+                                         (1, h, -1), t)
+    return replace(weights, **fused), () if inverse else plan.online
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,8 @@ class CalibrationSet:
         """(dead, S^T), computed once: the input dimensions no sample reaches, and
         R^T with row j divided by R[j, j] (C-contiguous, unit lower-triangular) for
         R R^T = H, H's dead diagonal set to 1 and dampened; NumericalError if H
-        overflows or is not positive-definite."""
+        overflows or is not positive-definite.  One n x n buffer holds H, then
+        its index reversal J H J, then that one's Cholesky factor, then S^T."""
         h = hessian(self)
         dead = np.diag(h) == 0.0
         h[dead, dead] = 1.0
@@ -70,8 +71,10 @@ class CalibrationSet:
             h[np.diag_indices(self.in_dim)] += DAMPING * float(np.mean(np.diag(h)))
         if not np.isfinite(np.diag(h)).all():
             raise NumericalError("calibration set overflows the dampened Hessian in float64")
-        r = _upper_cholesky(h)
-        st = np.divide(r.T, np.diag(r)[:, None], out=h)  # h is spent
+        _reverse_in_place(h)  # the buffer holds J H J, so h[::-1, ::-1] is H again
+        st = _upper_cholesky(h[::-1, ::-1]).T[::-1, ::-1]  # L^T, J H J = L L^T, in h's buffer
+        st /= np.diag(st).copy()[:, None]
+        _reverse_in_place(st)  # J L^T J = R^T, each row divided by R's diagonal
         dead.flags.writeable = st.flags.writeable = False  # shared by every caller
         return dead, st
 
@@ -83,7 +86,8 @@ def hessian(cal: CalibrationSet) -> np.ndarray:
     dampens it.  Raises NumericalError when the calibration set overflows it.
     """
     with np.errstate(over="ignore"):
-        h = 2.0 * (cal.x.T @ cal.x)
+        h = cal.x.T @ cal.x
+        h *= 2.0  # exact, or inf
     if not np.isfinite(h).all():
         raise NumericalError("calibration set overflows the Hessian 2 X^T X in float64")
     return h
@@ -107,13 +111,28 @@ def layer_objective(w: np.ndarray, w_hat: np.ndarray, cal: CalibrationSet) -> fl
 
 def _upper_cholesky(h: np.ndarray) -> np.ndarray:
     """Upper-triangular R with positive diagonal and R R^T = h: the lower
-    Cholesky factor of the index-reversed h, reversed back; NumericalError
-    unless h is positive-definite."""
-    try:
-        lower = scipy.linalg.cholesky(h[::-1, ::-1], lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"dampened Hessian is not positive-definite: {exc}") from exc
+    Cholesky factor L of the index-reversed h, reversed back.  When h is the
+    index reversal of a C-contiguous array, that array holds L^T on return;
+    NumericalError unless h is positive-definite."""
+    lower, info = scipy.linalg.lapack.dpotrf(h[::-1, ::-1].T, lower=1, overwrite_a=1)
+    if info > 0:
+        raise NumericalError(f"dampened Hessian is not positive-definite: {info}-th "
+                             "leading minor of the array is not positive definite")
     return lower[::-1, ::-1]
+
+
+def _reverse_in_place(a: np.ndarray) -> None:
+    """Reverse the flat memory of a C-contiguous array, so a[i, j] takes
+    a[-1 - i, -1 - j], by swapping mirrored blocks of 64 rows through one
+    block of scratch."""
+    flat = a.reshape(-1)
+    size, step = flat.size, 64 * a.shape[-1]
+    for i in range(0, size // 2, step):
+        k = min(step, size // 2 - i)
+        head, tail = flat[i : i + k], flat[size - i - k : size - i]
+        spare = head[::-1].copy()
+        head[:] = tail[::-1]
+        tail[:] = spare
 
 
 def gptq_quantize(w: np.ndarray, cal: CalibrationSet, fmt: FpFormat) -> QuantizedTensor:

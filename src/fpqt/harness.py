@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
@@ -80,7 +81,8 @@ class HarnessConfig:
             if value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
         # keeps gen_activations finite: its unit-Gaussian draws lie far below 2^23
-        if not abs(self.outlier_scale) <= 2.0**1000:
+        scale = self.outlier_scale  # compared as a Python number: a float32 cannot hold 2^1000
+        if not abs(scale if isinstance(scale, numbers.Rational) else float(scale)) <= 2.0**1000:
             raise ValueError(f"|outlier_scale| must be at most 2^1000, got {self.outlier_scale}")
         if self.v_mode not in V_MODES:
             raise ValueError(f"v_mode must be one of {V_MODES}, got {self.v_mode!r}")
@@ -307,6 +309,7 @@ def run(cfg: HarnessConfig) -> QuantReport:
     pre, taps = taps["attn_input"], {}  # keep only the block input across quantization
 
     qbase, online = fuse_block(weights, cfg.plan) if cfg.plan else (weights, ())
+    del weights  # with a plan, the unfused block is not held across quantization
 
     layer_reports: dict = {}
     if cfg.quantize_weights:

@@ -15,6 +15,24 @@ import pytest  # noqa: E402
 sys.path.insert(0, str(Path(__file__).parent))
 
 
+def pytest_report_header(config):
+    """numpy's and scipy's versions and BLAS builds, since the pinned digests
+    fix BLAS summation order; versions alone where show_config has no dicts."""
+    import scipy
+
+    lines = []
+    for module in (np, scipy):
+        line = f"{module.__name__} {module.__version__}"
+        try:
+            blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            build = blas.get("openblas configuration") or f"{blas['name']} {blas['version']}"
+            line += f", BLAS {build}"
+        except (TypeError, KeyError):  # no mode argument, or no BLAS entry
+            pass
+        lines.append(line)
+    return lines
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -238,6 +238,45 @@ class TestQuantizeCommand:
         assert back["s"] == back["v"][0] and back["s.bias"] == back["v.bias"]
 
 
+    def test_values_float32_cannot_hold_are_refused(self, capsys, tmp_path, rng):
+        # three columns in {-1, 0, 1} * 2^-149 take bias -153, whose grid steps
+        # below float32's least subnormal: the cast would move their values
+        # off the grid the command reports
+        src, dst = str(tmp_path / "in.fpqt"), tmp_path / "out.fpqt"
+        t = np.zeros((16, 4))
+        t[:, :3] = rng.integers(-1, 2, (16, 3)) * 2.0**-149
+        t[:, 3] = rng.standard_normal(16)
+        write_tensors(src, {"t": t})
+        write_tensors(str(dst), {"keep": np.ones(3)})
+        before = dst.read_bytes()
+        code, out, err = run_cli(capsys, "quantize", src, str(dst), "--format", "E2M1")
+        assert (code, out) == (1, "")
+        assert err == ("fpqt: error: tensor 't' quantized to E2M1 holds values that "
+                       "float32 storage would move off the grid\n")
+        assert dst.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["in.fpqt", "out.fpqt"]
+
+    def test_a_grid_below_the_least_subnormal_that_float32_holds_is_written(
+            self, capsys, tmp_path):
+        # bias -151: the grid steps by 2^-151, but these values are 12, 4, 0
+        # and -8 times 2^-151, all multiples of 2^-149, so the check passes them
+        src, dst = str(tmp_path / "in.fpqt"), str(tmp_path / "out.fpqt")
+        t = np.array([[3 * 2.0**-149], [2.0**-149], [0.0], [-(2.0**-148)]])
+        write_tensors(src, {"t": t})
+        code, _, _ = run_cli(capsys, "quantize", src, dst, "--format", "E2M1")
+        back = read_tensors(dst)
+        assert code == 0 and back["t.bias"].tolist() == [-151.0]
+        assert np.array_equal(back["t"], t)
+
+
+    def test_a_grid_with_more_significant_bits_than_float32_is_checked(self, capsys, tmp_path, rng):
+        src, dst = str(tmp_path / "in.fpqt"), str(tmp_path / "out.fpqt")
+        write_tensors(src, {"w": rng.standard_normal((8, 3))})
+        assert run_cli(capsys, "quantize", src, dst, "--format", "E5M23")[0] == 0
+        code, _, err = run_cli(capsys, "quantize", src, dst, "--format", "E5M30")
+        assert code == 1 and "tensor 'w' quantized to E5M30" in err
+
+
 class TestQuantizeAtomicOutput:
     """A bad input leaves no partial OUT: the output goes to a temporary file
     beside OUT that replaces it only after the last entry is written."""

@@ -6,6 +6,7 @@ from fpqt.formats import BiasedFormat, FpFormat, grid, parse_format
 from fpqt import gptq
 from fpqt.gptq import (
     CalibrationSet,
+    _reverse_in_place,
     _upper_cholesky,
     gptq_quantize,
     hessian,
@@ -105,6 +106,14 @@ class TestHessianFactor:
             assert np.array_equal(st, np.tril(st))
             assert np.array_equal(np.diag(st), np.ones(in_dim))
             assert np.array_equal(st, r.T / np.diag(r)[:, None])
+
+    # one block, a block and a part, blocks meeting in the middle row, an odd middle element
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (64, 3), (130, 2), (128, 4), (129, 129)])
+    def test_reverse_in_place_reverses_both_axes(self, rng, shape):
+        a = rng.standard_normal(shape)
+        want = a[::-1, ::-1].copy()
+        _reverse_in_place(a)
+        assert a.tobytes() == want.tobytes()
 
     def test_not_positive_definite_raises(self):
         for h in (-np.eye(3), np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2))):

@@ -168,6 +168,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"\|outlier_scale\| must be at most 2\^1000"):
             HarnessConfig(outlier_scale=float(scale))
 
+    @pytest.mark.parametrize("scale", [np.float32(2), np.float16(-3), np.float32(3e38)])
+    def test_a_narrow_float_outlier_scale_is_compared_without_a_cast(self, scale):
+        # compared in float32, the bound 2^1000 overflowed and warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert HarnessConfig(outlier_scale=scale).outlier_scale == scale
+
+    @pytest.mark.parametrize("scale", [np.float32("inf"), np.float16("nan"), 10**400])
+    def test_a_narrow_float_or_huge_int_beyond_the_bound_rejected(self, scale):
+        with pytest.raises(ValueError, match=r"\|outlier_scale\| must be at most 2\^1000"):
+            HarnessConfig(outlier_scale=scale)
+
     @pytest.mark.parametrize(
         "kwargs,field",
         [

@@ -9,6 +9,11 @@ The GPTQ digests also fix BLAS summation order; they were taken with
 numpy's bundled OpenBLAS 0.3.31 on x86-64, where 1 and 2 BLAS threads give
 the same bytes.  They held, with every report digest, through the rewrite of
 the sweep from the inverse factor U = R^-1 to the Cholesky form on R itself.
+numpy's OpenBLAS (0.3.31) forms the Hessian 2 X^T X, through the syrk that
+X.T @ X takes; scipy's own bundled OpenBLAS (0.3.30 here) runs its Cholesky
+factorisation, LAPACK dpotrf.  The digests held again when that factor moved
+from scipy.linalg.cholesky on a reversed copy to dpotrf in place on the one
+n x n buffer.  pytest's report header names both builds.
 
 The report digests cover run(cfg).to_json() and the estimate_cost JSON of
 the CLI's `cost` command; they were taken before the layer shapes, the
