@@ -239,7 +239,7 @@ def gelu(x: np.ndarray) -> np.ndarray:
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax: x - max, exponentiated and normalized in
     one fresh buffer."""
-    e = x - x.max(axis=axis, keepdims=True)
+    e = x - x.max(axis=axis, keepdims=True, initial=-np.inf)  # an empty axis is no error
     np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
     return e

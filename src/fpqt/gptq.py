@@ -63,7 +63,8 @@ class CalibrationSet:
         R^T with row j divided by R[j, j] (C-contiguous, unit lower-triangular) for
         R R^T = H, H's dead diagonal set to 1 and dampened; NumericalError if H
         overflows or is not positive-definite.  One n x n buffer holds H, then
-        its index reversal J H J, then that one's Cholesky factor, then S^T."""
+        J H J, then U with U^T U = J H J, then S^T, for R = J U^T J.  At in_dim
+        >= 256, scipy's dpotrf gives other last bits under 1 and 2 BLAS threads."""
         h = hessian(self)
         dead = np.diag(h) == 0.0
         h[dead, dead] = 1.0
@@ -71,10 +72,10 @@ class CalibrationSet:
             h[np.diag_indices(self.in_dim)] += DAMPING * float(np.mean(np.diag(h)))
         if not np.isfinite(np.diag(h)).all():
             raise NumericalError("calibration set overflows the dampened Hessian in float64")
-        _reverse_in_place(h)  # the buffer holds J H J, so h[::-1, ::-1] is H again
-        st = _upper_cholesky(h[::-1, ::-1]).T[::-1, ::-1]  # L^T, J H J = L L^T, in h's buffer
+        _reverse_in_place(h)
+        st = _upper_cholesky(h)  # in h's buffer
         st /= np.diag(st).copy()[:, None]
-        _reverse_in_place(st)  # J L^T J = R^T, each row divided by R's diagonal
+        _reverse_in_place(st)
         dead.flags.writeable = st.flags.writeable = False  # shared by every caller
         return dead, st
 
@@ -110,21 +111,18 @@ def layer_objective(w: np.ndarray, w_hat: np.ndarray, cal: CalibrationSet) -> fl
 
 
 def _upper_cholesky(h: np.ndarray) -> np.ndarray:
-    """Upper-triangular R with positive diagonal and R R^T = h: the lower
-    Cholesky factor L of the index-reversed h, reversed back.  When h is the
-    index reversal of a C-contiguous array, that array holds L^T on return;
-    NumericalError unless h is positive-definite."""
-    lower, info = scipy.linalg.lapack.dpotrf(h[::-1, ::-1].T, lower=1, overwrite_a=1)
+    """Upper-triangular U with positive diagonal and U^T U = h, in h's own
+    buffer when h is C-contiguous; NumericalError unless h is positive-definite."""
+    lower, info = scipy.linalg.lapack.dpotrf(h.T, lower=1, overwrite_a=1)
     if info > 0:
         raise NumericalError(f"dampened Hessian is not positive-definite: {info}-th "
                              "leading minor of the array is not positive definite")
-    return lower[::-1, ::-1]
+    return lower.T
 
 
 def _reverse_in_place(a: np.ndarray) -> None:
-    """Reverse the flat memory of a C-contiguous array, so a[i, j] takes
-    a[-1 - i, -1 - j], by swapping mirrored blocks of 64 rows through one
-    block of scratch."""
+    """Reverse a C-contiguous array's flat memory, so a[i, j] takes a[-1 - i,
+    -1 - j], by swapping mirrored 64-row blocks through one block of scratch."""
     flat = a.reshape(-1)
     size, step = flat.size, 64 * a.shape[-1]
     for i in range(0, size // 2, step):
@@ -146,7 +144,7 @@ def gptq_quantize(w: np.ndarray, cal: CalibrationSet, fmt: FpFormat) -> Quantize
     channel_bias), the calibration set overflows the Hessian, the dampened
     Hessian is not positive-definite, or the fed-forward errors overflow.
     """
-    w = np.array(w, dtype=WORKING_DTYPE, order="C")  # a copy: dead rows are zeroed
+    w = np.array(w, dtype=WORKING_DTYPE, order="C")  # a copy: dead rows zeroed, then w - q
     if w.ndim != 2:
         raise ShapeError(f"weights must be 2-D, got shape {w.shape}")
     if w.shape[0] != cal.in_dim:
@@ -158,16 +156,15 @@ def gptq_quantize(w: np.ndarray, cal: CalibrationSet, fmt: FpFormat) -> Quantize
     w[dead] = 0.0
 
     q = np.empty_like(w)
-    delta = np.empty_like(w)  # w - q, row by row
     for i1 in range(0, cal.in_dim, BLOCK_SIZE):
         i2 = min(i1 + BLOCK_SIZE, cal.in_dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            pre = w[i1:i2] + st[i1:i2, :i1] @ delta[:i1]
+            pre = w[i1:i2] + st[i1:i2, :i1] @ w[:i1]  # rows before i1 hold w - q
             for k, j in enumerate(range(i1, i2)):
-                pre[k] += st[j, i1:j] @ delta[i1:j]
+                pre[k] += st[j, i1:j] @ w[i1:j]
                 q[j] = pre[k]
                 _snap(q[j], fmt.n_m, vmax, lo)
-                np.subtract(w[j], q[j], out=delta[j])
+                w[j] -= q[j]
         if not np.isfinite(pre).all():
             raise NumericalError("GPTQ error feedback overflows float64")
     return QuantizedTensor(values=q, bias=bias)

@@ -149,7 +149,7 @@ class HadamardSpec:
             inner = inner.T
             v = v if d is None else v * d[:, np.newaxis]
         y = v.reshape(l * a, n // a) @ inner if r == 1 else inner.T @ v.reshape(l * a, n // a, r)
-        y = (h_a @ y.reshape(l, a, -1) if a > 1 else y).reshape(l, n, r)
+        y = (h_a @ y.reshape(l, a, n // a * r) if a > 1 else y).reshape(l, n, r)
         return (y if d is None or transpose else y * d[:, np.newaxis]).reshape(x.shape)
 
 

@@ -6,8 +6,14 @@ and measures what each quantization configuration does to the block output
 against the full-precision reference.  The pipeline order matches the
 deployment story: fuse transforms into weights offline, quantize the fused
 weights (Hessian-guided or plain MinMax), then at runtime apply the online
-transforms, quantize activations per channel, and run the quantized matmuls
-in working precision.  Softmax, GELU, and layer norms stay full precision.
+transforms, quantize activations, and run the quantized matmuls in working
+precision.  Softmax, GELU, and layer norms stay full precision.
+
+run() quantizes activations with one exponent bias per input channel
+(channel_axis=-1 on (tokens, width)), taken from the evaluated batch itself.
+That bias sits on the matmul's contraction axis and changes with the batch,
+so it cannot be folded into the weights offline.  perfbench's serve-w4a4
+workload quantizes per token (channel_axis=0) instead.
 
 A HarnessConfig builds its FusionPlan (cfg.plan) and fixed weight format
 (cfg.weight_fmt) once.  estimate_cost costs each transform of cfg.plan.online
@@ -254,7 +260,9 @@ def distribution_stats(batch: np.ndarray) -> dict:
     (the sentinel) when m2 is zero or lost to rounding, as for a constant batch.
     A batch whose peak lies beyond 2^+-256 is first scaled by the power of two
     that brings the peak into [0.5, 1), as in quant_error, so m4 cannot
-    overflow or sink into subnormals; kurtosis is scale-invariant."""
+    overflow or sink into subnormals; kurtosis is scale-invariant.  ShapeError
+    unless the batch is 2-D and nonempty."""
+    ratio = channel_max_median_ratio(batch)
     x = batch.ravel()
     _, k = math.frexp(float(np.abs(x).max(initial=0.0)))
     if abs(k) > 256:
@@ -264,7 +272,7 @@ def distribution_stats(batch: np.ndarray) -> dict:
     m2 = d.mean()
     flat = m2 <= (np.finfo(WORKING_DTYPE).eps * mean) ** 2  # scipy.stats.kurtosis's test
     return {
-        "channel_max_median_ratio": channel_max_median_ratio(batch),
+        "channel_max_median_ratio": ratio,
         "excess_kurtosis": math.inf if flat else float(np.mean(d * d) / m2**2 - 3),
     }
 

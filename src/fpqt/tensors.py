@@ -50,11 +50,11 @@ _MAX_NDIM = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
 
 
 def channel_stat(x: np.ndarray, stat: str) -> np.ndarray:
-    """Per-channel statistic of a 2-D batch (rows = samples, columns = channels);
-    stat 'max_abs', the peak magnitude of each channel, is the one there is."""
+    """Per-channel statistic of a nonempty 2-D batch (rows = samples, columns =
+    channels); stat 'max_abs', the peak magnitude of each channel, is the one there is."""
     x = np.asarray(x, dtype=WORKING_DTYPE)
-    if x.ndim != 2:
-        raise ShapeError(f"channel_stat needs a 2-D batch, got shape {x.shape}")
+    if x.ndim != 2 or x.size == 0:
+        raise ShapeError(f"channel_stat needs a nonempty 2-D batch, got shape {x.shape}")
     if stat != "max_abs":
         raise ValueError(f"unknown stat {stat!r}; expected max_abs")
     return np.abs(x).max(axis=0)

@@ -131,6 +131,11 @@ class TestNonlinearities:
         assert np.allclose(s.sum(axis=-1), 1.0)
         assert np.isfinite(s).all()
 
+    def test_softmax_over_an_empty_axis_is_empty(self):
+        assert softmax(np.zeros((2, 0))).shape == (2, 0)
+        assert softmax(np.zeros((0, 3))).shape == (0, 3)
+        assert softmax(np.zeros((3, 0, 0)), axis=1).shape == (3, 0, 0)
+
     def test_softmax_matches_naive_on_small_values(self, rng):
         x = rng.standard_normal((3, 5))
         naive = np.exp(x) / np.exp(x).sum(axis=-1, keepdims=True)
@@ -415,6 +420,15 @@ class TestBlockForward:
             block_forward(np.zeros((4, w.n + 1)), w)
         with pytest.raises(ShapeError):
             block_forward(np.zeros(w.n), w)
+
+    def test_a_zero_token_batch_gives_an_empty_output(self):
+        w = make_weights(n=24, heads=2)  # order 24 takes the transform's a = 4 stage
+        x = np.zeros((0, w.n))
+        assert block_forward(x, w).shape == (0, w.n)
+        fused, online = fuse_block(w, plan_fusion(w, seed=3))
+        taps = {}
+        assert block_forward(x, fused, online, taps=taps).shape == (0, w.n)
+        assert [a.shape[0] for a in taps.values()] == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_input_names_x(self, bad):

@@ -96,10 +96,11 @@ class TestHessianFactor:
             cal = CalibrationSet(x)
             h = hessian(cal)
             h[np.diag_indices(in_dim)] += 0.01 * float(np.mean(np.diag(h)))
-            r = _upper_cholesky(h.copy())
-            assert np.array_equal(r, np.triu(r))
-            assert np.all(np.diag(r) > 0.0)
-            assert np.max(np.abs(r @ r.T - h)) <= 1e-12 * np.max(np.abs(h))
+            u = _upper_cholesky(h.copy())
+            assert np.array_equal(u, np.triu(u))
+            assert np.all(np.diag(u) > 0.0)
+            assert np.max(np.abs(u.T @ u - h)) <= 1e-12 * np.max(np.abs(h))
+            r = _upper_cholesky(h[::-1, ::-1].copy())[::-1, ::-1].T  # R R^T = h
             dead, st = cal.hessian_factor
             assert not dead.any()
             assert st.flags.c_contiguous and not st.flags.writeable
@@ -254,6 +255,17 @@ class TestGptqQuantize:
         x[:, 2] = 0.0  # the caller's array, not the set's
         assert not cal.x.flags.writeable and not np.shares_memory(cal.x, x)
         assert np.array_equal(gptq_quantize(w, cal, E2M1).values, before)
+
+    def test_the_callers_weights_stay_unchanged(self, rng):
+        # the sweep zeroes dead rows and writes w - q over its own copy only
+        x = rng.standard_normal((200, 130))
+        x[:, [3, 70]] = 0.0
+        cal = CalibrationSet(x)
+        for w in (rng.standard_normal((130, 9)), np.asfortranarray(rng.standard_normal((130, 9)))):
+            before = w.copy(order="A")
+            q = gptq_quantize(w, cal, E2M1)
+            assert w.tobytes(order="A") == before.tobytes(order="A") and w[3].any() and w[70].any()
+            assert not np.shares_memory(q.values, w)
 
     def test_factor_is_computed_once_per_set(self, rng, monkeypatch):
         calls = []

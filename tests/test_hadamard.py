@@ -130,6 +130,15 @@ class TestApplyRight:
                 assert np.abs(apply_right(x, spec) - x @ h).max() < 1e-12
                 assert np.abs(apply_right(x, spec, transpose=True) - x @ h.T).max() < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 24, 1024])
+    @pytest.mark.parametrize("seed", [None, 11])
+    def test_a_zero_row_batch_gives_an_empty_result(self, n, seed):
+        # order 24 mixes through an a = 4 stage: a 0-row view cannot infer its width
+        spec = build(n, seed=seed)
+        for transpose in (False, True):
+            y = apply_right(np.zeros((0, n)), spec, transpose=transpose)
+            assert y.shape == (0, n) and y.dtype == np.float64
+
     def test_identity_rows_recover_the_matrix(self):
         spec = build(48)
         assert np.abs(apply_right(np.eye(48), spec) - realize(spec)).max() < 1e-12

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from dataclasses import asdict, fields, replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from fpqt import fusion, gptq, harness
+from fpqt.errors import ShapeError
 
 from fpqt.formats import FpFormat, parse_format
 from fpqt.hadamard import op_count
@@ -308,6 +310,17 @@ class TestQuantizeBlockWeights:
             assert rep["bias_min"] <= rep["bias_max"]
             assert not np.array_equal(getattr(qw, name), getattr(w, name))
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_the_fused_block_given_stays_unchanged(self, method):
+        # GPTQ overwrites its working copy of each matrix with w - q
+        cfg = HarnessConfig(**SMALL, method=method)
+        fused, online = fuse_block(init_weights(cfg), cfg.plan)
+        calib = collect_calibration(cfg, fused, online) if method == "gptq" else None
+        before = {f.name: np.copy(getattr(fused, f.name)) for f in fields(fused)}
+        quantize_block_weights(cfg, fused, calib)
+        for name, value in before.items():
+            assert np.asarray(getattr(fused, name)).tobytes() == value.tobytes(), name
+
     def test_fixed_format_respected(self):
         cfg = HarnessConfig(**SMALL, method="rtn", weight_format="E3M0")
         qw, reports = quantize_block_weights(cfg, init_weights(cfg), None)
@@ -403,6 +416,11 @@ class TestRun:
             got = distribution_stats(scale * x)["excess_kurtosis"]
         want = distribution_stats(x)["excess_kurtosis"]
         assert math.isfinite(got) and math.isclose(got, want, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_an_empty_batch_has_no_distribution(self, shape):
+        with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+            distribution_stats(np.zeros(shape))
 
     def test_no_hadamard_distribution_sides_match(self):
         rep = run(HarnessConfig(**SMALL, use_hadamard=False))

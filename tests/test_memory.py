@@ -1,8 +1,8 @@
-"""Peak traced memory of run() and of one GPTQ factor.
+"""Peak traced memory of run(), of one GPTQ factor and of one GPTQ sweep.
 
 tracemalloc sees numpy's array buffers, so these bound how many dense
-copies of the block, and how many n x n arrays per Hessian factor, a stage
-holds at once.
+copies of the block, how many n x n arrays per Hessian factor, and how many
+weight-sized arrays per sweep a stage holds at once.
 """
 
 import tracemalloc
@@ -10,7 +10,8 @@ import tracemalloc
 import pytest
 
 from fpqt.fusion import layer_shapes
-from fpqt.gptq import CalibrationSet
+from fpqt.formats import FpFormat
+from fpqt.gptq import CalibrationSet, gptq_quantize
 from fpqt.harness import HarnessConfig, run
 
 
@@ -38,3 +39,11 @@ def test_hessian_factor_holds_one_n_by_n_buffer(rng):
     n = 1024
     cal = CalibrationSet(rng.standard_normal((512, n)))
     assert traced_peak(lambda: cal.hessian_factor) < 1.5 * n * n * 8
+
+
+def test_gptq_sweep_holds_two_weight_sized_arrays(rng):
+    # the working copy turns into w - q row by row beside q; the factor is cached
+    cal = CalibrationSet(rng.standard_normal((256, 512)))
+    cal.hessian_factor
+    w = rng.standard_normal((512, 2048))
+    assert traced_peak(lambda: gptq_quantize(w, cal, FpFormat(2, 1))) <= 2.5 * w.nbytes

@@ -6,14 +6,19 @@ implementation (floor(log2) snapping, GPTQ factor via cho_solve and a
 second Cholesky) and must not move.  Each digest covers the value bytes
 (so the sign of zero counts), the bias vector, and which inputs raise.
 The GPTQ digests also fix BLAS summation order; they were taken with
-numpy's bundled OpenBLAS 0.3.31 on x86-64, where 1 and 2 BLAS threads give
-the same bytes.  They held, with every report digest, through the rewrite of
+numpy's bundled OpenBLAS 0.3.31 on x86-64.  1 and 2 BLAS threads give the
+same pinned bytes, but not every step does: at in_dim >= 256 scipy's dpotrf
+gives a Cholesky factor whose last bits differ between 1 and 2 threads, and
+the pinned outputs agree only because no snapped weight sits at a grid tie
+that such last-bit noise could flip.  They held, with every report digest, through the rewrite of
 the sweep from the inverse factor U = R^-1 to the Cholesky form on R itself.
 numpy's OpenBLAS (0.3.31) forms the Hessian 2 X^T X, through the syrk that
 X.T @ X takes; scipy's own bundled OpenBLAS (0.3.30 here) runs its Cholesky
 factorisation, LAPACK dpotrf.  The digests held again when that factor moved
 from scipy.linalg.cholesky on a reversed copy to dpotrf in place on the one
-n x n buffer.  pytest's report header names both builds.
+n x n buffer, and again when the sweep wrote each row's w - q over its
+working copy of w in place of a third weight-sized array.  pytest's report
+header names both builds.
 
 The report digests cover run(cfg).to_json() and the estimate_cost JSON of
 the CLI's `cost` command; they were taken before the layer shapes, the
@@ -25,7 +30,7 @@ REPORT_NUMBERS, the largest move 5.2e-16 relative.  Five (all but q12_signs
 and e3m0_rtn) were re-taken again when quant_error became one blocked pass
 with numpy sums in place of BLAS dot products; the largest distance from
 REPORT_NUMBERS is then 1.4e-15 relative.  quant_error no longer calls BLAS,
-so the 1-vs-2-thread statement above now covers it at every size, not only
+so its numbers are the same bytes on 1 and 2 threads at every size, not only
 at the toy sizes of the pinned reports; a subprocess test checks the gptq
 and rtn digests and an n=256 report under 1 and 2 threads.
 

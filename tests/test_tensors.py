@@ -1,4 +1,5 @@
 import os
+import re
 import stat
 import struct
 from pathlib import Path
@@ -42,6 +43,14 @@ class TestChannelStat:
         for stat in ("median_abs", "quantile", "nope"):
             with pytest.raises(ValueError, match="unknown stat"):
                 channel_stat(np.zeros((2, 2)), stat)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_an_empty_batch_is_refused_by_shape(self, shape):
+        # no peak to take over no samples, no median over no channels
+        with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+            channel_stat(np.zeros(shape), "max_abs")
+        with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+            channel_max_median_ratio(np.zeros(shape))
 
 
 class TestContainerRoundtrip:
