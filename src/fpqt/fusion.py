@@ -45,7 +45,7 @@ import scipy.special
 
 from .errors import NumericalError, ShapeError
 from .hadamard import HadamardSpec, apply_right
-from .tensors import WORKING_DTYPE
+from .tensors import as_working
 
 LN_EPS = 1e-6
 
@@ -283,7 +283,7 @@ def block_forward(
     step: the online transform scheduled at its point, if any, then the
     tap (taps[point] = a, when taps is given), then act_quant(a, point),
     when given."""
-    x = np.asarray(x, dtype=WORKING_DTYPE)
+    x = as_working(x)
     if x.ndim != 2 or x.shape[1] != weights.n:
         raise ShapeError(f"expected (tokens, {weights.n}) input, got {x.shape}")
     if not np.isfinite(x).all():

@@ -7,14 +7,14 @@ upper, the classic update through U = R^-1, w'_j = w_j - sum_{i<j} U[i, j] e_i
 with e_i = (w'_i - q_i) / U[i, i], solves U^T e = W - Q, so e = R^T (W - Q)
 and w'_j = w_j + sum_{i<j} S[i, j] (w_i - q_i) with S[i, j] = R[i, j] / R[j, j]
 on the original w: no triangular inverse, no division in the sweep.  Each
-CalibrationSet factors once for all weights that read its inputs; each output
-channel snaps on the grid MinMax would give it, its bias frozen from w.
+call factors its calibration set and keeps no factor; each output channel
+depends on its own column alone and snaps on the grid MinMax would give it,
+its bias frozen from w, so weights that read one input sweep as one matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -22,7 +22,7 @@ import scipy.linalg
 from .errors import NumericalError, ShapeError
 from .formats import FpFormat
 from .quantize import QuantizedTensor, _grid_constants, _snap, channel_bias
-from .tensors import WORKING_DTYPE
+from .tensors import as_working
 
 DAMPING = 1e-2  # added to the Hessian diagonal, relative to its mean
 BLOCK_SIZE = 64  # rows per block of the sweep; changes only the summation order
@@ -32,12 +32,12 @@ BLOCK_SIZE = 64  # rows per block of the sweep; changes only the summation order
 class CalibrationSet:
     """Layer inputs gathered from full-precision forward passes: one row
     per sample, one column per input dimension.  x is a read-only copy, so
-    the cached factor always matches it."""
+    no later write to the caller's array reaches a factor taken from it."""
 
     x: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=WORKING_DTYPE)
+        x = as_working(self.x, copy=True)
         x.flags.writeable = False
         if x.ndim != 2:
             raise ShapeError(f"calibration set must be 2-D, got shape {x.shape}")
@@ -57,34 +57,12 @@ class CalibrationSet:
     def in_dim(self) -> int:
         return self.x.shape[1]
 
-    @cached_property
-    def hessian_factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dead, S^T), computed once: the input dimensions no sample reaches, and
-        R^T with row j divided by R[j, j] (C-contiguous, unit lower-triangular) for
-        R R^T = H, H's dead diagonal set to 1 and dampened; NumericalError if H
-        overflows or is not positive-definite.  One n x n buffer holds H, then
-        J H J, then U with U^T U = J H J, then S^T, for R = J U^T J.  At in_dim
-        >= 256, scipy's dpotrf gives other last bits under 1 and 2 BLAS threads."""
-        h = hessian(self)
-        dead = np.diag(h) == 0.0
-        h[dead, dead] = 1.0
-        with np.errstate(over="ignore"):
-            h[np.diag_indices(self.in_dim)] += DAMPING * float(np.mean(np.diag(h)))
-        if not np.isfinite(np.diag(h)).all():
-            raise NumericalError("calibration set overflows the dampened Hessian in float64")
-        _reverse_in_place(h)
-        st = _upper_cholesky(h)  # in h's buffer
-        st /= np.diag(st).copy()[:, None]
-        _reverse_in_place(st)
-        dead.flags.writeable = st.flags.writeable = False  # shared by every caller
-        return dead, st
-
 
 def hessian(cal: CalibrationSet) -> np.ndarray:
     """Proxy Hessian of the layer reconstruction objective: 2 X^T X.
 
-    Symmetric positive-semidefinite; CalibrationSet.hessian_factor
-    dampens it.  Raises NumericalError when the calibration set overflows it.
+    Symmetric positive-semidefinite; hessian_factor dampens it.  Raises
+    NumericalError when the calibration set overflows it.
     """
     with np.errstate(over="ignore"):
         h = cal.x.T @ cal.x
@@ -94,10 +72,32 @@ def hessian(cal: CalibrationSet) -> np.ndarray:
     return h
 
 
+def hessian_factor(cal: CalibrationSet) -> tuple[np.ndarray, np.ndarray]:
+    """(dead, S^T): the input dimensions no sample reaches, and R^T with row j
+    divided by R[j, j] (C-contiguous, unit lower-triangular, read-only) for
+    R R^T = H, H's dead diagonal set to 1 and dampened; NumericalError if H
+    overflows or is not positive-definite.  One n x n buffer holds H, then
+    J H J, then U with U^T U = J H J, then S^T, for R = J U^T J.  At in_dim
+    >= 256, scipy's dpotrf gives other last bits under 1 and 2 BLAS threads."""
+    h = hessian(cal)
+    dead = np.diag(h) == 0.0
+    h[dead, dead] = 1.0
+    with np.errstate(over="ignore"):
+        h[np.diag_indices(cal.in_dim)] += DAMPING * float(np.mean(np.diag(h)))
+    if not np.isfinite(np.diag(h)).all():
+        raise NumericalError("calibration set overflows the dampened Hessian in float64")
+    _reverse_in_place(h)
+    st = _upper_cholesky(h)  # in h's buffer
+    st /= np.diag(st).copy()[:, None]
+    _reverse_in_place(st)
+    dead.flags.writeable = st.flags.writeable = False
+    return dead, st
+
+
 def layer_objective(w: np.ndarray, w_hat: np.ndarray, cal: CalibrationSet) -> float:
     """Reconstruction error ||X w_hat - X w||_F^2 on the calibration inputs."""
-    w = np.asarray(w, dtype=WORKING_DTYPE)
-    w_hat = np.asarray(w_hat, dtype=WORKING_DTYPE)
+    w = as_working(w)
+    w_hat = as_working(w_hat)
     if w.shape != w_hat.shape:
         raise ShapeError(f"mismatched weight shapes {w.shape} and {w_hat.shape}")
     if w.shape[0] != cal.in_dim:
@@ -139,32 +139,37 @@ def gptq_quantize(w: np.ndarray, cal: CalibrationSet, fmt: FpFormat) -> Quantize
     Deterministic: natural input-dim order, BLOCK_SIZE rows per block, no shuffling.
     The per-output-channel exponent biases are frozen from the original w,
     so the result is directly comparable to plain MinMax rounding (identical
-    grids, identical bias vector).  Weights quantized against one cal share
-    its Hessian factor.  Raises NumericalError when w holds NaN or Inf (from
-    channel_bias), the calibration set overflows the Hessian, the dampened
-    Hessian is not positive-definite, or the fed-forward errors overflow.
+    grids, identical bias vector).  Columns side by side give each the bytes
+    a call of its own would, for one factorisation of cal.  Raises
+    NumericalError when w holds NaN or Inf (from channel_bias), the
+    calibration set overflows the Hessian, the dampened Hessian is not
+    positive-definite, or the fed-forward errors overflow.
     """
-    w = np.array(w, dtype=WORKING_DTYPE, order="C")  # a copy: dead rows zeroed, then w - q
+    w = as_working(w)
     if w.ndim != 2:
         raise ShapeError(f"weights must be 2-D, got shape {w.shape}")
     if w.shape[0] != cal.in_dim:
         raise ShapeError(f"weights {w.shape} do not match calibration dim {cal.in_dim}")
+    dead, st = hessian_factor(cal)  # before the copy, so its scratch never meets it
+    w = np.array(w, order="C")  # a copy: dead rows zeroed, then w - q
     bias = channel_bias(w, fmt, channel_axis=-1)
     vmax, lo = _grid_constants(fmt, bias)
-
-    dead, st = cal.hessian_factor
     w[dead] = 0.0
 
     q = np.empty_like(w)
+    pre = np.empty((min(BLOCK_SIZE, cal.in_dim), w.shape[1]))  # one block, reused
     for i1 in range(0, cal.in_dim, BLOCK_SIZE):
         i2 = min(i1 + BLOCK_SIZE, cal.in_dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            pre = w[i1:i2] + st[i1:i2, :i1] @ w[:i1]  # rows before i1 hold w - q
+            # rows before i1 hold w - q; adding the block's own rows after the
+            # product gives the bytes of w[i1:i2] + product, in one buffer
+            block = np.matmul(st[i1:i2, :i1], w[:i1], out=pre[: i2 - i1])
+            block += w[i1:i2]
             for k, j in enumerate(range(i1, i2)):
-                pre[k] += st[j, i1:j] @ w[i1:j]
-                q[j] = pre[k]
+                block[k] += st[j, i1:j] @ w[i1:j]
+                q[j] = block[k]
                 _snap(q[j], fmt.n_m, vmax, lo)
                 w[j] -= q[j]
-        if not np.isfinite(pre).all():
+        if not np.isfinite(block).all():
             raise NumericalError("GPTQ error feedback overflows float64")
     return QuantizedTensor(values=q, bias=bias)

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ShapeError, check_types
-from .tensors import WORKING_DTYPE
+from .tensors import WORKING_DTYPE, as_working
 
 # Paley's first construction (R. E. A. C. Paley, "On orthogonal matrices",
 # 1933): over a field GF(r), r = q - 1 = 3 (mod 4), with quadratic character
@@ -178,7 +178,7 @@ def apply_right(
     x: np.ndarray, spec: HadamardSpec, counter: OpCounter | None = None, transpose: bool = False
 ) -> np.ndarray:
     """Compute x @ H, or x @ H^T when transpose is set, for an (m, dim) batch."""
-    x = np.asarray(x, dtype=WORKING_DTYPE)
+    x = as_working(x)
     if x.ndim != 2 or x.shape[1] != spec.dim:
         raise ShapeError(f"expected (m, {spec.dim}) input, got {x.shape}")
     if counter is not None:

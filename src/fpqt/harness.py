@@ -38,6 +38,7 @@ from .errors import check_types
 from .formats import FpFormat, parse_format
 from .fusion import (
     LAYER_INPUTS,
+    LAYER_NAMES,
     ONLINE_POINTS,
     V_MODES,
     DiTBlockWeights,
@@ -230,24 +231,50 @@ def quantize_block_weights(
     weights: DiTBlockWeights,
     calib: dict[str, CalibrationSet] | None,
 ) -> tuple[DiTBlockWeights, dict]:
-    """Quantize the six linear layers; returns new weights and per-layer metrics."""
-    quantized = {}
-    reports = {}
-    for name, w in weights.matrices().items():
-        spread = spread_indicator(w, cfg.alpha)
-        fmt = cfg.weight_fmt or format_for_spread(spread, cfg.weight_bits)
+    """Quantize the six linear layers; returns new weights and per-layer metrics.
+
+    Each layer takes cfg's fixed format or the one its spread selects.  RTN
+    snaps each layer on its own.  GPTQ sweeps the layers that read one input
+    point (LAYER_INPUTS) in one format as one matrix, their columns side by
+    side (W_q | W_k | W_v), which gives each layer the bytes a sweep of its
+    own would, so a calibration set is factored once per format.  Sweeps
+    run widest input first: post_gelu's hidden x hidden factor is taken
+    before any quantized output exists, and each factor dies with its
+    sweep.  The block given is left unchanged; the reports follow
+    LAYER_NAMES order.
+    """
+    mats = weights.matrices()
+    spreads = {name: spread_indicator(w, cfg.alpha) for name, w in mats.items()}
+    fmts = {name: cfg.weight_fmt or format_for_spread(spread, cfg.weight_bits)
+            for name, spread in spreads.items()}
+    sweeps: dict[tuple, list[str]] = {}
+    for name in LAYER_NAMES:
+        key = (LAYER_INPUTS[name], fmts[name]) if cfg.method == "gptq" else (name,)
+        sweeps.setdefault(key, []).append(name)
+
+    quantized, biases = {}, {}
+    for names in sorted(sweeps.values(), key=lambda names: -mats[names[0]].shape[0]):
+        fmt = fmts[names[0]]
+        w = np.hstack([mats[name] for name in names]) if len(names) > 1 else mats[names[0]]
         if cfg.method == "gptq":
-            qt = gptq_quantize(w, calib[LAYER_INPUTS[name]], fmt)
+            qt = gptq_quantize(w, calib[LAYER_INPUTS[names[0]]], fmt)
         else:
             qt = minmax_quantize(w, fmt, channel_axis=-1)
-        quantized[name] = qt.values
-        err = quant_error(w, qt.values)
+        del w
+        edges = np.cumsum([mats[name].shape[1] for name in names])[:-1]
+        parts = zip(names, np.split(qt.values, edges, axis=1), np.split(qt.bias, edges))
+        for name, values, bias in parts:  # C-contiguous, as BLAS read each layer before
+            quantized[name], biases[name] = np.ascontiguousarray(values), bias
+
+    reports = {}
+    for name in LAYER_NAMES:
+        err = quant_error(mats[name], quantized[name])
         reports[name] = {
-            "format": str(fmt),
+            "format": str(fmts[name]),
             "method": cfg.method,
-            "spread": spread,
-            "bias_min": int(qt.bias.min()),
-            "bias_max": int(qt.bias.max()),
+            "spread": spreads[name],
+            "bias_min": int(biases[name].min()),
+            "bias_max": int(biases[name].max()),
             "weight_mse": err["mse"],
             "weight_sqnr_db": err["sqnr_db"],
         }

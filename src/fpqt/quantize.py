@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError
 from .formats import FpFormat
-from .tensors import WORKING_DTYPE
+from .tensors import as_working
 
 # exponent of the smallest positive float64, the subnormal 2^-1074
 _MIN_EXP = -1074
@@ -64,7 +64,7 @@ def channel_bias(a: np.ndarray, fmt: FpFormat, channel_axis: int | None = -1) ->
     shifts its bias by exactly k.  An empty channel, like an all-zero one,
     gets bias 0.  A channel_axis outside a's dims is a ShapeError.
     """
-    a = np.asarray(a, dtype=WORKING_DTYPE)
+    a = as_working(a)
     axis = None
     if channel_axis is not None:
         if not isinstance(channel_axis, (int, np.integer)):
@@ -151,7 +151,7 @@ def minmax_quantize(
     None quantizes the whole tensor on a single grid.  Returns the
     fake-quantized values together with the frozen per-channel biases.
     """
-    values = np.array(a, dtype=WORKING_DTYPE)
+    values = as_working(a, copy=True)
     bias = channel_bias(values, fmt, channel_axis)
     # views of values: a 0-d array is snapped through its 1-element view
     moved = np.atleast_1d(values) if channel_axis is None else np.moveaxis(values, channel_axis, -1)
@@ -169,7 +169,7 @@ def snap_per_channel(x: np.ndarray, fmt: FpFormat, bias: np.ndarray | int) -> np
     agrees element-wise with minmax_quantize wherever the bias matches.
     Returns a new array shaped like x.
     """
-    x = np.array(x, dtype=WORKING_DTYPE)
+    x = as_working(x, copy=True)
     if not np.isfinite(x).all():
         raise NumericalError("cannot quantize non-finite values")
     bias = np.asarray(bias)
@@ -197,10 +197,11 @@ def quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
     exactly by the power of two that brings the peak into [0.5, 1); an error
     whose own peak then lies beyond 2^+-256 is scaled the same way before it is
     squared.  Ratios are unchanged, and mse and max_abs are scaled back (+inf
-    only when the true value exceeds float64).
+    only when the true value exceeds float64).  NumericalError when either
+    tensor holds NaN or Inf.
     """
-    a = np.asarray(a, dtype=WORKING_DTYPE)
-    q = np.asarray(q, dtype=WORKING_DTYPE)
+    a = as_working(a)
+    q = as_working(q)
     if a.shape != q.shape:
         raise ShapeError(f"mismatched shapes {a.shape} and {q.shape}")
     a, q = np.atleast_1d(a, q)  # 0-d operands would give scalars, not out= buffers
@@ -209,6 +210,8 @@ def quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
     k = kd = 0
     with np.errstate(over="ignore", invalid="ignore"):  # sums beyond 2^256 are discarded
         peak, max_abs, sdd, saa, sqq, saq = _error_sums(a, q, k, kd)
+    if not math.isfinite(peak):  # the peak carries any NaN or Inf through
+        raise NumericalError("error metrics of non-finite values are undefined")
     if abs(math.frexp(peak)[1]) > 256:
         k = math.frexp(peak)[1]
         _, max_abs, sdd, saa, sqq, saq = _error_sums(a, q, k, kd)

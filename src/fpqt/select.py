@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalError, check_types
 from .formats import FpFormat, candidate_formats
-from .tensors import WORKING_DTYPE
+from .tensors import as_working
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def spread_indicator(w: np.ndarray, alpha: float = SelectionConfig.alpha) -> flo
     if np.size(w) == 0:
         raise ValueError("spread of an empty tensor is undefined")
     SelectionConfig(alpha=alpha)  # checks alpha
-    mags = np.abs(np.asarray(w, dtype=WORKING_DTYPE)).ravel()  # a copy of |W|, partitioned in place
+    mags = np.abs(as_working(w)).ravel()  # a copy of |W|, partitioned in place
     k = math.ceil(alpha / 100.0 * mags.size) - 1
     mags.partition(k)  # mags[k] is the quantile; the max, and any NaN or Inf, lie after it
     denom, top = float(mags[k]), float(mags[k:].max())

@@ -49,15 +49,27 @@ _MAX_ELEMS = np.iinfo(np.intp).max // np.dtype(WORKING_DTYPE).itemsize
 _MAX_NDIM = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
 
 
+def as_working(x, copy: bool = False) -> np.ndarray:
+    """x as a WORKING_DTYPE array, a new one when copy is set; TypeError naming
+    the dtype of complex input, whose imaginary part the cast would drop."""
+    if np.iscomplexobj(x):
+        raise TypeError(f"complex input is not supported, got dtype {np.asarray(x).dtype}")
+    return np.array(x, dtype=WORKING_DTYPE) if copy else np.asarray(x, dtype=WORKING_DTYPE)
+
+
 def channel_stat(x: np.ndarray, stat: str) -> np.ndarray:
     """Per-channel statistic of a nonempty 2-D batch (rows = samples, columns =
-    channels); stat 'max_abs', the peak magnitude of each channel, is the one there is."""
-    x = np.asarray(x, dtype=WORKING_DTYPE)
+    channels); stat 'max_abs', the peak magnitude of each channel, is the one there
+    is.  NumericalError when the batch holds NaN or Inf."""
+    x = as_working(x)
     if x.ndim != 2 or x.size == 0:
         raise ShapeError(f"channel_stat needs a nonempty 2-D batch, got shape {x.shape}")
     if stat != "max_abs":
         raise ValueError(f"unknown stat {stat!r}; expected max_abs")
-    return np.abs(x).max(axis=0)
+    peaks = np.abs(x).max(axis=0)
+    if not np.isfinite(peaks).all():  # the max carries any NaN or Inf through
+        raise NumericalError("channel statistics of non-finite values are undefined")
+    return peaks
 
 
 def channel_max_median_ratio(x: np.ndarray) -> float:
@@ -152,7 +164,7 @@ def _write_entries(path, pairs: Iterable[tuple[str, np.ndarray]]) -> int:
             if name in names:
                 raise ValueError(f"duplicate tensor name {name!r}")
             names.add(name)
-            arr = np.asarray(value, dtype=WORKING_DTYPE)
+            arr = as_working(value)
             name_bytes = name.encode("utf-8")
             if len(name_bytes) > 0xFFFF:
                 raise ValueError(f"tensor name too long: {len(name_bytes)} bytes")

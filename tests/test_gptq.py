@@ -10,6 +10,7 @@ from fpqt.gptq import (
     _upper_cholesky,
     gptq_quantize,
     hessian,
+    hessian_factor,
     layer_objective,
 )
 from fpqt.quantize import channel_bias, minmax_quantize
@@ -101,7 +102,7 @@ class TestHessianFactor:
             assert np.all(np.diag(u) > 0.0)
             assert np.max(np.abs(u.T @ u - h)) <= 1e-12 * np.max(np.abs(h))
             r = _upper_cholesky(h[::-1, ::-1].copy())[::-1, ::-1].T  # R R^T = h
-            dead, st = cal.hessian_factor
+            dead, st = hessian_factor(cal)
             assert not dead.any()
             assert st.flags.c_contiguous and not st.flags.writeable
             assert np.array_equal(st, np.tril(st))
@@ -231,17 +232,33 @@ class TestGptqQuantize:
         assert np.array_equal(a.values, b.values)
         assert a.values.flags.c_contiguous
 
+    @pytest.mark.parametrize("in_dim", [36, 40, 100, 512])
+    def test_one_sweep_of_side_by_side_layers_equals_a_sweep_each(self, rng, in_dim):
+        # each channel's error feedback and snap read that channel alone, so
+        # sweeping W_q | W_k | W_v as one matrix gives each its own sweep's bytes
+        x = rng.standard_normal((2 * in_dim, in_dim))
+        x[:, 1] *= 25.0
+        x[:, 5] = 0.0  # a dead dimension
+        cal = CalibrationSet(x)
+        parts = [rng.standard_normal((in_dim, c)) * np.exp2(rng.integers(-3, 4, size=c))
+                 for c in (in_dim, 13, 3, in_dim + 5)]
+        for order in "CF":
+            merged = gptq_quantize(np.asarray(np.concatenate(parts, axis=1), order=order), cal, E2M1)
+            each = [gptq_quantize(np.asarray(p, order=order), cal, E2M1) for p in parts]
+            assert merged.values.tobytes() == np.concatenate([q.values for q in each], axis=1).tobytes()
+            assert merged.bias.tolist() == np.concatenate([q.bias for q in each]).tolist()
+
     def test_cached_factor_gives_the_same_bytes(self, rng):
+        # no factor is kept: a set swept before gives what a fresh one gives
         w = rng.standard_normal((24, 5))
         x = rng.standard_normal((40, 24))
-        x[:, 7] = 0.0  # a dead dimension, so the cached mask is used too
+        x[:, 7] = 0.0  # a dead dimension, so the dead mask is used too
         warm = CalibrationSet(x)
-        gptq_quantize(rng.standard_normal((24, 3)), warm, E2M1)  # caches the factor
-        dead, st = warm.hessian_factor
+        gptq_quantize(rng.standard_normal((24, 3)), warm, E2M1)
         a = gptq_quantize(w, warm, E2M1)
         b = gptq_quantize(w, CalibrationSet(x), E2M1)
         assert a.values.tobytes() == b.values.tobytes()
-        assert warm.hessian_factor[1] is st
+        dead, st = hessian_factor(warm)
         assert dead.tolist() == [j == 7 for j in range(24)]
         assert np.array_equal(st, np.tril(st)) and (np.diag(st) == 1.0).all()
         # a dead dimension neither feeds nor takes error feedback
@@ -268,13 +285,15 @@ class TestGptqQuantize:
             assert not np.shares_memory(q.values, w)
 
     def test_factor_is_computed_once_per_set(self, rng, monkeypatch):
+        # once per gptq_quantize call, however many columns it sweeps; none is kept
         calls = []
         monkeypatch.setattr(gptq, "_upper_cholesky",
                             lambda h: calls.append(h.shape) or _upper_cholesky(h))
         cal = CalibrationSet(rng.standard_normal((30, 6)))
-        for _ in range(3):
-            gptq_quantize(rng.standard_normal((6, 4)), cal, E2M1)
-        assert calls == [(6, 6)]
+        for cols in (4, 1, 9):
+            gptq_quantize(rng.standard_normal((6, cols)), cal, E2M1)
+        assert calls == [(6, 6)] * 3
+        assert not hasattr(cal, "hessian_factor")
 
     def test_weights_near_float64_max_stay_finite_and_quiet(self):
         # weights ~5e307 against inputs whose columns share a 50x common

@@ -12,6 +12,8 @@ from fpqt.errors import ShapeError
 
 from fpqt.formats import FpFormat, parse_format
 from fpqt.hadamard import op_count
+from fpqt.quantize import quant_error
+from fpqt.select import format_for_spread, spread_indicator
 from fpqt.harness import (
     METHODS,
     SCHEMA_VERSION,
@@ -293,7 +295,7 @@ class TestCalibration:
         cfg = HarnessConfig()
         run(cfg)
         n, hidden = cfg.n, cfg.hidden_dim
-        assert calls == [(n, n), (n, n), (n, n), (hidden, hidden)]
+        assert calls == [(hidden, hidden), (n, n), (n, n), (n, n)]  # widest first
         assert len(set(LAYER_INPUTS.values())) == len(calls) < len(LAYER_NAMES)
 
 
@@ -320,6 +322,32 @@ class TestQuantizeBlockWeights:
         quantize_block_weights(cfg, fused, calib)
         for name, value in before.items():
             assert np.asarray(getattr(fused, name)).tobytes() == value.tobytes(), name
+
+    # heavy tails give W_q, W_k and W_v three formats, or two (W_q | W_k and W_v)
+    @pytest.mark.parametrize("frac,seed,attn_sweeps", [(0.005, 2, [16, 16, 16]), (0.01, 5, [32, 16])])
+    def test_gptq_sweeps_each_point_once_per_format(self, monkeypatch, frac, seed, attn_sweeps):
+        cfg = HarnessConfig(**SMALL, use_hadamard=False, heavy_tail_fraction=frac, seed=seed)
+        w = init_weights(cfg)
+        calib = collect_calibration(cfg, w, ())
+        sweeps = []
+        monkeypatch.setattr(harness, "gptq_quantize", lambda m, cal, fmt: sweeps.append(
+            (cal.in_dim, m.shape[1])) or gptq.gptq_quantize(m, cal, fmt))
+        qw, reports = quantize_block_weights(cfg, w, calib)
+        # widest input first, then LAYER_NAMES order: the attention input's sweeps, w_out, w_fc1
+        assert sweeps == [(32, 16)] + [(16, c) for c in attn_sweeps] + [(16, 16), (16, 32)]
+        assert len({reports[name]["format"] for name in ("w_q", "w_k", "w_v")}) == len(attn_sweeps)
+        assert list(reports) == list(LAYER_NAMES)
+        for name, m in w.matrices().items():  # each layer as a sweep of its own gives it
+            fmt = parse_format(reports[name]["format"])
+            qt = gptq.gptq_quantize(m, calib[LAYER_INPUTS[name]], fmt)
+            err = quant_error(m, qt.values)
+            assert getattr(qw, name).tobytes() == qt.values.tobytes(), name
+            assert reports[name] == {
+                "format": str(fmt), "method": "gptq", "spread": spread_indicator(m, cfg.alpha),
+                "bias_min": int(qt.bias.min()), "bias_max": int(qt.bias.max()),
+                "weight_mse": err["mse"], "weight_sqnr_db": err["sqnr_db"],
+            }, name
+            assert fmt == format_for_spread(reports[name]["spread"], cfg.weight_bits)
 
     def test_fixed_format_respected(self):
         cfg = HarnessConfig(**SMALL, method="rtn", weight_format="E3M0")

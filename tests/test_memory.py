@@ -1,18 +1,21 @@
 """Peak traced memory of run(), of one GPTQ factor and of one GPTQ sweep.
 
 tracemalloc sees numpy's array buffers, so these bound how many dense
-copies of the block, how many n x n arrays per Hessian factor, and how many
-weight-sized arrays per sweep a stage holds at once.
+copies of the block, how many n x n arrays per Hessian factor, how many
+weight-sized arrays per sweep, and how many factors a stage holds at once.
 """
 
+import inspect
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from fpqt.fusion import layer_shapes
+from fpqt import gptq
+from fpqt.fusion import fuse_block, layer_shapes
 from fpqt.formats import FpFormat
-from fpqt.gptq import CalibrationSet, gptq_quantize
-from fpqt.harness import HarnessConfig, run
+from fpqt.gptq import CalibrationSet, gptq_quantize, hessian_factor
+from fpqt.harness import HarnessConfig, collect_calibration, init_weights, quantize_block_weights, run
 
 
 def traced_peak(call) -> int:
@@ -35,15 +38,54 @@ def test_run_peak_in_block_copies(method, bound):
     assert traced_peak(lambda: run(cfg)) <= bound * weight_bytes
 
 
+def test_gptq_run_peak_with_one_factor_at_a_time():
+    # four sweeps, widest input first, each factor freed with its sweep: the
+    # hidden x hidden factor never meets a quantized output (4.32 measured)
+    cfg = HarnessConfig(n=256, heads=4)
+    run(HarnessConfig(n=16, heads=2))
+    weight_bytes = 8 * sum(i * o for i, o in layer_shapes(cfg.n, cfg.hidden_dim).values())
+    assert traced_peak(lambda: run(cfg)) <= 4.75 * weight_bytes
+
+
+def test_block_quantization_holds_one_factor_at_a_time(monkeypatch):
+    # a factor lives in the buffer hessian() allocates for 2 X^T X, so the live
+    # array bytes allocated on that line are the factors alive, here read
+    # whenever a sweep takes its factor: none before, exactly its own after
+    lines, first = inspect.getsourcelines(gptq.hessian)
+    line = first + next(i for i, text in enumerate(lines) if "cal.x.T @ cal.x" in text)
+    on_line = [tracemalloc.Filter(True, gptq.__file__, lineno=line)]
+    buffers = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]  # not array objects
+
+    def live_factor_bytes():
+        snapshot = tracemalloc.take_snapshot().filter_traces(on_line).filter_traces(buffers)
+        return sum(t.size for t in snapshot.traces)
+
+    seen = []
+
+    def factor(cal):
+        before = live_factor_bytes()
+        dead, st = hessian_factor(cal)
+        seen.append((before, live_factor_bytes(), st.nbytes))
+        return dead, st
+
+    monkeypatch.setattr(gptq, "hessian_factor", factor)
+    cfg = HarnessConfig(n=32, heads=4, tokens=64, calib_samples=128)
+    fused, online = fuse_block(init_weights(cfg), cfg.plan)
+    calib = collect_calibration(cfg, fused, online)
+    traced_peak(lambda: quantize_block_weights(cfg, fused, calib))  # traced, for the snapshots
+    assert [nbytes for *_, nbytes in seen] == [8 * 128 * 128] + [8 * 32 * 32] * 3
+    assert [(before, after) for before, after, _ in seen] == [(0, nbytes) for *_, nbytes in seen]
+
+
 def test_hessian_factor_holds_one_n_by_n_buffer(rng):
     n = 1024
     cal = CalibrationSet(rng.standard_normal((512, n)))
-    assert traced_peak(lambda: cal.hessian_factor) < 1.5 * n * n * 8
+    assert traced_peak(lambda: hessian_factor(cal)) < 1.5 * n * n * 8
 
 
 def test_gptq_sweep_holds_two_weight_sized_arrays(rng):
-    # the working copy turns into w - q row by row beside q; the factor is cached
+    # the working copy turns into w - q row by row beside q; the factor, taken
+    # before that copy, and one block of the sweep are all the call adds
     cal = CalibrationSet(rng.standard_normal((256, 512)))
-    cal.hessian_factor
     w = rng.standard_normal((512, 2048))
     assert traced_peak(lambda: gptq_quantize(w, cal, FpFormat(2, 1))) <= 2.5 * w.nbytes

@@ -329,6 +329,21 @@ class TestQuantError:
         with pytest.raises(ShapeError):
             quant_error(np.zeros(3), np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_refused(self, bad):
+        # NaN would give NaN mse beside cosine 1.0, and Inf a -inf sqnr_db
+        a = np.arange(1.0, 7.0).reshape(2, 3)
+        spoiled = a.copy()
+        spoiled[1, 2] = bad
+        for x, y in ((spoiled, a), (a, spoiled), (spoiled, spoiled)):
+            with pytest.raises(NumericalError, match="non-finite"):
+                quant_error(x, y)
+        big = np.tile(a, (_BLOCK_ELEMS // 3, 1))  # several blocks, the bad value in the last
+        big_q = big.copy()
+        big_q[-1, -1] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            quant_error(big, big_q)
+
     def test_power_of_two_scale_leaves_ratios_bitwise_equal(self, rng):
         a = rng.standard_normal((6, 4))
         q = minmax_quantize(a, E2M1, -1).values

@@ -11,8 +11,16 @@ from hypothesis import strategies as st
 
 from fpqt import tensors
 from fpqt.errors import FormatError, NumericalError, ShapeError
+from fpqt.fusion import block_forward
+from fpqt.formats import FpFormat
+from fpqt.gptq import CalibrationSet, gptq_quantize, layer_objective
+from fpqt.hadamard import HadamardSpec, apply_right
+from fpqt.harness import HarnessConfig, distribution_stats, init_weights
+from fpqt.quantize import channel_bias, minmax_quantize, quant_error, snap_per_channel
+from fpqt.select import spread_indicator
 from fpqt.tensors import (
     _write_entries,
+    as_working,
     channel_max_median_ratio,
     channel_stat,
     iter_tensors,
@@ -52,7 +60,59 @@ class TestChannelStat:
         with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
             channel_max_median_ratio(np.zeros(shape))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_batch_is_refused(self, bad):
+        # a NaN or Inf peak would give a NaN ratio, and a NaN or Inf kurtosis
+        x = np.array([[bad, 1.0], [2.0, 3.0]])
+        for stat in (lambda: channel_stat(x, "max_abs"), lambda: channel_max_median_ratio(x),
+                     lambda: distribution_stats(x)):
+            with pytest.raises(NumericalError, match="non-finite"):
+                stat()
 
+
+E2M1 = FpFormat(2, 1)
+_CAL = CalibrationSet(np.eye(4))
+_BLOCK = init_weights(HarnessConfig(n=4, heads=2, hidden=8))
+
+# every public entry point that casts its array input to the working dtype,
+# called with that input complex
+COMPLEX_ENTRY_POINTS = {
+    "minmax_quantize": lambda z: minmax_quantize(z, E2M1),
+    "snap_per_channel": lambda z: snap_per_channel(z, E2M1, 0),
+    "channel_bias": lambda z: channel_bias(z, E2M1),
+    "quant_error": lambda z: quant_error(np.ones((4, 4)), z),
+    "spread_indicator": lambda z: spread_indicator(z),
+    "CalibrationSet": lambda z: CalibrationSet(z),
+    "gptq_quantize": lambda z: gptq_quantize(z, _CAL, E2M1),
+    "layer_objective": lambda z: layer_objective(np.ones((4, 4)), z, _CAL),
+    "apply_right": lambda z: apply_right(z, HadamardSpec(4)),
+    "block_forward": lambda z: block_forward(z, _BLOCK),
+    "channel_stat": lambda z: channel_stat(z, "max_abs"),
+}
+
+
+@pytest.mark.parametrize("entry", COMPLEX_ENTRY_POINTS)
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_complex_input_is_a_type_error_naming_the_dtype(entry, dtype):
+    # the cast would drop the imaginary part, with only a ComplexWarning
+    z = (np.arange(16.0).reshape(4, 4) + 1j).astype(dtype)
+    with pytest.raises(TypeError, match=f"got dtype {np.dtype(dtype)}"):
+        COMPLEX_ENTRY_POINTS[entry](z)
+
+
+def test_complex_payload_is_refused_before_anything_is_written(tmp_path):
+    out = tmp_path / "z.fpqt"
+    with pytest.raises(TypeError, match="got dtype complex128"):
+        write_tensors(out, {"a": np.ones(2), "z": np.ones(2) + 1j})
+    assert not out.exists()
+
+
+def test_as_working_casts_and_copies_on_request():
+    x = np.arange(3.0)
+    assert as_working(x) is x and as_working(x, copy=True) is not x
+    assert as_working([1, 2]).dtype == np.float64
+    with pytest.raises(TypeError, match="got dtype complex128"):
+        as_working([[1.0, 1j]])
 class TestContainerRoundtrip:
     def test_multiple_shapes_exact_float32(self, tmp_container, rng):
         path = tmp_container()
