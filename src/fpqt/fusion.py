@@ -32,12 +32,18 @@ attention -> residual, LN -> GELU feed-forward -> residual.  Attention
 runs as batched matmul over heads, so its scores and context go through
 BLAS.  Softmax, GELU (exact erf form), and layer norms stay in full
 precision; the six linear layers are the quantization surface.
+
+With act_quant given, a linear layer whose operands both have an integer
+form (int_form) runs as one float32 GEMM with the float64 product's output
+bytes (see block_forward); a block keeps the int8 forms of its read-only
+weight matrices (DiTBlockWeights.int_form).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -48,6 +54,10 @@ from .hadamard import HadamardSpec, apply_right
 from .tensors import as_working
 
 LN_EPS = 1e-6
+# the float32 GEMM path: every integer of magnitude below 2^24 is a float32
+GEMM_BITS = 24
+WEIGHT_BITS = 7  # s_w: a weight form's integers lie below 2^7, so they fit int8
+EXP_WINDOW = 400  # |peak exponent| of a row or column; keeps products and results normal
 
 ONLINE_POINTS = ("attn_input", "post_attention", "ffn_input", "post_gelu")
 V_MODES = ("per_head_exact", "paper_literal")
@@ -107,6 +117,26 @@ class DiTBlockWeights:
 
     def matrices(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in LAYER_NAMES}
+
+    @cached_property
+    def _int_forms(self) -> dict[str, IntForm | None]:
+        return {}
+
+    def int_form(self, name: str) -> IntForm | None:
+        """The int8 integer form of layer name's weights, per output column
+        with s_w = WEIGHT_BITS (fusion.int_form), or None.  Built on first
+        use and kept with the block.  A matrix that is writeable, or views a
+        writeable array, has none, checked on every call, so a kept form
+        cannot go stale while its matrix stays read-only."""
+        base = w = getattr(self, name)
+        while isinstance(base, np.ndarray):
+            if base.flags.writeable:
+                return None
+            base = base.base
+        forms = self._int_forms
+        if name not in forms:
+            forms[name] = int_form(w, WEIGHT_BITS, 0, np.int8)
+        return forms[name]
 
 
 @dataclass(frozen=True)
@@ -271,6 +301,56 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.nda
     return ctx.transpose(1, 0, 2).reshape(tokens, n)
 
 
+@dataclass(frozen=True)
+class IntForm:
+    """x = q * scale along one axis of a 2-D x: q holds integers of magnitude
+    below 2^s, and scale holds 2^(e - s) for each row (activations) or
+    column (weights), e being the frexp exponent of that row's or column's peak."""
+
+    q: np.ndarray
+    scale: np.ndarray
+
+
+def _peak(x: np.ndarray, axis: int) -> np.ndarray:
+    """max |x| along axis (0 for an empty line); NaN or inf when the line holds one."""
+    return np.maximum(x.max(axis=axis, initial=0.0), -x.min(axis=axis, initial=0.0))
+
+
+def int_form(x: np.ndarray, bits: int, axis: int, dtype: type,
+             peak: np.ndarray | None = None) -> IntForm | None:
+    """The integer form of a 2-D x with s = bits, per row (axis=1) or per
+    column (axis=0): q = ldexp(x, s - e) held as dtype, which must hold
+    every integer below 2^s; peak is _peak(x, axis), when the caller has it.
+    None unless every peak is finite with |e| at most EXP_WINDOW (a zero
+    peak has e = 0) and every q is an integer."""
+    if peak is None:
+        peak = _peak(x, axis)
+    if not np.isfinite(peak).all():
+        return None
+    _, e = np.frexp(peak)
+    if np.abs(e).max(initial=0) > EXP_WINDOW:
+        return None
+    shift = bits - e
+    q = np.ldexp(x, np.expand_dims(shift, axis))
+    form = q.astype(dtype)
+    # a cast to an integer dtype drops any fraction; one to float32 may round it away
+    if not np.array_equal(form if form.dtype.kind == "i" else np.rint(q), q):
+        return None
+    # only a negative shift can sink a nonzero value to zero
+    if shift.min(initial=0) < 0 and np.count_nonzero(q) != np.count_nonzero(x):
+        return None
+    return IntForm(form, np.ldexp(1.0, e - bits))
+
+
+def _exact_gemm(a: IntForm, w: IntForm) -> np.ndarray:
+    """a's rows times w's columns: one float32 GEMM of the integer forms,
+    cast to float64 and scaled back by each row's and column's power of two."""
+    out = (a.q @ w.q.astype(np.float32)).astype(np.float64)
+    out *= a.scale[:, None]
+    out *= w.scale
+    return out
+
+
 def block_forward(
     x: np.ndarray,
     weights: DiTBlockWeights,
@@ -282,7 +362,23 @@ def block_forward(
     ONLINE_POINTS entry (see LAYER_INPUTS), and each input passes one feed
     step: the online transform scheduled at its point, if any, then the
     tap (taps[point] = a, when taps is given), then act_quant(a, point),
-    when given."""
+    when given.  An act_quant result of another shape is a ShapeError, a
+    complex one a TypeError and one holding NaN or Inf a NumericalError,
+    each naming the point.
+
+    With act_quant given, a layer whose input has the per-row integer form
+    with s_a = GEMM_BITS - WEIGHT_BITS - ceil(log2 K) (see int_form; K is
+    the layer's in_dim) and whose weights have the int8 form of
+    DiTBlockWeights.int_form (s_w = WEIGHT_BITS) runs as a float32 GEMM of
+    the two forms, cast to float64 and scaled back by powers of two; every
+    other layer is a @ w in float64.  Both give the same bytes: each
+    product is an integer below 2^(s_a + s_w) in the unit 2^(e_a - s_a +
+    e_w - s_w), so every partial sum of K of them, in any order, blocking
+    or thread count, is an integer below 2^24 in that unit, which float32
+    and float64 both hold exactly; |e| <= EXP_WINDOW keeps every product,
+    sum and scaled result a normal float64, and both BLAS sums start from
+    +0.0, so a zero result is +0.0 on either path.  W_q, W_k and W_v share
+    their input's form."""
     x = as_working(x)
     if x.ndim != 2 or x.shape[1] != weights.n:
         raise ShapeError(f"expected (tokens, {weights.n}) input, got {x.shape}")
@@ -294,16 +390,33 @@ def block_forward(
             raise ValueError(f"duplicate online transform at {t.point!r}")
         at[t.point] = t.spec
 
-    def feed(a: np.ndarray, point: str) -> np.ndarray:
+    def feed(a: np.ndarray, point: str) -> tuple[np.ndarray, IntForm | None]:
         if point in at:
             spec = at[point]
             a = cross_head_apply(a, spec) if point == "post_attention" else apply_right(a, spec)
         if taps is not None:
             taps[point] = a
-        return act_quant(a, point) if act_quant is not None else a
+        if act_quant is None:
+            return a, None
+        q = act_quant(a, point)
+        if np.iscomplexobj(q):
+            raise TypeError(f"act_quant gave complex values at {point!r}, dtype {np.asarray(q).dtype}")
+        q = as_working(q)
+        if q.shape != a.shape:
+            raise ShapeError(f"act_quant gave shape {q.shape} at {point!r}, expected {a.shape}")
+        peak = _peak(q, 1)
+        if not np.isfinite(peak).all():
+            raise NumericalError(f"act_quant gave NaN or Inf at {point!r}")
+        bits = GEMM_BITS - WEIGHT_BITS - (q.shape[1] - 1).bit_length()
+        return q, int_form(q, bits, 1, np.float32, peak)
+
+    def linear(fed: tuple[np.ndarray, IntForm | None], name: str) -> np.ndarray:
+        a, form = fed
+        w_form = weights.int_form(name) if form is not None else None
+        return a @ getattr(weights, name) if w_form is None else _exact_gemm(form, w_form)
 
     a = feed(layer_norm(x, weights.ln1_gamma, weights.ln1_beta), "attn_input")
-    ctx = attention(a @ weights.w_q, a @ weights.w_k, a @ weights.w_v, weights.heads)
-    x2 = x + feed(ctx, "post_attention") @ weights.w_out
+    ctx = attention(linear(a, "w_q"), linear(a, "w_k"), linear(a, "w_v"), weights.heads)
+    x2 = x + linear(feed(ctx, "post_attention"), "w_out")
     f = feed(layer_norm(x2, weights.ln2_gamma, weights.ln2_beta), "ffn_input")
-    return x2 + feed(gelu(f @ weights.w_fc1), "post_gelu") @ weights.w_fc2
+    return x2 + linear(feed(gelu(linear(f, "w_fc1")), "post_gelu"), "w_fc2")

@@ -6,8 +6,11 @@ and measures what each quantization configuration does to the block output
 against the full-precision reference.  The pipeline order matches the
 deployment story: fuse transforms into weights offline, quantize the fused
 weights (Hessian-guided or plain MinMax), then at runtime apply the online
-transforms, quantize activations, and run the quantized matmuls in working
-precision.  Softmax, GELU, and layer norms stay full precision.
+transforms, quantize activations, and run the quantized matmuls.  A matmul
+whose quantized operands are small power-of-two-scaled integers runs as an
+exact float32 GEMM (fusion.block_forward), every other one in float64, and
+both give the same bytes.  Softmax, GELU, and layer norms stay full
+precision.
 
 run() quantizes activations with one exponent bias per input channel
 (channel_axis=-1 on (tokens, width)), taken from the evaluated batch itself.
@@ -240,9 +243,16 @@ def quantize_block_weights(
     own would, so a calibration set is factored once per format.  Sweeps
     run widest input first: post_gelu's hidden x hidden factor is taken
     before any quantized output exists, and each factor dies with its
-    sweep.  The block given is left unchanged; the reports follow
-    LAYER_NAMES order.
+    sweep.  The block given is left unchanged; the returned matrices are
+    read-only, so the block's integer forms (DiTBlockWeights.int_form) can
+    be kept, and the reports follow LAYER_NAMES order.  With method gptq, a
+    ValueError names any calibration point calib lacks, before any sweep.
     """
+    if cfg.method == "gptq":
+        missing = [p for p in ONLINE_POINTS if calib is None or p not in calib]
+        if missing:
+            raise ValueError(f"method 'gptq' needs a calibration set at {', '.join(missing)}; "
+                             f"calib {'is None' if calib is None else 'lacks them'}")
     mats = weights.matrices()
     spreads = {name: spread_indicator(w, cfg.alpha) for name, w in mats.items()}
     fmts = {name: cfg.weight_fmt or format_for_spread(spread, cfg.weight_bits)
@@ -265,6 +275,7 @@ def quantize_block_weights(
         parts = zip(names, np.split(qt.values, edges, axis=1), np.split(qt.bias, edges))
         for name, values, bias in parts:  # C-contiguous, as BLAS read each layer before
             quantized[name], biases[name] = np.ascontiguousarray(values), bias
+            quantized[name].flags.writeable = False
 
     reports = {}
     for name in LAYER_NAMES:

@@ -36,6 +36,7 @@ from .tensors import as_working
 # exponent of the smallest positive float64, the subnormal 2^-1074
 _MIN_EXP = -1074
 _BLOCK_ELEMS = 1 << 15  # elements per block of the elementwise kernels (256 KiB)
+_HALF_BELOW = 0.5 - 2.0**-54  # the largest float64 below 1/2
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,9 @@ def _snap(x: np.ndarray, n_m: int, vmax: np.ndarray, lo: np.ndarray) -> np.ndarr
             raise NumericalError("grid scale underflowed float64; data magnitude too small")
         exp -= spacing
         np.ldexp(mag, exp, out=mag)  # magnitude in units of the grid spacing
-        mag += 0.5
+        # floor(mag + 1/2) exactly: adding 1/2 itself rounds 1/2 - 2^-54 up to 1 and
+        # an odd count >= 2^52 up to the next even one; 1/2 - 2^-54 still lifts every tie
+        mag += _HALF_BELOW
         np.floor(mag, out=mag)
         np.ldexp(mag, spacing, out=mag)
         np.copysign(mag, xb, out=xb)

@@ -1,10 +1,14 @@
 """Tensor conventions, channel statistics, and the FPQT container format.
 
-Tensors are plain numpy arrays.  Working precision is float64 everywhere in
-memory; the on-disk container stores float32.  All operations are pure: no
-function in this package mutates its inputs.  Weight matrices are stored
-input_dim x output_dim so activations @ weights composes left to right, and
-the channel axis of a 2-D activation batch is the last one (columns).
+Tensors are plain numpy arrays.  Working precision is float64: every array
+the package returns is float64, and the on-disk container stores float32.
+Inside, the quantized block forward multiplies integer forms of quantized
+operands in float32 (fusion.block_forward), exactly, so its results are the
+float64 bytes; int8 copies of read-only weights back it.  All operations
+are pure: no function in this package mutates its inputs.  Weight matrices
+are stored input_dim x output_dim so activations @ weights composes left to
+right, and the channel axis of a 2-D activation batch is the last one
+(columns).
 
 Container layout (all integers little-endian):
 

@@ -505,6 +505,28 @@ class TestBlockForward:
         assert seen == list(ONLINE_POINTS)  # once per input, so W_q, W_k, W_v share one
         assert sorted(set(LAYER_INPUTS.values())) == sorted(ONLINE_POINTS)
 
+    @pytest.mark.parametrize("point", ONLINE_POINTS)
+    @pytest.mark.parametrize("bad,error,message", [
+        (lambda a: a[:, :-1], ShapeError, r"act_quant gave shape \(3, \d+\) at '{}', expected"),
+        (lambda a: a.ravel(), ShapeError, r"act_quant gave shape \(\d+,\) at '{}', expected"),
+        (lambda a: a + 1j, TypeError, r"act_quant gave complex values at '{}', dtype complex128"),
+        (lambda a: np.where(a > 0, np.nan, a), NumericalError, r"act_quant gave NaN or Inf at '{}'"),
+        (lambda a: a - np.inf, NumericalError, r"act_quant gave NaN or Inf at '{}'"),
+    ], ids=["narrower", "flat", "complex", "nan", "inf"])
+    def test_bad_act_quant_results_name_their_point(self, rng, point, bad, error, message):
+        # were numpy's matmul ValueError, a complex128 output and a NaN output
+        w = make_weights()
+        q = lambda a, p: bad(a) if p == point else a
+        with pytest.raises(error, match="^" + message.format(point)):
+            block_forward(rng.standard_normal((3, w.n)), w, act_quant=q)
+
+    def test_act_quant_results_are_cast_to_float64(self, rng):
+        w = make_weights()
+        x = rng.standard_normal((3, w.n))
+        out = block_forward(x, w, act_quant=lambda a, p: a.astype(np.float32))
+        want = block_forward(x, w, act_quant=lambda a, p: a.astype(np.float32).astype(np.float64))
+        assert out.dtype == np.float64 and out.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("tokens", [1, 5])
     def test_fused_forward_taps_then_quantizes_each_point_in_order(self, rng, tokens):
         w = make_weights(n=32, heads=4)

@@ -349,6 +349,29 @@ class TestQuantizeBlockWeights:
             }, name
             assert fmt == format_for_spread(reports[name]["spread"], cfg.weight_bits)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_returns_read_only_matrices(self, method):
+        # the block's integer forms are kept only for read-only matrices
+        cfg = HarnessConfig(**SMALL, method=method)
+        w = init_weights(cfg)
+        calib = collect_calibration(cfg, w, ()) if method == "gptq" else None
+        qw, _ = quantize_block_weights(cfg, w, calib)
+        for name, m in qw.matrices().items():
+            assert not m.flags.writeable and m.flags.c_contiguous, name
+
+    @pytest.mark.parametrize("drop", [None, ("post_gelu",), ("attn_input", "ffn_input")])
+    def test_gptq_names_missing_calibration_points_before_any_sweep(self, monkeypatch, drop):
+        # was a raw TypeError ('NoneType' object is not subscriptable) or KeyError: 'post_gelu'
+        cfg = HarnessConfig(**SMALL)
+        w = init_weights(cfg)
+        calib = None
+        if drop is not None:
+            calib = {p: c for p, c in collect_calibration(cfg, w, ()).items() if p not in drop}
+        monkeypatch.setattr(harness, "gptq_quantize", lambda *a: pytest.fail("swept"))
+        missing = ", ".join(drop or ONLINE_POINTS)
+        with pytest.raises(ValueError, match=rf"^method 'gptq' needs a calibration set at {missing};"):
+            quantize_block_weights(cfg, w, calib)
+
     def test_fixed_format_respected(self):
         cfg = HarnessConfig(**SMALL, method="rtn", weight_format="E3M0")
         qw, reports = quantize_block_weights(cfg, init_weights(cfg), None)

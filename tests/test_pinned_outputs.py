@@ -49,6 +49,14 @@ under --format auto and E2M1, and the stdout of `inspect` and
 when the CLI read and wrote the whole container at once, so they fix the
 streamed path's bytes.
 
+The minmax digest was re-taken once, when the snap's rounding step became
+floor(u + (1/2 - 2^-54)) in units u of the lowest spacing: floor(u + 1/2)
+rounded u = 1/2 - 2^-54 up to one unit, and the edges input holds such
+values (a power of two less one ulp, half a spacing below a grid point).
+Those elements, and only those, moved, from one spacing to zero, which is
+where the scalar grid oracle puts them; the test beside the digest checks
+every element of the edges input against that oracle.
+
 The base-matrix digests cover base_matrix(q).tobytes() for every base order;
 they were taken when the bases were stored as +- tables, so they fix the
 construction that replaced the tables, entry for entry.
@@ -87,8 +95,11 @@ from fpqt.hadamard import apply_right, base_matrix, build
 from fpqt.harness import HarnessConfig, estimate_cost, init_weights, run
 from fpqt.quantize import minmax_quantize
 from fpqt.tensors import write_tensors
+from oracles import oracle_snap
 
-MINMAX_DIGEST = "b9a2b4b9851763489fec46e311c5c142b40095c2de3c51fc20f1da33d5103d78"
+# re-taken when the snap stopped taking a value just under half its grid's lowest
+# spacing up to one spacing (was b9a2b4b9851763489fec46e311c5c142b40095c2de3c51fc20f1da33d5103d78)
+MINMAX_DIGEST = "e6052df821bff9e914b29e1350fa94c0222e19b8e5e999ce71a5a3ac7f8e0515"
 GPTQ_DIGESTS = {
     256: "2295f1c50e1987761b539cedd52e23e80aaa99e293702b9dc7d2f7b4a8346b45",
     200: "a3ede4c7721d3bdc08960845939ec18b5f3ddff2895270840da6f26bbe063111",
@@ -225,6 +236,17 @@ def gptq_digest(in_dim: int) -> str:
 
 def test_minmax_output_digest_is_pinned():
     assert minmax_digest() == MINMAX_DIGEST
+
+
+def test_minmax_edges_input_snaps_as_the_oracle_does():
+    edges = _minmax_inputs()[1]
+    for n_bits in range(2, 9):
+        for fmt in candidate_formats(n_bits):
+            for axis in (-1, 0, None):
+                q = minmax_quantize(edges, fmt, channel_axis=axis)
+                bias = q.bias[:, None] if axis == 0 else q.bias
+                want = oracle_snap(edges, fmt.n_e, fmt.n_m, bias)
+                assert np.array_equal(q.values, want), (str(fmt), axis)
 
 
 def test_gptq_output_digest_is_pinned():

@@ -228,6 +228,26 @@ class TestRoundToGrid:
         assert snap_per_channel(np.array([7.0]), E2M1, 0)[0] == 8.0
         assert snap_per_channel(np.array([10.0]), E2M1, 0)[0] == 12.0
 
+    @pytest.mark.parametrize("fmt", [FpFormat(1, 2), E2M1, FpFormat(3, 0), FpFormat(4, 3),
+                                     FpFormat(5, 2)], ids=str)
+    @pytest.mark.parametrize("bias", [-1070, -3, 0, 2, 900])
+    def test_values_beside_each_half_spacing_point_match_the_oracle(self, fmt, bias):
+        # floor(u + 0.5) once took 0.5 - 2^-54 lowest spacings up to a whole spacing
+        levels = oracle_grid(fmt.n_e, fmt.n_m, bias)
+        mids = [lo + (hi - lo) / 2 for lo, hi in zip(levels, levels[1:])]
+        x = np.array([y for m in mids for y in (np.nextafter(m, 0.0), m, np.nextafter(m, np.inf))])
+        x = np.concatenate([x, -x])
+        got = snap_per_channel(x, fmt, bias)
+        assert np.array_equal(got, oracle_snap(x, fmt.n_e, fmt.n_m, np.int64(bias)))
+        assert np.array_equal(minmax_quantize(x, fmt, channel_axis=None).values,
+                              oracle_snap(x, fmt.n_e, fmt.n_m, channel_bias(x, fmt, None)))
+
+    @pytest.mark.parametrize("fmt", [FpFormat(1, 52), FpFormat(3, 52)], ids=str)
+    def test_grid_points_stay_put_with_52_mantissa_bits(self, rng, fmt):
+        # their unit counts reach 2^52, where u + 0.5 is a tie that rounded odd counts up by one
+        x = np.ldexp(rng.integers(1, 2**53, size=200).astype(np.float64), -51)
+        assert snap_per_channel(x, fmt, 0).tobytes() == x.tobytes()
+
     def test_clamps_beyond_ceiling(self):
         assert snap_per_channel(np.array([1e9, -1e9]), E2M1, 0).tolist() == [12.0, -12.0]
 
