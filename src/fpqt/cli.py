@@ -34,7 +34,7 @@ from .fusion import (
     plan_fusion,
 )
 from .hadamard import apply_right, build, op_count, realize
-from .harness import METHODS, HarnessConfig, estimate_cost, run, strict_json
+from .harness import HarnessConfig, estimate_cost, run, strict_json
 from .quantize import minmax_quantize, quant_error
 from .select import SelectionConfig, select_format, selection_table, spread_indicator
 from .tensors import (
@@ -69,30 +69,21 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+# HarnessConfig's bool fields, each on by default and turned off by its switch
+_SWITCHES = {"quantize_weights": "--no-weight-quant", "quantize_acts": "--no-act-quant",
+             "use_hadamard": "--no-hadamard"}
+
+
 def _add_harness_flags(p: argparse.ArgumentParser) -> None:
-    d = HarnessConfig()
-    p.add_argument("--n", type=int, default=d.n, help="model width")
-    p.add_argument("--heads", type=int, default=d.heads, help="attention heads")
-    p.add_argument("--tokens", type=int, default=d.tokens, help="tokens per batch")
-    p.add_argument("--hidden", type=int, default=None, help="FFN width (default 4*n)")
-    p.add_argument("--outlier-channels", type=int, default=d.outlier_channels)
-    p.add_argument("--outlier-scale", type=float, default=d.outlier_scale)
-    p.add_argument("--seed", type=int, default=d.seed)
-    p.add_argument("--weight-format", default=d.weight_format,
-                   help="'auto' or a concrete format such as E2M1")
-    p.add_argument("--weight-bits", type=int, default=d.weight_bits)
-    p.add_argument("--act-format", default=d.act_format)
-    p.add_argument("--method", choices=METHODS, default=d.method)
-    p.add_argument("--calib-samples", type=int, default=d.calib_samples)
-    p.add_argument("--alpha", type=float, default=d.alpha,
-                   help="percentile for the spread indicator")
-    p.add_argument("--heavy-tail-fraction", type=float, default=d.heavy_tail_fraction)
-    p.add_argument("--v-mode", choices=V_MODES, default=d.v_mode)
-    p.add_argument("--no-hadamard", dest="use_hadamard", action="store_false")
-    p.add_argument("--hadamard-seed", type=int, default=None,
-                   help="seed for random sign diagonals (default: none)")
-    p.add_argument("--no-weight-quant", dest="quantize_weights", action="store_false")
-    p.add_argument("--no-act-quant", dest="quantize_acts", action="store_false")
+    """One flag per HarnessConfig field: --<name-with-dashes> typed by its annotation (int,
+    int | None, float, str) or the _SWITCHES switch, with help and choices from its metadata."""
+    types = {"int": int, "float": float, "str": str}
+    for f in fields(HarnessConfig):
+        if f.name in _SWITCHES:
+            p.add_argument(_SWITCHES[f.name], dest=f.name, action="store_false", **f.metadata)
+        else:
+            p.add_argument(f"--{f.name.replace('_', '-')}", type=types[f.type.split(" | ")[0]],
+                           default=f.default, **f.metadata)
 
 
 def _harness_config(args: argparse.Namespace) -> HarnessConfig:

@@ -33,10 +33,7 @@ runs as batched matmul over heads, so its scores and context go through
 BLAS.  Softmax, GELU (exact erf form), and layer norms stay in full
 precision; the six linear layers are the quantization surface.
 
-With act_quant given, a linear layer whose operands both have an integer
-form (int_form) runs as one float32 GEMM with the float64 product's output
-bytes (see block_forward); a block keeps the int8 forms of its read-only
-weight matrices (DiTBlockWeights.int_form).
+Quantized linear layers run as exact float32 GEMMs: see block_forward.
 """
 
 from __future__ import annotations
@@ -119,12 +116,12 @@ class DiTBlockWeights:
         return {name: getattr(self, name) for name in LAYER_NAMES}
 
     @cached_property
-    def _int_forms(self) -> dict[str, IntForm | None]:
+    def _int_forms(self) -> dict[str, _IntForm | None]:
         return {}
 
-    def int_form(self, name: str) -> IntForm | None:
+    def int_form(self, name: str) -> _IntForm | None:
         """The int8 integer form of layer name's weights, per output column
-        with s_w = WEIGHT_BITS (fusion.int_form), or None.  Built on first
+        with s_w = WEIGHT_BITS (fusion._int_form), or None.  Built on first
         use and kept with the block.  A matrix that is writeable, or views a
         writeable array, has none, checked on every call, so a kept form
         cannot go stale while its matrix stays read-only."""
@@ -135,7 +132,7 @@ class DiTBlockWeights:
             base = base.base
         forms = self._int_forms
         if name not in forms:
-            forms[name] = int_form(w, WEIGHT_BITS, 0, np.int8)
+            forms[name] = _int_form(w, WEIGHT_BITS, 0, np.int8)
         return forms[name]
 
 
@@ -302,7 +299,7 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.nda
 
 
 @dataclass(frozen=True)
-class IntForm:
+class _IntForm:
     """x = q * scale along one axis of a 2-D x: q holds integers of magnitude
     below 2^s, and scale holds 2^(e - s) for each row (activations) or
     column (weights), e being the frexp exponent of that row's or column's peak."""
@@ -316,8 +313,8 @@ def _peak(x: np.ndarray, axis: int) -> np.ndarray:
     return np.maximum(x.max(axis=axis, initial=0.0), -x.min(axis=axis, initial=0.0))
 
 
-def int_form(x: np.ndarray, bits: int, axis: int, dtype: type,
-             peak: np.ndarray | None = None) -> IntForm | None:
+def _int_form(x: np.ndarray, bits: int, axis: int, dtype: type,
+              peak: np.ndarray | None = None) -> _IntForm | None:
     """The integer form of a 2-D x with s = bits, per row (axis=1) or per
     column (axis=0): q = ldexp(x, s - e) held as dtype, which must hold
     every integer below 2^s; peak is _peak(x, axis), when the caller has it.
@@ -339,10 +336,10 @@ def int_form(x: np.ndarray, bits: int, axis: int, dtype: type,
     # only a negative shift can sink a nonzero value to zero
     if shift.min(initial=0) < 0 and np.count_nonzero(q) != np.count_nonzero(x):
         return None
-    return IntForm(form, np.ldexp(1.0, e - bits))
+    return _IntForm(form, np.ldexp(1.0, e - bits))
 
 
-def _exact_gemm(a: IntForm, w: IntForm) -> np.ndarray:
+def _exact_gemm(a: _IntForm, w: _IntForm) -> np.ndarray:
     """a's rows times w's columns: one float32 GEMM of the integer forms,
     cast to float64 and scaled back by each row's and column's power of two."""
     out = (a.q @ w.q.astype(np.float32)).astype(np.float64)
@@ -367,7 +364,7 @@ def block_forward(
     each naming the point.
 
     With act_quant given, a layer whose input has the per-row integer form
-    with s_a = GEMM_BITS - WEIGHT_BITS - ceil(log2 K) (see int_form; K is
+    with s_a = GEMM_BITS - WEIGHT_BITS - ceil(log2 K) (see _int_form; K is
     the layer's in_dim) and whose weights have the int8 form of
     DiTBlockWeights.int_form (s_w = WEIGHT_BITS) runs as a float32 GEMM of
     the two forms, cast to float64 and scaled back by powers of two; every
@@ -390,7 +387,7 @@ def block_forward(
             raise ValueError(f"duplicate online transform at {t.point!r}")
         at[t.point] = t.spec
 
-    def feed(a: np.ndarray, point: str) -> tuple[np.ndarray, IntForm | None]:
+    def feed(a: np.ndarray, point: str) -> tuple[np.ndarray, _IntForm | None]:
         if point in at:
             spec = at[point]
             a = cross_head_apply(a, spec) if point == "post_attention" else apply_right(a, spec)
@@ -408,9 +405,9 @@ def block_forward(
         if not np.isfinite(peak).all():
             raise NumericalError(f"act_quant gave NaN or Inf at {point!r}")
         bits = GEMM_BITS - WEIGHT_BITS - (q.shape[1] - 1).bit_length()
-        return q, int_form(q, bits, 1, np.float32, peak)
+        return q, _int_form(q, bits, 1, np.float32, peak)
 
-    def linear(fed: tuple[np.ndarray, IntForm | None], name: str) -> np.ndarray:
+    def linear(fed: tuple[np.ndarray, _IntForm | None], name: str) -> np.ndarray:
         a, form = fed
         w_form = weights.int_form(name) if form is not None else None
         return a @ getattr(weights, name) if w_form is None else _exact_gemm(form, w_form)

@@ -6,11 +6,10 @@ and measures what each quantization configuration does to the block output
 against the full-precision reference.  The pipeline order matches the
 deployment story: fuse transforms into weights offline, quantize the fused
 weights (Hessian-guided or plain MinMax), then at runtime apply the online
-transforms, quantize activations, and run the quantized matmuls.  A matmul
-whose quantized operands are small power-of-two-scaled integers runs as an
-exact float32 GEMM (fusion.block_forward), every other one in float64, and
-both give the same bytes.  Softmax, GELU, and layer norms stay full
-precision.
+transforms, quantize activations, and run the quantized matmuls.  Softmax,
+GELU, and layer norms stay full precision.
+
+Quantized linear layers run as exact float32 GEMMs: see fusion.block_forward.
 
 run() quantizes activations with one exponent bias per input channel
 (channel_axis=-1 on (tokens, width)), taken from the evaluated batch itself.
@@ -32,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -62,26 +61,31 @@ HEAVY_TAIL_SCALE = 10.0
 METHODS = ("gptq", "rtn")
 
 
+def _flag(default, **cli):
+    """A field whose `fpqt simulate`/`cost` flag takes these argparse keywords (help, choices)."""
+    return field(default=default, metadata=cli)
+
+
 @dataclass(frozen=True)
 class HarnessConfig:
-    n: int = 64
-    heads: int = 4
-    tokens: int = 128
-    hidden: int | None = None  # None -> 4 * n
+    n: int = _flag(64, help="model width")
+    heads: int = _flag(4, help="attention heads")
+    tokens: int = _flag(128, help="tokens per batch")
+    hidden: int | None = _flag(None, help="FFN width (default 4*n)")
     outlier_channels: int = 2
     outlier_scale: float = 100.0
     seed: int = 0
-    weight_format: str = "auto"  # 'auto' or a concrete E<k>M<j>
+    weight_format: str = _flag("auto", help="'auto' or a concrete format such as E2M1")
     weight_bits: int = SelectionConfig.n_bits
     act_format: str = "E2M1"
     quantize_weights: bool = True
     quantize_acts: bool = True
     use_hadamard: bool = True
-    hadamard_seed: int | None = None  # None -> no random sign diagonal
-    v_mode: str = FusionPlan.v_mode
-    method: str = "gptq"  # one of METHODS
+    hadamard_seed: int | None = _flag(None, help="seed for random sign diagonals (default: none)")
+    v_mode: str = _flag(FusionPlan.v_mode, choices=V_MODES)
+    method: str = _flag("gptq", choices=METHODS)
     calib_samples: int = 512
-    alpha: float = SelectionConfig.alpha
+    alpha: float = _flag(SelectionConfig.alpha, help="percentile for the spread indicator")
     heavy_tail_fraction: float = 0.0
 
     def __post_init__(self):

@@ -68,7 +68,7 @@ def channel_bias(a: np.ndarray, fmt: FpFormat, channel_axis: int | None = -1) ->
     a = as_working(a)
     axis = None
     if channel_axis is not None:
-        if not isinstance(channel_axis, (int, np.integer)):
+        if not isinstance(channel_axis, (int, np.integer)) or isinstance(channel_axis, bool):
             raise TypeError(f"channel_axis must be an integer or None, got {channel_axis!r}")
         if not -a.ndim <= channel_axis < a.ndim:
             raise ShapeError(f"channel_axis {channel_axis} is outside shape {a.shape}")

@@ -2,13 +2,12 @@
 
 Tensors are plain numpy arrays.  Working precision is float64: every array
 the package returns is float64, and the on-disk container stores float32.
-Inside, the quantized block forward multiplies integer forms of quantized
-operands in float32 (fusion.block_forward), exactly, so its results are the
-float64 bytes; int8 copies of read-only weights back it.  All operations
-are pure: no function in this package mutates its inputs.  Weight matrices
-are stored input_dim x output_dim so activations @ weights composes left to
-right, and the channel axis of a 2-D activation batch is the last one
-(columns).
+All operations are pure: no function in this package mutates its inputs.
+Weight matrices are stored input_dim x output_dim so activations @ weights
+composes left to right, and the channel axis of a 2-D activation batch is
+the last one (columns).
+
+Quantized linear layers run as exact float32 GEMMs: see fusion.block_forward.
 
 Container layout (all integers little-endian):
 
@@ -55,9 +54,12 @@ _MAX_NDIM = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
 
 def as_working(x, copy: bool = False) -> np.ndarray:
     """x as a WORKING_DTYPE array, a new one when copy is set; TypeError naming
-    the dtype of complex input, whose imaginary part the cast would drop."""
-    if np.iscomplexobj(x):
-        raise TypeError(f"complex input is not supported, got dtype {np.asarray(x).dtype}")
+    the dtype of complex input, whose imaginary part the cast would drop, and
+    of string, bytes or void input, which is not numeric data."""
+    x = np.asarray(x)
+    if x.dtype.kind in "cSUV":
+        what = "complex" if x.dtype.kind == "c" else "string, bytes or void"
+        raise TypeError(f"{what} input is not supported, got dtype {x.dtype}")
     return np.array(x, dtype=WORKING_DTYPE) if copy else np.asarray(x, dtype=WORKING_DTYPE)
 
 

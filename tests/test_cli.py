@@ -689,6 +689,27 @@ class TestHarnessFlags:
     def test_table_covers_every_field(self):
         assert list(self.FLAGS) == [f.name for f in fields(HarnessConfig)]
 
+    # each harness flag as --help shows it, then its help text, if it has one
+    HELP = [
+        "--n N model width", "--heads HEADS attention heads", "--tokens TOKENS tokens per batch",
+        "--hidden HIDDEN FFN width (default 4*n)", "--outlier-channels OUTLIER_CHANNELS",
+        "--outlier-scale OUTLIER_SCALE", "--seed SEED",
+        "--weight-format WEIGHT_FORMAT 'auto' or a concrete format such as E2M1",
+        "--weight-bits WEIGHT_BITS", "--act-format ACT_FORMAT", "--method {gptq,rtn}",
+        "--calib-samples CALIB_SAMPLES", "--alpha ALPHA percentile for the spread indicator",
+        "--heavy-tail-fraction HEAVY_TAIL_FRACTION", "--v-mode {per_head_exact,paper_literal}",
+        "--no-hadamard", "--no-weight-quant", "--no-act-quant",
+        "--hadamard-seed HADAMARD_SEED seed for random sign diagonals (default: none)",
+    ]
+
+    @pytest.mark.parametrize("command", ["simulate", "cost"])
+    def test_help_shows_every_flag_and_its_help(self, command, capsys):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        options = " ".join(out.split("options:")[1].split())  # argparse's wrapping undone
+        for line in self.HELP:
+            assert f" {line} " in f"{options} "
+
     @pytest.mark.parametrize("field", list(FLAGS))
     def test_flag_lands_in_its_own_field(self, field):
         flag, text, want = self.FLAGS[field]

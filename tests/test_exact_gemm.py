@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fpqt import fusion
-from fpqt.fusion import EXP_WINDOW, LAYER_NAMES, DiTBlockWeights, block_forward, int_form
+from fpqt.fusion import EXP_WINDOW, LAYER_NAMES, DiTBlockWeights, _int_form, block_forward
 from fpqt.formats import FpFormat, parse_format
 from fpqt.harness import HarnessConfig, gen_activations, init_weights, quantize_block_weights
 from fpqt.quantize import minmax_quantize
@@ -136,7 +136,7 @@ class TestIntForm:
         for e, has_form in ((EXP_WINDOW, True), (-EXP_WINDOW, True),
                             (EXP_WINDOW + 1, False), (-EXP_WINDOW - 1, False)):
             y = np.ldexp(x, e - 2)  # both lines' peaks, 3 and 2.5 times 2^(e - 2), have exponent e
-            form = int_form(y, 7, axis, dtype)
+            form = _int_form(y, 7, axis, dtype)
             assert (form is not None) == has_form, e
             if has_form:
                 assert form.q.dtype == dtype and np.abs(form.q).max() < 2**7
@@ -144,23 +144,23 @@ class TestIntForm:
 
     def test_needs_integers_below_two_to_the_bits(self, dtype):
         x = np.array([[12.0, 1.0, 0.5]])  # 12 = 0.75 * 2^4: unit 2^(4 - bits)
-        assert int_form(x, 5, 1, dtype) is not None
-        assert int_form(x, 4, 1, dtype) is None
+        assert _int_form(x, 5, 1, dtype) is not None
+        assert _int_form(x, 4, 1, dtype) is None
 
     def test_a_fraction_a_cast_would_drop_has_no_form(self, dtype):
         x = np.array([[96.0 + 2.0**-30, 1.0]])  # 96 = 0.75 * 2^7: the unit is 1 at bits 7
         assert np.float32(x[0, 0]) == 96.0
-        assert int_form(x, 7, 1, dtype) is None
+        assert _int_form(x, 7, 1, dtype) is None
 
     def test_a_value_that_would_sink_to_zero_has_no_form(self, dtype):
         # 2^-700 shifted by 7 - 400 lies below the least subnormal
         x = np.array([[2.0**399, 2.0**-700]])
         assert np.ldexp(x, 7 - 400)[0, 1] == 0.0
-        assert int_form(x, 7, 1, dtype) is None
+        assert _int_form(x, 7, 1, dtype) is None
 
     def test_non_finite_has_no_form(self, dtype):
         for bad in (np.nan, np.inf):
-            assert int_form(np.array([[1.0, bad]]), 7, 1, dtype) is None
+            assert _int_form(np.array([[1.0, bad]]), 7, 1, dtype) is None
 
 
 class TestWeightForms:

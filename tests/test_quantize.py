@@ -67,7 +67,7 @@ class TestChannelBias:
                     quantizer(a, E2M1, channel_axis=axis)
 
     def test_non_integer_channel_axis_is_named(self):
-        for axis in (1.0, 0.0, "0", (0,)):
+        for axis in (1.0, 0.0, "0", (0,), True, False):  # True was read as axis 1
             for quantizer in (channel_bias, minmax_quantize):
                 with pytest.raises(TypeError, match=r"^channel_axis must be an integer or None"):
                     quantizer(np.ones((2, 3)), E2M1, channel_axis=axis)

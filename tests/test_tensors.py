@@ -75,8 +75,8 @@ _CAL = CalibrationSet(np.eye(4))
 _BLOCK = init_weights(HarnessConfig(n=4, heads=2, hidden=8))
 
 # every public entry point that casts its array input to the working dtype,
-# called with that input complex
-COMPLEX_ENTRY_POINTS = {
+# called with that input
+ENTRY_POINTS = {
     "minmax_quantize": lambda z: minmax_quantize(z, E2M1),
     "snap_per_channel": lambda z: snap_per_channel(z, E2M1, 0),
     "channel_bias": lambda z: channel_bias(z, E2M1),
@@ -91,19 +91,36 @@ COMPLEX_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("entry", COMPLEX_ENTRY_POINTS)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
 def test_complex_input_is_a_type_error_naming_the_dtype(entry, dtype):
     # the cast would drop the imaginary part, with only a ComplexWarning
     z = (np.arange(16.0).reshape(4, 4) + 1j).astype(dtype)
     with pytest.raises(TypeError, match=f"got dtype {np.dtype(dtype)}"):
-        COMPLEX_ENTRY_POINTS[entry](z)
+        ENTRY_POINTS[entry](z)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("text", [np.full((4, 4), "a"), np.full((4, 4), b"1"),
+                                  np.zeros((4, 4), dtype="V8")], ids=["str", "bytes", "void"])
+def test_text_input_is_a_type_error_naming_the_dtype(entry, text):
+    # was numpy's raw ValueError (could not convert string to float), or for
+    # bytes holding a number a silent parse of the text
+    with pytest.raises(TypeError, match=re.escape(f"got dtype {text.dtype}")):
+        ENTRY_POINTS[entry](text)
 
 
 def test_complex_payload_is_refused_before_anything_is_written(tmp_path):
     out = tmp_path / "z.fpqt"
     with pytest.raises(TypeError, match="got dtype complex128"):
         write_tensors(out, {"a": np.ones(2), "z": np.ones(2) + 1j})
+    assert not out.exists()
+
+
+def test_text_payload_is_refused_before_anything_is_written(tmp_path):
+    out = tmp_path / "s.fpqt"
+    with pytest.raises(TypeError, match="got dtype <U3"):
+        write_tensors(out, {"a": np.ones(2), "s": np.array(["1.5"])})
     assert not out.exists()
 
 
