@@ -185,8 +185,11 @@ def cmd_quantize(args: argparse.Namespace) -> int:
                 f"{name}: format={fmt} channels={qt.bias.size} "
                 f"mse={err['mse']:.6g} sqnr_db={err['sqnr_db']:.4f}"
             )
+            bias = qt.bias.astype(np.float64)
+            del t, a, qt  # free the input before values are written
             yield name, values
-            yield f"{name}.bias", qt.bias.astype(np.float64)
+            del values  # and values before the next entry is read
+            yield f"{name}.bias", bias
 
     with closing(iter_tensors(args.input)) as entries:
         count = _write_entries(args.output, quantized(entries))

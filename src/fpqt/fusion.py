@@ -44,7 +44,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.special
 
 from .errors import NumericalError, ShapeError
 from .hadamard import HadamardSpec, apply_right
@@ -255,7 +254,10 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact-erf GELU: (0.5 x) (1 + erf(x / sqrt(2))), in one fresh buffer."""
+    """Exact-erf GELU: (0.5 x) (1 + erf(x / sqrt(2))), in one fresh buffer.
+    scipy.special, for erf, is imported on the first call, not with fpqt."""
+    import scipy.special
+
     y = np.asarray(x / math.sqrt(2.0))  # a 0-d input divides to a scalar
     scipy.special.erf(y, out=y)
     y += 1.0
@@ -395,9 +397,10 @@ def block_forward(
             taps[point] = a
         if act_quant is None:
             return a, None
-        q = act_quant(a, point)
-        if np.iscomplexobj(q):
-            raise TypeError(f"act_quant gave complex values at {point!r}, dtype {np.asarray(q).dtype}")
+        q = np.asarray(act_quant(a, point))
+        if q.dtype.kind in "cSUV":  # as_working refuses these too, but names no point
+            what = "complex" if q.dtype.kind == "c" else "string, bytes or void"
+            raise TypeError(f"act_quant gave {what} values at {point!r}, dtype {q.dtype}")
         q = as_working(q)
         if q.shape != a.shape:
             raise ShapeError(f"act_quant gave shape {q.shape} at {point!r}, expected {a.shape}")

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, ShapeError
 from .formats import FpFormat
@@ -112,7 +111,10 @@ def layer_objective(w: np.ndarray, w_hat: np.ndarray, cal: CalibrationSet) -> fl
 
 def _upper_cholesky(h: np.ndarray) -> np.ndarray:
     """Upper-triangular U with positive diagonal and U^T U = h, in h's own
-    buffer when h is C-contiguous; NumericalError unless h is positive-definite."""
+    buffer when h is C-contiguous; NumericalError unless h is positive-definite.
+    scipy.linalg, for dpotrf, is imported on the first call, not with fpqt."""
+    import scipy.linalg
+
     lower, info = scipy.linalg.lapack.dpotrf(h.T, lower=1, overwrite_a=1)
     if info > 0:
         raise NumericalError(f"dampened Hessian is not positive-definite: {info}-th "

@@ -2,9 +2,11 @@
 
 An order-n Hadamard matrix is factored as H_n = H_p (x) H_q, where p is the
 largest power of two such that q = n / p has a base matrix (q in {1, 12,
-20, 28}; 12, 20 and 28 are built by Paley's construction).  Entries are
-normalized by 1/sqrt(n) so the realized matrix is orthogonal, and a seeded
-random +-1 diagonal D can be folded in on the right.
+20, 28}; 12, 20 and 28 are built by Paley's construction).  The +-1
+Sylvester factors of H_p are built by numpy alone (sylvester), so no
+transform loads scipy.  Entries are normalized by 1/sqrt(n) so the realized
+matrix is orthogonal, and a seeded random +-1 diagonal D can be folded in
+on the right.
 
 A HadamardSpec of n and that seed (None: D = I) is the whole transform.
 Its mix applies H (or H^T) along the middle axis of an (l, dim, r) view;
@@ -30,7 +32,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ShapeError, check_types
 from .tensors import WORKING_DTYPE, as_working
@@ -44,6 +45,17 @@ from .tensors import WORKING_DTYPE, as_working
 _PALEY_FIELDS = {12: (11, ()), 20: (19, ()), 28: (3, (2, 0, 1))}
 
 BASE_ORDERS = (1, *_PALEY_FIELDS)
+
+
+def sylvester(p: int) -> np.ndarray:
+    """The +-1 Sylvester matrix of a power-of-two order p, H_2k = [[H_k, H_k],
+    [H_k, -H_k]] from H_1 = [[1]]: scipy.linalg.hadamard(p)'s values, in float64."""
+    if p < 1 or p & (p - 1):
+        raise ValueError(f"Sylvester order must be a power of two, got {p}")
+    h = np.ones((1, 1), dtype=WORKING_DTYPE)
+    while len(h) < p:
+        h = np.block([[h, h], [h, -h]])
+    return h
 
 
 def base_matrix(q: int) -> np.ndarray:
@@ -128,8 +140,8 @@ class HadamardSpec:
         with a the largest power of two dividing p such that a^2 <= n."""
         p, q = self.p, self.q
         a = min(p, 1 << (self.dim.bit_length() - 1) // 2)
-        inner = np.kron(scipy.linalg.hadamard(p // a), base_matrix(q)) / math.sqrt(self.dim)
-        h_a = scipy.linalg.hadamard(a, dtype=WORKING_DTYPE)
+        inner = np.kron(sylvester(p // a), base_matrix(q)) / math.sqrt(self.dim)
+        h_a = sylvester(a)
         inner.flags.writeable = h_a.flags.writeable = False
         return inner, h_a
 
@@ -160,7 +172,7 @@ def build(dim: int, seed: int | None = None) -> HadamardSpec:
 
 def realize(spec: HadamardSpec) -> np.ndarray:
     """Dense orthogonal matrix: the reference for tests and `fpqt hadamard --check`."""
-    h = np.kron(scipy.linalg.hadamard(spec.p, dtype=WORKING_DTYPE), base_matrix(spec.q))
+    h = np.kron(sylvester(spec.p), base_matrix(spec.q))
     h /= math.sqrt(spec.dim)
     return h if spec.signs is None else h * spec.signs
 

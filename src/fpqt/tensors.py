@@ -93,7 +93,8 @@ def channel_max_median_ratio(x: np.ndarray) -> float:
 
 def iter_tensors(path) -> Iterator[tuple[str, np.ndarray]]:
     """Yield the entries of an FPQT container as (name, float64 array), in
-    file order, reading one payload at a time.
+    file order, reading one payload at a time.  The stream keeps no part of
+    an entry it has yielded, so a consumer that drops one frees it at once.
 
     Raises FormatError (carrying the byte offset of the defect) on bad magic,
     unsupported version or dtype, truncation, duplicate names, trailing
@@ -111,6 +112,18 @@ def iter_tensors(path) -> Iterator[tuple[str, np.ndarray]]:
             if at + count > size or len(data := fh.read(count)) != count:
                 raise FormatError(f"truncated container: expected {what}", at)
             return at, data
+
+        def payload(name: str, dims: tuple[int, ...], dims_at: int) -> np.ndarray:
+            """The next payload as a float64 array of dims; its float32 bytes
+            die with this call, so the stream holds nothing while suspended."""
+            at, raw = read(4 * math.prod(dims), f"payload of {name!r}")
+            # a nonempty entry this large is already truncated; an empty one is not
+            if len(dims) > _MAX_NDIM or math.prod(d for d in dims if d) > _MAX_ELEMS:
+                raise FormatError(f"dims {dims} of {name!r} exceed numpy's array limits", dims_at)
+            values = np.frombuffer(raw, dtype=STORAGE_DTYPE)
+            if not np.isfinite(values).all():
+                raise FormatError(f"tensor {name!r} contains NaN or Inf", at)
+            return values.astype(WORKING_DTYPE).reshape(dims)
 
         magic = read(4, "magic")[1]
         if magic != MAGIC:
@@ -135,15 +148,7 @@ def iter_tensors(path) -> Iterator[tuple[str, np.ndarray]]:
             if dtype_tag != DTYPE_F32:
                 raise FormatError(f"unsupported dtype tag {dtype_tag}", at)
             dims_at, raw = read(8 * ndim, "dims")
-            dims = struct.unpack(f"<{ndim}Q", raw)
-            at, raw = read(4 * math.prod(dims), f"payload of {name!r}")
-            # a nonempty entry this large is already truncated; an empty one is not
-            if ndim > _MAX_NDIM or math.prod(d for d in dims if d) > _MAX_ELEMS:
-                raise FormatError(f"dims {dims} of {name!r} exceed numpy's array limits", dims_at)
-            payload = np.frombuffer(raw, dtype=STORAGE_DTYPE)
-            if not np.isfinite(payload).all():
-                raise FormatError(f"tensor {name!r} contains NaN or Inf", at)
-            yield name, payload.astype(WORKING_DTYPE).reshape(dims)
+            yield name, payload(name, struct.unpack(f"<{ndim}Q", raw), dims_at)
         if fh.tell() != size:
             raise FormatError(f"{size - fh.tell()} trailing bytes after last entry", fh.tell())
 

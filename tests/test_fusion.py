@@ -510,11 +510,18 @@ class TestBlockForward:
         (lambda a: a[:, :-1], ShapeError, r"act_quant gave shape \(3, \d+\) at '{}', expected"),
         (lambda a: a.ravel(), ShapeError, r"act_quant gave shape \(\d+,\) at '{}', expected"),
         (lambda a: a + 1j, TypeError, r"act_quant gave complex values at '{}', dtype complex128"),
+        (lambda a: a.astype(str), TypeError,
+         r"act_quant gave string, bytes or void values at '{}', dtype <U\d+"),
+        (lambda a: a.astype(bytes), TypeError,
+         r"act_quant gave string, bytes or void values at '{}', dtype \|S\d+"),
+        (lambda a: a.astype("V8"), TypeError,
+         r"act_quant gave string, bytes or void values at '{}', dtype \|V8"),
         (lambda a: np.where(a > 0, np.nan, a), NumericalError, r"act_quant gave NaN or Inf at '{}'"),
         (lambda a: a - np.inf, NumericalError, r"act_quant gave NaN or Inf at '{}'"),
-    ], ids=["narrower", "flat", "complex", "nan", "inf"])
+    ], ids=["narrower", "flat", "complex", "str", "bytes", "void", "nan", "inf"])
     def test_bad_act_quant_results_name_their_point(self, rng, point, bad, error, message):
-        # were numpy's matmul ValueError, a complex128 output and a NaN output
+        # were numpy's matmul ValueError, a complex128 output and a NaN output;
+        # string, bytes and void were as_working's TypeError, naming no point
         w = make_weights()
         q = lambda a, p: bad(a) if p == point else a
         with pytest.raises(error, match="^" + message.format(point)):

@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fpqt.errors import ShapeError
 from fpqt.hadamard import (
@@ -15,10 +16,24 @@ from fpqt.hadamard import (
     factorize,
     op_count,
     realize,
+    sylvester,
 )
 from oracles import oracle_sylvester
 
 SUPPORTED_DIMS = [1, 2, 4, 8, 12, 16, 20, 24, 28, 40, 48, 56, 64, 96, 112, 1024]
+
+
+class TestSylvester:
+    @pytest.mark.parametrize("p", [1 << k for k in range(13)])
+    def test_matches_scipy(self, p):
+        h = sylvester(p)
+        assert h.dtype == np.float64
+        assert np.array_equal(h, scipy.linalg.hadamard(p, dtype=np.int8))
+
+    @pytest.mark.parametrize("p", [0, -2, 3, 12])
+    def test_other_orders_are_refused(self, p):
+        with pytest.raises(ValueError, match="power of two"):
+            sylvester(p)
 
 
 class TestBaseMatrices:

@@ -1,8 +1,10 @@
 """Static checks on the package source and the demos: every module-level
 import is used, the package's __all__ lists each public name once and
 every name resolves, the package imports only scipy.linalg and
-scipy.special, no module imports another's underscore names beyond an
-allow-list, and it opens files for writing only inside tensors._replacing."""
+scipy.special, and those only inside the functions that compute with them
+(so `import fpqt` loads no scipy), no module imports another's underscore
+names beyond an allow-list, and it opens files for writing only inside
+tensors._replacing."""
 
 import ast
 from pathlib import Path
@@ -61,6 +63,40 @@ def test_package_uses_only_scipy_linalg_and_special():
                 used |= {f"{node.module}.{a.name}" if node.module == "scipy" else node.module
                          for a in node.names}
     assert used == {"scipy.linalg", "scipy.special"}
+
+
+def import_time_imports(source: str) -> set[str]:
+    """Modules a source file imports while it is itself imported: from its
+    top-level body, an if or try block or a class body, not a function body."""
+    found, todo = set(), list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add("." * node.level + (node.module or ""))
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo += ast.iter_child_nodes(node)
+    return found
+
+
+def test_import_time_checker_skips_only_function_bodies():
+    source = (
+        "import scipy.linalg\nfrom . import tensors\n"
+        "try:\n    from scipy import special\nexcept ImportError:\n    pass\n"
+        "class A:\n    import scipy.sparse\n"
+        "def f():\n    import scipy.stats\n"
+        "async def g():\n    from scipy import optimize\n"
+    )
+    assert import_time_imports(source) == {"scipy.linalg", ".", "scipy", "scipy.sparse"}
+
+
+@pytest.mark.parametrize("path", sorted(Path(fpqt.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_scipy_at_import_time(path):
+    # gelu and gptq's Cholesky import scipy when first called; a fresh
+    # `import fpqt` then loads numpy alone (tests/test_lazy_imports.py)
+    assert [m for m in import_time_imports(path.read_text()) if m.split(".")[0] == "scipy"] == []
 
 
 # the underscore names a package module may import from another one; a name

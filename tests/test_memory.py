@@ -1,21 +1,26 @@
-"""Peak traced memory of run(), of one GPTQ factor and of one GPTQ sweep.
+"""Peak traced memory of run(), of one GPTQ factor, of one GPTQ sweep and
+of `fpqt quantize`.
 
 tracemalloc sees numpy's array buffers, so these bound how many dense
 copies of the block, how many n x n arrays per Hessian factor, how many
-weight-sized arrays per sweep, and how many factors a stage holds at once.
+weight-sized arrays per sweep, how many factors a stage holds at once, and
+how many container entries `fpqt quantize` holds at once.
 """
 
+import contextlib
 import inspect
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fpqt import gptq
+from fpqt import cli, gptq
 from fpqt.fusion import fuse_block, layer_shapes
 from fpqt.formats import FpFormat
 from fpqt.gptq import CalibrationSet, gptq_quantize, hessian_factor
 from fpqt.harness import HarnessConfig, collect_calibration, init_weights, quantize_block_weights, run
+from fpqt.tensors import write_tensors
 
 
 def traced_peak(call) -> int:
@@ -89,3 +94,13 @@ def test_gptq_sweep_holds_two_weight_sized_arrays(rng):
     cal = CalibrationSet(rng.standard_normal((256, 512)))
     w = rng.standard_normal((512, 2048))
     assert traced_peak(lambda: gptq_quantize(w, cal, FpFormat(2, 1))) <= 2.5 * w.nbytes
+
+
+def test_quantize_command_holds_one_entry_at_a_time(rng, tmp_path):
+    # neither the command nor the container reader keeps entry k's arrays
+    # while entry k + 1 is read and quantized (2.58 measured; 4.55 when both did)
+    src, out = tmp_path / "in.fpqt", tmp_path / "out.fpqt"
+    write_tensors(src, {f"t{i}": rng.standard_normal((512, 512)) for i in range(6)})
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["quantize", str(src), str(out)]) == 0  # lazy imports and caches
+        assert traced_peak(lambda: cli.main(["quantize", str(src), str(out)])) <= 3 * 8 * 512 * 512
