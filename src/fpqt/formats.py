@@ -72,12 +72,23 @@ class FpFormat:
         return f"E{self.n_e}M{self.n_m}"
 
 
+def check_format(fmt) -> None:
+    """TypeError naming the argument fmt unless it is an FpFormat; a string
+    such as 'E2M1' goes through parse_format first."""
+    if not isinstance(fmt, FpFormat):
+        raise TypeError(f"fmt must be an FpFormat, got {type(fmt).__name__} {fmt!r}"
+                        + ("; parse_format reads a format string" if isinstance(fmt, str) else ""))
+
+
 @dataclass(frozen=True)
 class BiasedFormat:
     """A format anchored at a concrete integer exponent bias."""
 
     fmt: FpFormat
     bias: int
+
+    def __post_init__(self):
+        check_format(self.fmt)
 
 
 def parse_format(text: str) -> FpFormat:

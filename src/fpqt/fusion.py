@@ -378,6 +378,19 @@ def block_forward(
     sum and scaled result a normal float64, and both BLAS sums start from
     +0.0, so a zero result is +0.0 on either path.  W_q, W_k and W_v share
     their input's form."""
+    return _block_forward(x, weights, online, act_quant, taps)
+
+
+def _block_forward(
+    x: np.ndarray,
+    weights: DiTBlockWeights,
+    online: tuple[OnlineTransform, ...],
+    act_quant: Callable[[np.ndarray, str], np.ndarray] | None,
+    taps: dict[str, np.ndarray] | None,
+    taps_only: bool = False,
+) -> np.ndarray | None:
+    """block_forward's body.  With taps_only, it returns None once the last
+    point (post_gelu) is tapped, without the w_fc2 GEMM and residual add."""
     x = as_working(x)
     if x.ndim != 2 or x.shape[1] != weights.n:
         raise ShapeError(f"expected (tokens, {weights.n}) input, got {x.shape}")
@@ -419,4 +432,5 @@ def block_forward(
     ctx = attention(linear(a, "w_q"), linear(a, "w_k"), linear(a, "w_v"), weights.heads)
     x2 = x + linear(feed(ctx, "post_attention"), "w_out")
     f = feed(layer_norm(x2, weights.ln2_gamma, weights.ln2_beta), "ffn_input")
-    return x2 + linear(feed(gelu(linear(f, "w_fc1")), "post_gelu"), "w_fc2")
+    h = feed(gelu(linear(f, "w_fc1")), "post_gelu")
+    return None if taps_only else x2 + linear(h, "w_fc2")

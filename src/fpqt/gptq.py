@@ -10,6 +10,11 @@ on the original w: no triangular inverse, no division in the sweep.  Each
 call factors its calibration set and keeps no factor; each output channel
 depends on its own column alone and snaps on the grid MinMax would give it,
 its bias frozen from w, so weights that read one input sweep as one matrix.
+A sweep takes the snap's grid constants (ceilings, lowest spacings, and
+whether any spacing lies below 2^-1074) once, and makes the snap's three
+row-sized scratch arrays once; the first also takes each row's fed-back
+error, so a row runs the snap's kernel, quantize._snap_block, with no
+allocation.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError
 from .formats import FpFormat
-from .quantize import QuantizedTensor, _grid_constants, _snap, channel_bias
+from .quantize import QuantizedTensor, _grid_constants, _scratch, _snap_block, channel_bias
 from .tensors import as_working
 
 DAMPING = 1e-2  # added to the Hessian diagonal, relative to its mean
@@ -94,7 +99,10 @@ def hessian_factor(cal: CalibrationSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def layer_objective(w: np.ndarray, w_hat: np.ndarray, cal: CalibrationSet) -> float:
-    """Reconstruction error ||X w_hat - X w||_F^2 on the calibration inputs."""
+    """Reconstruction error ||X w_hat - X w||_F^2 on the calibration inputs.
+
+    NumericalError naming w or w_hat when it holds NaN or Inf, or when the
+    error of finite weights overflows float64."""
     w = as_working(w)
     w_hat = as_working(w_hat)
     if w.shape != w_hat.shape:
@@ -104,7 +112,10 @@ def layer_objective(w: np.ndarray, w_hat: np.ndarray, cal: CalibrationSet) -> fl
     with np.errstate(over="ignore", invalid="ignore"):
         diff = cal.x @ (w_hat - w)
         obj = float(np.sum(diff * diff))
-    if not np.isfinite(obj):
+    if not np.isfinite(obj):  # as it is whenever w or w_hat holds NaN or Inf
+        for name, a in (("w", w), ("w_hat", w_hat)):
+            if not np.isfinite(a).all():
+                raise NumericalError(f"{name} holds NaN or Inf")
         raise NumericalError("reconstruction error overflows float64")
     return obj
 
@@ -145,21 +156,24 @@ def gptq_quantize(w: np.ndarray, cal: CalibrationSet, fmt: FpFormat) -> Quantize
     a call of its own would, for one factorisation of cal.  Raises
     NumericalError when w holds NaN or Inf (from channel_bias), the
     calibration set overflows the Hessian, the dampened Hessian is not
-    positive-definite, or the fed-forward errors overflow.
+    positive-definite, or the fed-forward errors overflow, and TypeError when
+    fmt is not an FpFormat, before the calibration set is factored.
     """
     w = as_working(w)
     if w.ndim != 2:
         raise ShapeError(f"weights must be 2-D, got shape {w.shape}")
     if w.shape[0] != cal.in_dim:
         raise ShapeError(f"weights {w.shape} do not match calibration dim {cal.in_dim}")
+    bias = channel_bias(w, fmt, channel_axis=-1)  # a bad fmt or a NaN fails before the factor
     dead, st = hessian_factor(cal)  # before the copy, so its scratch never meets it
     w = np.array(w, order="C")  # a copy: dead rows zeroed, then w - q
-    bias = channel_bias(w, fmt, channel_axis=-1)
-    vmax, lo = _grid_constants(fmt, bias)
+    grid = _grid_constants(fmt, bias)  # ceilings, spacings and the underflow test, once
     w[dead] = 0.0
 
     q = np.empty_like(w)
     pre = np.empty((min(BLOCK_SIZE, cal.in_dim), w.shape[1]))  # one block, reused
+    scratch = _scratch(q[0])  # the row snap's three arrays, reused
+    feed = scratch[0]  # the row's fed-back error, before the snap reuses the array
     for i1 in range(0, cal.in_dim, BLOCK_SIZE):
         i2 = min(i1 + BLOCK_SIZE, cal.in_dim)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -168,9 +182,9 @@ def gptq_quantize(w: np.ndarray, cal: CalibrationSet, fmt: FpFormat) -> Quantize
             block = np.matmul(st[i1:i2, :i1], w[:i1], out=pre[: i2 - i1])
             block += w[i1:i2]
             for k, j in enumerate(range(i1, i2)):
-                block[k] += st[j, i1:j] @ w[i1:j]
+                block[k] += np.matmul(st[j, i1:j], w[i1:j], out=feed)
                 q[j] = block[k]
-                _snap(q[j], fmt.n_m, vmax, lo)
+                _snap_block(q[j], fmt.n_m, *grid, *scratch)
                 w[j] -= q[j]
         if not np.isfinite(block).all():
             raise NumericalError("GPTQ error feedback overflows float64")

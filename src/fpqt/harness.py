@@ -46,6 +46,7 @@ from .fusion import (
     DiTBlockWeights,
     FusionPlan,
     OnlineTransform,
+    _block_forward,
     block_forward,
     fuse_block,
     layer_shapes,
@@ -224,11 +225,14 @@ def collect_calibration(
     weights: DiTBlockWeights,
     online: tuple[OnlineTransform, ...],
 ) -> dict[str, CalibrationSet]:
-    """The four layer inputs, by point, from full-precision forwards on fresh seeded batches."""
+    """The four layer inputs, by point, from full-precision forwards on fresh
+    seeded batches.  Each forward stops at its last tap, post_gelu: the
+    w_fc2 output, which no calibration set reads, is never computed."""
     draws = math.ceil(cfg.calib_samples / cfg.tokens)
     tapped: list[dict[str, np.ndarray]] = [{} for _ in range(draws)]
     for i, taps in enumerate(tapped):
-        block_forward(gen_activations(cfg, index=i + 1), weights, online, taps=taps)
+        x = gen_activations(cfg, index=i + 1)
+        _block_forward(x, weights, online, None, taps, taps_only=True)
     return {point: CalibrationSet(np.vstack([t[point] for t in tapped])[: cfg.calib_samples])
             for point in ONLINE_POINTS}
 

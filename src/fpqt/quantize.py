@@ -14,7 +14,9 @@ level 1's spacing), scale into mantissa units, round half away from zero,
 and scale back.  Both scalings are ldexp by int32 exponents, never a
 multiplication by a reciprocal (which overflows for subnormal spacings), so
 results are bit-reproducible and land exactly on grid points.  Per-channel
-grid constants are computed once per call, or once per GPTQ sweep.
+grid constants, with the decision whether to test for underflow, are
+computed once per call, or once per GPTQ sweep, whose row step also reuses
+the kernel's scratch arrays.
 
 The snap and quant_error run in blocks of about 32 K elements along the
 outermost axis in memory, so each chain of elementwise steps stays in cache.
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-from .formats import FpFormat
+from .formats import FpFormat, check_format
 from .tensors import as_working
 
 # exponent of the smallest positive float64, the subnormal 2^-1074
@@ -63,8 +65,10 @@ def channel_bias(a: np.ndarray, fmt: FpFormat, channel_axis: int | None = -1) ->
     exponents the comparison is one of mantissas, so nothing overflows near
     float64 max or rounds near the subnormal range.  Scaling a channel by 2^k
     shifts its bias by exactly k.  An empty channel, like an all-zero one,
-    gets bias 0.  A channel_axis outside a's dims is a ShapeError.
+    gets bias 0.  A channel_axis outside a's dims is a ShapeError, and an fmt
+    that is not an FpFormat a TypeError.
     """
+    check_format(fmt)
     a = as_working(a)
     axis = None
     if channel_axis is not None:
@@ -86,16 +90,18 @@ def channel_bias(a: np.ndarray, fmt: FpFormat, channel_axis: int | None = -1) ->
     return np.where(amax == 0.0, np.int64(0), bias)
 
 
-def _grid_constants(fmt: FpFormat, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Grid ceiling and lowest-level spacing exponent for broadcast biases."""
+def _grid_constants(fmt: FpFormat, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Grid ceiling and lowest-level spacing exponent for broadcast biases, and
+    whether any spacing lies below 2^-1074, so the snap must test for underflow."""
     bias = np.asarray(bias, dtype=np.int64)
-    return np.ldexp(fmt.max_val, bias), (bias + (1 - fmt.n_m)).astype(np.int32)
+    lo = (bias + (1 - fmt.n_m)).astype(np.int32)
+    return np.ldexp(fmt.max_val, bias), lo, bool(lo.min(initial=0) < _MIN_EXP)
 
 
 def _blocks(x: np.ndarray, *operands: np.ndarray):
     """(x block, operand blocks...) of about _BLOCK_ELEMS elements along x's axis of
     largest stride, contiguous pieces of a C- or F-ordered x; operands broadcast."""
-    if x.size <= _BLOCK_ELEMS:  # one block, without broadcast views: they cost more than a GPTQ row
+    if x.size <= _BLOCK_ELEMS:  # one block, without broadcast views: they cost more than a small snap
         yield x, *operands
         return
     axis = max(range(x.ndim), key=lambda i: abs(x.strides[i]))
@@ -107,41 +113,54 @@ def _blocks(x: np.ndarray, *operands: np.ndarray):
         yield x[block], *(o[block] for o in operands)
 
 
-def _snap(x: np.ndarray, n_m: int, vmax: np.ndarray, lo: np.ndarray) -> np.ndarray:
+def _scratch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The snap's working arrays for a block shaped and laid out like x:
+    magnitudes (float64), then exponents and spacings (int32)."""
+    return np.empty_like(x), np.empty_like(x, dtype=np.int32), np.empty_like(x, dtype=np.int32)
+
+
+def _snap(x: np.ndarray, n_m: int, vmax: np.ndarray, lo: np.ndarray,
+          may_underflow: bool) -> np.ndarray:
     """Snap a 1-D or larger x in place to the nearest grid point, ties away from zero.
 
-    vmax (grid ceiling) and lo (spacing exponent of the lowest level) come
-    from _grid_constants and broadcast against x.  Magnitudes above the
-    ceiling clamp onto it.  The result takes the sign of x < 0, so -0.0
-    maps to +0.0 and a negative value that rounds to zero gives -0.0.
-    Returns x (partly snapped when it raises).
+    vmax (grid ceiling), lo (spacing exponent of the lowest level) and
+    may_underflow come from _grid_constants; vmax and lo broadcast against x.
+    Magnitudes above the ceiling clamp onto it.  The result takes the sign
+    of x < 0, so -0.0 maps to +0.0 and a negative value that rounds to zero
+    gives -0.0.  Returns x (partly snapped when it raises).
     """
-    may_underflow = lo.min(initial=0) < _MIN_EXP
     for xb, vmax_b, lo_b in _blocks(x, vmax, lo):
-        xb += 0.0  # -0.0 becomes +0.0, so copying x's sign back matches x < 0
-        mag = np.minimum(np.abs(xb), vmax_b)
-        exp = np.empty_like(mag, dtype=np.int32)
-        # split mag = m * 2^exp in place, m in [0.5, 1): the mantissa buffer is
-        # the working array, and scaling m by 2^(exp - spacing) is exactly
-        # ldexp(mag, -spacing) without a second float64 array
-        np.frexp(mag, out=(mag, exp))
-        # spacing exponent of the grid level holding mag; the subnormal ramp
-        # shares level 1's spacing (lo), and a zero snaps to 0 at any spacing
-        spacing = exp + np.int32(-1 - n_m)
-        np.maximum(spacing, lo_b, out=spacing)
-        # raise when a value's spacing is below the smallest float64; a zero sits
-        # on the lowest level, so its grid's lowest spacing must be representable
-        if may_underflow and np.any((spacing < _MIN_EXP) | ((mag == 0.0) & (lo_b < _MIN_EXP))):
-            raise NumericalError("grid scale underflowed float64; data magnitude too small")
-        exp -= spacing
-        np.ldexp(mag, exp, out=mag)  # magnitude in units of the grid spacing
-        # floor(mag + 1/2) exactly: adding 1/2 itself rounds 1/2 - 2^-54 up to 1 and
-        # an odd count >= 2^52 up to the next even one; 1/2 - 2^-54 still lifts every tie
-        mag += _HALF_BELOW
-        np.floor(mag, out=mag)
-        np.ldexp(mag, spacing, out=mag)
-        np.copysign(mag, xb, out=xb)
+        _snap_block(xb, n_m, vmax_b, lo_b, may_underflow, *_scratch(xb))
     return x
+
+
+def _snap_block(xb: np.ndarray, n_m: int, vmax: np.ndarray, lo: np.ndarray, may_underflow: bool,
+                mag: np.ndarray, exp: np.ndarray, spacing: np.ndarray) -> None:
+    """_snap's kernel: one block xb, in place, through the three arrays of
+    _scratch(xb), so a caller that reuses them (GPTQ's row step) allocates nothing."""
+    xb += 0.0  # -0.0 becomes +0.0, so copying x's sign back matches x < 0
+    np.abs(xb, out=mag)
+    np.minimum(mag, vmax, out=mag)
+    # split mag = m * 2^exp in place, m in [0.5, 1): the mantissa buffer is
+    # the working array, and scaling m by 2^(exp - spacing) is exactly
+    # ldexp(mag, -spacing) without a second float64 array
+    np.frexp(mag, out=(mag, exp))
+    # spacing exponent of the grid level holding mag; the subnormal ramp
+    # shares level 1's spacing (lo), and a zero snaps to 0 at any spacing
+    np.add(exp, np.int32(-1 - n_m), out=spacing)
+    np.maximum(spacing, lo, out=spacing)
+    # raise when a value's spacing is below the smallest float64; a zero sits
+    # on the lowest level, so its grid's lowest spacing must be representable
+    if may_underflow and np.any((spacing < _MIN_EXP) | ((mag == 0.0) & (lo < _MIN_EXP))):
+        raise NumericalError("grid scale underflowed float64; data magnitude too small")
+    exp -= spacing
+    np.ldexp(mag, exp, out=mag)  # magnitude in units of the grid spacing
+    # floor(mag + 1/2) exactly: adding 1/2 itself rounds 1/2 - 2^-54 up to 1 and
+    # an odd count >= 2^52 up to the next even one; 1/2 - 2^-54 still lifts every tie
+    mag += _HALF_BELOW
+    np.floor(mag, out=mag)
+    np.ldexp(mag, spacing, out=mag)
+    np.copysign(mag, xb, out=xb)
 
 
 def minmax_quantize(
@@ -172,6 +191,7 @@ def snap_per_channel(x: np.ndarray, fmt: FpFormat, bias: np.ndarray | int) -> np
     agrees element-wise with minmax_quantize wherever the bias matches.
     Returns a new array shaped like x.
     """
+    check_format(fmt)
     x = as_working(x, copy=True)
     if not np.isfinite(x).all():
         raise NumericalError("cannot quantize non-finite values")

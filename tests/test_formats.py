@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fpqt import gptq, quantize
 from fpqt.formats import (
     BiasedFormat,
     FpFormat,
@@ -147,3 +148,36 @@ class TestGrid:
     def test_biased_value_max(self):
         assert grid(BiasedFormat(FpFormat(2, 1), -1))[-1] == math.ldexp(FpFormat(2, 1).max_val, -1) == 6.0
         assert grid(BiasedFormat(FpFormat(2, 1), 3))[-1] == math.ldexp(FpFormat(2, 1).max_val, 3) == 96.0
+
+
+class TestFormatArgument:
+    """Every entry point that takes a format names fmt in one TypeError
+    when given anything but an FpFormat, such as the string it parses from."""
+
+    BAD = ["E2M1", None, (2, 1), 4]
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_biased_format_and_grid(self, bad):
+        with pytest.raises(TypeError, match=r"^fmt must be an FpFormat, got "):
+            grid(BiasedFormat(bad, 0))
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    @pytest.mark.parametrize("entry", ["minmax_quantize", "channel_bias", "snap_per_channel"])
+    def test_quantize_entry_points(self, bad, entry):
+        args = (np.ones((4, 3)), bad) + ((0,) if entry == "snap_per_channel" else ())
+        with pytest.raises(TypeError, match=r"^fmt must be an FpFormat, got "):
+            getattr(quantize, entry)(*args)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_gptq_fails_before_it_factors(self, bad, monkeypatch):
+        factored = []
+        monkeypatch.setattr(gptq, "hessian_factor", lambda cal: factored.append(cal))
+        cal = gptq.CalibrationSet(np.eye(4))
+        with pytest.raises(TypeError, match=r"^fmt must be an FpFormat, got "):
+            gptq.gptq_quantize(np.ones((4, 3)), cal, bad)
+        assert factored == []
+
+    def test_a_format_string_points_to_parse_format(self):
+        with pytest.raises(TypeError, match="parse_format"):
+            BiasedFormat("E2M1", 0)
+        assert BiasedFormat(parse_format("E2M1"), 0).fmt == FpFormat(2, 1)

@@ -13,7 +13,7 @@ from fpqt.gptq import (
     hessian_factor,
     layer_objective,
 )
-from fpqt.quantize import channel_bias, minmax_quantize
+from fpqt.quantize import _grid_constants, _snap, channel_bias, minmax_quantize
 from oracles import oracle_gptq, oracle_gptq_2x2, oracle_matmul
 
 E2M1 = FpFormat(2, 1)
@@ -74,6 +74,17 @@ class TestHessianAndObjective:
     def test_objective_zero_for_identical(self, rng):
         w = rng.standard_normal((4, 2))
         assert layer_objective(w, w.copy(), CalibrationSet(np.eye(4))) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_objective_names_the_non_finite_weights(self, rng, bad):
+        cal = CalibrationSet(rng.standard_normal((6, 4)))
+        w = rng.standard_normal((4, 2))
+        broken = w.copy()
+        broken[2, 1] = bad
+        with pytest.raises(NumericalError, match=r"^w holds NaN or Inf$"):
+            layer_objective(broken, w, cal)
+        with pytest.raises(NumericalError, match=r"^w_hat holds NaN or Inf$"):
+            layer_objective(w, broken, cal)
 
     def test_overflowing_objective_is_numerical_error(self, rng):
         cal = CalibrationSet(1e200 * rng.standard_normal((6, 4)))
@@ -322,3 +333,56 @@ class TestGptqQuantize:
         q = gptq_quantize(w, CalibrationSet(np.eye(8)), E2M1)
         assert q.values.shape == (8, 4)
         assert q.bias.shape == (4,)
+
+
+def sweep_row_by_row(w, cal, fmt):
+    """gptq_quantize's sweep, each row snapped by a _snap call of its own (block
+    generator, fresh working arrays) in place of the kernel on reused scratch."""
+    dead, st = hessian_factor(cal)
+    w = np.array(w, order="C")
+    bias = channel_bias(w, fmt, channel_axis=-1)
+    vmax, lo, may_underflow = _grid_constants(fmt, bias)
+    w[dead] = 0.0
+    q = np.empty_like(w)
+    for i1 in range(0, cal.in_dim, gptq.BLOCK_SIZE):
+        i2 = min(i1 + gptq.BLOCK_SIZE, cal.in_dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = st[i1:i2, :i1] @ w[:i1]
+            block += w[i1:i2]
+            for k, j in enumerate(range(i1, i2)):
+                block[k] += st[j, i1:j] @ w[i1:j]
+                q[j] = block[k]
+                _snap(q[j], fmt.n_m, vmax, lo, may_underflow)
+                w[j] -= q[j]
+    return q, bias
+
+
+class TestRowStep:
+    @pytest.mark.parametrize("in_dim", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("cols", [0, 1, 3])
+    @pytest.mark.parametrize("fmt", [E2M1, FpFormat(3, 0), FpFormat(1, 2)], ids=str)
+    def test_sweep_equals_a_snap_call_per_row(self, in_dim, cols, fmt):
+        rng = np.random.default_rng(in_dim * 10 + cols)
+        x = rng.standard_normal((2 * in_dim + 3, in_dim))
+        x[:, 0] *= 25.0
+        x[:, in_dim // 2] = 0.0  # a dead dimension (the only one when in_dim is 1)
+        cal = CalibrationSet(x)
+        w = rng.standard_normal((in_dim, cols)) * np.exp2(rng.integers(-40, 40, size=cols))
+        w[rng.random(w.shape) < 0.1] = 0.0  # zeros and -0.0 after feedback
+        got = gptq_quantize(w, cal, fmt)
+        want, bias = sweep_row_by_row(w, cal, fmt)
+        assert got.values.tobytes() == want.tobytes()
+        assert got.bias.tobytes() == bias.tobytes()
+
+    def test_grid_below_the_smallest_float64_raises_the_snaps_error(self, rng):
+        # column 1 peaks at 2^-1074: its grid's lowest spacing, 2^-1078, is not a float64
+        w = rng.standard_normal((70, 2))
+        w[:, 1] = 0.0
+        w[5, 1] = 5e-324
+        before = w.copy()
+        assert _grid_constants(E2M1, channel_bias(w, E2M1))[2]
+        with pytest.raises(NumericalError, match="grid scale underflowed float64"):
+            gptq_quantize(w, CalibrationSet(rng.standard_normal((90, 70))), E2M1)
+        with pytest.raises(NumericalError, match="grid scale underflowed float64"):
+            minmax_quantize(w, E2M1)
+        assert w.tobytes() == before.tobytes()

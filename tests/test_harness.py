@@ -287,6 +287,34 @@ class TestCalibration:
         odd = HarnessConfig(n=16, heads=2, tokens=24, hidden=32, calib_samples=50)
         assert collect_calibration(odd, w, ())["attn_input"].samples == 50
 
+    def test_sets_are_the_taps_of_full_forwards(self):
+        # 50 samples from 24-token batches: the third draw is cut to 2 rows
+        cfg = HarnessConfig(n=16, heads=2, tokens=24, hidden=32, calib_samples=50, hadamard_seed=3)
+        fused, online = fuse_block(init_weights(cfg), cfg.plan)
+        assert {t.point for t in online} == set(ONLINE_POINTS)
+        tapped = []
+        for i in range(3):
+            tapped.append({})
+            block_forward(gen_activations(cfg, index=i + 1), fused, online, taps=tapped[-1])
+        calib = collect_calibration(cfg, fused, online)
+        for point in ONLINE_POINTS:
+            want = np.vstack([t[point] for t in tapped])[:50]
+            assert calib[point].x.tobytes() == want.tobytes()
+
+    def test_forwards_stop_before_w_fc2(self):
+        class Trap(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                raise AssertionError(f"{ufunc.__name__} read w_fc2")
+
+        cfg = HarnessConfig(**SMALL)
+        fused, online = fuse_block(init_weights(cfg), cfg.plan)
+        trapped = replace(fused, w_fc2=fused.w_fc2.view(Trap))
+        with pytest.raises(AssertionError, match="matmul read w_fc2"):
+            block_forward(gen_activations(cfg, index=1), trapped, online)
+        calib = collect_calibration(cfg, trapped, online)
+        assert all(cal.x.tobytes() == want.x.tobytes()
+                   for cal, want in zip(calib.values(), collect_calibration(cfg, fused, online).values()))
+
     def test_one_factor_per_layer_input(self, monkeypatch):
         calls = []
         original = gptq._upper_cholesky
