@@ -31,9 +31,10 @@ class FormatError(FpqtError):
 
 def check_types(obj) -> None:
     """ValueError naming the first init field of a dataclass whose value its annotation
-    ("int | None") rejects: an int is a non-bool Integral, kept as int; a float a non-bool Real."""
+    ("int | None") rejects: an int is a non-bool Integral, kept as int; a float a non-bool Real.
+    A field annotated with any other type is left to the class's own check."""
     admits = {"int": Integral, "float": Real, "str": str, "bool": bool, "None": type(None)}
-    for f in (f for f in fields(obj) if f.init):
+    for f in (f for f in fields(obj) if f.init and set(f.type.split(" | ")) <= admits.keys()):
         value, kinds = getattr(obj, f.name), tuple(admits[k] for k in f.type.split(" | "))
         if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
             raise ValueError(f"{f.name} must be {f.type}, got {value!r}")

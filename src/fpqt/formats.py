@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_types
+from .errors import NumericalError, check_types
 
 _FORMAT_RE = re.compile(r"^[eE](\d+)[mM](\d+)$")
 
@@ -80,15 +80,27 @@ def check_format(fmt) -> None:
                         + ("; parse_format reads a format string" if isinstance(fmt, str) else ""))
 
 
+def check_bias(fmt: FpFormat, bias) -> None:
+    """NumericalError unless each exponent bias (an integer or integer array)
+    puts fmt's grid ceiling, max_val * 2^bias, in [2^-1076, 2^1024)."""
+    _, exp_v = math.frexp(fmt.max_val)
+    if np.any(bias > 1024 - exp_v) or np.any(bias < -1075 - exp_v):
+        raise NumericalError("exponent bias puts the whole grid outside float64 range")
+
+
 @dataclass(frozen=True)
 class BiasedFormat:
-    """A format anchored at a concrete integer exponent bias."""
+    """A format anchored at a concrete integer exponent bias: TypeError unless
+    fmt is an FpFormat, ValueError naming bias unless it is an integer (an
+    np.int64 is stored as an int), and check_bias's NumericalError."""
 
     fmt: FpFormat
     bias: int
 
     def __post_init__(self):
         check_format(self.fmt)
+        check_types(self)
+        check_bias(self.fmt, self.bias)
 
 
 def parse_format(text: str) -> FpFormat:

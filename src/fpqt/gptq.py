@@ -13,8 +13,8 @@ its bias frozen from w, so weights that read one input sweep as one matrix.
 A sweep takes the snap's grid constants (ceilings, lowest spacings, and
 whether any spacing lies below 2^-1074) once, and makes the snap's three
 row-sized scratch arrays once; the first also takes each row's fed-back
-error, so a row runs the snap's kernel, quantize._snap_block, with no
-allocation.
+error, so a row runs the snap's kernel, quantize._snap_block, from the
+fed-forward row block[k] straight into q[j], with no allocation.
 """
 
 from __future__ import annotations
@@ -183,8 +183,7 @@ def gptq_quantize(w: np.ndarray, cal: CalibrationSet, fmt: FpFormat) -> Quantize
             block += w[i1:i2]
             for k, j in enumerate(range(i1, i2)):
                 block[k] += np.matmul(st[j, i1:j], w[i1:j], out=feed)
-                q[j] = block[k]
-                _snap_block(q[j], fmt.n_m, *grid, *scratch)
+                _snap_block(block[k], q[j], fmt.n_m, *grid, *scratch)
                 w[j] -= q[j]
         if not np.isfinite(block).all():
             raise NumericalError("GPTQ error feedback overflows float64")

@@ -7,16 +7,17 @@ with max_val * 2^b <= max|channel| < max_val * 2^(b+1), so the channel max
 lands inside the top exponent level (elements above the grid ceiling, at
 most 2x, clamp onto it).  An all-zero channel gets bias 0.
 
-One in-place kernel does every snap, as a hardware cast would: clamp the
-magnitude to the grid ceiling, read its binade from the float exponent
-(frexp), raise that to the lowest grid level (the subnormal ramp shares
-level 1's spacing), scale into mantissa units, round half away from zero,
-and scale back.  Both scalings are ldexp by int32 exponents, never a
-multiplication by a reciprocal (which overflows for subnormal spacings), so
-results are bit-reproducible and land exactly on grid points.  Per-channel
-grid constants, with the decision whether to test for underflow, are
-computed once per call, or once per GPTQ sweep, whose row step also reuses
-the kernel's scratch arrays.
+One kernel does every snap, from a source into a destination (the same
+array in place), as a hardware cast would: clamp the magnitude to the grid
+ceiling, read its binade from the float exponent (frexp), raise that to
+the lowest grid level (the subnormal ramp shares level 1's spacing), scale
+into mantissa units, round half away from zero, scale back, and set the
+sign bit by int64 bit operations.  Both scalings are ldexp by int32
+exponents, never a multiplication by a reciprocal (which overflows for
+subnormal spacings), so results are bit-reproducible and land exactly on
+grid points.  Per-channel grid constants, with the decision whether to test
+for underflow, are computed once per call, or once per GPTQ sweep, whose
+row step also reuses the kernel's scratch arrays.
 
 The snap and quant_error run in blocks of about 32 K elements along the
 outermost axis in memory, so each chain of elementwise steps stays in cache.
@@ -32,13 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-from .formats import FpFormat, check_format
+from .formats import FpFormat, check_bias, check_format
 from .tensors import as_working
 
 # exponent of the smallest positive float64, the subnormal 2^-1074
 _MIN_EXP = -1074
 _BLOCK_ELEMS = 1 << 15  # elements per block of the elementwise kernels (256 KiB)
 _HALF_BELOW = 0.5 - 2.0**-54  # the largest float64 below 1/2
+_SIGN = np.int64(-1 << 63)  # the float64 sign bit, as an int64
 
 
 @dataclass(frozen=True)
@@ -100,14 +102,15 @@ def _grid_constants(fmt: FpFormat, bias: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _blocks(x: np.ndarray, *operands: np.ndarray):
     """(x block, operand blocks...) of about _BLOCK_ELEMS elements along x's axis of
-    largest stride, contiguous pieces of a C- or F-ordered x; operands broadcast."""
+    largest stride, contiguous pieces of a C- or F-ordered x; operands of x's shape
+    are sliced as they are (so a writable one yields writable blocks), others broadcast."""
     if x.size <= _BLOCK_ELEMS:  # one block, without broadcast views: they cost more than a small snap
         yield x, *operands
         return
     axis = max(range(x.ndim), key=lambda i: abs(x.strides[i]))
     n = x.shape[axis]
     step = max(1, _BLOCK_ELEMS * n // x.size)
-    operands = [np.broadcast_to(o, x.shape) for o in operands]
+    operands = [o if o.shape == x.shape else np.broadcast_to(o, x.shape) for o in operands]
     for i in range(0, n, step):
         block = (slice(None),) * axis + (slice(i, i + step),)
         yield x[block], *(o[block] for o in operands)
@@ -120,26 +123,28 @@ def _scratch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _snap(x: np.ndarray, n_m: int, vmax: np.ndarray, lo: np.ndarray,
-          may_underflow: bool) -> np.ndarray:
-    """Snap a 1-D or larger x in place to the nearest grid point, ties away from zero.
+          may_underflow: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """Snap a 1-D or larger x to the nearest grid point, ties away from zero,
+    into out (x's shape, float64), or into x itself when out is None.
 
     vmax (grid ceiling), lo (spacing exponent of the lowest level) and
     may_underflow come from _grid_constants; vmax and lo broadcast against x.
     Magnitudes above the ceiling clamp onto it.  The result takes the sign
     of x < 0, so -0.0 maps to +0.0 and a negative value that rounds to zero
-    gives -0.0.  Returns x (partly snapped when it raises).
+    gives -0.0.  Returns out (partly snapped when it raises).
     """
-    for xb, vmax_b, lo_b in _blocks(x, vmax, lo):
-        _snap_block(xb, n_m, vmax_b, lo_b, may_underflow, *_scratch(xb))
-    return x
+    out = x if out is None else out
+    for xb, ob, vmax_b, lo_b in _blocks(x, out, vmax, lo):
+        _snap_block(xb, ob, n_m, vmax_b, lo_b, may_underflow, *_scratch(xb))
+    return out
 
 
-def _snap_block(xb: np.ndarray, n_m: int, vmax: np.ndarray, lo: np.ndarray, may_underflow: bool,
-                mag: np.ndarray, exp: np.ndarray, spacing: np.ndarray) -> None:
-    """_snap's kernel: one block xb, in place, through the three arrays of
-    _scratch(xb), so a caller that reuses them (GPTQ's row step) allocates nothing."""
-    xb += 0.0  # -0.0 becomes +0.0, so copying x's sign back matches x < 0
-    np.abs(xb, out=mag)
+def _snap_block(xb: np.ndarray, ob: np.ndarray, n_m: int, vmax: np.ndarray, lo: np.ndarray,
+                may_underflow: bool, mag: np.ndarray, exp: np.ndarray, spacing: np.ndarray) -> None:
+    """_snap's kernel: one block xb into ob (which may be xb), through the three arrays
+    of _scratch(xb), so a caller that reuses them (GPTQ's row step) allocates nothing."""
+    np.add(xb, 0.0, out=ob)  # -0.0 becomes +0.0, so ob's sign bit is x < 0
+    np.abs(ob, out=mag)
     np.minimum(mag, vmax, out=mag)
     # split mag = m * 2^exp in place, m in [0.5, 1): the mantissa buffer is
     # the working array, and scaling m by 2^(exp - spacing) is exactly
@@ -160,7 +165,9 @@ def _snap_block(xb: np.ndarray, n_m: int, vmax: np.ndarray, lo: np.ndarray, may_
     mag += _HALF_BELOW
     np.floor(mag, out=mag)
     np.ldexp(mag, spacing, out=mag)
-    np.copysign(mag, xb, out=xb)
+    bits = ob.view(np.int64)  # copysign(mag, ob): ob's sign bit, then mag's (>= 0) bits
+    bits &= _SIGN
+    bits |= mag.view(np.int64)
 
 
 def minmax_quantize(
@@ -173,11 +180,13 @@ def minmax_quantize(
     None quantizes the whole tensor on a single grid.  Returns the
     fake-quantized values together with the frozen per-channel biases.
     """
-    values = as_working(a, copy=True)
-    bias = channel_bias(values, fmt, channel_axis)
-    # views of values: a 0-d array is snapped through its 1-element view
-    moved = np.atleast_1d(values) if channel_axis is None else np.moveaxis(values, channel_axis, -1)
-    _snap(moved, fmt.n_m, *_grid_constants(fmt, bias))
+    a = as_working(a)
+    bias = channel_bias(a, fmt, channel_axis)
+    values = np.empty_like(a)
+    # views: a 0-d array is snapped through its 1-element view
+    src, out = np.atleast_1d(a, values) if channel_axis is None else (
+        np.moveaxis(a, channel_axis, -1), np.moveaxis(values, channel_axis, -1))
+    _snap(src, fmt.n_m, *_grid_constants(fmt, bias), out=out)
     return QuantizedTensor(values=values, bias=bias)
 
 
@@ -192,7 +201,7 @@ def snap_per_channel(x: np.ndarray, fmt: FpFormat, bias: np.ndarray | int) -> np
     Returns a new array shaped like x.
     """
     check_format(fmt)
-    x = as_working(x, copy=True)
+    x = as_working(x)
     if not np.isfinite(x).all():
         raise NumericalError("cannot quantize non-finite values")
     bias = np.asarray(bias)
@@ -202,11 +211,11 @@ def snap_per_channel(x: np.ndarray, fmt: FpFormat, bias: np.ndarray | int) -> np
         raise ValueError(f"bias must hold whole numbers, got {bias[~whole][0]}")
     if bias.ndim > x.ndim or any(b not in (1, n) for b, n in zip(bias.shape[::-1], x.shape[::-1])):
         raise ShapeError(f"bias of shape {bias.shape} does not broadcast to values {x.shape}")
-    _, exp_v = math.frexp(fmt.max_val)
-    if np.any(bias > 1024 - exp_v) or np.any(bias < _MIN_EXP - 1 - exp_v):
-        raise NumericalError("exponent bias puts the whole grid outside float64 range")
-    _snap(np.atleast_1d(x), fmt.n_m, *_grid_constants(fmt, bias))  # a view of x, even 0-d
-    return x
+    check_bias(fmt, bias)
+    values = np.empty_like(x)
+    src, out = np.atleast_1d(x, values)  # views, even 0-d
+    _snap(src, fmt.n_m, *_grid_constants(fmt, bias), out=out)
+    return values
 
 
 def quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
@@ -255,13 +264,16 @@ def quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
 
 def _error_sums(a: np.ndarray, q: np.ndarray, k: int, kd: int) -> tuple[float, ...]:
     """One blocked pass over 2^-k a and 2^-k q: exact peak of |a|, |q| and max|a - q|,
-    then sums of (2^-kd (a - q))^2, a^2, q^2 and a*q by numpy, never BLAS."""
+    then sums of (2^-kd (a - q))^2, a^2, q^2 and a*q by numpy, never BLAS.  Blocks of one
+    shape share the scratch d, laid out as a fresh np.subtract result: the sums' order holds."""
     peak = max_abs = sdd = saa = sqq = saq = 0.0
+    d = None
     for ab, qb in _blocks(a, q):
         if k:
             ab, qb = np.ldexp(ab, -k), np.ldexp(qb, -k)
-        peak = np.max([peak, ab.max(), -ab.min(), qb.max(), -qb.min()])
-        d = np.subtract(ab, qb)
+        for m in (ab.max(), -ab.min(), qb.max(), -qb.min()):  # np.maximum keeps a NaN
+            peak = np.maximum(peak, m)
+        d = np.subtract(ab, qb, out=d if d is not None and d.shape == ab.shape else None)
         max_abs = np.maximum(max_abs, np.abs(d, out=d).max())
         if kd:
             np.ldexp(d, -kd, out=d)

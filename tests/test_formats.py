@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fpqt import gptq, quantize
+from fpqt.errors import NumericalError
 from fpqt.formats import (
     BiasedFormat,
     FpFormat,
@@ -148,6 +149,36 @@ class TestGrid:
     def test_biased_value_max(self):
         assert grid(BiasedFormat(FpFormat(2, 1), -1))[-1] == math.ldexp(FpFormat(2, 1).max_val, -1) == 6.0
         assert grid(BiasedFormat(FpFormat(2, 1), 3))[-1] == math.ldexp(FpFormat(2, 1).max_val, 3) == 96.0
+
+
+class TestBiasedFormatBias:
+    """BiasedFormat's bias is an integer whose grid snap_per_channel could use."""
+
+    @pytest.mark.parametrize("bad", [0.5, "1", None, True], ids=repr)
+    def test_non_integer_bias_is_named(self, bad):
+        # 0.5 and '1' used to reach grid's ldexp as a raw numpy error; True was taken as 1
+        with pytest.raises(ValueError, match=r"^bias must be int, got "):
+            BiasedFormat(FpFormat(2, 1), bad)
+
+    def test_numpy_integer_bias_is_stored_as_an_int(self):
+        bf = BiasedFormat(FpFormat(2, 1), np.int64(-3))
+        assert type(bf.bias) is int and bf.bias == -3
+        assert bf == BiasedFormat(FpFormat(2, 1), -3)
+
+    @pytest.mark.parametrize("bias", [1021, -1080, 2000, -2000])
+    def test_bias_outside_the_snaps_range_is_refused_as_the_snap_refuses_it(self, bias):
+        # E2M1's ceiling 12 * 2^bias is finite up to bias 1020 and at least 2^-1076 from -1079 on
+        f = FpFormat(2, 1)
+        with pytest.raises(NumericalError, match="outside float64 range") as by_format:
+            BiasedFormat(f, bias)
+        with pytest.raises(NumericalError) as by_snap:
+            quantize.snap_per_channel(np.ones(2), f, bias)
+        assert str(by_format.value) == str(by_snap.value)
+
+    def test_the_extreme_biases_the_snap_admits_are_admitted(self):
+        f = FpFormat(2, 1)
+        assert grid(BiasedFormat(f, 1020))[-1] == math.ldexp(12.0, 1020)
+        assert BiasedFormat(f, -1079).bias == -1079
 
 
 class TestFormatArgument:

@@ -10,6 +10,8 @@ from fpqt.errors import NumericalError, ShapeError
 from fpqt.formats import BiasedFormat, FpFormat, grid, parse_format
 from fpqt.quantize import (
     _BLOCK_ELEMS,
+    _grid_constants,
+    _snap,
     channel_bias,
     minmax_quantize,
     quant_error,
@@ -463,6 +465,53 @@ class TestBlockedKernels:
         minmax_quantize(a[:-1], E2M1, channel_axis=0)
 
 
+class TestSourceAndDestination:
+    """The snap reads its source and writes a separate destination: the entry
+    points make no working copy of their input and never write to it."""
+
+    ROWS = TestBlockedKernels.ROWS
+
+    @staticmethod
+    def layouts(rng):
+        """(name, input, channel axis): inputs the snap reads where they lie."""
+        a = TestBlockedKernels.pooled(rng, (TestBlockedKernels.ROWS, 7))
+        a[:3] = [[-0.0] * 7, [-1e-9] * 7, [1e-9] * 7]  # -0.0, and values that round to +-0
+        frozen = a.copy()
+        frozen.flags.writeable = False
+        wide = TestBlockedKernels.pooled(rng, (2 * TestBlockedKernels.ROWS, 15))
+        return [("read-only", frozen, -1), ("F-ordered", np.asfortranarray(a), -1),
+                ("strided", wide[::2, 1::2], -1), ("transposed", a.T, 0),
+                ("float32", a.astype(np.float32), -1), ("0-d", np.array(-2.7), None),
+                ("0-d float32", np.array(-0.0, dtype=np.float32), None)]
+
+    def test_inputs_are_left_byte_identical(self, rng):
+        for name, a, axis in self.layouts(rng):
+            before = a.tobytes()
+            ref = np.array(a, dtype=np.float64, order="C")  # the same values, fresh
+            want = minmax_quantize(ref, E2M1, axis)
+            got = minmax_quantize(a, E2M1, axis)
+            assert got.values.tobytes() == want.values.tobytes(), name
+            assert got.bias.tobytes() == want.bias.tobytes(), name
+            bias = want.bias if axis != 0 else want.bias[:, None]
+            assert snap_per_channel(a, E2M1, bias).tobytes() == want.values.tobytes(), name
+            assert a.tobytes() == before, name
+
+    @pytest.mark.parametrize("shape", [(5,), (ROWS, 7), (2, _BLOCK_ELEMS + 3)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_snap_into_out_equals_the_in_place_snap(self, rng, shape, order):
+        x = np.asarray(TestBlockedKernels.pooled(rng, shape), order=order)
+        x.flat[:4] = [-0.0, 0.0, -1e-9, 1e-9]  # signed zeros in and out
+        fmt = FpFormat(3, 0)
+        grid = _grid_constants(fmt, channel_bias(x, fmt))
+        in_place = x.copy(order=order)
+        assert _snap(in_place, fmt.n_m, *grid) is in_place
+        src, out = x.copy(order=order), np.full_like(x, np.nan)
+        assert _snap(src, fmt.n_m, *grid, out=out) is out
+        assert out.tobytes() == in_place.tobytes()
+        assert np.array_equal(np.signbit(out), x < 0)
+        assert src.tobytes() == x.tobytes()
+
+
 class TestQuantErrorAcrossBlocks:
     SHAPE = (3 * (_BLOCK_ELEMS // 5) + 2, 5)
 
@@ -479,6 +528,16 @@ class TestQuantErrorAcrossBlocks:
             self.expect_oracle(a, minmax_quantize(a, fmt).values)
         self.expect_oracle(a[:, 1:], minmax_quantize(a[:, 1:], E2M1).values)  # a strided view
         self.expect_oracle(np.asfortranarray(a), minmax_quantize(a, E2M1).values)
+
+    def test_sums_follow_memory_order_in_any_layout(self, rng):
+        # an F-ordered pair is summed block by block in memory order, as its
+        # C-ordered transpose is, so every metric is the same float; blocks of
+        # this shape hold 109 columns, the last one 73
+        for _ in range(8):  # another order agrees on about 2 blocks in 3
+            a = rng.standard_normal((300, 400)) * np.exp2(rng.integers(-8, 9, size=400))
+            q = minmax_quantize(a, E2M1).values
+            got = quant_error(np.asfortranarray(a), np.asfortranarray(q))
+            assert got == quant_error(np.ascontiguousarray(a.T), np.ascontiguousarray(q.T))
 
     def test_huge_peak_only_in_the_last_block(self, rng):
         a = rng.standard_normal(self.SHAPE)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,48 @@ class TestSpreadIndicator:
                 want = float(np.abs(before).max()) / oracle_quantile_nearest_rank(before, alpha)
                 assert spread_indicator(w, alpha) == want
             assert np.array_equal(np.asarray(w), before)
+
+
+def partition_spread(w, alpha):
+    """spread_indicator by a float64 np.partition of |W|, the reference for
+    the partition of |W|'s int64 view."""
+    mags = np.abs(np.asarray(w, dtype=np.float64)).ravel()
+    k = math.ceil(alpha / 100.0 * mags.size) - 1
+    mags = np.partition(mags, k)
+    denom, top = float(mags[k]), float(mags.max())
+    if denom == 0.0:
+        return 1.0 if top == 0.0 else float("inf")
+    return top / denom
+
+
+class TestIntegerKeyedPartition:
+    """spread_indicator partitions the int64 view of |W|: non-negative float64
+    values order like their bit patterns, so it picks the float partition's values."""
+
+    SUB = 5e-324  # the smallest subnormal
+    EDGES = np.array([0.0, -0.0, SUB, -SUB, 2 * SUB, 2.2e-308, -2.2e-308,
+                      1.0, -1.0, 1.0, 3.5, -3.5, 1e300])
+
+    @pytest.mark.parametrize("alpha", [1e-9, 0.5, 25.0, 50.0, 99.5, 100.0 - 1e-9])
+    def test_equals_a_float64_partition(self, rng, alpha):
+        cases = [self.EDGES, rng.choice(self.EDGES, size=257), rng.choice(self.EDGES[:5], size=64),
+                 np.array([-0.0, 0.0, 0.0]), np.array([-0.0]), np.array([-self.SUB]), np.array([2.5]),
+                 rng.standard_normal((9, 7)) * np.exp2(rng.integers(-1070, 1000, size=7)),
+                 np.append(self.EDGES, rng.standard_normal(5000) * np.exp2(rng.integers(-60, 60, 5000)))]
+        for w in cases:
+            assert spread_indicator(w, alpha) == partition_spread(w, alpha)
+
+    @pytest.mark.parametrize("alpha", [1e-9, 50.0, 100.0 - 1e-9])
+    @pytest.mark.parametrize("bad", [np.nan, -np.nan, np.inf, -np.inf], ids=["nan", "-nan", "inf", "-inf"])
+    def test_nan_and_inf_are_refused_at_any_place(self, rng, alpha, bad):
+        # -nan carries the sign bit: its magnitude, not its bits, must sort last
+        for at in (0, 40, 99):
+            w = rng.choice(self.EDGES, size=100)
+            w[at] = bad
+            with pytest.raises(NumericalError, match="non-finite"):
+                spread_indicator(w, alpha)
+        with pytest.raises(NumericalError, match="non-finite"):
+            spread_indicator(np.array([bad]), alpha)
 
 
 class TestSelectFormat:
