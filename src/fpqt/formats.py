@@ -121,9 +121,11 @@ def candidate_formats(n_bits: int) -> list[FpFormat]:
 def grid(bf: BiasedFormat) -> np.ndarray:
     """All nonnegative representable magnitudes, sorted ascending.
 
-    Always starts at 0; negatives are the mirror image.  Built with exact
-    power-of-two scaling so every grid point is a float64-exact value for
-    any bias reachable from finite float64 data.
+    Always starts at 0; negatives are the mirror image.  Built by exact
+    power-of-two scaling: for bias >= n_m - 1075, where the lowest spacing
+    2^(1 - n_m + bias) is at least 2^-1074, every point is exact and the
+    points strictly ascend.  Below that, down to what check_bias admits,
+    points under 2^-1074 round as np.ldexp rounds them, so some coincide.
     """
     f = bf.fmt
     sub = np.arange(0, 1 << f.n_m, dtype=np.float64)

@@ -10,11 +10,9 @@ on the original w: no triangular inverse, no division in the sweep.  Each
 call factors its calibration set and keeps no factor; each output channel
 depends on its own column alone and snaps on the grid MinMax would give it,
 its bias frozen from w, so weights that read one input sweep as one matrix.
-A sweep takes the snap's grid constants (ceilings, lowest spacings, and
-whether any spacing lies below 2^-1074) once, and makes the snap's three
-row-sized scratch arrays once; the first also takes each row's fed-back
-error, so a row runs the snap's kernel, quantize._snap_block, from the
-fed-forward row block[k] straight into q[j], with no allocation.
+A sweep makes one quantize._Grid, which works out the grid constants once
+and keeps the snap's row-sized scratch, so a row snaps the fed-forward row
+block[k] straight into q[j] with no allocation.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError
 from .formats import FpFormat
-from .quantize import QuantizedTensor, _grid_constants, _scratch, _snap_block, channel_bias
+from .quantize import QuantizedTensor, _Grid, channel_bias
 from .tensors import as_working
 
 DAMPING = 1e-2  # added to the Hessian diagonal, relative to its mean
@@ -167,13 +165,12 @@ def gptq_quantize(w: np.ndarray, cal: CalibrationSet, fmt: FpFormat) -> Quantize
     bias = channel_bias(w, fmt, channel_axis=-1)  # a bad fmt or a NaN fails before the factor
     dead, st = hessian_factor(cal)  # before the copy, so its scratch never meets it
     w = np.array(w, order="C")  # a copy: dead rows zeroed, then w - q
-    grid = _grid_constants(fmt, bias)  # ceilings, spacings and the underflow test, once
     w[dead] = 0.0
 
     q = np.empty_like(w)
+    grid = _Grid(fmt, bias)  # constants once, scratch reused by every row
     pre = np.empty((min(BLOCK_SIZE, cal.in_dim), w.shape[1]))  # one block, reused
-    scratch = _scratch(q[0])  # the row snap's three arrays, reused
-    feed = scratch[0]  # the row's fed-back error, before the snap reuses the array
+    feed = np.empty(w.shape[1])  # the row's fed-back error, reused
     for i1 in range(0, cal.in_dim, BLOCK_SIZE):
         i2 = min(i1 + BLOCK_SIZE, cal.in_dim)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -183,7 +180,7 @@ def gptq_quantize(w: np.ndarray, cal: CalibrationSet, fmt: FpFormat) -> Quantize
             block += w[i1:i2]
             for k, j in enumerate(range(i1, i2)):
                 block[k] += np.matmul(st[j, i1:j], w[i1:j], out=feed)
-                _snap_block(block[k], q[j], fmt.n_m, *grid, *scratch)
+                grid.snap(block[k], q[j])
                 w[j] -= q[j]
         if not np.isfinite(block).all():
             raise NumericalError("GPTQ error feedback overflows float64")

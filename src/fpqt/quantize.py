@@ -15,9 +15,10 @@ into mantissa units, round half away from zero, scale back, and set the
 sign bit by int64 bit operations.  Both scalings are ldexp by int32
 exponents, never a multiplication by a reciprocal (which overflows for
 subnormal spacings), so results are bit-reproducible and land exactly on
-grid points.  Per-channel grid constants, with the decision whether to test
-for underflow, are computed once per call, or once per GPTQ sweep, whose
-row step also reuses the kernel's scratch arrays.
+grid points.  That kernel is _Grid.snap: a _Grid holds the per-channel grid
+constants, with the decision whether to test for underflow, and the
+kernel's scratch arrays, and is made once per call, or once per GPTQ sweep,
+whose row step then allocates nothing.
 
 The snap and quant_error run in blocks of about 32 K elements along the
 outermost axis in memory, so each chain of elementwise steps stays in cache.
@@ -92,14 +93,6 @@ def channel_bias(a: np.ndarray, fmt: FpFormat, channel_axis: int | None = -1) ->
     return np.where(amax == 0.0, np.int64(0), bias)
 
 
-def _grid_constants(fmt: FpFormat, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Grid ceiling and lowest-level spacing exponent for broadcast biases, and
-    whether any spacing lies below 2^-1074, so the snap must test for underflow."""
-    bias = np.asarray(bias, dtype=np.int64)
-    lo = (bias + (1 - fmt.n_m)).astype(np.int32)
-    return np.ldexp(fmt.max_val, bias), lo, bool(lo.min(initial=0) < _MIN_EXP)
-
-
 def _blocks(x: np.ndarray, *operands: np.ndarray):
     """(x block, operand blocks...) of about _BLOCK_ELEMS elements along x's axis of
     largest stride, contiguous pieces of a C- or F-ordered x; operands of x's shape
@@ -116,58 +109,61 @@ def _blocks(x: np.ndarray, *operands: np.ndarray):
         yield x[block], *(o[block] for o in operands)
 
 
-def _scratch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The snap's working arrays for a block shaped and laid out like x:
-    magnitudes (float64), then exponents and spacings (int32)."""
-    return np.empty_like(x), np.empty_like(x, dtype=np.int32), np.empty_like(x, dtype=np.int32)
+class _Grid:
+    """The snap onto fmt's grids at integer exponent biases that broadcast against
+    the values: grid ceilings vmax, lowest-level spacing exponents lo, and whether
+    any spacing lies below 2^-1074 (may_underflow, so the snap must test for it),
+    worked out once.  Its scratch arrays are made once per block shape and reused,
+    so a grid serves one call or one GPTQ sweep and is never shared."""
 
+    def __init__(self, fmt: FpFormat, bias: np.ndarray):
+        bias = np.asarray(bias, dtype=np.int64)
+        self.n_m = fmt.n_m
+        self.vmax = np.ldexp(fmt.max_val, bias)
+        self.lo = (bias + (1 - fmt.n_m)).astype(np.int32)
+        self.may_underflow = bool(self.lo.min(initial=0) < _MIN_EXP)
+        self.scratch = None  # magnitudes (float64), exponents, spacings (int32), magnitude bits
 
-def _snap(x: np.ndarray, n_m: int, vmax: np.ndarray, lo: np.ndarray,
-          may_underflow: bool, out: np.ndarray | None = None) -> np.ndarray:
-    """Snap a 1-D or larger x to the nearest grid point, ties away from zero,
-    into out (x's shape, float64), or into x itself when out is None.
+    def snap(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Snap a 1-D or larger x to the nearest grid point, ties away from zero,
+        into out (x's shape, float64; x itself snaps in place).
 
-    vmax (grid ceiling), lo (spacing exponent of the lowest level) and
-    may_underflow come from _grid_constants; vmax and lo broadcast against x.
-    Magnitudes above the ceiling clamp onto it.  The result takes the sign
-    of x < 0, so -0.0 maps to +0.0 and a negative value that rounds to zero
-    gives -0.0.  Returns out (partly snapped when it raises).
-    """
-    out = x if out is None else out
-    for xb, ob, vmax_b, lo_b in _blocks(x, out, vmax, lo):
-        _snap_block(xb, ob, n_m, vmax_b, lo_b, may_underflow, *_scratch(xb))
-    return out
-
-
-def _snap_block(xb: np.ndarray, ob: np.ndarray, n_m: int, vmax: np.ndarray, lo: np.ndarray,
-                may_underflow: bool, mag: np.ndarray, exp: np.ndarray, spacing: np.ndarray) -> None:
-    """_snap's kernel: one block xb into ob (which may be xb), through the three arrays
-    of _scratch(xb), so a caller that reuses them (GPTQ's row step) allocates nothing."""
-    np.add(xb, 0.0, out=ob)  # -0.0 becomes +0.0, so ob's sign bit is x < 0
-    np.abs(ob, out=mag)
-    np.minimum(mag, vmax, out=mag)
-    # split mag = m * 2^exp in place, m in [0.5, 1): the mantissa buffer is
-    # the working array, and scaling m by 2^(exp - spacing) is exactly
-    # ldexp(mag, -spacing) without a second float64 array
-    np.frexp(mag, out=(mag, exp))
-    # spacing exponent of the grid level holding mag; the subnormal ramp
-    # shares level 1's spacing (lo), and a zero snaps to 0 at any spacing
-    np.add(exp, np.int32(-1 - n_m), out=spacing)
-    np.maximum(spacing, lo, out=spacing)
-    # raise when a value's spacing is below the smallest float64; a zero sits
-    # on the lowest level, so its grid's lowest spacing must be representable
-    if may_underflow and np.any((spacing < _MIN_EXP) | ((mag == 0.0) & (lo < _MIN_EXP))):
-        raise NumericalError("grid scale underflowed float64; data magnitude too small")
-    exp -= spacing
-    np.ldexp(mag, exp, out=mag)  # magnitude in units of the grid spacing
-    # floor(mag + 1/2) exactly: adding 1/2 itself rounds 1/2 - 2^-54 up to 1 and
-    # an odd count >= 2^52 up to the next even one; 1/2 - 2^-54 still lifts every tie
-    mag += _HALF_BELOW
-    np.floor(mag, out=mag)
-    np.ldexp(mag, spacing, out=mag)
-    bits = ob.view(np.int64)  # copysign(mag, ob): ob's sign bit, then mag's (>= 0) bits
-    bits &= _SIGN
-    bits |= mag.view(np.int64)
+        Magnitudes above the ceiling clamp onto it.  The result takes the sign
+        of x < 0, so -0.0 maps to +0.0 and a negative value that rounds to zero
+        gives -0.0.  Returns out (partly snapped when it raises).
+        """
+        for xb, ob, vmax, lo in _blocks(x, out, self.vmax, self.lo):
+            if self.scratch is None or self.scratch[0].shape != xb.shape:
+                mag = np.empty_like(xb)
+                self.scratch = (mag, np.empty_like(xb, dtype=np.int32),
+                                np.empty_like(xb, dtype=np.int32), mag.view(np.int64))
+            mag, exp, spacing, mag_bits = self.scratch
+            np.add(xb, 0.0, out=ob)  # -0.0 becomes +0.0, so ob's sign bit is x < 0
+            np.abs(ob, out=mag)
+            np.minimum(mag, vmax, out=mag)
+            # split mag = m * 2^exp in place, m in [0.5, 1): the mantissa buffer is
+            # the working array, and scaling m by 2^(exp - spacing) is exactly
+            # ldexp(mag, -spacing) without a second float64 array
+            np.frexp(mag, out=(mag, exp))
+            # spacing exponent of the grid level holding mag; the subnormal ramp
+            # shares level 1's spacing (lo), and a zero snaps to 0 at any spacing
+            np.add(exp, np.int32(-1 - self.n_m), out=spacing)
+            np.maximum(spacing, lo, out=spacing)
+            # raise when a value's spacing is below the smallest float64; a zero sits
+            # on the lowest level, so its grid's lowest spacing must be representable
+            if self.may_underflow and np.any((spacing < _MIN_EXP) | ((mag == 0.0) & (lo < _MIN_EXP))):
+                raise NumericalError("grid scale underflowed float64; data magnitude too small")
+            exp -= spacing
+            np.ldexp(mag, exp, out=mag)  # magnitude in units of the grid spacing
+            # floor(mag + 1/2) exactly: adding 1/2 itself rounds 1/2 - 2^-54 up to 1 and
+            # an odd count >= 2^52 up to the next even one; 1/2 - 2^-54 still lifts every tie
+            mag += _HALF_BELOW
+            np.floor(mag, out=mag)
+            np.ldexp(mag, spacing, out=mag)
+            bits = ob.view(np.int64)  # copysign(mag, ob): ob's sign bit, then mag's (>= 0) bits
+            bits &= _SIGN
+            bits |= mag_bits
+        return out
 
 
 def minmax_quantize(
@@ -186,15 +182,15 @@ def minmax_quantize(
     # views: a 0-d array is snapped through its 1-element view
     src, out = np.atleast_1d(a, values) if channel_axis is None else (
         np.moveaxis(a, channel_axis, -1), np.moveaxis(values, channel_axis, -1))
-    _snap(src, fmt.n_m, *_grid_constants(fmt, bias), out=out)
+    _Grid(fmt, bias).snap(src, out)
     return QuantizedTensor(values=values, bias=bias)
 
 
 def snap_per_channel(x: np.ndarray, fmt: FpFormat, bias: np.ndarray | int) -> np.ndarray:
     """Snap values onto minifloat grids with a broadcast exponent bias.
 
-    bias is an integer or an integer array (whole floats such as 1.0 count)
-    that broadcasts against x: a scalar puts every element on one fixed
+    bias is an integer or an integer array (whole floats such as 1.0 count,
+    bools do not) that broadcasts against x: a scalar puts every element on one fixed
     grid, a vector along the last axis gives each column its own.  Nearest
     point, ties away from zero, magnitudes beyond the ceiling clamped;
     agrees element-wise with minmax_quantize wherever the bias matches.
@@ -205,7 +201,7 @@ def snap_per_channel(x: np.ndarray, fmt: FpFormat, bias: np.ndarray | int) -> np
     if not np.isfinite(x).all():
         raise NumericalError("cannot quantize non-finite values")
     bias = np.asarray(bias)
-    if bias.dtype.kind not in "biuf":
+    if bias.dtype.kind not in "iuf":
         raise TypeError(f"bias must be an integer or integer array, got dtype {bias.dtype}")
     if bias.dtype.kind == "f" and not (whole := bias == np.floor(bias)).all():  # NaN is not whole
         raise ValueError(f"bias must hold whole numbers, got {bias[~whole][0]}")
@@ -214,7 +210,7 @@ def snap_per_channel(x: np.ndarray, fmt: FpFormat, bias: np.ndarray | int) -> np
     check_bias(fmt, bias)
     values = np.empty_like(x)
     src, out = np.atleast_1d(x, values)  # views, even 0-d
-    _snap(src, fmt.n_m, *_grid_constants(fmt, bias), out=out)
+    _Grid(fmt, bias).snap(src, out)
     return values
 
 

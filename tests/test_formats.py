@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,6 +146,24 @@ class TestGrid:
         assert g[0] == 0.0
         assert g[-1] == math.ldexp(f.max_val, bf.bias)
         assert np.all(np.diff(g) > 0)
+
+    @pytest.mark.parametrize("n_e,n_m", [(2, 1), (3, 0), (1, 2), (4, 3)])
+    def test_points_are_exact_and_ascending_from_bias_n_m_minus_1075(self, n_e, n_m):
+        # from bias n_m - 1075 on, the lowest spacing 2^(1 - n_m + bias) is a float64
+        f = FpFormat(n_e, n_m)
+        floor = n_m - 1075
+
+        def exact(bias):
+            return [Fraction(m) * Fraction(2) ** (1 - n_m + bias) for m in range(1 << n_m)] + [
+                Fraction(m) * Fraction(2) ** (e - n_m + bias)
+                for e in range(1, 1 << n_e) for m in range(1 << n_m, 2 << n_m)]
+
+        g = grid(BiasedFormat(f, floor))
+        assert [Fraction(v) for v in g.tolist()] == exact(floor)
+        assert np.all(np.diff(g) > 0)
+        below = grid(BiasedFormat(f, floor - 1))  # admitted, but its lowest points round
+        assert [Fraction(v) for v in below.tolist()] != exact(floor - 1)
+        assert not np.all(np.diff(below) > 0)
 
     def test_biased_value_max(self):
         assert grid(BiasedFormat(FpFormat(2, 1), -1))[-1] == math.ldexp(FpFormat(2, 1).max_val, -1) == 6.0

@@ -13,7 +13,7 @@ from fpqt.gptq import (
     hessian_factor,
     layer_objective,
 )
-from fpqt.quantize import _grid_constants, _snap, channel_bias, minmax_quantize
+from fpqt.quantize import _Grid, channel_bias, minmax_quantize
 from oracles import oracle_gptq, oracle_gptq_2x2, oracle_matmul
 
 E2M1 = FpFormat(2, 1)
@@ -336,12 +336,11 @@ class TestGptqQuantize:
 
 
 def sweep_row_by_row(w, cal, fmt):
-    """gptq_quantize's sweep, each row snapped by a _snap call of its own (block
-    generator, fresh working arrays) in place of the kernel on reused scratch."""
+    """gptq_quantize's sweep, each row snapped in place by a _Grid of its own
+    (fresh scratch) in place of the sweep's one grid and its reused scratch."""
     dead, st = hessian_factor(cal)
     w = np.array(w, order="C")
     bias = channel_bias(w, fmt, channel_axis=-1)
-    vmax, lo, may_underflow = _grid_constants(fmt, bias)
     w[dead] = 0.0
     q = np.empty_like(w)
     for i1 in range(0, cal.in_dim, gptq.BLOCK_SIZE):
@@ -352,7 +351,7 @@ def sweep_row_by_row(w, cal, fmt):
             for k, j in enumerate(range(i1, i2)):
                 block[k] += st[j, i1:j] @ w[i1:j]
                 q[j] = block[k]
-                _snap(q[j], fmt.n_m, vmax, lo, may_underflow)
+                _Grid(fmt, bias).snap(q[j], q[j])
                 w[j] -= q[j]
     return q, bias
 
@@ -380,7 +379,7 @@ class TestRowStep:
         w[:, 1] = 0.0
         w[5, 1] = 5e-324
         before = w.copy()
-        assert _grid_constants(E2M1, channel_bias(w, E2M1))[2]
+        assert _Grid(E2M1, channel_bias(w, E2M1)).may_underflow
         with pytest.raises(NumericalError, match="grid scale underflowed float64"):
             gptq_quantize(w, CalibrationSet(rng.standard_normal((90, 70))), E2M1)
         with pytest.raises(NumericalError, match="grid scale underflowed float64"):

@@ -100,10 +100,10 @@ def test_no_module_imports_scipy_at_import_time(path):
 
 
 # the underscore names a package module may import from another one; a name
-# leaves the list once no module imports it.  gptq's row step runs the snap
-# kernel in its own scratch arrays, and collect_calibration runs the block's
-# forward body up to its last tap.
-PRIVATE_IMPORTS = {"gptq.py": {"_grid_constants", "_scratch", "_snap_block"},
+# leaves the list once no module imports it.  gptq's sweep snaps its rows on
+# one _Grid, the snap with its constants and scratch, and collect_calibration
+# runs the block's forward body up to its last tap.
+PRIVATE_IMPORTS = {"gptq.py": {"_Grid"},
                    "harness.py": {"_block_forward"},
                    "cli.py": {"_replacing", "_write_entries"}}
 

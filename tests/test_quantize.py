@@ -10,8 +10,7 @@ from fpqt.errors import NumericalError, ShapeError
 from fpqt.formats import BiasedFormat, FpFormat, grid, parse_format
 from fpqt.quantize import (
     _BLOCK_ELEMS,
-    _grid_constants,
-    _snap,
+    _Grid,
     channel_bias,
     minmax_quantize,
     quant_error,
@@ -302,6 +301,13 @@ class TestRoundToGrid:
             with pytest.raises(TypeError, match=r"^bias must be an integer or integer array"):
                 snap_per_channel(np.array([1.0, 3.0]), E2M1, bias)
 
+    def test_rejects_bool_bias(self):
+        # True used to snap at bias 1, as [True, False] did at biases [1, 0]
+        for bias in (True, np.array([True, False])):
+            with pytest.raises(TypeError, match=r"^bias must be an integer or integer array, "
+                                                r"got dtype bool$"):
+                snap_per_channel(np.array([1.0, 3.0]), E2M1, bias)
+
     def test_rejects_bias_outside_float64_range(self):
         # E2M1 max_val is 12 = 0.75 * 2^4: the ceiling overflows past bias 1020
         assert snap_per_channel(np.array([1.5e308]), E2M1, 1020)[0] == math.ldexp(12.0, 1020)
@@ -502,14 +508,26 @@ class TestSourceAndDestination:
         x = np.asarray(TestBlockedKernels.pooled(rng, shape), order=order)
         x.flat[:4] = [-0.0, 0.0, -1e-9, 1e-9]  # signed zeros in and out
         fmt = FpFormat(3, 0)
-        grid = _grid_constants(fmt, channel_bias(x, fmt))
+        grid = _Grid(fmt, channel_bias(x, fmt))
         in_place = x.copy(order=order)
-        assert _snap(in_place, fmt.n_m, *grid) is in_place
+        assert grid.snap(in_place, in_place) is in_place
         src, out = x.copy(order=order), np.full_like(x, np.nan)
-        assert _snap(src, fmt.n_m, *grid, out=out) is out
+        assert grid.snap(src, out) is out
         assert out.tobytes() == in_place.tobytes()
         assert np.array_equal(np.signbit(out), x < 0)
         assert src.tobytes() == x.tobytes()
+
+    def test_one_grid_snaps_arrays_of_other_block_shapes(self, rng):
+        # the grid's scratch follows the block shape: full and short blocks, a row, F order
+        bias = rng.integers(-2, 3, size=7)
+        grid = _Grid(E2M1, bias)
+        rows = TestBlockedKernels.ROWS
+        for x in (TestBlockedKernels.pooled(rng, (rows, 7)), TestBlockedKernels.pooled(rng, (7,)),
+                  np.asfortranarray(TestBlockedKernels.pooled(rng, (rows + 2, 7)))):
+            x.flat[:4] = [-0.0, 0.0, -1e-9, 1e-9]  # signed zeros in and out
+            want = oracle_snap(x, 2, 1, bias)
+            want = np.where(x < 0, -np.abs(want), np.abs(want))  # the snap's sign is x < 0
+            assert grid.snap(x, np.empty_like(x)).tobytes() == want.tobytes()
 
 
 class TestQuantErrorAcrossBlocks:
