@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -104,7 +105,9 @@ class BiasedFormat:
 
 
 def parse_format(text: str) -> FpFormat:
-    """Parse 'E<k>M<j>' (case-insensitive) into an FpFormat."""
+    """Parse 'E<k>M<j>' (case-insensitive) into an FpFormat; TypeError unless text is a str."""
+    if not isinstance(text, str):
+        raise TypeError(f"format must be a str such as 'E2M1', got {type(text).__name__} {text!r}")
     m = _FORMAT_RE.match(text.strip())
     if m is None:
         raise ValueError(f"not a recognizable format string: {text!r} (expected E<k>M<j>)")
@@ -112,7 +115,10 @@ def parse_format(text: str) -> FpFormat:
 
 
 def candidate_formats(n_bits: int) -> list[FpFormat]:
-    """All ExMy layouts of a given total width, ordered by ascending n_e."""
+    """All ExMy layouts of a given total width, ordered by ascending n_e;
+    TypeError unless n_bits is an integer (not a bool)."""
+    if not isinstance(n_bits, Integral) or isinstance(n_bits, bool):
+        raise TypeError(f"total width must be an integer, got {type(n_bits).__name__} {n_bits!r}")
     if not 2 <= n_bits <= 8:
         raise ValueError(f"total width must be in 2..8 bits, got {n_bits}")
     return [FpFormat(n_e, n_bits - 1 - n_e) for n_e in range(1, n_bits)]

@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError
+from .errors import NumericalError, ShapeError, check_types
 from .hadamard import HadamardSpec, apply_right
 from .tensors import as_working
 
@@ -150,6 +150,8 @@ class OnlineTransform:
     def __post_init__(self):
         if self.point not in ONLINE_POINTS:
             raise ValueError(f"unknown online point {self.point!r}; have {ONLINE_POINTS}")
+        if not isinstance(self.spec, HadamardSpec):
+            raise TypeError(f"spec must be a HadamardSpec, got {type(self.spec).__name__}")
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,7 @@ class FusionPlan:
     heads_spec: HadamardSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_types(self)
         if self.v_mode not in V_MODES:
             raise ValueError(f"unknown v_mode {self.v_mode!r}; have {V_MODES}")
         if self.heads < 1 or self.n % self.heads != 0:
@@ -281,15 +284,18 @@ def cross_head_apply(x: np.ndarray, heads_spec: HadamardSpec) -> np.ndarray:
     Only log2(h) butterfly stages per within-head coordinate: cost
     m * n * log2(h) additions via the fast path on the head axis.
     """
-    h = heads_spec.dim
+    x, h = as_working(x), heads_spec.dim
     if x.ndim != 2 or x.shape[1] % h != 0:
         raise ShapeError(f"expected (m, {h} * head_dim) input, got {x.shape}")
     return heads_spec.mix(x, (len(x), h, x.shape[1] // h))
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
-    """Scaled dot-product attention per head, as batched matmul over heads."""
+    """Scaled dot-product attention per head, as batched matmul over heads;
+    ShapeError unless heads divides the width."""
     tokens, n = q.shape
+    if heads < 1 or n % heads != 0:
+        raise ShapeError(f"head count {heads} must divide width {n}")
     d = n // heads
     qh = q.reshape(tokens, heads, d).transpose(1, 0, 2)  # (heads, tokens, d)
     kh = k.reshape(tokens, heads, d).transpose(1, 2, 0)  # (heads, d, tokens)
@@ -331,14 +337,12 @@ def _int_form(x: np.ndarray, bits: int, axis: int, dtype: type,
         return None
     shift = bits - e
     q = np.ldexp(x, np.expand_dims(shift, axis))
-    form = q.astype(dtype)
-    # a cast to an integer dtype drops any fraction; one to float32 may round it away
-    if not np.array_equal(form if form.dtype.kind == "i" else np.rint(q), q):
+    if not np.array_equal(np.rint(q), q):
         return None
     # only a negative shift can sink a nonzero value to zero
     if shift.min(initial=0) < 0 and np.count_nonzero(q) != np.count_nonzero(x):
         return None
-    return _IntForm(form, np.ldexp(1.0, e - bits))
+    return _IntForm(q.astype(dtype), np.ldexp(1.0, e - bits))
 
 
 def _exact_gemm(a: _IntForm, w: _IntForm) -> np.ndarray:
@@ -356,14 +360,22 @@ def block_forward(
     online: tuple[OnlineTransform, ...] = (),
     act_quant: Callable[[np.ndarray, str], np.ndarray] | None = None,
     taps: dict[str, np.ndarray] | None = None,
-) -> np.ndarray:
+    *,
+    taps_only: bool = False,
+) -> np.ndarray | None:
     """Run the block.  The six linear layers read four inputs, one per
     ONLINE_POINTS entry (see LAYER_INPUTS), and each input passes one feed
     step: the online transform scheduled at its point, if any, then the
     tap (taps[point] = a, when taps is given), then act_quant(a, point),
     when given.  An act_quant result of another shape is a ShapeError, a
     complex one a TypeError and one holding NaN or Inf a NumericalError,
-    each naming the point.
+    each naming the point.  With taps_only, which needs taps, the forward
+    returns None once the last point (post_gelu) is tapped, without the
+    w_fc2 GEMM and residual add: calibration reads the four taps alone.
+
+    The body runs with numpy's overflow and invalid warnings off; an output
+    that is not finite, from NaN, Inf or overflowing weights, is a
+    NumericalError instead.
 
     With act_quant given, a layer whose input has the per-row integer form
     with s_a = GEMM_BITS - WEIGHT_BITS - ceil(log2 K) (see _int_form; K is
@@ -378,19 +390,8 @@ def block_forward(
     sum and scaled result a normal float64, and both BLAS sums start from
     +0.0, so a zero result is +0.0 on either path.  W_q, W_k and W_v share
     their input's form."""
-    return _block_forward(x, weights, online, act_quant, taps)
-
-
-def _block_forward(
-    x: np.ndarray,
-    weights: DiTBlockWeights,
-    online: tuple[OnlineTransform, ...],
-    act_quant: Callable[[np.ndarray, str], np.ndarray] | None,
-    taps: dict[str, np.ndarray] | None,
-    taps_only: bool = False,
-) -> np.ndarray | None:
-    """block_forward's body.  With taps_only, it returns None once the last
-    point (post_gelu) is tapped, without the w_fc2 GEMM and residual add."""
+    if taps_only and taps is None:
+        raise ValueError("taps_only needs a taps dict to fill")
     x = as_working(x)
     if x.ndim != 2 or x.shape[1] != weights.n:
         raise ShapeError(f"expected (tokens, {weights.n}) input, got {x.shape}")
@@ -428,9 +429,15 @@ def _block_forward(
         w_form = weights.int_form(name) if form is not None else None
         return a @ getattr(weights, name) if w_form is None else _exact_gemm(form, w_form)
 
-    a = feed(layer_norm(x, weights.ln1_gamma, weights.ln1_beta), "attn_input")
-    ctx = attention(linear(a, "w_q"), linear(a, "w_k"), linear(a, "w_v"), weights.heads)
-    x2 = x + linear(feed(ctx, "post_attention"), "w_out")
-    f = feed(layer_norm(x2, weights.ln2_gamma, weights.ln2_beta), "ffn_input")
-    h = feed(gelu(linear(f, "w_fc1")), "post_gelu")
-    return None if taps_only else x2 + linear(h, "w_fc2")
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = feed(layer_norm(x, weights.ln1_gamma, weights.ln1_beta), "attn_input")
+        ctx = attention(linear(a, "w_q"), linear(a, "w_k"), linear(a, "w_v"), weights.heads)
+        x2 = x + linear(feed(ctx, "post_attention"), "w_out")
+        f = feed(layer_norm(x2, weights.ln2_gamma, weights.ln2_beta), "ffn_input")
+        h = feed(gelu(linear(f, "w_fc1")), "post_gelu")
+        if taps_only:  # a non-finite tap is refused by CalibrationSet
+            return None
+        out = x2 + linear(h, "w_fc2")
+    if not np.isfinite(out).all():
+        raise NumericalError("block output holds NaN or Inf, from NaN, Inf or overflowing weights")
+    return out

@@ -17,9 +17,10 @@ That bias sits on the matmul's contraction axis and changes with the batch,
 so it cannot be folded into the weights offline.  perfbench's serve-w4a4
 workload quantizes per token (channel_axis=0) instead.
 
-A HarnessConfig builds its FusionPlan (cfg.plan) and fixed weight format
-(cfg.weight_fmt) once.  estimate_cost costs each transform of cfg.plan.online
-as op_count(tokens * width // order), width being its point's input width.
+A HarnessConfig builds its FusionPlan (cfg.plan), activation format
+(cfg.act_fmt) and fixed weight format (cfg.weight_fmt) once.  estimate_cost
+costs each transform of cfg.plan.online as op_count(tokens * width // order),
+width being its point's input width.
 
 The report is a plain JSON-serializable structure with a versioned schema;
 serialization is deterministic, so identical config and seed give
@@ -46,7 +47,6 @@ from .fusion import (
     DiTBlockWeights,
     FusionPlan,
     OnlineTransform,
-    _block_forward,
     block_forward,
     fuse_block,
     layer_shapes,
@@ -111,8 +111,8 @@ class HarnessConfig:
             raise ValueError(f"method must be gptq or rtn, got {self.method!r}")
         if not 0.0 <= self.heavy_tail_fraction <= 1.0:
             raise ValueError("heavy_tail_fraction must be in [0, 1]")
-        parse_format(self.act_format)
-        self.weight_fmt  # built here, as is the plan below, and cached for the run
+        self.act_fmt  # built here, as are weight_fmt and the plan, and cached for the run
+        self.weight_fmt
         SelectionConfig(n_bits=self.weight_bits, alpha=self.alpha)
         self.plan
         for name in ("seed", "hadamard_seed"):  # the report echoes a seed even when unused
@@ -124,6 +124,10 @@ class HarnessConfig:
         return self.hidden if self.hidden is not None else 4 * self.n
 
     # built once per config and cached; not fields, so asdict, == and hash skip them
+    @cached_property
+    def act_fmt(self) -> FpFormat:
+        return parse_format(self.act_format)
+
     @cached_property
     def weight_fmt(self) -> FpFormat | None:  # None: 'auto' selects each layer's format
         return None if self.weight_format == "auto" else parse_format(self.weight_format)
@@ -232,7 +236,7 @@ def collect_calibration(
     tapped: list[dict[str, np.ndarray]] = [{} for _ in range(draws)]
     for i, taps in enumerate(tapped):
         x = gen_activations(cfg, index=i + 1)
-        _block_forward(x, weights, online, None, taps, taps_only=True)
+        block_forward(x, weights, online, taps=taps, taps_only=True)
     return {point: CalibrationSet(np.vstack([t[point] for t in tapped])[: cfg.calib_samples])
             for point in ONLINE_POINTS}
 
@@ -370,10 +374,9 @@ def run(cfg: HarnessConfig) -> QuantReport:
         qbase, layer_reports = quantize_block_weights(  # the calibration sets die with the call
             cfg, qbase, collect_calibration(cfg, qbase, online) if cfg.method == "gptq" else None)
 
-    act_fmt = parse_format(cfg.act_format)
     act_quant = None
     if cfg.quantize_acts:
-        act_quant = lambda a, point: minmax_quantize(a, act_fmt, channel_axis=-1).values
+        act_quant = lambda a, point: minmax_quantize(a, cfg.act_fmt, channel_axis=-1).values
 
     out = block_forward(x, qbase, online, act_quant=act_quant, taps=taps)
     post = taps["attn_input"]  # the same input after the online transform

@@ -101,8 +101,9 @@ def iter_tensors(path) -> Iterator[tuple[str, np.ndarray]]:
     bytes, or non-finite payload values.  Each field is checked against the
     file size before it is read; the trailing-bytes check runs once the last
     entry has been consumed.  The file is closed when the stream ends, fails
-    or is closed.
+    or is closed.  TypeError unless path is a str, bytes or os.PathLike.
     """
+    _check_path(path)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -172,6 +173,8 @@ def _write_entries(path, pairs: Iterable[tuple[str, np.ndarray]]) -> int:
         fh.write(MAGIC + struct.pack("<BI", VERSION, 0))
         names: set[str] = set()
         for name, value in pairs:
+            if not isinstance(name, str):
+                raise TypeError(f"tensor name must be a str, got {type(name).__name__} {name!r}")
             if name in names:
                 raise ValueError(f"duplicate tensor name {name!r}")
             names.add(name)
@@ -193,6 +196,13 @@ def _write_entries(path, pairs: Iterable[tuple[str, np.ndarray]]) -> int:
     return len(names)
 
 
+def _check_path(path) -> None:
+    """TypeError unless path is a str, bytes or os.PathLike: open() would take
+    an int as a file descriptor of the caller's, and close it."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise TypeError(f"path must be a str, bytes or os.PathLike, got {type(path).__name__}")
+
+
 @contextmanager
 def _replacing(path) -> Iterator[BinaryIO]:
     """Yield a binary file that replaces path (its target, if path is a
@@ -201,6 +211,7 @@ def _replacing(path) -> Iterator[BinaryIO]:
     mode 0o666 less the umask, as open(path, "wb") would give.  Raises
     FileExistsError when path exists and is not a regular file.  An OSError
     naming no file, or the temporary one, is raised again naming path."""
+    _check_path(path)
     real = os.path.realpath(path)
     if os.path.exists(real) and not os.path.isfile(real):
         raise FileExistsError(f"{real!r} exists and is not a regular file")

@@ -100,6 +100,11 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             parse_format(bad)
 
+    @pytest.mark.parametrize("bad", [4, None, b"E2M1"])
+    def test_non_string_is_a_type_error(self, bad):
+        with pytest.raises(TypeError, match="format must be a str"):
+            parse_format(bad)
+
 
 class TestCandidates:
     def test_four_bit_candidates(self):
@@ -117,6 +122,14 @@ class TestCandidates:
             candidate_formats(1)
         with pytest.raises(ValueError):
             candidate_formats(9)
+
+    @pytest.mark.parametrize("bad", [4.0, "4", True])
+    def test_non_integer_width_is_a_type_error(self, bad):
+        with pytest.raises(TypeError, match="total width must be an integer"):
+            candidate_formats(bad)
+
+    def test_numpy_integer_width_is_accepted(self):
+        assert candidate_formats(np.int64(4)) == candidate_formats(4)
 
 
 class TestGrid:

@@ -219,6 +219,13 @@ class TestAttention:
         assert got.shape == (tokens, n)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("heads", [0, -2, 3])
+    def test_heads_that_do_not_divide_the_width_rejected(self, heads):
+        # 0 used to divide by zero, and 3 at width 4 failed in numpy's reshape
+        q = np.ones((2, 4))
+        with pytest.raises(ShapeError, match=f"head count {heads} must divide width 4"):
+            attention(q, q, q, heads)
+
 
 def assert_block_roundtrip(w, plan):
     """fuse_block then fuse_block(..., inverse=True) gives back every matrix,
@@ -309,6 +316,11 @@ class TestOnlineSchedule:
         with pytest.raises(ValueError):
             OnlineTransform(point="nowhere", spec=build(8))
 
+    def test_spec_must_be_a_hadamard_spec(self):
+        # a string was accepted and the forward failed later on its .mix
+        with pytest.raises(TypeError, match="spec must be a HadamardSpec, got str"):
+            OnlineTransform("attn_input", "x")
+
     def test_unknown_v_mode_rejected(self):
         w = make_weights()
         with pytest.raises(ValueError):
@@ -333,6 +345,10 @@ class TestCrossHeadApply:
     def test_width_heads_does_not_divide_rejected(self, rng, width):
         with pytest.raises(ShapeError, match=rf"4 \* head_dim.*\(3, {width}\)"):
             cross_head_apply(rng.standard_normal((3, width)), build(4))
+
+    def test_complex_input_is_a_type_error(self):
+        with pytest.raises(TypeError, match="complex input is not supported"):
+            cross_head_apply(np.ones((2, 8), dtype=complex), build(4))
 
 
 class TestFusionPlan:
@@ -365,6 +381,13 @@ class TestFusionPlan:
     def test_unconstructible_order_names_its_role(self, dims, role):
         with pytest.raises(ValueError, match=re.escape(role)):
             FusionPlan(*dims)
+
+    @pytest.mark.parametrize("field, value", [("seed", "1"), ("n", 4.0), ("heads", None),
+                                              ("v_mode", 0)])
+    def test_wrong_type_rejected_naming_the_field(self, field, value):
+        args = {"n": 4, "hidden": 16, "heads": 2, "seed": 1, "v_mode": "per_head_exact"}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            FusionPlan(**{**args, field: value})
 
     def test_heads_must_divide_n(self):
         with pytest.raises(ValueError, match="heads 3 must divide n 32"):
@@ -440,6 +463,29 @@ class TestBlockForward:
         # the shape check comes first
         with pytest.raises(ShapeError):
             block_forward(np.full((4, w.n + 1), bad), w)
+
+    @pytest.mark.parametrize("name", LAYER_NAMES)
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_weights_raise_without_a_warning(self, rng, name, bad):
+        # an Inf weight used to warn in matmul, and a NaN one gave an all-NaN output
+        w = make_weights(n=16, heads=2)
+        m = getattr(w, name).copy()
+        m[0, 0] = bad
+        x = rng.standard_normal((4, 16))
+        with pytest.raises(NumericalError, match="block output holds NaN or Inf"):
+            block_forward(x, replace(w, **{name: m}))  # RuntimeWarnings are errors here
+
+    def test_taps_only_stops_at_the_last_tap_and_needs_taps(self, rng):
+        w = make_weights(n=16, heads=2)
+        x = rng.standard_normal((4, 16))
+        full, tapped = {}, {}
+        block_forward(x, w, taps=full)
+        assert block_forward(x, w, taps=tapped, taps_only=True) is None
+        assert all(tapped[p].tobytes() == full[p].tobytes() for p in ONLINE_POINTS)
+        with pytest.raises(ValueError, match="taps_only needs a taps dict"):
+            block_forward(x, w, taps_only=True)
+        with pytest.raises(TypeError):  # keyword-only
+            block_forward(x, w, (), None, {}, True)
 
     def test_duplicate_online_point_rejected(self, rng):
         w = make_weights()

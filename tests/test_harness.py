@@ -103,7 +103,7 @@ class TestConfig:
                             lambda self: plans.append(self) or init(self))
         monkeypatch.setattr(harness, "parse_format", lambda text: parsed.append(text) or parse(text))
         run(HarnessConfig(**SMALL, weight_format="E3M0", act_format="E2M1", method=method))
-        assert len(plans) == 1 and parsed.count("E3M0") == 1
+        assert len(plans) == 1 and parsed.count("E3M0") == 1 and parsed.count("E2M1") == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -300,6 +300,17 @@ class TestCalibration:
         for point in ONLINE_POINTS:
             want = np.vstack([t[point] for t in tapped])[:50]
             assert calib[point].x.tobytes() == want.tobytes()
+
+    def test_forwards_are_calls_of_the_public_forward(self, monkeypatch):
+        # one call per seeded draw, through the name a tracer wraps
+        calls = []
+        forward = harness.block_forward
+        monkeypatch.setattr(harness, "block_forward",
+                            lambda *args, **kw: calls.append(kw) or forward(*args, **kw))
+        cfg = HarnessConfig(n=16, heads=2, tokens=24, hidden=32, calib_samples=50)
+        fused, online = fuse_block(init_weights(cfg), cfg.plan)
+        collect_calibration(cfg, fused, online)
+        assert len(calls) == 3 and all(kw["taps_only"] for kw in calls)
 
     def test_forwards_stop_before_w_fc2(self):
         class Trap(np.ndarray):

@@ -101,10 +101,8 @@ def test_no_module_imports_scipy_at_import_time(path):
 
 # the underscore names a package module may import from another one; a name
 # leaves the list once no module imports it.  gptq's sweep snaps its rows on
-# one _Grid, the snap with its constants and scratch, and collect_calibration
-# runs the block's forward body up to its last tap.
+# one _Grid, the snap with its constants and scratch.
 PRIVATE_IMPORTS = {"gptq.py": {"_Grid"},
-                   "harness.py": {"_block_forward"},
                    "cli.py": {"_replacing", "_write_entries"}}
 
 

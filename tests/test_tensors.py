@@ -161,6 +161,38 @@ class TestContainerRoundtrip:
             write_tensors(tmp_container(), {"a": np.array([np.inf])})
 
 
+class TestPathArgument:
+    def test_a_file_descriptor_is_refused_and_left_open(self, tmp_container):
+        path = tmp_container()
+        write_tensors(path, {"a": np.ones(2)})
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            for call in (read_tensors, lambda p: next(iter_tensors(p)),
+                         lambda p: write_tensors(p, {"a": np.ones(2)})):
+                with pytest.raises(TypeError, match="path must be a str, bytes or os.PathLike"):
+                    call(fd)
+            os.fstat(fd)  # still the caller's
+        finally:
+            os.close(fd)
+
+    @pytest.mark.parametrize("bad", [None, 3.0, ["a.fpqt"]])
+    def test_other_non_paths_are_refused(self, bad):
+        for call in (read_tensors, lambda p: write_tensors(p, {})):
+            with pytest.raises(TypeError, match="path must be a str, bytes or os.PathLike"):
+                call(bad)
+
+    def test_bytes_and_pathlike_paths_are_accepted(self, tmp_path):
+        write_tensors(tmp_path / "a.fpqt", {"a": np.ones(2)})
+        assert list(read_tensors(os.fsencode(tmp_path / "a.fpqt"))) == ["a"]
+
+    def test_a_non_string_name_is_refused_and_the_file_left(self, tmp_container):
+        path = tmp_container()
+        write_tensors(path, {"a": np.ones(2)})
+        with pytest.raises(TypeError, match="tensor name must be a str, got int 1"):
+            write_tensors(path, {"b": np.ones(2), 1: np.ones(2)})
+        assert list(read_tensors(path)) == ["a"]
+
+
 class TestContainerErrors:
     def _valid_bytes(self, tmp_path):
         path = str(tmp_path / "ok.fpqt")
