@@ -43,6 +43,7 @@ from .tensors import (
     _write_entries,
     channel_max_median_ratio,
     iter_tensors,
+    max_abs,
     read_tensors,
     write_tensors,
 )
@@ -115,7 +116,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                 "max": float(t.max()),
                 "mean": float(t.mean()),
                 "std": float(t.std()),
-                "max_abs": float(np.abs(t).max()),
+                "max_abs": float(max_abs(t)),
                 "spread": spread_indicator(t, args.alpha),
             }
             if t.ndim == 2:
@@ -211,10 +212,10 @@ def cmd_hadamard(args: argparse.Namespace) -> int:
             )
         x = np.random.default_rng(args.seed or 0).standard_normal((8, args.dim))
         dense = realize(spec)
-        ops["check_max_abs_err"] = float(np.abs(apply_right(x, spec) - x @ dense).max())
+        ops["check_max_abs_err"] = float(max_abs(apply_right(x, spec) - x @ dense))
         back = apply_right(x, spec, transpose=True)
-        ops["check_max_abs_err_transpose"] = float(np.abs(back - x @ dense.T).max())
-        ortho = float(np.abs(dense.T @ dense - np.eye(args.dim)).max())
+        ops["check_max_abs_err_transpose"] = float(max_abs(back - x @ dense.T))
+        ortho = float(max_abs(dense.T @ dense - np.eye(args.dim)))
         ops["check_orthonormality_err"] = ortho
     print(strict_json(ops))
     return 0

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError, check_types
 from .hadamard import HadamardSpec, apply_right
-from .tensors import as_working
+from .tensors import as_working, max_abs
 
 LN_EPS = 1e-6
 # the float32 GEMM path: every integer of magnitude below 2^24 is a float32
@@ -58,6 +58,7 @@ EXP_WINDOW = 400  # |peak exponent| of a row or column; keeps products and resul
 ONLINE_POINTS = ("attn_input", "post_attention", "ffn_input", "post_gelu")
 V_MODES = ("per_head_exact", "paper_literal")
 LAYER_NAMES = ("w_q", "w_k", "w_v", "w_out", "w_fc1", "w_fc2")
+NORM_NAMES = ("ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta")
 # the input point each linear layer reads; W_q, W_k and W_v share one input
 LAYER_INPUTS = {"w_q": "attn_input", "w_k": "attn_input", "w_v": "attn_input",
                 "w_out": "post_attention", "w_fc1": "ffn_input", "w_fc2": "post_gelu"}
@@ -93,7 +94,7 @@ class DiTBlockWeights:
         for name, shape in layer_shapes(n, self.hidden).items():
             if getattr(self, name).shape != shape:
                 raise ShapeError(f"{name} must be {shape}, got {getattr(self, name).shape}")
-        for name in ("ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta"):
+        for name in NORM_NAMES:
             if getattr(self, name).shape != (n,):
                 raise ShapeError(f"{name} must be {(n,)}, got {getattr(self, name).shape}")
         if self.heads < 1 or n % self.heads != 0:
@@ -228,14 +229,17 @@ def fuse_block(
         w = plan.head_spec.mix(w, (-1, d, 1), inverse)
         return plan.heads_spec.mix(w, (-1, h, d), inverse) if literal else w
 
-    # the two wide matrices first: a fold's scratch then meets the fewest folded matrices
-    fused = {"w_fc2": left(weights.w_fc2, plan.hidden_spec),
-             **{name: left(getattr(weights, name)) for name in ("w_fc1", "w_q", "w_k")}}
+    # the folds are independent and run in decreasing order of scratch, so the
+    # most scratch meets the fewest folded matrices: w_fc2 and w_fc1 (a wide
+    # stage output and result), then w_v and w_out (two chained mixes: three
+    # n x n arrays), then w_q and w_k (two)
+    fused = {"w_fc2": left(weights.w_fc2, plan.hidden_spec), "w_fc1": left(weights.w_fc1)}
     fused["w_v"] = left(value(weights.w_v)) if inverse else value(left(weights.w_v))
     # per_head_exact: (H_h (x) H_d)^T W_out; paper_literal: (H_h (x) H_d) W_out
     t = inverse != literal
     fused["w_out"] = plan.heads_spec.mix(plan.head_spec.mix(weights.w_out, (h, d, -1), t),
                                          (1, h, -1), t)
+    fused.update({name: left(getattr(weights, name)) for name in ("w_q", "w_k")})
     return replace(weights, **fused), () if inverse else plan.online
 
 
@@ -248,9 +252,9 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
     """Per-token layer norm with learned scale/shift, eps = 1e-6.  A row peaking
     beyond 2^256 is first scaled by an exact power of two into [2^127, 2^128),
     so its variance cannot overflow and eps stays negligible beside it."""
-    _, k = np.frexp(np.abs(x).max(axis=-1, keepdims=True))
+    _, k = np.frexp(max_abs(x, -1))
     if (k > 256).any():
-        x = np.ldexp(x, np.where(k > 256, 128 - k, 0))
+        x = np.ldexp(x, np.where(k > 256, 128 - k, 0)[..., np.newaxis])
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     return (x - mean) / np.sqrt(var + LN_EPS) * gamma + beta
@@ -316,20 +320,15 @@ class _IntForm:
     scale: np.ndarray
 
 
-def _peak(x: np.ndarray, axis: int) -> np.ndarray:
-    """max |x| along axis (0 for an empty line); NaN or inf when the line holds one."""
-    return np.maximum(x.max(axis=axis, initial=0.0), -x.min(axis=axis, initial=0.0))
-
-
 def _int_form(x: np.ndarray, bits: int, axis: int, dtype: type,
               peak: np.ndarray | None = None) -> _IntForm | None:
     """The integer form of a 2-D x with s = bits, per row (axis=1) or per
     column (axis=0): q = ldexp(x, s - e) held as dtype, which must hold
-    every integer below 2^s; peak is _peak(x, axis), when the caller has it.
+    every integer below 2^s; peak is max_abs(x, axis), when the caller has it.
     None unless every peak is finite with |e| at most EXP_WINDOW (a zero
     peak has e = 0) and every q is an integer."""
     if peak is None:
-        peak = _peak(x, axis)
+        peak = max_abs(x, axis)
     if not np.isfinite(peak).all():
         return None
     _, e = np.frexp(peak)
@@ -354,6 +353,16 @@ def _exact_gemm(a: _IntForm, w: _IntForm) -> np.ndarray:
     return out
 
 
+def _name_non_finite(weights: DiTBlockWeights, exc: NumericalError) -> None:
+    """Raise a NumericalError, chained from exc, that names each matrix or
+    layer-norm vector of weights holding NaN or Inf, if any does."""
+    arrays = {**weights.matrices(), **{name: getattr(weights, name) for name in NORM_NAMES}}
+    bad = [name for name, w in arrays.items() if not np.isfinite(w).all()]
+    if bad:
+        raise NumericalError(f"{', '.join(bad)} {'holds' if len(bad) == 1 else 'hold'} "
+                             f"NaN or Inf") from exc
+
+
 def block_forward(
     x: np.ndarray,
     weights: DiTBlockWeights,
@@ -373,9 +382,12 @@ def block_forward(
     returns None once the last point (post_gelu) is tapped, without the
     w_fc2 GEMM and residual add: calibration reads the four taps alone.
 
-    The body runs with numpy's overflow and invalid warnings off; an output
-    that is not finite, from NaN, Inf or overflowing weights, is a
-    NumericalError instead.
+    The body runs with numpy's overflow and invalid warnings off.  When
+    act_quant raises a NumericalError or gives NaN or Inf, or the output is
+    not finite, the weights are scanned, on that path alone: a NumericalError
+    chained from the first error names each matrix or layer-norm vector
+    holding NaN or Inf.  With all of them finite the first error stands, and
+    a non-finite output is a NumericalError saying the values overflowed.
 
     With act_quant given, a layer whose input has the per-row integer form
     with s_a = GEMM_BITS - WEIGHT_BITS - ceil(log2 K) (see _int_form; K is
@@ -418,7 +430,7 @@ def block_forward(
         q = as_working(q)
         if q.shape != a.shape:
             raise ShapeError(f"act_quant gave shape {q.shape} at {point!r}, expected {a.shape}")
-        peak = _peak(q, 1)
+        peak = max_abs(q, 1)
         if not np.isfinite(peak).all():
             raise NumericalError(f"act_quant gave NaN or Inf at {point!r}")
         bits = GEMM_BITS - WEIGHT_BITS - (q.shape[1] - 1).bit_length()
@@ -429,15 +441,20 @@ def block_forward(
         w_form = weights.int_form(name) if form is not None else None
         return a @ getattr(weights, name) if w_form is None else _exact_gemm(form, w_form)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = feed(layer_norm(x, weights.ln1_gamma, weights.ln1_beta), "attn_input")
-        ctx = attention(linear(a, "w_q"), linear(a, "w_k"), linear(a, "w_v"), weights.heads)
-        x2 = x + linear(feed(ctx, "post_attention"), "w_out")
-        f = feed(layer_norm(x2, weights.ln2_gamma, weights.ln2_beta), "ffn_input")
-        h = feed(gelu(linear(f, "w_fc1")), "post_gelu")
-        if taps_only:  # a non-finite tap is refused by CalibrationSet
-            return None
-        out = x2 + linear(h, "w_fc2")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = feed(layer_norm(x, weights.ln1_gamma, weights.ln1_beta), "attn_input")
+            ctx = attention(linear(a, "w_q"), linear(a, "w_k"), linear(a, "w_v"), weights.heads)
+            x2 = x + linear(feed(ctx, "post_attention"), "w_out")
+            f = feed(layer_norm(x2, weights.ln2_gamma, weights.ln2_beta), "ffn_input")
+            h = feed(gelu(linear(f, "w_fc1")), "post_gelu")
+            if taps_only:  # a non-finite tap is refused by CalibrationSet
+                return None
+            out = x2 + linear(h, "w_fc2")
+    except NumericalError as exc:  # from act_quant or its result's check
+        _name_non_finite(weights, exc)
+        raise
     if not np.isfinite(out).all():
-        raise NumericalError("block output holds NaN or Inf, from NaN, Inf or overflowing weights")
+        _name_non_finite(weights, NumericalError("block output holds NaN or Inf"))
+        raise NumericalError("block output holds NaN or Inf: its values overflowed")
     return out

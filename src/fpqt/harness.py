@@ -55,7 +55,7 @@ from .gptq import CalibrationSet, gptq_quantize
 from .hadamard import op_count
 from .quantize import minmax_quantize, quant_error
 from .select import SelectionConfig, format_for_spread, spread_indicator
-from .tensors import WORKING_DTYPE, channel_max_median_ratio
+from .tensors import WORKING_DTYPE, channel_max_median_ratio, max_abs
 
 SCHEMA_VERSION = 1
 HEAVY_TAIL_SCALE = 10.0
@@ -314,7 +314,7 @@ def distribution_stats(batch: np.ndarray) -> dict:
     unless the batch is 2-D and nonempty."""
     ratio = channel_max_median_ratio(batch)
     x = batch.ravel()
-    _, k = math.frexp(float(np.abs(x).max(initial=0.0)))
+    _, k = math.frexp(float(max_abs(x)))
     if abs(k) > 256:
         x = np.ldexp(x, -k)
     mean = x.mean()

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError
 from .formats import FpFormat, check_bias, check_format
-from .tensors import as_working
+from .tensors import as_working, max_abs
 
 # exponent of the smallest positive float64, the subnormal 2^-1074
 _MIN_EXP = -1074
@@ -81,7 +81,7 @@ def channel_bias(a: np.ndarray, fmt: FpFormat, channel_axis: int | None = -1) ->
             raise ShapeError(f"channel_axis {channel_axis} is outside shape {a.shape}")
         a = np.moveaxis(a, channel_axis, -1)
         axis = tuple(range(a.ndim - 1))
-    amax = np.maximum(a.max(axis=axis, initial=0.0), -a.min(axis=axis, initial=0.0))
+    amax = max_abs(a, axis)
     if not np.isfinite(amax).all():  # max and min carry any NaN or Inf through
         raise NumericalError("cannot quantize non-finite values")
 

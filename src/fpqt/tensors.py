@@ -63,6 +63,14 @@ def as_working(x, copy: bool = False) -> np.ndarray:
     return np.array(x, dtype=WORKING_DTYPE) if copy else np.asarray(x, dtype=WORKING_DTYPE)
 
 
+def max_abs(x: np.ndarray, axis: int | tuple[int, ...] | None = None) -> np.ndarray:
+    """max |x| along axis (over all of x for None), without an |x| copy: 0.0
+    for an empty line and +0.0, never -0.0, for an all-zero one; NaN or Inf
+    when the line holds one."""
+    peak = np.maximum(x.max(axis=axis, initial=0.0), -x.min(axis=axis, initial=0.0))
+    return peak + 0.0  # np.maximum(0.0, -0.0) may give -0.0
+
+
 def channel_stat(x: np.ndarray, stat: str) -> np.ndarray:
     """Per-channel statistic of a nonempty 2-D batch (rows = samples, columns =
     channels); stat 'max_abs', the peak magnitude of each channel, is the one there
@@ -72,7 +80,7 @@ def channel_stat(x: np.ndarray, stat: str) -> np.ndarray:
         raise ShapeError(f"channel_stat needs a nonempty 2-D batch, got shape {x.shape}")
     if stat != "max_abs":
         raise ValueError(f"unknown stat {stat!r}; expected max_abs")
-    peaks = np.abs(x).max(axis=0)
+    peaks = max_abs(x, 0)
     if not np.isfinite(peaks).all():  # the max carries any NaN or Inf through
         raise NumericalError("channel statistics of non-finite values are undefined")
     return peaks

@@ -120,6 +120,15 @@ class TestInspectCommand:
         assert data["w"]["shape"] == [8, 4]
         assert "channel_max_median_ratio" in data["w"]
 
+    def test_max_abs_of_negative_zeros_prints_positive_zero(self, capsys, tmp_path):
+        path = str(tmp_path / "t.fpqt")
+        write_tensors(path, {"z": np.full((2, 3), -0.0), "w": np.array([-4.0, 0.5])})
+        code, out, _ = run_cli(capsys, "inspect", path, "--json")
+        data = json.loads(out)
+        assert code == 0
+        assert data["z"]["max_abs"] == 0.0 and not np.signbit(data["z"]["max_abs"])
+        assert data["w"]["max_abs"] == 4.0
+
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "inspect", str(tmp_path / "nope.fpqt"))
         assert code == 2

@@ -7,6 +7,7 @@ import pytest
 import scipy.special
 
 from fpqt.errors import NumericalError, ShapeError
+from fpqt.formats import FpFormat
 from fpqt.fusion import (
     LAYER_INPUTS,
     LAYER_NAMES,
@@ -24,6 +25,7 @@ from fpqt.fusion import (
     softmax,
 )
 from fpqt.hadamard import build, realize
+from fpqt.quantize import minmax_quantize
 
 
 def make_weights(n=32, heads=2, hidden=None, seed=0) -> DiTBlockWeights:
@@ -46,6 +48,11 @@ def make_weights(n=32, heads=2, hidden=None, seed=0) -> DiTBlockWeights:
         ln2_gamma=1.0 + 0.1 * rng.standard_normal(n),
         ln2_beta=0.1 * rng.standard_normal(n),
     )
+
+
+def e2m1(a, point):
+    """The harness's activation quantizer at E2M1: one bias per channel."""
+    return minmax_quantize(a, FpFormat(2, 1), channel_axis=-1).values
 
 
 def rel_err(a, b):
@@ -467,13 +474,49 @@ class TestBlockForward:
     @pytest.mark.parametrize("name", LAYER_NAMES)
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_weights_raise_without_a_warning(self, rng, name, bad):
-        # an Inf weight used to warn in matmul, and a NaN one gave an all-NaN output
+        # an Inf weight used to warn in matmul, and a NaN one gave an all-NaN
+        # output; past an act_quant, NaN or Inf in w_q .. w_fc1 surfaced as the
+        # quantizer's "cannot quantize non-finite values", naming no layer
         w = make_weights(n=16, heads=2)
         m = getattr(w, name).copy()
         m[0, 0] = bad
         x = rng.standard_normal((4, 16))
-        with pytest.raises(NumericalError, match="block output holds NaN or Inf"):
-            block_forward(x, replace(w, **{name: m}))  # RuntimeWarnings are errors here
+        for act_quant in (None, e2m1):
+            with pytest.raises(NumericalError, match=f"^{name} holds NaN or Inf$") as info:
+                block_forward(x, replace(w, **{name: m}), act_quant=act_quant)  # no warning
+            assert isinstance(info.value.__cause__, NumericalError)
+
+    def test_every_non_finite_array_is_named(self, rng):
+        w = make_weights(n=16, heads=2)
+        bad = {"w_k": w.w_k.copy(), "w_fc2": w.w_fc2.copy(), "ln2_beta": w.ln2_beta.copy()}
+        for a in bad.values():
+            a.flat[-1] = np.nan
+        with pytest.raises(NumericalError, match="^w_k, w_fc2, ln2_beta hold NaN or Inf$"):
+            block_forward(rng.standard_normal((4, 16)), replace(w, **bad))
+
+    def test_a_non_finite_act_quant_result_names_the_weights(self, rng):
+        w = make_weights(n=16, heads=2)
+        x = rng.standard_normal((4, 16))
+        nan_out = lambda a, point: np.full_like(a, np.nan)
+        with pytest.raises(NumericalError, match="^act_quant gave NaN or Inf at 'attn_input'$"):
+            block_forward(x, w, act_quant=nan_out)  # finite weights: the first error stands
+        w_v = w.w_v.copy()
+        w_v[0, 0] = np.inf
+        with pytest.raises(NumericalError, match="^w_v holds NaN or Inf$") as info:
+            block_forward(x, replace(w, w_v=w_v), act_quant=nan_out)
+        assert str(info.value.__cause__) == "act_quant gave NaN or Inf at 'attn_input'"
+
+    def test_finite_weights_that_overflow_keep_the_first_error(self, rng):
+        w = make_weights(n=16, heads=2)
+        huge = replace(w, w_q=w.w_q * 1e200, w_k=w.w_k * 1e200)  # scores overflow
+        x = rng.standard_normal((4, 16))
+        with pytest.raises(NumericalError,
+                           match="^block output holds NaN or Inf: its values overflowed$") as info:
+            block_forward(x, huge)
+        assert info.value.__cause__ is None
+        with pytest.raises(NumericalError, match="^cannot quantize non-finite values$") as info:
+            block_forward(x, huge, act_quant=e2m1)
+        assert info.value.__cause__ is None
 
     def test_taps_only_stops_at_the_last_tap_and_needs_taps(self, rng):
         w = make_weights(n=16, heads=2)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from fpqt import cli, gptq
-from fpqt.fusion import fuse_block, layer_shapes
+from fpqt.fusion import FusionPlan, fuse_block, layer_shapes
 from fpqt.formats import FpFormat
 from fpqt.gptq import CalibrationSet, gptq_quantize, hessian_factor
 from fpqt.harness import HarnessConfig, collect_calibration, init_weights, quantize_block_weights, run
@@ -34,13 +34,28 @@ def traced_peak(call) -> int:
 
 @pytest.mark.parametrize("method,bound", [("rtn", 2.5), ("gptq", 6.0)])
 def test_run_peak_in_block_copies(method, bound):
-    # the unfused block is dropped once fused, and the wide matrices fold
-    # first: the peak is two copies of the block plus one layer of scratch
-    # (rtn), or that plus the calibration sets and the factors (gptq)
+    # the unfused block is dropped once fused, and the folds run in decreasing
+    # order of scratch: the peak is two copies of the block plus one small
+    # stage output (rtn), or that plus the calibration sets and the factors (gptq)
     cfg = HarnessConfig(n=256, heads=4, method=method)
     run(HarnessConfig(n=16, heads=2, method=method))  # lazy imports and caches
     weight_bytes = 8 * sum(i * o for i, o in layer_shapes(cfg.n, cfg.hidden_dim).values())
     assert traced_peak(lambda: run(cfg)) <= bound * weight_bytes
+
+
+@pytest.mark.parametrize("seed,inverse", [(None, False), (3, False), (None, True)])
+def test_fuse_block_peak_is_its_output_plus_one_small_layer(seed, inverse):
+    # wide folds first, then w_v and w_out (three n x n arrays each), then w_q
+    # and w_k (two): a fold's scratch meets the fewest folded matrices, so the
+    # call holds one n x n layer beside its output (1.01 unseeded, 1.13 seeded;
+    # 2.01 when w_q and w_k folded before w_v and w_out)
+    cfg = HarnessConfig(n=256, heads=4)
+    weights = init_weights(cfg)
+    plan = FusionPlan(cfg.n, cfg.hidden_dim, cfg.heads, seed)
+    fuse_block(weights, plan, inverse)  # the plan's lazy signs and stages
+    block_bytes = 8 * sum(i * o for i, o in layer_shapes(cfg.n, cfg.hidden_dim).values())
+    peak = traced_peak(lambda: fuse_block(weights, plan, inverse))
+    assert peak <= block_bytes + 1.5 * 8 * cfg.n ** 2
 
 
 def test_gptq_run_peak_with_one_factor_at_a_time():

@@ -2,6 +2,7 @@ import os
 import re
 import stat
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from fpqt.tensors import (
     channel_max_median_ratio,
     channel_stat,
     iter_tensors,
+    max_abs,
     read_tensors,
     write_tensors,
 )
@@ -69,6 +71,49 @@ class TestChannelStat:
             with pytest.raises(NumericalError, match="non-finite"):
                 stat()
 
+
+
+class TestMaxAbs:
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.0, -3.5, np.finfo(float).max, -np.finfo(float).max]
+
+    @pytest.mark.parametrize("axis", [None, 0, 1, -1, (0, 1)])
+    def test_equals_the_peak_of_the_abs_copy(self, rng, axis):
+        x = rng.standard_normal((7, 9)) * 2.0 ** rng.integers(-60, 60, (7, 9))
+        x.flat[rng.choice(x.size, len(self.EDGES), replace=False)] = self.EDGES
+        got = np.asarray(max_abs(x, axis))
+        assert got.tobytes() == np.asarray(np.abs(x).max(axis=axis)).tobytes()
+
+    @pytest.mark.parametrize("axis", [None, 0, 1])
+    def test_an_all_zero_line_gives_positive_zero(self, axis):
+        for x in (np.zeros((3, 4)), np.full((3, 4), -0.0), np.array([[0.0, -0.0]] * 3)):
+            got = np.asarray(max_abs(x, axis))
+            assert (got == 0.0).all() and not np.signbit(got).any()
+        assert not np.signbit(channel_stat(np.full((2, 3), -0.0), "max_abs")).any()
+
+    def test_an_empty_line_gives_positive_zero(self):
+        got = max_abs(np.zeros((0, 3)), 0)
+        assert got.tolist() == [0.0] * 3 and not np.signbit(got).any()
+        assert max_abs(np.zeros(0)) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_line_carries_through(self, bad):
+        x = np.ones((3, 4))
+        x[1, 2] = bad
+        want = np.nan if np.isnan(bad) else np.inf
+        np.testing.assert_array_equal(max_abs(x, 0), [1.0, 1.0, want, 1.0])
+        np.testing.assert_array_equal(max_abs(x, 1), [1.0, want, 1.0])
+        np.testing.assert_array_equal(max_abs(x), want)
+
+    def test_takes_no_abs_copy(self, rng):
+        x = rng.standard_normal((256, 512))
+        tracemalloc.start()
+        try:
+            max_abs(x)
+            max_abs(x, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 16
 
 E2M1 = FpFormat(2, 1)
 _CAL = CalibrationSet(np.eye(4))
