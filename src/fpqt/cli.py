@@ -27,6 +27,7 @@ from .errors import FormatError, FpqtError, NumericalError, ShapeError
 from .formats import FpFormat, parse_format
 from .fusion import (
     LAYER_NAMES,
+    NORM_NAMES,
     V_MODES,
     DiTBlockWeights,
     FusionPlan,
@@ -226,15 +227,8 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     missing = [n for n in LAYER_NAMES if n not in tensors]
     if missing:
         raise ValueError(f"container is missing required tensors: {missing}")
-    n = tensors["w_q"].shape[:1]  # () when w_q is 0-d, which DiTBlockWeights rejects
-    weights = DiTBlockWeights(
-        **{name: tensors[name] for name in LAYER_NAMES},
-        heads=args.heads,
-        ln1_gamma=tensors.get("ln1_gamma", np.ones(n)),
-        ln1_beta=tensors.get("ln1_beta", np.zeros(n)),
-        ln2_gamma=tensors.get("ln2_gamma", np.ones(n)),
-        ln2_beta=tensors.get("ln2_beta", np.zeros(n)),
-    )
+    block = {name: tensors[name] for name in LAYER_NAMES + NORM_NAMES if name in tensors}
+    weights = DiTBlockWeights(**block, heads=args.heads)
     plan = plan_fusion(weights, args.seed, args.v_mode)
     new, online = fuse_block(weights, plan, inverse=args.invert)
     write_tensors(args.output, {**tensors, **new.matrices()})

@@ -72,7 +72,9 @@ def layer_shapes(n: int, hidden: int) -> dict[str, tuple[int, int]]:
 
 @dataclass(frozen=True)
 class DiTBlockWeights:
-    """Weights of one block; matrices are input_dim x output_dim."""
+    """Weights of one block; matrices are input_dim x output_dim.  A layer norm
+    left out is the identity, float64 gamma = 1 and beta = 0, as the toy block
+    has no conditioning."""
 
     w_q: np.ndarray
     w_k: np.ndarray
@@ -81,12 +83,13 @@ class DiTBlockWeights:
     w_fc1: np.ndarray
     w_fc2: np.ndarray
     heads: int
-    ln1_gamma: np.ndarray
-    ln1_beta: np.ndarray
-    ln2_gamma: np.ndarray
-    ln2_beta: np.ndarray
+    ln1_gamma: np.ndarray | None = None
+    ln1_beta: np.ndarray | None = None
+    ln2_gamma: np.ndarray | None = None
+    ln2_beta: np.ndarray | None = None
 
     def __post_init__(self):
+        check_types(self)
         for name in ("w_q", "w_fc1"):  # n and hidden are read from their shapes
             if np.ndim(getattr(self, name)) != 2:
                 raise ShapeError(f"{name} must be 2-D, got shape {np.shape(getattr(self, name))}")
@@ -95,6 +98,8 @@ class DiTBlockWeights:
             if getattr(self, name).shape != shape:
                 raise ShapeError(f"{name} must be {shape}, got {getattr(self, name).shape}")
         for name in NORM_NAMES:
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, np.full(n, 1.0 if name.endswith("gamma") else 0.0))
             if getattr(self, name).shape != (n,):
                 raise ShapeError(f"{name} must be {(n,)}, got {getattr(self, name).shape}")
         if self.heads < 1 or n % self.heads != 0:
@@ -114,6 +119,15 @@ class DiTBlockWeights:
 
     def matrices(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in LAYER_NAMES}
+
+    def name_non_finite(self, exc: NumericalError) -> None:
+        """Raise a NumericalError, chained from exc, that names each matrix or
+        layer-norm vector holding NaN or Inf, if any does."""
+        arrays = {**self.matrices(), **{name: getattr(self, name) for name in NORM_NAMES}}
+        bad = [name for name, w in arrays.items() if not np.isfinite(w).all()]
+        if bad:
+            raise NumericalError(f"{', '.join(bad)} {'holds' if len(bad) == 1 else 'hold'} "
+                                 f"NaN or Inf") from exc
 
     @cached_property
     def _int_forms(self) -> dict[str, _IntForm | None]:
@@ -353,16 +367,6 @@ def _exact_gemm(a: _IntForm, w: _IntForm) -> np.ndarray:
     return out
 
 
-def _name_non_finite(weights: DiTBlockWeights, exc: NumericalError) -> None:
-    """Raise a NumericalError, chained from exc, that names each matrix or
-    layer-norm vector of weights holding NaN or Inf, if any does."""
-    arrays = {**weights.matrices(), **{name: getattr(weights, name) for name in NORM_NAMES}}
-    bad = [name for name, w in arrays.items() if not np.isfinite(w).all()]
-    if bad:
-        raise NumericalError(f"{', '.join(bad)} {'holds' if len(bad) == 1 else 'hold'} "
-                             f"NaN or Inf") from exc
-
-
 def block_forward(
     x: np.ndarray,
     weights: DiTBlockWeights,
@@ -452,9 +456,9 @@ def block_forward(
                 return None
             out = x2 + linear(h, "w_fc2")
     except NumericalError as exc:  # from act_quant or its result's check
-        _name_non_finite(weights, exc)
+        weights.name_non_finite(exc)
         raise
     if not np.isfinite(out).all():
-        _name_non_finite(weights, NumericalError("block output holds NaN or Inf"))
+        weights.name_non_finite(NumericalError("block output holds NaN or Inf"))
         raise NumericalError("block output holds NaN or Inf: its values overflowed")
     return out

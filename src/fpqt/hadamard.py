@@ -161,6 +161,7 @@ class HadamardSpec:
             inner = inner.T
             v = v if d is None else v * d[:, np.newaxis]
         y = v.reshape(l * a, n // a) @ inner if r == 1 else inner.T @ v.reshape(l * a, n // a, r)
+        del v  # a seeded transpose's signed copy of x dies before the second stage allocates
         y = (h_a @ y.reshape(l, a, n // a * r) if a > 1 else y).reshape(l, n, r)
         return (y if d is None or transpose else y * d[:, np.newaxis]).reshape(x.shape)
 

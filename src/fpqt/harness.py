@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import check_types
+from .errors import NumericalError, check_types
 from .formats import FpFormat, parse_format
 from .fusion import (
     LAYER_INPUTS,
@@ -180,7 +180,6 @@ def init_weights(cfg: HarnessConfig) -> DiTBlockWeights:
     """Gaussian weights scaled by 1/sqrt(in_dim); optional heavy-tail
     entries (scaled 10x) to diversify per-matrix format selection."""
     rng = _rng(cfg, 0)
-    n = cfg.n
 
     def mat(in_dim: int, out_dim: int) -> np.ndarray:
         w = rng.standard_normal((in_dim, out_dim))
@@ -190,14 +189,8 @@ def init_weights(cfg: HarnessConfig) -> DiTBlockWeights:
             w = np.where(mask, w * HEAVY_TAIL_SCALE, w)
         return w
 
-    return DiTBlockWeights(
-        **{name: mat(*shape) for name, shape in layer_shapes(n, cfg.hidden_dim).items()},
-        heads=cfg.heads,
-        ln1_gamma=np.ones(n, dtype=WORKING_DTYPE),
-        ln1_beta=np.zeros(n, dtype=WORKING_DTYPE),
-        ln2_gamma=np.ones(n, dtype=WORKING_DTYPE),
-        ln2_beta=np.zeros(n, dtype=WORKING_DTYPE),
-    )
+    shapes = layer_shapes(cfg.n, cfg.hidden_dim)
+    return DiTBlockWeights(**{name: mat(*shape) for name, shape in shapes.items()}, heads=cfg.heads)
 
 
 def outlier_columns(cfg: HarnessConfig) -> np.ndarray:
@@ -266,7 +259,11 @@ def quantize_block_weights(
             raise ValueError(f"method 'gptq' needs a calibration set at {', '.join(missing)}; "
                              f"calib {'is None' if calib is None else 'lacks them'}")
     mats = weights.matrices()
-    spreads = {name: spread_indicator(w, cfg.alpha) for name, w in mats.items()}
+    try:
+        spreads = {name: spread_indicator(w, cfg.alpha) for name, w in mats.items()}
+    except NumericalError as exc:
+        weights.name_non_finite(exc)
+        raise
     fmts = {name: cfg.weight_fmt or format_for_spread(spread, cfg.weight_bits)
             for name, spread in spreads.items()}
     sweeps: dict[tuple, list[str]] = {}

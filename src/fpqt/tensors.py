@@ -190,8 +190,6 @@ def _write_entries(path, pairs: Iterable[tuple[str, np.ndarray]]) -> int:
             name_bytes = name.encode("utf-8")
             if len(name_bytes) > 0xFFFF:
                 raise ValueError(f"tensor name too long: {len(name_bytes)} bytes")
-            if arr.ndim > 0xFF:
-                raise ShapeError(f"tensor {name!r} has too many dims: {arr.ndim}")
             with np.errstate(over="ignore"):
                 payload = np.ascontiguousarray(arr, dtype=STORAGE_DTYPE)
             if not np.isfinite(payload).all():

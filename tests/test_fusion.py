@@ -99,6 +99,39 @@ class TestBlockWeights:
                 with pytest.raises(ShapeError, match=want):
                     replace(good, **{name: bad})
 
+    def test_omitted_norms_are_the_float64_identity(self, rng):
+        w = make_weights(n=16, heads=2)
+        bare = DiTBlockWeights(**w.matrices(), heads=w.heads)
+        for name in ("ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta"):
+            norm = getattr(bare, name)
+            assert norm.dtype == np.float64 and norm.shape == (16,)
+            assert np.array_equal(norm, np.full(16, 1.0 if name.endswith("gamma") else 0.0))
+        explicit = DiTBlockWeights(**w.matrices(), heads=w.heads,
+                                   ln1_gamma=np.ones(16), ln1_beta=np.zeros(16),
+                                   ln2_gamma=np.ones(16), ln2_beta=np.zeros(16))
+        x = rng.standard_normal((8, 16))
+        out = block_forward(x, bare)
+        assert out.tobytes() == block_forward(x, explicit).tobytes()
+        assert block_forward(x, bare, act_quant=e2m1).tobytes() == \
+            block_forward(x, explicit, act_quant=e2m1).tobytes()
+
+    def test_omitting_one_norm_keeps_the_others(self):
+        w = make_weights(n=16, heads=2)
+        part = DiTBlockWeights(**w.matrices(), heads=w.heads, ln2_beta=w.ln2_beta)
+        assert part.ln2_beta is w.ln2_beta
+        assert np.array_equal(part.ln1_gamma, np.ones(16))
+
+    @pytest.mark.parametrize("heads", [2.0, True, "2", None])
+    def test_heads_must_be_an_int(self, heads):
+        w = make_weights(n=16, heads=2)
+        with pytest.raises(ValueError, match=re.escape(f"heads must be int, got {heads!r}")):
+            DiTBlockWeights(**w.matrices(), heads=heads)
+
+    def test_integral_heads_is_kept_as_int(self):
+        w = make_weights(n=16, heads=2)
+        block = DiTBlockWeights(**w.matrices(), heads=np.int64(2))
+        assert type(block.heads) is int and block.heads == 2
+
 
 class TestNonlinearities:
     def test_layer_norm_matches_manual(self, rng):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fpqt import fusion, gptq, harness
-from fpqt.errors import ShapeError
+from fpqt.errors import NumericalError, ShapeError
 
 from fpqt.formats import FpFormat, parse_format
 from fpqt.hadamard import op_count
@@ -229,6 +229,7 @@ class TestSeededInputs:
         assert {name: m.shape for name, m in w.matrices().items()} == layer_shapes(16, 32)
         assert tuple(layer_shapes(16, 32)) == LAYER_NAMES
         assert w.heads == 2
+        assert np.array_equal(w.ln1_gamma, np.ones(16)) and np.array_equal(w.ln2_beta, np.zeros(16))
         # 1/sqrt(in_dim) scaling keeps column norms near 1
         norms = np.linalg.norm(w.w_q, axis=0)
         assert 0.5 < norms.mean() < 1.5
@@ -410,6 +411,19 @@ class TestQuantizeBlockWeights:
         missing = ", ".join(drop or ONLINE_POINTS)
         with pytest.raises(ValueError, match=rf"^method 'gptq' needs a calibration set at {missing};"):
             quantize_block_weights(cfg, w, calib)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name", LAYER_NAMES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_layer_is_named(self, method, name, bad):
+        cfg = HarnessConfig(**SMALL, method=method)
+        w = init_weights(cfg)
+        calib = collect_calibration(cfg, w, ()) if method == "gptq" else None
+        m = getattr(w, name).copy()
+        m[-1, 0] = bad
+        with pytest.raises(NumericalError, match=f"^{name} holds NaN or Inf$") as info:
+            quantize_block_weights(cfg, replace(w, **{name: m}), calib)
+        assert str(info.value.__cause__) == "spread of non-finite values is undefined"
 
     def test_fixed_format_respected(self):
         cfg = HarnessConfig(**SMALL, method="rtn", weight_format="E3M0")

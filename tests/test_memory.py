@@ -43,12 +43,13 @@ def test_run_peak_in_block_copies(method, bound):
     assert traced_peak(lambda: run(cfg)) <= bound * weight_bytes
 
 
-@pytest.mark.parametrize("seed,inverse", [(None, False), (3, False), (None, True)])
+@pytest.mark.parametrize("seed,inverse", [(None, False), (3, False), (None, True), (3, True)])
 def test_fuse_block_peak_is_its_output_plus_one_small_layer(seed, inverse):
     # wide folds first, then w_v and w_out (three n x n arrays each), then w_q
     # and w_k (two): a fold's scratch meets the fewest folded matrices, so the
-    # call holds one n x n layer beside its output (1.01 unseeded, 1.13 seeded;
-    # 2.01 when w_q and w_k folded before w_v and w_out)
+    # call holds one n x n layer beside its output (1.01 unseeded, 1.13 seeded,
+    # 1.01 for the seeded inverse; 2.01 when w_q and w_k folded before w_v and
+    # w_out, and 4.00 for the seeded inverse while mix kept its signed input copy)
     cfg = HarnessConfig(n=256, heads=4)
     weights = init_weights(cfg)
     plan = FusionPlan(cfg.n, cfg.hidden_dim, cfg.heads, seed)

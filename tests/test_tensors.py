@@ -398,6 +398,28 @@ class TestAtomicWrite:
         with pytest.raises(NumericalError):
             write_tensors(tmp_container(), {"a": np.array([1.0, 1e39])})
 
+    def test_name_beyond_the_u16_length_field_rejected(self, tmp_path):
+        path = str(tmp_path / "out.fpqt")
+        write_tensors(path, {"old": np.ones(2)})
+        before = Path(path).read_bytes()
+        write_tensors(str(tmp_path / "max.fpqt"), {"é" * 0x7FFF + "a": np.ones(1)})  # 65,535 bytes
+        with pytest.raises(ValueError, match="^tensor name too long: 65536 bytes$"):
+            write_tensors(path, {"a": np.ones(2), "é" * 0x8000: np.ones(1)})
+        assert Path(path).read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["max.fpqt", "out.fpqt"]
+
+    def test_temp_name_collision_draws_again(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.fpqt"
+        taken = tmp_path / f".out.fpqt.{bytes(4).hex()}.tmp"
+        taken.write_bytes(b"someone else's")
+        draws = iter([bytes(4), b"\x01" * 4])
+        monkeypatch.setattr(tensors.os, "urandom", lambda k: next(draws))
+        write_tensors(str(path), {"a": np.ones(2)})
+        assert next(draws, None) is None  # the taken name was drawn, then a free one
+        assert list(read_tensors(str(path))) == ["a"]
+        assert taken.read_bytes() == b"someone else's"
+        assert sorted(os.listdir(tmp_path)) == [taken.name, "out.fpqt"]
+
     def test_mode_follows_umask(self, tmp_path):
         old = os.umask(0o027)
         try:
