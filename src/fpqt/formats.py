@@ -30,6 +30,7 @@ import numpy as np
 from .errors import NumericalError, check_types
 
 _FORMAT_RE = re.compile(r"^[eE](\d+)[mM](\d+)$")
+_GRID_LOG2_MAX = 24  # grid() builds at most 2^24 points, 128 MiB of float64
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,13 @@ def grid(bf: BiasedFormat) -> np.ndarray:
     2^(1 - n_m + bias) is at least 2^-1074, every point is exact and the
     points strictly ascend.  Below that, down to what check_bias admits,
     points under 2^-1074 round as np.ldexp rounds them, so some coincide.
+    ValueError, before anything is allocated, for a grid of more than 2^24
+    points (it has 2^(n_e + n_m); an 8-bit grid has 128).
     """
     f = bf.fmt
+    if f.n_e + f.n_m > _GRID_LOG2_MAX:
+        raise ValueError(f"grid of format {f} has 2^{f.n_e + f.n_m} points, more than "
+                         f"the 2^{_GRID_LOG2_MAX} grid() builds")
     sub = np.arange(0, 1 << f.n_m, dtype=np.float64)
     parts = [np.ldexp(sub, 1 - f.n_m + bf.bias)]
     mant = np.arange(1 << f.n_m, 1 << (f.n_m + 1), dtype=np.float64)

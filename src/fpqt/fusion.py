@@ -229,7 +229,10 @@ def fuse_block(
     """Fold every offline factor into the weights and return them with
     plan.online, or with inverse=True fold the factors back out and return ().
     W_v takes its left factor, then its right one; the inverse runs in reverse.
-    ShapeError unless the plan was built for the block's (n, hidden, heads)."""
+    TypeError unless plan is a FusionPlan, and ShapeError unless it was built
+    for the block's (n, hidden, heads)."""
+    if not isinstance(plan, FusionPlan):
+        raise TypeError(f"plan must be a FusionPlan, got {type(plan).__name__}")
     planned, dims = (plan.n, plan.hidden, plan.heads), (weights.n, weights.hidden, weights.heads)
     if planned != dims:
         raise ShapeError(f"plan for (n, hidden, heads) = {planned} cannot fuse a block with {dims}")
@@ -265,7 +268,14 @@ def fuse_block(
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Per-token layer norm with learned scale/shift, eps = 1e-6.  A row peaking
     beyond 2^256 is first scaled by an exact power of two into [2^127, 2^128),
-    so its variance cannot overflow and eps stays negligible beside it."""
+    so its variance cannot overflow and eps stays negligible beside it.
+    ShapeError naming gamma or beta unless its shape is (width,), and
+    as_working's TypeError for complex or non-numeric input."""
+    x, gamma, beta = as_working(x), as_working(gamma), as_working(beta)
+    for name, v in (("gamma", gamma), ("beta", beta)):
+        if v.shape != x.shape[-1:]:
+            raise ShapeError(f"layer norm {name} must have shape {x.shape[-1:]} for input "
+                             f"{x.shape}, got {v.shape}")
     _, k = np.frexp(max_abs(x, -1))
     if (k > 256).any():
         x = np.ldexp(x, np.where(k > 256, 128 - k, 0)[..., np.newaxis])
@@ -288,7 +298,8 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax: x - max, exponentiated and normalized in
-    one fresh buffer."""
+    one fresh buffer; as_working's TypeError for complex or non-numeric x."""
+    x = as_working(x)
     e = x - x.max(axis=axis, keepdims=True, initial=-np.inf)  # an empty axis is no error
     np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
@@ -310,7 +321,10 @@ def cross_head_apply(x: np.ndarray, heads_spec: HadamardSpec) -> np.ndarray:
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
     """Scaled dot-product attention per head, as batched matmul over heads;
-    ShapeError unless heads divides the width."""
+    ShapeError unless q, k and v share one 2-D shape and heads divides its width."""
+    if q.ndim != 2 or not q.shape == k.shape == v.shape:
+        raise ShapeError(f"q, k and v must share one (tokens, width) shape, got "
+                         f"{q.shape}, {k.shape} and {v.shape}")
     tokens, n = q.shape
     if heads < 1 or n % heads != 0:
         raise ShapeError(f"head count {heads} must divide width {n}")
@@ -415,6 +429,8 @@ def block_forward(
         raise NumericalError("block input x holds non-finite values")
     at = {}
     for t in online:
+        if not isinstance(t, OnlineTransform):
+            raise TypeError(f"online entries must be OnlineTransform, got {type(t).__name__}")
         if t.point in at:
             raise ValueError(f"duplicate online transform at {t.point!r}")
         at[t.point] = t.spec

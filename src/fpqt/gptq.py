@@ -7,9 +7,10 @@ upper, the classic update through U = R^-1, w'_j = w_j - sum_{i<j} U[i, j] e_i
 with e_i = (w'_i - q_i) / U[i, i], solves U^T e = W - Q, so e = R^T (W - Q)
 and w'_j = w_j + sum_{i<j} S[i, j] (w_i - q_i) with S[i, j] = R[i, j] / R[j, j]
 on the original w: no triangular inverse, no division in the sweep.  Each
-call factors its calibration set and keeps no factor; each output channel
-depends on its own column alone and snaps on the grid MinMax would give it,
-its bias frozen from w, so weights that read one input sweep as one matrix.
+call factors its calibration set from one triangle of H, one dsyrk and one
+dpotrf, and keeps no factor; each output channel depends on its own column
+alone and snaps on the grid MinMax would give it, its bias frozen from w,
+so weights that read one input sweep as one matrix.
 A sweep makes one quantize._Grid, which works out the grid constants once
 and keeps the snap's row-sized scratch, so a row snaps the fed-forward row
 block[k] straight into q[j] with no allocation.
@@ -66,9 +67,21 @@ def hessian(cal: CalibrationSet) -> np.ndarray:
     Symmetric positive-semidefinite; hessian_factor dampens it.  Raises
     NumericalError when the calibration set overflows it.
     """
-    with np.errstate(over="ignore"):
-        h = cal.x.T @ cal.x
-        h *= 2.0  # exact, or inf
+    h = _gram(cal)
+    h += np.tril(h, -1).T  # the mirror: the upper triangle is 0
+    return h
+
+
+def _gram(cal: CalibrationSet) -> np.ndarray:
+    """2 X^T X in the lower triangle of a fresh C-contiguous array whose strict
+    upper triangle is 0: one scipy dsyrk, alpha = 2 for the exact doubling.
+    NumericalError when it overflows.  scipy.linalg is imported on the first
+    call, not with fpqt."""
+    import scipy.linalg
+
+    h = np.zeros((cal.in_dim, cal.in_dim))
+    # h.T is Fortran-ordered, so dsyrk fills it in place; its upper triangle is h's lower one
+    h = scipy.linalg.blas.dsyrk(2.0, cal.x.T, c=h.T, trans=0, lower=0, overwrite_c=1).T
     if not np.isfinite(h).all():
         raise NumericalError("calibration set overflows the Hessian 2 X^T X in float64")
     return h
@@ -80,8 +93,10 @@ def hessian_factor(cal: CalibrationSet) -> tuple[np.ndarray, np.ndarray]:
     R R^T = H, H's dead diagonal set to 1 and dampened; NumericalError if H
     overflows or is not positive-definite.  One n x n buffer holds H, then
     J H J, then U with U^T U = J H J, then S^T, for R = J U^T J.  At in_dim
-    >= 256, scipy's dpotrf gives other last bits under 1 and 2 BLAS threads."""
-    h = hessian(cal)
+    >= 256, scipy's dpotrf gives other last bits under 1 and 2 BLAS threads.
+    Only one triangle is ever computed: H's lower one, by _gram, is J H J's
+    upper one, which _upper_cholesky factors; the other stays 0 throughout."""
+    h = _gram(cal)
     dead = np.diag(h) == 0.0
     h[dead, dead] = 1.0
     with np.errstate(over="ignore"):
@@ -119,12 +134,15 @@ def layer_objective(w: np.ndarray, w_hat: np.ndarray, cal: CalibrationSet) -> fl
 
 
 def _upper_cholesky(h: np.ndarray) -> np.ndarray:
-    """Upper-triangular U with positive diagonal and U^T U = h, in h's own
-    buffer when h is C-contiguous; NumericalError unless h is positive-definite.
-    scipy.linalg, for dpotrf, is imported on the first call, not with fpqt."""
+    """Upper-triangular U with positive diagonal and U^T U = h, read from h's
+    upper triangle alone and written over it, in h's own buffer when h is
+    C-contiguous; h's strict lower triangle is left as given (dpotrf with no
+    clean pass), so pass it zeroed.  NumericalError unless h is
+    positive-definite.  scipy.linalg, for dpotrf, is imported on the first
+    call, not with fpqt."""
     import scipy.linalg
 
-    lower, info = scipy.linalg.lapack.dpotrf(h.T, lower=1, overwrite_a=1)
+    lower, info = scipy.linalg.lapack.dpotrf(h.T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise NumericalError(f"dampened Hessian is not positive-definite: {info}-th "
                              "leading minor of the array is not positive definite")

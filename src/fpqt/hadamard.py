@@ -190,7 +190,10 @@ class OpCounter:
 def apply_right(
     x: np.ndarray, spec: HadamardSpec, counter: OpCounter | None = None, transpose: bool = False
 ) -> np.ndarray:
-    """Compute x @ H, or x @ H^T when transpose is set, for an (m, dim) batch."""
+    """Compute x @ H, or x @ H^T when transpose is set, for an (m, dim) batch;
+    counter, when given, must be an OpCounter (TypeError)."""
+    if counter is not None and not isinstance(counter, OpCounter):
+        raise TypeError(f"counter must be an OpCounter, got {type(counter).__name__}")
     x = as_working(x)
     if x.ndim != 2 or x.shape[1] != spec.dim:
         raise ShapeError(f"expected (m, {spec.dim}) input, got {x.shape}")

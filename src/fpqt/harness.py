@@ -252,7 +252,10 @@ def quantize_block_weights(
     read-only, so the block's integer forms (DiTBlockWeights.int_form) can
     be kept, and the reports follow LAYER_NAMES order.  With method gptq, a
     ValueError names any calibration point calib lacks, before any sweep.
+    TypeError unless cfg is a HarnessConfig.
     """
+    if not isinstance(cfg, HarnessConfig):
+        raise TypeError(f"cfg must be a HarnessConfig, got {type(cfg).__name__}")
     if cfg.method == "gptq":
         missing = [p for p in ONLINE_POINTS if calib is None or p not in calib]
         if missing:
@@ -325,7 +328,10 @@ def distribution_stats(batch: np.ndarray) -> dict:
 
 
 def estimate_cost(cfg: HarnessConfig) -> dict:
-    """Static operation and byte accounting for one forward pass."""
+    """Static operation and byte accounting for one forward pass; TypeError
+    unless cfg is a HarnessConfig."""
+    if not isinstance(cfg, HarnessConfig):
+        raise TypeError(f"cfg must be a HarnessConfig, got {type(cfg).__name__}")
     n, t = cfg.n, cfg.tokens
     dims = layer_shapes(n, cfg.hidden_dim)
     layer_macs = {name: t * din * dout for name, (din, dout) in dims.items()}

@@ -160,6 +160,20 @@ class TestGrid:
         assert g[-1] == math.ldexp(f.max_val, bf.bias)
         assert np.all(np.diff(g) > 0)
 
+    @pytest.mark.parametrize("n_e,n_m", [(10, 52), (10, 30)])
+    def test_grid_too_large_to_build_is_refused_before_allocating(self, n_e, n_m):
+        # 2^62 and 2^40 float64 points: numpy would raise MemoryError, or take the host
+        want = rf"^grid of format E{n_e}M{n_m} has 2\^{n_e + n_m} points, more than the 2\^24 "
+        with pytest.raises(ValueError, match=want):
+            grid(BiasedFormat(FpFormat(n_e, n_m), 0))
+
+    @pytest.mark.parametrize("n_bits", range(2, 9))
+    def test_every_grid_of_up_to_8_bits_is_built(self, n_bits):
+        for f in candidate_formats(n_bits):
+            for bias in (-3, 0, 2):
+                want = oracle_grid(f.n_e, f.n_m, bias)
+                assert grid(BiasedFormat(f, bias)).tolist() == want
+
     @pytest.mark.parametrize("n_e,n_m", [(2, 1), (3, 0), (1, 2), (4, 3)])
     def test_points_are_exact_and_ascending_from_bias_n_m_minus_1075(self, n_e, n_m):
         # from bias n_m - 1075 on, the lowest spacing 2^(1 - n_m + bias) is a float64

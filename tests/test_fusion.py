@@ -155,6 +155,21 @@ class TestNonlinearities:
         assert np.array_equal(got[[0, 2, 3]], want[[0, 2, 3]])  # other rows untouched
         assert np.allclose(got[1], (x[1] - x[1].mean()) / x[1].std() * g + b, atol=1e-12)
 
+    @pytest.mark.parametrize("which", ["gamma", "beta"])
+    @pytest.mark.parametrize("shape", [(9,), (11,), (1, 10), ()])
+    def test_layer_norm_vector_of_another_shape_is_named(self, rng, which, shape):
+        # was numpy's broadcast ValueError, or a silent broadcast for (1, 10) and ()
+        x, vecs = rng.standard_normal((6, 10)), {"gamma": np.ones(10), "beta": np.zeros(10)}
+        vecs[which] = np.ones(shape)
+        with pytest.raises(ShapeError, match=re.escape(
+                f"layer norm {which} must have shape (10,) for input (6, 10), got {shape}")):
+            layer_norm(x, **vecs)
+
+    def test_layer_norm_of_complex_input_is_a_type_error(self):
+        # was numpy's frexp TypeError, naming no input
+        with pytest.raises(TypeError, match="complex input is not supported, got dtype complex"):
+            layer_norm(np.ones((2, 4), dtype=complex), np.ones(4), np.zeros(4))
+
     def test_gelu_matches_gaussian_cdf(self, rng):
         x = rng.standard_normal(100) * 4.0
         # ndtr is the standard normal CDF (what scipy.stats.norm.cdf calls)
@@ -175,6 +190,13 @@ class TestNonlinearities:
         assert softmax(np.zeros((2, 0))).shape == (2, 0)
         assert softmax(np.zeros((0, 3))).shape == (0, 3)
         assert softmax(np.zeros((3, 0, 0)), axis=1).shape == (3, 0, 0)
+
+    @pytest.mark.parametrize("x", [np.array([["a", "b"]]), np.array([[b"a"]]),
+                                   np.ones((2, 3), dtype=complex)], ids=["str", "bytes", "complex"])
+    def test_softmax_of_non_numeric_input_is_a_type_error(self, x):
+        # strings were numpy's UFuncTypeError from the subtraction, naming no input
+        with pytest.raises(TypeError, match=re.escape(f"not supported, got dtype {x.dtype}")):
+            softmax(x)
 
     def test_softmax_matches_naive_on_small_values(self, rng):
         x = rng.standard_normal((3, 5))
@@ -259,6 +281,15 @@ class TestAttention:
         assert got.shape == (tokens, n)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("shapes", [((3, 8), (2, 8), (2, 8)), ((2, 8), (2, 8), (2, 4)),
+                                        ((2, 8), (2, 4), (2, 8)), ((8,), (8,), (8,))])
+    def test_q_k_and_v_of_different_shapes_are_named(self, shapes):
+        # q and k of different lengths were numpy's reshape ValueError
+        q, k, v = (np.ones(s) for s in shapes)
+        want = "q, k and v must share one (tokens, width) shape, got {}, {} and {}".format(*shapes)
+        with pytest.raises(ShapeError, match=re.escape(want)):
+            attention(q, k, v, 2)
+
     @pytest.mark.parametrize("heads", [0, -2, 3])
     def test_heads_that_do_not_divide_the_width_rejected(self, heads):
         # 0 used to divide by zero, and 3 at width 4 failed in numpy's reshape
@@ -292,6 +323,13 @@ class TestOfflineFusion:
     def test_v_out_fusion_roundtrip(self, v_mode):
         w = make_weights(heads=4)
         assert_block_roundtrip(w, plan_fusion(w, seed=1, v_mode=v_mode))
+
+    @pytest.mark.parametrize("plan", ["plan", None, (32, 64, 2)], ids=repr)
+    def test_plan_that_is_not_a_fusion_plan_is_named(self, plan):
+        # was an AttributeError on plan.n
+        with pytest.raises(TypeError,
+                           match=f"^plan must be a FusionPlan, got {type(plan).__name__}$"):
+            fuse_block(make_weights(), plan)
 
     def test_ffn_fusion_roundtrip(self):
         for hidden in (64, 896):  # 896 = 32 * 28: a q = 28 width
@@ -483,6 +521,14 @@ class TestBlockForward:
             block_forward(np.zeros((4, w.n + 1)), w)
         with pytest.raises(ShapeError):
             block_forward(np.zeros(w.n), w)
+
+    @pytest.mark.parametrize("entry", ["x", None, build(32)], ids=repr)
+    def test_online_entry_that_is_not_an_online_transform_is_named(self, entry):
+        # was an AttributeError on the entry's .point
+        w = make_weights()
+        with pytest.raises(TypeError, match=f"^online entries must be OnlineTransform, "
+                                             f"got {type(entry).__name__}$"):
+            block_forward(np.ones((4, w.n)), w, online=[entry])
 
     def test_a_zero_token_batch_gives_an_empty_output(self):
         w = make_weights(n=24, heads=2)  # order 24 takes the transform's a = 4 stage

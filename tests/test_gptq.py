@@ -108,11 +108,11 @@ class TestHessianFactor:
             cal = CalibrationSet(x)
             h = hessian(cal)
             h[np.diag_indices(in_dim)] += 0.01 * float(np.mean(np.diag(h)))
-            u = _upper_cholesky(h.copy())
+            u = _upper_cholesky(np.triu(h))
             assert np.array_equal(u, np.triu(u))
             assert np.all(np.diag(u) > 0.0)
             assert np.max(np.abs(u.T @ u - h)) <= 1e-12 * np.max(np.abs(h))
-            r = _upper_cholesky(h[::-1, ::-1].copy())[::-1, ::-1].T  # R R^T = h
+            r = _upper_cholesky(np.triu(h[::-1, ::-1]))[::-1, ::-1].T  # R R^T = h
             dead, st = hessian_factor(cal)
             assert not dead.any()
             assert st.flags.c_contiguous and not st.flags.writeable

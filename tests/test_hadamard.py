@@ -126,6 +126,13 @@ class TestApplyRight:
         dense = x @ realize(build(n))
         assert np.abs(apply_right(x, build(n)) - dense).max() < 1e-10
 
+    @pytest.mark.parametrize("counter", ["c", 0, {"adds": 0, "muls": 0}], ids=repr)
+    def test_counter_that_is_not_an_op_counter_is_named(self, counter):
+        # was an AttributeError on counter.adds
+        with pytest.raises(TypeError,
+                           match=f"^counter must be an OpCounter, got {type(counter).__name__}$"):
+            apply_right(np.ones((2, 8)), build(8), counter=counter)
+
     @pytest.mark.parametrize("n", [16, 24, 56])
     def test_matches_dense_multiply_seeded(self, n, rng):
         spec = build(n, seed=11)

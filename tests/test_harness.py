@@ -352,6 +352,14 @@ class TestQuantizeBlockWeights:
             assert rep["bias_min"] <= rep["bias_max"]
             assert not np.array_equal(getattr(qw, name), getattr(w, name))
 
+    @pytest.mark.parametrize("cfg", ["cfg", None, SMALL], ids=repr)
+    def test_cfg_that_is_not_a_harness_config_is_named(self, cfg):
+        # was an AttributeError on cfg.method
+        w = init_weights(HarnessConfig(**SMALL))
+        with pytest.raises(TypeError,
+                           match=f"^cfg must be a HarnessConfig, got {type(cfg).__name__}$"):
+            quantize_block_weights(cfg, w, None)
+
     @pytest.mark.parametrize("method", METHODS)
     def test_the_fused_block_given_stays_unchanged(self, method):
         # GPTQ overwrites its working copy of each matrix with w - q
@@ -538,6 +546,13 @@ class TestEstimateCost:
         assert macs["w_q"] == 10 * 16 * 16
         assert macs["w_fc1"] == 10 * 16 * 32
         assert macs["attention"] == 2 * 10 * 10 * 16
+
+    @pytest.mark.parametrize("cfg", ["cfg", None, SMALL], ids=repr)
+    def test_cfg_that_is_not_a_harness_config_is_named(self, cfg):
+        # was an AttributeError on cfg.n
+        with pytest.raises(TypeError,
+                           match=f"^cfg must be a HarnessConfig, got {type(cfg).__name__}$"):
+            estimate_cost(cfg)
 
     def test_weight_byte_ratio(self):
         cost = estimate_cost(HarnessConfig(n=16, hidden=32, heads=2))

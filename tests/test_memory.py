@@ -69,11 +69,11 @@ def test_gptq_run_peak_with_one_factor_at_a_time():
 
 
 def test_block_quantization_holds_one_factor_at_a_time(monkeypatch):
-    # a factor lives in the buffer hessian() allocates for 2 X^T X, so the live
+    # a factor lives in the buffer _gram() allocates for 2 X^T X, so the live
     # array bytes allocated on that line are the factors alive, here read
     # whenever a sweep takes its factor: none before, exactly its own after
-    lines, first = inspect.getsourcelines(gptq.hessian)
-    line = first + next(i for i, text in enumerate(lines) if "cal.x.T @ cal.x" in text)
+    lines, first = inspect.getsourcelines(gptq._gram)
+    line = first + next(i for i, text in enumerate(lines) if "np.zeros" in text)
     on_line = [tracemalloc.Filter(True, gptq.__file__, lineno=line)]
     buffers = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]  # not array objects
 

@@ -12,13 +12,14 @@ gives a Cholesky factor whose last bits differ between 1 and 2 threads, and
 the pinned outputs agree only because no snapped weight sits at a grid tie
 that such last-bit noise could flip.  They held, with every report digest, through the rewrite of
 the sweep from the inverse factor U = R^-1 to the Cholesky form on R itself.
-numpy's OpenBLAS (0.3.31) forms the Hessian 2 X^T X, through the syrk that
-X.T @ X takes; scipy's own bundled OpenBLAS (0.3.30 here) runs its Cholesky
-factorisation, LAPACK dpotrf.  The digests held again when that factor moved
-from scipy.linalg.cholesky on a reversed copy to dpotrf in place on the one
-n x n buffer, and again when the sweep wrote each row's w - q over its
-working copy of w in place of a third weight-sized array.  pytest's report
-header names both builds.
+scipy's own bundled OpenBLAS (0.3.30 here) forms the Hessian 2 X^T X, one
+dsyrk into one triangle, and runs its Cholesky factorisation, LAPACK dpotrf;
+until the dsyrk, numpy's OpenBLAS (0.3.31) formed it, through the syrk that
+X.T @ X takes, and every digest held across that move.  The digests held
+again when that factor moved from scipy.linalg.cholesky on a reversed copy
+to dpotrf in place on the one n x n buffer, and again when the sweep wrote
+each row's w - q over its working copy of w in place of a third
+weight-sized array.  pytest's report header names both builds.
 
 The report digests cover run(cfg).to_json() and the estimate_cost JSON of
 the CLI's `cost` command; they were taken before the layer shapes, the
@@ -103,6 +104,10 @@ MINMAX_DIGEST = "e6052df821bff9e914b29e1350fa94c0222e19b8e5e999ce71a5a3ac7f8e051
 GPTQ_DIGESTS = {
     256: "2295f1c50e1987761b539cedd52e23e80aaa99e293702b9dc7d2f7b4a8346b45",
     200: "a3ede4c7721d3bdc08960845939ec18b5f3ddff2895270840da6f26bbe063111",
+    # taken while numpy's syrk still formed the Hessian: its edge kernels and
+    # scipy's dsyrk differ in the last bits at in_dims that are not multiples of 8
+    77: "cb12999463e039cda906e05547295b10ddbc9e9db0157d56a882c211d36b7144",
+    130: "dd195d1ec5ca1879d98b7f10cf85e9be2ee3a5e0b9474980fdc017b9457f53c2",
 }
 
 REPORT_DIGESTS = {
@@ -286,6 +291,30 @@ def test_reports_do_not_depend_on_the_blas_thread_count():
     assert child.returncode == 0
     assert there == here
     assert here[:2] == [REPORT_DIGESTS["gptq"][1], REPORT_DIGESTS["rtn"][1]]
+
+
+HESSIAN_PROBE = (
+    "import hashlib\nimport numpy as np\nfrom fpqt.gptq import CalibrationSet, hessian\n"
+    "for in_dim in (77, 256, 2048):\n"
+    "    x = np.random.default_rng(in_dim).standard_normal((512, in_dim))\n"
+    "    print(hashlib.sha256(hessian(CalibrationSet(x)).tobytes()).hexdigest())\n"
+)
+
+
+def test_hessian_does_not_depend_on_the_blas_thread_count():
+    # one child process on 1 BLAS thread, one on 2; unlike dpotrf's factor,
+    # dsyrk's 2 X^T X keeps its bytes, at a multiple of 8 and off one
+    src = str(Path(fpqt.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-c", HESSIAN_PROBE], env=env,
+                               stdout=subprocess.PIPE, text=True, timeout=300, check=True)
+        digests.append(child.stdout.split())
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1]
 
 
 def assert_within_sum_order(got, want, path: str = "report") -> None:
