@@ -49,6 +49,7 @@ from .quantize import (
     minmax_quantize,
     quant_error,
     snap_per_channel,
+    sqnr,
 )
 from .select import SelectionConfig, select_format, selection_table, spread_indicator
 from .tensors import (
@@ -116,6 +117,7 @@ __all__ = [
     "snap_per_channel",
     "softmax",
     "spread_indicator",
+    "sqnr",
     "write_tensors",
     "__version__",
 ]

@@ -36,7 +36,7 @@ from .fusion import (
 )
 from .hadamard import apply_right, build, op_count, realize
 from .harness import HarnessConfig, estimate_cost, run, strict_json
-from .quantize import minmax_quantize, quant_error
+from .quantize import minmax_quantize, sqnr
 from .select import SelectionConfig, select_format, selection_table, spread_indicator
 from .tensors import (
     STORAGE_DTYPE,
@@ -182,7 +182,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
             a = t.reshape(-1, 1) if t.ndim < 2 else t
             qt = minmax_quantize(a, fmt, channel_axis=-1)
             values = _storable(name, qt.values.reshape(t.shape), fmt, qt.bias)
-            err = quant_error(t, values)
+            err = sqnr(t, values)
             lines.append(
                 f"{name}: format={fmt} channels={qt.bias.size} "
                 f"mse={err['mse']:.6g} sqnr_db={err['sqnr_db']:.4f}"

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and its config field-type check.
+"""Exception types shared across the toolkit, its config field-type check and its
+argument-type check.
 
 Categories map onto the CLI exit codes: FormatError (and plain I/O errors)
 signal a bad or truncated container file, everything else under FpqtError is
@@ -40,3 +41,10 @@ def check_types(obj) -> None:
             raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if isinstance(value, Integral) and bool not in kinds:
             object.__setattr__(obj, f.name, int(value))
+
+
+def check_instance(value, cls: type, name: str) -> None:
+    """TypeError naming the argument unless value is a cls (isinstance alone, no data pass)."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")

@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError, check_types
+from .errors import NumericalError, ShapeError, check_instance, check_types
 from .hadamard import HadamardSpec, apply_right
 from .tensors import as_working, max_abs
 
@@ -165,8 +165,7 @@ class OnlineTransform:
     def __post_init__(self):
         if self.point not in ONLINE_POINTS:
             raise ValueError(f"unknown online point {self.point!r}; have {ONLINE_POINTS}")
-        if not isinstance(self.spec, HadamardSpec):
-            raise TypeError(f"spec must be a HadamardSpec, got {type(self.spec).__name__}")
+        check_instance(self.spec, HadamardSpec, "spec")
 
 
 @dataclass(frozen=True)
@@ -231,8 +230,7 @@ def fuse_block(
     W_v takes its left factor, then its right one; the inverse runs in reverse.
     TypeError unless plan is a FusionPlan, and ShapeError unless it was built
     for the block's (n, hidden, heads)."""
-    if not isinstance(plan, FusionPlan):
-        raise TypeError(f"plan must be a FusionPlan, got {type(plan).__name__}")
+    check_instance(plan, FusionPlan, "plan")
     planned, dims = (plan.n, plan.hidden, plan.heads), (weights.n, weights.hidden, weights.heads)
     if planned != dims:
         raise ShapeError(f"plan for (n, hidden, heads) = {planned} cannot fuse a block with {dims}")
@@ -311,8 +309,10 @@ def cross_head_apply(x: np.ndarray, heads_spec: HadamardSpec) -> np.ndarray:
     head axis of its (m, h, d) view, with d = width // h.
 
     Only log2(h) butterfly stages per within-head coordinate: cost
-    m * n * log2(h) additions via the fast path on the head axis.
+    m * n * log2(h) additions via the fast path on the head axis.  TypeError
+    unless heads_spec is a HadamardSpec.
     """
+    check_instance(heads_spec, HadamardSpec, "heads_spec")
     x, h = as_working(x), heads_spec.dim
     if x.ndim != 2 or x.shape[1] % h != 0:
         raise ShapeError(f"expected (m, {h} * head_dim) input, got {x.shape}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError
+from .errors import NumericalError, ShapeError, check_instance
 from .formats import FpFormat
 from .quantize import QuantizedTensor, _Grid, channel_bias
 from .tensors import as_working
@@ -65,7 +65,8 @@ def hessian(cal: CalibrationSet) -> np.ndarray:
     """Proxy Hessian of the layer reconstruction objective: 2 X^T X.
 
     Symmetric positive-semidefinite; hessian_factor dampens it.  Raises
-    NumericalError when the calibration set overflows it.
+    NumericalError when the calibration set overflows it, and TypeError
+    unless cal is a CalibrationSet.
     """
     h = _gram(cal)
     h += np.tril(h, -1).T  # the mirror: the upper triangle is 0
@@ -75,8 +76,9 @@ def hessian(cal: CalibrationSet) -> np.ndarray:
 def _gram(cal: CalibrationSet) -> np.ndarray:
     """2 X^T X in the lower triangle of a fresh C-contiguous array whose strict
     upper triangle is 0: one scipy dsyrk, alpha = 2 for the exact doubling.
-    NumericalError when it overflows.  scipy.linalg is imported on the first
-    call, not with fpqt."""
+    NumericalError when it overflows, TypeError unless cal is a CalibrationSet.
+    scipy.linalg is imported on the first call, not with fpqt."""
+    check_instance(cal, CalibrationSet, "cal")
     import scipy.linalg
 
     h = np.zeros((cal.in_dim, cal.in_dim))
@@ -95,7 +97,8 @@ def hessian_factor(cal: CalibrationSet) -> tuple[np.ndarray, np.ndarray]:
     J H J, then U with U^T U = J H J, then S^T, for R = J U^T J.  At in_dim
     >= 256, scipy's dpotrf gives other last bits under 1 and 2 BLAS threads.
     Only one triangle is ever computed: H's lower one, by _gram, is J H J's
-    upper one, which _upper_cholesky factors; the other stays 0 throughout."""
+    upper one, which _upper_cholesky factors; the other stays 0 throughout.
+    TypeError unless cal is a CalibrationSet."""
     h = _gram(cal)
     dead = np.diag(h) == 0.0
     h[dead, dead] = 1.0
@@ -115,7 +118,9 @@ def layer_objective(w: np.ndarray, w_hat: np.ndarray, cal: CalibrationSet) -> fl
     """Reconstruction error ||X w_hat - X w||_F^2 on the calibration inputs.
 
     NumericalError naming w or w_hat when it holds NaN or Inf, or when the
-    error of finite weights overflows float64."""
+    error of finite weights overflows float64; TypeError unless cal is a
+    CalibrationSet."""
+    check_instance(cal, CalibrationSet, "cal")
     w = as_working(w)
     w_hat = as_working(w_hat)
     if w.shape != w_hat.shape:
@@ -173,8 +178,10 @@ def gptq_quantize(w: np.ndarray, cal: CalibrationSet, fmt: FpFormat) -> Quantize
     NumericalError when w holds NaN or Inf (from channel_bias), the
     calibration set overflows the Hessian, the dampened Hessian is not
     positive-definite, or the fed-forward errors overflow, and TypeError when
-    fmt is not an FpFormat, before the calibration set is factored.
+    cal is not a CalibrationSet or fmt is not an FpFormat, before the
+    calibration set is factored.
     """
+    check_instance(cal, CalibrationSet, "cal")
     w = as_working(w)
     if w.ndim != 2:
         raise ShapeError(f"weights must be 2-D, got shape {w.shape}")

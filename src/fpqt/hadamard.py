@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ShapeError, check_types
+from .errors import ShapeError, check_instance, check_types
 from .tensors import WORKING_DTYPE, as_working
 
 # Paley's first construction (R. E. A. C. Paley, "On orthogonal matrices",
@@ -191,9 +191,10 @@ def apply_right(
     x: np.ndarray, spec: HadamardSpec, counter: OpCounter | None = None, transpose: bool = False
 ) -> np.ndarray:
     """Compute x @ H, or x @ H^T when transpose is set, for an (m, dim) batch;
-    counter, when given, must be an OpCounter (TypeError)."""
-    if counter is not None and not isinstance(counter, OpCounter):
-        raise TypeError(f"counter must be an OpCounter, got {type(counter).__name__}")
+    spec must be a HadamardSpec and counter, when given, an OpCounter (TypeError)."""
+    check_instance(spec, HadamardSpec, "spec")
+    if counter is not None:
+        check_instance(counter, OpCounter, "counter")
     x = as_working(x)
     if x.ndim != 2 or x.shape[1] != spec.dim:
         raise ShapeError(f"expected (m, {spec.dim}) input, got {x.shape}")

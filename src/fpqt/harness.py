@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError, check_types
+from .errors import NumericalError, check_instance, check_types
 from .formats import FpFormat, parse_format
 from .fusion import (
     LAYER_INPUTS,
@@ -53,7 +53,7 @@ from .fusion import (
 )
 from .gptq import CalibrationSet, gptq_quantize
 from .hadamard import op_count
-from .quantize import minmax_quantize, quant_error
+from .quantize import minmax_quantize, quant_error, sqnr
 from .select import SelectionConfig, format_for_spread, spread_indicator
 from .tensors import WORKING_DTYPE, channel_max_median_ratio, max_abs
 
@@ -173,12 +173,16 @@ def _inf_as_null(obj):
 
 
 def _rng(cfg: HarnessConfig, *stream: int) -> np.random.Generator:
+    """The generator of one seeded stream; TypeError unless cfg is a HarnessConfig,
+    so init_weights, gen_activations, outlier_columns and run name a wrong cfg."""
+    check_instance(cfg, HarnessConfig, "cfg")
     return np.random.default_rng([cfg.seed, *stream])
 
 
 def init_weights(cfg: HarnessConfig) -> DiTBlockWeights:
     """Gaussian weights scaled by 1/sqrt(in_dim); optional heavy-tail
-    entries (scaled 10x) to diversify per-matrix format selection."""
+    entries (scaled 10x) to diversify per-matrix format selection.  TypeError
+    unless cfg is a HarnessConfig."""
     rng = _rng(cfg, 0)
 
     def mat(in_dim: int, out_dim: int) -> np.ndarray:
@@ -203,7 +207,8 @@ def gen_activations(cfg: HarnessConfig, index: int = 0) -> np.ndarray:
     """Unit-Gaussian (tokens, n) batch with the outlier channels scaled.
 
     index selects independent batches under the same config: 0 is the
-    evaluation batch, 1.. are calibration batches.
+    evaluation batch, 1.. are calibration batches.  TypeError unless cfg is a
+    HarnessConfig.
     """
     x = _rng(cfg, 1, index).standard_normal((cfg.tokens, cfg.n))
     cols = outlier_columns(cfg)
@@ -224,7 +229,9 @@ def collect_calibration(
 ) -> dict[str, CalibrationSet]:
     """The four layer inputs, by point, from full-precision forwards on fresh
     seeded batches.  Each forward stops at its last tap, post_gelu: the
-    w_fc2 output, which no calibration set reads, is never computed."""
+    w_fc2 output, which no calibration set reads, is never computed.
+    TypeError unless cfg is a HarnessConfig."""
+    check_instance(cfg, HarnessConfig, "cfg")
     draws = math.ceil(cfg.calib_samples / cfg.tokens)
     tapped: list[dict[str, np.ndarray]] = [{} for _ in range(draws)]
     for i, taps in enumerate(tapped):
@@ -254,8 +261,7 @@ def quantize_block_weights(
     ValueError names any calibration point calib lacks, before any sweep.
     TypeError unless cfg is a HarnessConfig.
     """
-    if not isinstance(cfg, HarnessConfig):
-        raise TypeError(f"cfg must be a HarnessConfig, got {type(cfg).__name__}")
+    check_instance(cfg, HarnessConfig, "cfg")
     if cfg.method == "gptq":
         missing = [p for p in ONLINE_POINTS if calib is None or p not in calib]
         if missing:
@@ -291,7 +297,7 @@ def quantize_block_weights(
 
     reports = {}
     for name in LAYER_NAMES:
-        err = quant_error(mats[name], quantized[name])
+        err = sqnr(mats[name], quantized[name])
         reports[name] = {
             "format": str(fmts[name]),
             "method": cfg.method,
@@ -330,8 +336,7 @@ def distribution_stats(batch: np.ndarray) -> dict:
 def estimate_cost(cfg: HarnessConfig) -> dict:
     """Static operation and byte accounting for one forward pass; TypeError
     unless cfg is a HarnessConfig."""
-    if not isinstance(cfg, HarnessConfig):
-        raise TypeError(f"cfg must be a HarnessConfig, got {type(cfg).__name__}")
+    check_instance(cfg, HarnessConfig, "cfg")
     n, t = cfg.n, cfg.tokens
     dims = layer_shapes(n, cfg.hidden_dim)
     layer_macs = {name: t * din * dout for name, (din, dout) in dims.items()}
@@ -362,7 +367,7 @@ def estimate_cost(cfg: HarnessConfig) -> dict:
 
 
 def run(cfg: HarnessConfig) -> QuantReport:
-    """Run the full pipeline once and report."""
+    """Run the full pipeline once and report; TypeError unless cfg is a HarnessConfig."""
     weights = init_weights(cfg)
     x = gen_activations(cfg, index=0)
     taps: dict[str, np.ndarray] = {}

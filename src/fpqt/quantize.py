@@ -20,10 +20,15 @@ constants, with the decision whether to test for underflow, and the
 kernel's scratch arrays, and is made once per call, or once per GPTQ sweep,
 whose row step then allocates nothing.
 
-The snap and quant_error run in blocks of about 32 K elements along the
-outermost axis in memory, so each chain of elementwise steps stays in cache.
-quant_error's maxima are exact and its sums are numpy's pairwise sums per
-block, never BLAS, so its numbers do not depend on the BLAS thread count.
+The snap and the error metrics run in blocks of about 32 K elements along
+the outermost axis in memory, so each chain of elementwise steps stays in
+cache.  Their sums are numpy's pairwise sums per block, never BLAS, so their
+numbers do not depend on the BLAS thread count.  The error metrics form
+their sums first (quant_error four and max|a - q|, sqnr two) and read the
+exact peak of |a| and |q| only when the sums leave bounds that prove every
+peak lies in [2^-257, 2^256), where no scaling is needed: rounding is
+monotone on sums of non-negative squares, and a pairwise sum of n terms,
+each at most t, stays below 2n * t.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ _MIN_EXP = -1074
 _BLOCK_ELEMS = 1 << 15  # elements per block of the elementwise kernels (256 KiB)
 _HALF_BELOW = 0.5 - 2.0**-54  # the largest float64 below 1/2
 _SIGN = np.int64(-1 << 63)  # the float64 sign bit, as an int64
+# size * 2^-513 bounds a sum of squares of size terms below 2^-514 each: see quant_error
+_SUM_FLOOR = 2.0**-513
 
 
 @dataclass(frozen=True)
@@ -217,7 +224,8 @@ def snap_per_channel(x: np.ndarray, fmt: FpFormat, bias: np.ndarray | int) -> np
 def quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
     """Error metrics between a reference tensor and its quantized version.
 
-    Returns mse, max_abs, sqnr_db, and cosine similarity.  sqnr_db is the +inf
+    Returns mse, max_abs, sqnr_db, and cosine similarity; sqnr() gives mse and
+    sqnr_db alone, the same bits, from fewer sums.  sqnr_db is the +inf
     sentinel when the error is zero or the signal is zero (undefined); cosine
     lies in [-1, 1]: exactly 1.0 for identical tensors, 0.0 when one side alone
     is all zeros.  Beyond a peak magnitude of 2^+-256, where sums of squares
@@ -227,54 +235,99 @@ def quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
     squared.  Ratios are unchanged, and mse and max_abs are scaled back (+inf
     only when the true value exceeds float64).  NumericalError when either
     tensor holds NaN or Inf.
+
+    The sums of a^2, q^2, a*q and (a - q)^2 and max|a - q| come first, in one
+    pass.  The exact peak of |a| and |q| is read only when sum a^2 or sum q^2
+    reaches 2^512, or neither reaches size * 2^-513, or either is NaN: inside
+    those bounds the peak lies in [2^-257, 2^256) and needs no scaling.
     """
+    a, q = _operands(a, q)
+    if a.size == 0:
+        return {"mse": 0.0, "max_abs": 0.0, "sqnr_db": float("inf"), "cosine": 1.0}
+    with np.errstate(over="ignore", invalid="ignore"):  # sums beyond 2^256 are discarded
+        dmax, sdd, saa, sqq, saq = _error_sums(a, q)
+    k = kd = 0
+    floor = a.size * _SUM_FLOOR
+    if not (saa < 2.0**512 and sqq < 2.0**512 and (saa >= floor or sqq >= floor)):
+        k = _peak_exponent(a, q)
+        if k:
+            dmax, sdd, saa, sqq, saq = _error_sums(a, q, k)
+    if abs(math.frexp(dmax)[1]) > 256:
+        kd = math.frexp(dmax)[1]
+        _, sdd, saa, sqq, saq = _error_sums(a, q, k, kd)
+    mse, sqnr_db = _mse_sqnr(sdd, saa, a.size, k, kd)
+    na, nq = math.sqrt(saa), math.sqrt(sqq)
+    cosine = saq / (na * nq) if na and nq else 0.0
+    # exactly 1.0 when identical (both all-zero included); rounding can pass +-1 otherwise
+    cosine = 1.0 if dmax == 0.0 else max(-1.0, min(1.0, cosine))
+    with np.errstate(over="ignore"):
+        dmax = float(np.ldexp(dmax, k))
+    return {"mse": mse, "max_abs": dmax, "sqnr_db": sqnr_db, "cosine": cosine}
+
+
+def sqnr(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
+    """quant_error's mse and sqnr_db, bit for bit, from the sums of (a - q)^2 and
+    a^2 alone.  When either sum is NaN or Inf, below size * 2^-513 or above 2^508
+    (so a peak of |a|, |q| or |a - q| may lie outside [2^-257, 2^256)), it
+    returns what quant_error does instead, errors included."""
+    a, q = _operands(a, q)
+    if a.size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, sdd, saa, _, _ = _error_sums(a, q, full=False)
+        floor = a.size * _SUM_FLOOR
+        if floor <= sdd <= 2.0**508 and floor <= saa <= 2.0**508:
+            mse, sqnr_db = _mse_sqnr(sdd, saa, a.size, 0, 0)
+            return {"mse": mse, "sqnr_db": sqnr_db}
+    err = quant_error(a, q)
+    return {"mse": err["mse"], "sqnr_db": err["sqnr_db"]}
+
+
+def _operands(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = as_working(a)
     q = as_working(q)
     if a.shape != q.shape:
         raise ShapeError(f"mismatched shapes {a.shape} and {q.shape}")
-    a, q = np.atleast_1d(a, q)  # 0-d operands would give scalars, not out= buffers
-    if a.size == 0:
-        return {"mse": 0.0, "max_abs": 0.0, "sqnr_db": float("inf"), "cosine": 1.0}
-    k = kd = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # sums beyond 2^256 are discarded
-        peak, max_abs, sdd, saa, sqq, saq = _error_sums(a, q, k, kd)
-    if not math.isfinite(peak):  # the peak carries any NaN or Inf through
-        raise NumericalError("error metrics of non-finite values are undefined")
-    if abs(math.frexp(peak)[1]) > 256:
-        k = math.frexp(peak)[1]
-        _, max_abs, sdd, saa, sqq, saq = _error_sums(a, q, k, kd)
-    if abs(math.frexp(max_abs)[1]) > 256:
-        kd = math.frexp(max_abs)[1]
-        _, _, sdd, saa, sqq, saq = _error_sums(a, q, k, kd)
-    mse, signal = sdd / a.size, saa / a.size
+    return np.atleast_1d(a, q)  # 0-d operands would give scalars, not out= buffers
+
+
+def _mse_sqnr(sdd: float, saa: float, size: int, k: int, kd: int) -> tuple[float, float]:
+    """mse and sqnr_db from the sums of (2^-(k+kd) (a - q))^2 and (2^-k a)^2."""
+    mse, signal = sdd / size, saa / size
     sqnr_db = float("inf") if mse == 0.0 or signal == 0.0 else (
         10.0 * float(np.log10(signal / mse)) - 20.0 * math.log10(2.0) * kd)
-    na, nq = math.sqrt(saa), math.sqrt(sqq)
-    cosine = saq / (na * nq) if na and nq else 0.0
-    # exactly 1.0 when identical (both all-zero included); rounding can pass +-1 otherwise
-    cosine = 1.0 if max_abs == 0.0 else max(-1.0, min(1.0, cosine))
     with np.errstate(over="ignore"):
-        mse, max_abs = float(np.ldexp(mse, 2 * (k + kd))), float(np.ldexp(max_abs, k))
-    return {"mse": mse, "max_abs": max_abs, "sqnr_db": sqnr_db, "cosine": cosine}
+        return float(np.ldexp(mse, 2 * (k + kd))), sqnr_db
 
 
-def _error_sums(a: np.ndarray, q: np.ndarray, k: int, kd: int) -> tuple[float, ...]:
-    """One blocked pass over 2^-k a and 2^-k q: exact peak of |a|, |q| and max|a - q|,
-    then sums of (2^-kd (a - q))^2, a^2, q^2 and a*q by numpy, never BLAS.  Blocks of one
-    shape share the scratch d, laid out as a fresh np.subtract result: the sums' order holds."""
-    peak = max_abs = sdd = saa = sqq = saq = 0.0
+def _peak_exponent(a: np.ndarray, q: np.ndarray) -> int:
+    """The frexp exponent of the exact peak of |a| and |q| when it lies beyond 2^+-256,
+    else 0; NumericalError when either holds NaN or Inf."""
+    peak = float(np.maximum(max_abs(a), max_abs(q)))  # np.maximum keeps a NaN
+    if not math.isfinite(peak):
+        raise NumericalError("error metrics of non-finite values are undefined")
+    k = math.frexp(peak)[1]
+    return k if abs(k) > 256 else 0
+
+
+def _error_sums(a: np.ndarray, q: np.ndarray, k: int = 0, kd: int = 0,
+                full: bool = True) -> tuple[float, ...]:
+    """One blocked pass over 2^-k a and 2^-k q: max|a - q| (0.0 unless full), then
+    sums of (2^-kd (a - q))^2, a^2 and, when full, q^2 and a*q (else 0.0) by numpy,
+    never BLAS.  Blocks of one shape share the scratch d, laid out as a fresh
+    np.subtract result: the sums' order holds."""
+    dmax = sdd = saa = sqq = saq = 0.0
     d = None
     for ab, qb in _blocks(a, q):
         if k:
             ab, qb = np.ldexp(ab, -k), np.ldexp(qb, -k)
-        for m in (ab.max(), -ab.min(), qb.max(), -qb.min()):  # np.maximum keeps a NaN
-            peak = np.maximum(peak, m)
         d = np.subtract(ab, qb, out=d if d is not None and d.shape == ab.shape else None)
-        max_abs = np.maximum(max_abs, np.abs(d, out=d).max())
+        if full:  # |d| squares as d does
+            dmax = np.maximum(dmax, np.abs(d, out=d).max())  # np.maximum keeps a NaN
         if kd:
             np.ldexp(d, -kd, out=d)
         sdd += np.multiply(d, d, out=d).sum()
-        saq += np.multiply(ab, qb, out=d).sum()
-        sqq += np.multiply(qb, qb, out=d).sum()
+        if full:
+            saq += np.multiply(ab, qb, out=d).sum()
+            sqq += np.multiply(qb, qb, out=d).sum()
         saa += np.multiply(ab, ab, out=d).sum()
-    return float(peak), float(max_abs), float(sdd), float(saa), float(sqq), float(saq)
+    return float(dmax), float(sdd), float(saa), float(sqq), float(saq)

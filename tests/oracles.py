@@ -2,7 +2,9 @@
 
 Everything here is written as plain Python loops over scalars (or calls
 into a different library path than the code under test) so that agreement
-is meaningful rather than circular.
+is meaningful rather than circular.  The one exception is
+byte_reference_quant_error, a frozen copy of an earlier quant_error that
+pins the bits of the error metrics, not their accuracy.
 """
 
 from __future__ import annotations
@@ -11,6 +13,10 @@ import math
 from itertools import product
 
 import numpy as np
+
+from fpqt.errors import NumericalError, ShapeError
+from fpqt.quantize import _blocks
+from fpqt.tensors import as_working
 
 
 def oracle_grid(n_e: int, n_m: int, bias: int) -> list[float]:
@@ -81,6 +87,65 @@ def oracle_quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
         "sqnr_db": 10.0 * math.log10(signal / noise) - 20.0 * math.log10(2.0) * kd,
         "cosine": math.fsum(x * y for x, y in zip(av, qv)) / (na * nq),
     }
+
+
+def byte_reference_quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
+    """quant_error and its _error_sums as they were when every peak was read
+    before any sum: the bits both quantize.quant_error and quantize.sqnr must
+    give.  One blocked pass (quantize._blocks, the same blocks) takes the exact
+    peak of |a| and |q|, max|a - q| and the sums; it is retaken scaled by 2^-k
+    when the peak lies beyond 2^+-256, and the error by 2^-kd when its peak
+    does."""
+    a = as_working(a)
+    q = as_working(q)
+    if a.shape != q.shape:
+        raise ShapeError(f"mismatched shapes {a.shape} and {q.shape}")
+    a, q = np.atleast_1d(a, q)  # 0-d operands would give scalars, not out= buffers
+    if a.size == 0:
+        return {"mse": 0.0, "max_abs": 0.0, "sqnr_db": float("inf"), "cosine": 1.0}
+    k = kd = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # sums beyond 2^256 are discarded
+        peak, max_abs, sdd, saa, sqq, saq = _byte_reference_sums(a, q, k, kd)
+    if not math.isfinite(peak):  # the peak carries any NaN or Inf through
+        raise NumericalError("error metrics of non-finite values are undefined")
+    if abs(math.frexp(peak)[1]) > 256:
+        k = math.frexp(peak)[1]
+        _, max_abs, sdd, saa, sqq, saq = _byte_reference_sums(a, q, k, kd)
+    if abs(math.frexp(max_abs)[1]) > 256:
+        kd = math.frexp(max_abs)[1]
+        _, _, sdd, saa, sqq, saq = _byte_reference_sums(a, q, k, kd)
+    mse, signal = sdd / a.size, saa / a.size
+    sqnr_db = float("inf") if mse == 0.0 or signal == 0.0 else (
+        10.0 * float(np.log10(signal / mse)) - 20.0 * math.log10(2.0) * kd)
+    na, nq = math.sqrt(saa), math.sqrt(sqq)
+    cosine = saq / (na * nq) if na and nq else 0.0
+    # exactly 1.0 when identical (both all-zero included); rounding can pass +-1 otherwise
+    cosine = 1.0 if max_abs == 0.0 else max(-1.0, min(1.0, cosine))
+    with np.errstate(over="ignore"):
+        mse, max_abs = float(np.ldexp(mse, 2 * (k + kd))), float(np.ldexp(max_abs, k))
+    return {"mse": mse, "max_abs": max_abs, "sqnr_db": sqnr_db, "cosine": cosine}
+
+
+def _byte_reference_sums(a: np.ndarray, q: np.ndarray, k: int, kd: int) -> tuple[float, ...]:
+    """One blocked pass over 2^-k a and 2^-k q: exact peak of |a|, |q| and max|a - q|,
+    then sums of (2^-kd (a - q))^2, a^2, q^2 and a*q by numpy, never BLAS.  Blocks of one
+    shape share the scratch d, laid out as a fresh np.subtract result: the sums' order holds."""
+    peak = max_abs = sdd = saa = sqq = saq = 0.0
+    d = None
+    for ab, qb in _blocks(a, q):
+        if k:
+            ab, qb = np.ldexp(ab, -k), np.ldexp(qb, -k)
+        for m in (ab.max(), -ab.min(), qb.max(), -qb.min()):  # np.maximum keeps a NaN
+            peak = np.maximum(peak, m)
+        d = np.subtract(ab, qb, out=d if d is not None and d.shape == ab.shape else None)
+        max_abs = np.maximum(max_abs, np.abs(d, out=d).max())
+        if kd:
+            np.ldexp(d, -kd, out=d)
+        sdd += np.multiply(d, d, out=d).sum()
+        saq += np.multiply(ab, qb, out=d).sum()
+        sqq += np.multiply(qb, qb, out=d).sum()
+        saa += np.multiply(ab, ab, out=d).sum()
+    return float(peak), float(max_abs), float(sdd), float(saa), float(sqq), float(saq)
 
 
 def oracle_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

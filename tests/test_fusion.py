@@ -428,6 +428,13 @@ class TestCrossHeadApply:
         with pytest.raises(TypeError, match="complex input is not supported"):
             cross_head_apply(np.ones((2, 8), dtype=complex), build(4))
 
+    @pytest.mark.parametrize("spec", ["spec", 4, None], ids=repr)
+    def test_spec_that_is_not_a_hadamard_spec_is_named(self, spec):
+        # was an AttributeError on heads_spec.dim
+        with pytest.raises(TypeError,
+                           match=f"^heads_spec must be a HadamardSpec, got {type(spec).__name__}$"):
+            cross_head_apply(np.ones((2, 8)), spec)
+
 
 class TestFusionPlan:
     def test_init_parameters(self):

@@ -100,6 +100,21 @@ class TestHessianAndObjective:
             layer_objective(np.zeros((3, 2)), np.zeros((3, 2)), cal)
 
 
+_CAL_ENTRIES = {
+    "hessian": hessian,
+    "hessian_factor": hessian_factor,
+    "gptq_quantize": lambda x: gptq_quantize(np.ones((4, 3)), x, E2M1),
+    "layer_objective": lambda x: layer_objective(np.ones((4, 3)), np.ones((4, 3)), x),
+}
+
+
+@pytest.mark.parametrize("entry", _CAL_ENTRIES, ids=str)
+def test_raw_array_in_place_of_a_calibration_set_is_named(entry):
+    # was an AttributeError on cal.in_dim
+    with pytest.raises(TypeError, match="^cal must be a CalibrationSet, got ndarray$"):
+        _CAL_ENTRIES[entry](np.ones((8, 4)))
+
+
 class TestHessianFactor:
     def test_upper_cholesky_and_unit_lower_feedback(self, rng):
         for in_dim in (1, 5, 64, 200):

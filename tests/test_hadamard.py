@@ -133,6 +133,13 @@ class TestApplyRight:
                            match=f"^counter must be an OpCounter, got {type(counter).__name__}$"):
             apply_right(np.ones((2, 8)), build(8), counter=counter)
 
+    @pytest.mark.parametrize("spec", ["spec", 8, None], ids=repr)
+    def test_spec_that_is_not_a_hadamard_spec_is_named(self, spec):
+        # was an AttributeError on spec.dim
+        with pytest.raises(TypeError,
+                           match=f"^spec must be a HadamardSpec, got {type(spec).__name__}$"):
+            apply_right(np.ones((2, 8)), spec)
+
     @pytest.mark.parametrize("n", [16, 24, 56])
     def test_matches_dense_multiply_seeded(self, n, rng):
         spec = build(n, seed=11)

@@ -276,6 +276,22 @@ class TestSeededInputs:
         assert np.abs(x).max() < 10.0
 
 
+_CFG_ENTRIES = {
+    "run": run,
+    "init_weights": init_weights,
+    "gen_activations": gen_activations,
+    "collect_calibration": lambda cfg: collect_calibration(cfg, init_weights(HarnessConfig(**SMALL)), ()),
+}
+
+
+@pytest.mark.parametrize("entry", _CFG_ENTRIES, ids=str)
+@pytest.mark.parametrize("cfg", ["cfg", None, SMALL], ids=repr)
+def test_cfg_that_is_not_a_harness_config_is_named(entry, cfg):
+    # was an AttributeError on cfg.seed or cfg.calib_samples
+    with pytest.raises(TypeError, match=f"^cfg must be a HarnessConfig, got {type(cfg).__name__}$"):
+        _CFG_ENTRIES[entry](cfg)
+
+
 class TestCalibration:
     def test_shapes_and_truncation(self):
         cfg = HarnessConfig(**SMALL)  # 48 samples from 24-token batches

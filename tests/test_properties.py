@@ -6,22 +6,26 @@ tensor by 2^k (well inside float64's normal range) scales every result by
 2^k bit for bit and shifts every bias by k; GPTQ's error feedback depends
 on the calibration set only through ratios of its Cholesky factor, so
 scaling that set by 2^b as well changes nothing else.  Each output channel
-is quantized on its own, so permuting channels permutes the results.
+is quantized on its own, so permuting channels permutes the results.  Both
+error-metric entries, quant_error and sqnr, give the bits of a frozen
+reference that reads every peak before any sum.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fpqt import quantize
 from fpqt.errors import NumericalError
 from fpqt.formats import BiasedFormat, FpFormat, grid
 from fpqt.gptq import CalibrationSet, gptq_quantize
-from fpqt.quantize import channel_bias, minmax_quantize, quant_error
-from oracles import oracle_grid, oracle_nearest
+from fpqt.quantize import channel_bias, minmax_quantize, quant_error, sqnr
+from oracles import byte_reference_quant_error, oracle_grid, oracle_nearest
 
 # derandomized: the same examples on every run, and no example database on disk
 _PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -166,3 +170,114 @@ class TestColumnPermutationEquivariance:
         assert np.array_equal(qp.bias, q.bias[perm])
         assert _same_bits(qp.values, q.values[:, perm])
 
+
+
+def assert_error_metrics_match_the_byte_reference(a, q):
+    """quant_error and sqnr give the reference's floats, bit for bit."""
+    bits = lambda metrics: {key: float(v).hex() for key, v in metrics.items()}
+    want = bits(byte_reference_quant_error(a, q))
+    assert bits(quant_error(a, q)) == want
+    assert bits(sqnr(a, q)) == {key: want[key] for key in ("mse", "sqnr_db")}
+
+
+@st.composite
+def error_pairs(draw):
+    """(a, q) of 1 to 3 dims, up to 8 blocks, each C- or Fortran-ordered, with
+    magnitudes 2^-600 to 2^600 spread over up to 2^+-30 around a drawn center:
+    q is a's snap, a's relative perturbation, a plus an error of any magnitude,
+    an independent tensor, zeros, or a itself."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=64))
+    center, spread = draw(st.integers(-600, 600)), draw(st.integers(0, 30))
+    exps = np.clip(center + rng.integers(-spread, spread + 1, shape), -600, 600)
+    a = np.ldexp(rng.standard_normal(shape), exps)
+    tiny_or_huge = lambda: np.ldexp(rng.standard_normal(shape), draw(st.integers(-600, 600)))
+    q = {
+        "snap": lambda: minmax_quantize(a, draw(formats()), channel_axis=None).values,
+        "near": lambda: a * (1.0 + np.ldexp(rng.standard_normal(shape), -draw(st.integers(1, 52)))),
+        "error": lambda: a + tiny_or_huge(),
+        "other": tiny_or_huge,
+        "zeros": lambda: np.zeros(shape),
+        "same": a.copy,
+    }[draw(st.sampled_from(["snap", "near", "error", "other", "zeros", "same"]))]()
+    order = lambda x: np.asfortranarray(x) if draw(st.booleans()) else x
+    return order(a), order(q)
+
+
+def _edge(value: float, size: int = 64) -> np.ndarray:
+    """size values with peak magnitude exactly value, the others below it."""
+    a = np.random.default_rng(5).uniform(-1.0, 1.0, size) * value
+    a[0] = value
+    return a
+
+
+_BELOW = lambda x: float(np.nextafter(x, 0.0))
+_PEAKS = [2.0**256, _BELOW(2.0**256), 2.0**-257, _BELOW(2.0**-257)]
+
+
+class TestErrorMetricsAgainstByteReference:
+    """The sums come first, and the exact peak is read only outside bounds
+    that prove it needs no scaling; these pin that both entries still give
+    the bits of the reference that reads every peak first."""
+
+    @settings(_PROPERTY_SETTINGS, max_examples=150)
+    @given(error_pairs())
+    def test_random_shapes_orders_and_magnitudes(self, pair):
+        assert_error_metrics_match_the_byte_reference(*pair)
+
+    @pytest.mark.parametrize("peak", _PEAKS, ids=float.hex)
+    def test_peak_at_the_scaling_edge(self, peak):
+        a = _edge(peak)
+        for q in (minmax_quantize(a, FpFormat(2, 1), channel_axis=None).values, a * 0.75, -a):
+            assert_error_metrics_match_the_byte_reference(a, q)
+            assert_error_metrics_match_the_byte_reference(q, a)  # the peak in q alone
+        assert_error_metrics_match_the_byte_reference(a / 2, -a / 2)  # in a - q alone
+
+    @pytest.mark.parametrize("total", [2.0**508, 2.0**512], ids=float.hex)
+    @pytest.mark.parametrize("terms", [1, 4])
+    def test_sum_of_squares_at_the_window_edge(self, total, terms):
+        a = np.full(terms, math.sqrt(total / terms))  # sum a^2 is total
+        assert_error_metrics_match_the_byte_reference(a, a * 0.75)
+        assert_error_metrics_match_the_byte_reference(a * 0.75, a)  # sum q^2 is total
+        assert_error_metrics_match_the_byte_reference(a / 2, -a / 2)  # sum (a - q)^2 is total
+
+    def test_small_value_among_many_zeros_is_refused(self, monkeypatch):
+        # sum a^2 is 2^-500, below size * 2^-513 = 2^-499, so the window cannot
+        # prove the peak reaches 2^-257 and the exact peak is read
+        a = np.zeros(2**14)
+        a[123] = 2.0**-250
+        reads = []
+        peak_exponent = quantize._peak_exponent
+        monkeypatch.setattr(quantize, "_peak_exponent", lambda a, q: reads.append(1) or peak_exponent(a, q))
+        for q in (np.zeros_like(a), a / 2):
+            assert_error_metrics_match_the_byte_reference(a, q)
+            assert len(reads) == 2  # once for quant_error and once for sqnr
+            reads.clear()
+
+    def test_sqnr_takes_one_lean_pass_inside_the_window(self, monkeypatch):
+        a = np.random.default_rng(0).standard_normal((300, 200))
+        q = minmax_quantize(a, FpFormat(2, 1)).values
+        calls = []
+        sums, peak_exponent = quantize._error_sums, quantize._peak_exponent
+        monkeypatch.setattr(quantize, "_error_sums", lambda *args, **kw: calls.append(kw) or sums(*args, **kw))
+        monkeypatch.setattr(quantize, "_peak_exponent", lambda a, q: calls.append("peak") or peak_exponent(a, q))
+        assert_error_metrics_match_the_byte_reference(a, q)
+        assert calls == [{}, {"full": False}]  # quant_error's one full pass, then sqnr's lean one
+
+    @pytest.mark.parametrize("same", [True, False], ids=["a_equals_q", "all_zeros"])
+    def test_no_error_or_no_signal(self, same):
+        a = np.random.default_rng(1).standard_normal((50, 7)) if same else np.zeros((50, 7))
+        assert_error_metrics_match_the_byte_reference(a, a.copy())
+        assert_error_metrics_match_the_byte_reference(np.zeros_like(a), a)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+    @pytest.mark.parametrize("where", ["a", "q", "both"])
+    def test_non_finite_values_raise_the_same_error(self, bad, where):
+        a = np.random.default_rng(2).standard_normal(40)
+        q = minmax_quantize(a, FpFormat(2, 1)).values.copy()
+        for name, x in (("a", a), ("q", q)):
+            if where in (name, "both"):
+                x[17] = bad
+        for entry in (byte_reference_quant_error, quant_error, sqnr):
+            with pytest.raises(NumericalError, match="^error metrics of non-finite values are undefined$"):
+                entry(a, q)
