@@ -36,10 +36,11 @@ from .fusion import (
 )
 from .hadamard import apply_right, build, op_count, realize
 from .harness import HarnessConfig, estimate_cost, run, strict_json
-from .quantize import minmax_quantize, sqnr
+from .quantize import _fits, _Grid, channel_bias, sqnr
 from .select import SelectionConfig, select_format, selection_table, spread_indicator
 from .tensors import (
     STORAGE_DTYPE,
+    _iter_entries,
     _replacing,
     _write_entries,
     channel_max_median_ratio,
@@ -156,18 +157,15 @@ def cmd_select_format(args: argparse.Namespace) -> int:
     return 0
 
 
-def _storable(name: str, values: np.ndarray, fmt: FpFormat, bias: np.ndarray) -> np.ndarray:
+def _storable(name: str, values: np.ndarray, fmt: FpFormat) -> np.ndarray:
     """values, or NumericalError naming the entry when the float32 container
-    would store some of them off their grid.  The cast is checked only where
-    it can be inexact: a grid with more significant bits than float32, or
-    one stepping below float32's least subnormal, 2^-149."""
-    f32 = np.finfo(STORAGE_DTYPE)
-    lowest_step = int(bias.min(initial=0)) + 1 - fmt.n_m
-    if fmt.n_m > f32.nmant or lowest_step < f32.minexp - f32.nmant:
-        with np.errstate(over="ignore"):
-            if not np.array_equal(values.astype(STORAGE_DTYPE), values):
-                raise NumericalError(f"tensor {name!r} quantized to {fmt} holds values that "
-                                     f"float32 storage would move off the grid")
+    would store some of them off their grid: the check for float64 values on
+    a grid float32 does not hold (see quantize._fits), such as one with more
+    significant bits than float32 or one stepping below its least subnormal."""
+    with np.errstate(over="ignore"):
+        if not np.array_equal(values.astype(STORAGE_DTYPE), values):
+            raise NumericalError(f"tensor {name!r} quantized to {fmt} holds values that "
+                                 f"float32 storage would move off the grid")
     return values
 
 
@@ -177,23 +175,31 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     lines = []
 
     def quantized(entries):
+        # entries are read, selected and measured in float32, the container's
+        # width, and snapped in float32 where it holds their grids, else in
+        # float64 with the cast to storage checked
         for name, t in entries:
             fmt = select_format(_nonempty(name, t), cfg) if fixed is None else fixed
             a = t.reshape(-1, 1) if t.ndim < 2 else t
-            qt = minmax_quantize(a, fmt, channel_axis=-1)
-            values = _storable(name, qt.values.reshape(t.shape), fmt, qt.bias)
+            bias = channel_bias(a, fmt)
+            fits = _fits(fmt, bias, np.float32)
+            values = np.empty(a.shape, np.float32 if fits else np.float64)
+            values = _Grid(fmt, bias, values.dtype).snap(a, values).reshape(t.shape)
+            del a
+            if not fits:
+                values = _storable(name, values, fmt)
             err = sqnr(t, values)
             lines.append(
-                f"{name}: format={fmt} channels={qt.bias.size} "
+                f"{name}: format={fmt} channels={bias.size} "
                 f"mse={err['mse']:.6g} sqnr_db={err['sqnr_db']:.4f}"
             )
-            bias = qt.bias.astype(np.float64)
-            del t, a, qt  # free the input before values are written
+            bias = bias.astype(np.float64)
+            del t  # free the input before values are written
             yield name, values
             del values  # and values before the next entry is read
             yield f"{name}.bias", bias
 
-    with closing(iter_tensors(args.input)) as entries:
+    with closing(_iter_entries(args.input, np.float32)) as entries:
         count = _write_entries(args.output, quantized(entries))
     for line in lines:
         print(line)

@@ -12,13 +12,28 @@ array in place), as a hardware cast would: clamp the magnitude to the grid
 ceiling, read its binade from the float exponent (frexp), raise that to
 the lowest grid level (the subnormal ramp shares level 1's spacing), scale
 into mantissa units, round half away from zero, scale back, and set the
-sign bit by int64 bit operations.  Both scalings are ldexp by int32
+sign bit by integer bit operations.  Both scalings are ldexp by int32
 exponents, never a multiplication by a reciprocal (which overflows for
 subnormal spacings), so results are bit-reproducible and land exactly on
 grid points.  That kernel is _Grid.snap: a _Grid holds the per-channel grid
 constants, with the decision whether to test for underflow, and the
 kernel's scratch arrays, and is made once per call, or once per GPTQ sweep,
 whose row step then allocates nothing.
+
+The kernel works in one float width, fixed when the grid is made: float64,
+or float32 for `fpqt quantize`, whose container stores float32.  The grid
+holds that width's constants: the ceilings vmax in it, the same-width int
+view and sign mask (int64 or int32), its least subnormal exponent (-1074 or
+-149), and the largest float below 1/2, which the rounding adds before its
+floor (1/2 - 2^-54, or 1/2 - 2^-25: the float64 one is 1/2 in float32).
+Where _fits(fmt, bias, dtype) says the width holds every point of the grids
+(at most its significant bits, no step below its least subnormal, a ceiling
+below its largest value), every step of the snap is exact in it, so a
+float32 snap gives the bits of the float64 snap of the same values.
+MinMax, snap_per_channel and GPTQ snap in float64.  channel_bias and the
+error metrics take a float32 array as it is, with no float64 copy, and
+return what they return for its float64 upcast: a peak is exact in either
+width, and the error sums widen each block to float64 before any product.
 
 The snap and the error metrics run in blocks of about 32 K elements along
 the outermost axis in memory, so each chain of elementwise steps stays in
@@ -40,13 +55,9 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError
 from .formats import FpFormat, check_bias, check_format
-from .tensors import as_working, max_abs
+from .tensors import as_float, as_working, max_abs
 
-# exponent of the smallest positive float64, the subnormal 2^-1074
-_MIN_EXP = -1074
-_BLOCK_ELEMS = 1 << 15  # elements per block of the elementwise kernels (256 KiB)
-_HALF_BELOW = 0.5 - 2.0**-54  # the largest float64 below 1/2
-_SIGN = np.int64(-1 << 63)  # the float64 sign bit, as an int64
+_BLOCK_ELEMS = 1 << 15  # elements per block of the elementwise kernels (256 KiB in float64)
 # size * 2^-513 bounds a sum of squares of size terms below 2^-514 each: see quant_error
 _SUM_FLOOR = 2.0**-513
 
@@ -79,7 +90,7 @@ def channel_bias(a: np.ndarray, fmt: FpFormat, channel_axis: int | None = -1) ->
     that is not an FpFormat a TypeError.
     """
     check_format(fmt)
-    a = as_working(a)
+    a = as_float(a)
     axis = None
     if channel_axis is not None:
         if not isinstance(channel_axis, (int, np.integer)) or isinstance(channel_axis, bool):
@@ -88,7 +99,7 @@ def channel_bias(a: np.ndarray, fmt: FpFormat, channel_axis: int | None = -1) ->
             raise ShapeError(f"channel_axis {channel_axis} is outside shape {a.shape}")
         a = np.moveaxis(a, channel_axis, -1)
         axis = tuple(range(a.ndim - 1))
-    amax = max_abs(a, axis)
+    amax = as_working(max_abs(a, axis))  # the peaks, exact in float64
     if not np.isfinite(amax).all():  # max and min carry any NaN or Inf through
         raise NumericalError("cannot quantize non-finite values")
 
@@ -103,7 +114,9 @@ def channel_bias(a: np.ndarray, fmt: FpFormat, channel_axis: int | None = -1) ->
 def _blocks(x: np.ndarray, *operands: np.ndarray):
     """(x block, operand blocks...) of about _BLOCK_ELEMS elements along x's axis of
     largest stride, contiguous pieces of a C- or F-ordered x; operands of x's shape
-    are sliced as they are (so a writable one yields writable blocks), others broadcast."""
+    are sliced as they are (so a writable one yields writable blocks), others broadcast.
+    The blocks follow x's shape and memory order, never its width, so a float32 x
+    and its float64 upcast split alike."""
     if x.size <= _BLOCK_ELEMS:  # one block, without broadcast views: they cost more than a small snap
         yield x, *operands
         return
@@ -116,59 +129,83 @@ def _blocks(x: np.ndarray, *operands: np.ndarray):
         yield x[block], *(o[block] for o in operands)
 
 
+def _fits(fmt: FpFormat, bias: np.ndarray, dtype) -> bool:
+    """Whether the float width dtype holds every point of fmt's grids at the
+    integer biases: at most its significant bits (n_m <= nmant), a lowest step
+    2^(min bias + 1 - n_m) no finer than its least subnormal, and a ceiling
+    max_val * 2^(max bias) below 2^maxexp, so no larger than its largest value."""
+    info, bias = np.finfo(dtype), np.asarray(bias)
+    low, high = (int(bias.min()), int(bias.max())) if bias.size else (0, 0)
+    return (fmt.n_m <= info.nmant and low + 1 - fmt.n_m >= info.minexp - info.nmant
+            and math.frexp(fmt.max_val)[1] + high <= info.maxexp)
+
+
 class _Grid:
     """The snap onto fmt's grids at integer exponent biases that broadcast against
-    the values: grid ceilings vmax, lowest-level spacing exponents lo, and whether
-    any spacing lies below 2^-1074 (may_underflow, so the snap must test for it),
-    worked out once.  Its scratch arrays are made once per block shape and reused,
-    so a grid serves one call or one GPTQ sweep and is never shared."""
+    the values, in the float width dtype (float64 by default; float32 only where
+    _fits holds): grid ceilings vmax in that width, lowest-level spacing
+    exponents lo, whether any spacing lies below the width's least subnormal
+    (may_underflow, so the snap must test for it), and the width's rounding
+    constant, int view and sign mask, worked out once.  Its scratch arrays are
+    made once per block shape and reused, so a grid serves one call or one GPTQ
+    sweep and is never shared."""
 
-    def __init__(self, fmt: FpFormat, bias: np.ndarray):
+    def __init__(self, fmt: FpFormat, bias: np.ndarray, dtype=np.float64):
         bias = np.asarray(bias, dtype=np.int64)
+        info = np.finfo(dtype)
+        self.dtype, self.bits = info.dtype, np.dtype(f"i{info.dtype.itemsize}")
         self.n_m = fmt.n_m
-        self.vmax = np.ldexp(fmt.max_val, bias)
+        # the ceilings, exact in float32 where _fits holds
+        self.vmax = np.ldexp(fmt.max_val, bias).astype(self.dtype, copy=False)
         self.lo = (bias + (1 - fmt.n_m)).astype(np.int32)
-        self.may_underflow = bool(self.lo.min(initial=0) < _MIN_EXP)
-        self.scratch = None  # magnitudes (float64), exponents, spacings (int32), magnitude bits
+        self.min_exp = info.minexp - info.nmant  # exponent of the least subnormal
+        self.may_underflow = bool(self.lo.min(initial=0) < self.min_exp)
+        self.half_below = np.nextafter(self.dtype.type(0.5), self.dtype.type(0.0))
+        self.sign = self.bits.type(-1 << (8 * self.bits.itemsize - 1))  # the sign bit
+        self.scratch = None  # magnitudes, exponents, spacings (int32), magnitude bits
 
     def snap(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Snap a 1-D or larger x to the nearest grid point, ties away from zero,
-        into out (x's shape, float64; x itself snaps in place).
+        into out, an array of x's shape in the grid's width (x may be narrower, as
+        a float32 x snapped into a float64 out; x itself snaps in place).
 
         Magnitudes above the ceiling clamp onto it.  The result takes the sign
         of x < 0, so -0.0 maps to +0.0 and a negative value that rounds to zero
         gives -0.0.  Returns out (partly snapped when it raises).
         """
         for xb, ob, vmax, lo in _blocks(x, out, self.vmax, self.lo):
-            if self.scratch is None or self.scratch[0].shape != xb.shape:
-                mag = np.empty_like(xb)
-                self.scratch = (mag, np.empty_like(xb, dtype=np.int32),
-                                np.empty_like(xb, dtype=np.int32), mag.view(np.int64))
+            if self.scratch is None or self.scratch[0].shape != ob.shape:
+                mag = np.empty_like(ob)
+                self.scratch = (mag, np.empty_like(ob, dtype=np.int32),
+                                np.empty_like(ob, dtype=np.int32), mag.view(self.bits))
             mag, exp, spacing, mag_bits = self.scratch
-            np.add(xb, 0.0, out=ob)  # -0.0 becomes +0.0, so ob's sign bit is x < 0
+            np.add(xb, 0.0, out=ob)  # -0.0 becomes +0.0, so ob's sign bit is x < 0; exact
             np.abs(ob, out=mag)
             np.minimum(mag, vmax, out=mag)
             # split mag = m * 2^exp in place, m in [0.5, 1): the mantissa buffer is
             # the working array, and scaling m by 2^(exp - spacing) is exactly
-            # ldexp(mag, -spacing) without a second float64 array
+            # ldexp(mag, -spacing) without a second float array
             np.frexp(mag, out=(mag, exp))
             # spacing exponent of the grid level holding mag; the subnormal ramp
             # shares level 1's spacing (lo), and a zero snaps to 0 at any spacing
             np.add(exp, np.int32(-1 - self.n_m), out=spacing)
             np.maximum(spacing, lo, out=spacing)
-            # raise when a value's spacing is below the smallest float64; a zero sits
-            # on the lowest level, so its grid's lowest spacing must be representable
-            if self.may_underflow and np.any((spacing < _MIN_EXP) | ((mag == 0.0) & (lo < _MIN_EXP))):
-                raise NumericalError("grid scale underflowed float64; data magnitude too small")
+            # raise when a value's spacing is below the width's least subnormal; a zero
+            # sits on the lowest level, so its grid's lowest spacing must be representable
+            if self.may_underflow and np.any((spacing < self.min_exp)
+                                             | ((mag == 0.0) & (lo < self.min_exp))):
+                raise NumericalError(f"grid scale underflowed {self.dtype}; "
+                                     f"data magnitude too small")
             exp -= spacing
             np.ldexp(mag, exp, out=mag)  # magnitude in units of the grid spacing
-            # floor(mag + 1/2) exactly: adding 1/2 itself rounds 1/2 - 2^-54 up to 1 and
-            # an odd count >= 2^52 up to the next even one; 1/2 - 2^-54 still lifts every tie
-            mag += _HALF_BELOW
+            # floor(mag + 1/2) exactly: adding 1/2 itself rounds the largest float below
+            # 1/2 up to 1 and an odd count >= 2^nmant up to the next even one; that
+            # float (1/2 - 2^-54 in float64) still lifts every tie
+            mag += self.half_below
             np.floor(mag, out=mag)
             np.ldexp(mag, spacing, out=mag)
-            bits = ob.view(np.int64)  # copysign(mag, ob): ob's sign bit, then mag's (>= 0) bits
-            bits &= _SIGN
+            bits = ob.view(self.bits)  # copysign(mag, ob): ob's sign bit, then mag's (>= 0) bits
+            bits &= self.sign
             bits |= mag_bits
         return out
 
@@ -283,8 +320,8 @@ def sqnr(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
 
 
 def _operands(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = as_working(a)
-    q = as_working(q)
+    a = as_float(a)
+    q = as_float(q)
     if a.shape != q.shape:
         raise ShapeError(f"mismatched shapes {a.shape} and {q.shape}")
     return np.atleast_1d(a, q)  # 0-d operands would give scalars, not out= buffers
@@ -313,11 +350,19 @@ def _error_sums(a: np.ndarray, q: np.ndarray, k: int = 0, kd: int = 0,
                 full: bool = True) -> tuple[float, ...]:
     """One blocked pass over 2^-k a and 2^-k q: max|a - q| (0.0 unless full), then
     sums of (2^-kd (a - q))^2, a^2 and, when full, q^2 and a*q (else 0.0) by numpy,
-    never BLAS.  Blocks of one shape share the scratch d, laid out as a fresh
+    never BLAS.  A float32 operand's block is first widened, exactly, into float64
+    scratch laid out as the block is, so the sums are those of its float64
+    upcast.  Blocks of one shape share the scratch d, laid out as a fresh
     np.subtract result: the sums' order holds."""
     dmax = sdd = saa = sqq = saq = 0.0
-    d = None
+    d = wide = None
     for ab, qb in _blocks(a, q):
+        if ab.dtype != np.float64 or qb.dtype != np.float64:
+            if wide is None or wide[0].shape != ab.shape:
+                wide = np.empty_like(ab, dtype=np.float64), np.empty_like(qb, dtype=np.float64)
+            np.copyto(wide[0], ab)
+            np.copyto(wide[1], qb)
+            ab, qb = wide
         if k:
             ab, qb = np.ldexp(ab, -k), np.ldexp(qb, -k)
         d = np.subtract(ab, qb, out=d if d is not None and d.shape == ab.shape else None)

@@ -5,6 +5,11 @@ the extreme magnitudes sit above the bulk.  Each candidate ExMy layout of
 the target width covers a characteristic magnitude span (its range_ratio r),
 so the selector picks the layout whose log2 r is closest to log2 s_w: spread
 data buys exponent bits, concentrated data buys mantissa bits.
+
+The quantile is taken by partitioning the signed-int view of |W| in W's own
+width: int32 for a float32 W, read without a float64 copy, int64 otherwise.
+Both widths order a magnitude as its float64 upcast does, so a float32 W
+selects what its upcast selects.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .errors import NumericalError, check_types
 from .formats import FpFormat, candidate_formats
-from .tensors import as_working
+from .tensors import as_float
 
 
 @dataclass(frozen=True)
@@ -37,16 +42,18 @@ def spread_indicator(w: np.ndarray, alpha: float = SelectionConfig.alpha) -> flo
 
     Scale-invariant.  A constant tensor (all-zero included) gives exactly
     1.0, a zero quantile under a nonzero max the +inf sentinel, and
-    non-finite data a NumericalError.  The partition runs on the int64 view
-    of |W|, the faster one: non-negative float64 values order as their bit
-    patterns do, +Inf after every finite value and NaN after +Inf.
+    non-finite data a NumericalError.  The partition runs on the same-width
+    int view of |W| (int32 for float32 W, else int64), the faster one:
+    non-negative floats order as their bit patterns do, +Inf after every
+    finite value and NaN after +Inf.
     """
     if np.size(w) == 0:
         raise ValueError("spread of an empty tensor is undefined")
     SelectionConfig(alpha=alpha)  # checks alpha
-    mags = np.abs(as_working(w)).ravel()  # a copy of |W|, partitioned in place
+    mags = np.abs(as_float(w)).ravel()  # a copy of |W|, partitioned in place
     k = math.ceil(alpha / 100.0 * mags.size) - 1
-    mags.view(np.int64).partition(k)  # mags[k] is the quantile; the max, NaN and Inf lie after it
+    # mags[k] is the quantile; the max, NaN and Inf lie after it
+    mags.view(f"i{mags.itemsize}").partition(k)
     denom, top = float(mags[k]), float(mags[k:].max())
     if not math.isfinite(top):
         raise NumericalError("spread of non-finite values is undefined")

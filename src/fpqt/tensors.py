@@ -2,6 +2,11 @@
 
 Tensors are plain numpy arrays.  Working precision is float64: every array
 the package returns is float64, and the on-disk container stores float32.
+`fpqt quantize` alone works internally in float32, the container's own
+width, wherever the grid it snaps onto fits float32 (see quantize): it reads
+each payload through the private float32 stream, and the kernels it calls
+(format selection, the snap, the error sums and the writer) take a float32
+array as it is, with no float64 copy, and give the bits of its float64 upcast.
 All operations are pure: no function in this package mutates its inputs.
 Weight matrices are stored input_dim x output_dim so activations @ weights
 composes left to right, and the channel axis of a 2-D activation batch is
@@ -63,6 +68,13 @@ def as_working(x, copy: bool = False) -> np.ndarray:
     return np.array(x, dtype=WORKING_DTYPE) if copy else np.asarray(x, dtype=WORKING_DTYPE)
 
 
+def as_float(x) -> np.ndarray:
+    """x itself when it is a native float32 or float64 array, else as_working(x):
+    the kernels that read a float32 array in its own width take it this way."""
+    x = np.asarray(x)
+    return x if x.dtype in (np.float32, np.float64) else as_working(x)
+
+
 def max_abs(x: np.ndarray, axis: int | tuple[int, ...] | None = None) -> np.ndarray:
     """max |x| along axis (over all of x for None), without an |x| copy: 0.0
     for an empty line and +0.0, never -0.0, for an all-zero one; NaN or Inf
@@ -111,6 +123,12 @@ def iter_tensors(path) -> Iterator[tuple[str, np.ndarray]]:
     entry has been consumed.  The file is closed when the stream ends, fails
     or is closed.  TypeError unless path is a str, bytes or os.PathLike.
     """
+    return _iter_entries(path, WORKING_DTYPE)
+
+
+def _iter_entries(path, dtype) -> Iterator[tuple[str, np.ndarray]]:
+    """iter_tensors' stream with each payload as a dtype array: WORKING_DTYPE, or
+    float32 for the stored values themselves, read-only and without a copy."""
     _check_path(path)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -123,8 +141,8 @@ def iter_tensors(path) -> Iterator[tuple[str, np.ndarray]]:
             return at, data
 
         def payload(name: str, dims: tuple[int, ...], dims_at: int) -> np.ndarray:
-            """The next payload as a float64 array of dims; its float32 bytes
-            die with this call, so the stream holds nothing while suspended."""
+            """The next payload as a dtype array of dims, which alone holds its
+            bytes, so the stream holds nothing while suspended."""
             at, raw = read(4 * math.prod(dims), f"payload of {name!r}")
             # a nonempty entry this large is already truncated; an empty one is not
             if len(dims) > _MAX_NDIM or math.prod(d for d in dims if d) > _MAX_ELEMS:
@@ -132,7 +150,7 @@ def iter_tensors(path) -> Iterator[tuple[str, np.ndarray]]:
             values = np.frombuffer(raw, dtype=STORAGE_DTYPE)
             if not np.isfinite(values).all():
                 raise FormatError(f"tensor {name!r} contains NaN or Inf", at)
-            return values.astype(WORKING_DTYPE).reshape(dims)
+            return values.astype(dtype, copy=False).reshape(dims)
 
         magic = read(4, "magic")[1]
         if magic != MAGIC:
@@ -186,7 +204,7 @@ def _write_entries(path, pairs: Iterable[tuple[str, np.ndarray]]) -> int:
             if name in names:
                 raise ValueError(f"duplicate tensor name {name!r}")
             names.add(name)
-            arr = as_working(value)
+            arr = as_float(value)  # float32 and float64 are cast straight to storage
             name_bytes = name.encode("utf-8")
             if len(name_bytes) > 0xFFFF:
                 raise ValueError(f"tensor name too long: {len(name_bytes)} bytes")

@@ -101,9 +101,10 @@ def test_no_module_imports_scipy_at_import_time(path):
 
 # the underscore names a package module may import from another one; a name
 # leaves the list once no module imports it.  gptq's sweep snaps its rows on
-# one _Grid, the snap with its constants and scratch.
+# one _Grid, the snap with its constants and scratch; fpqt quantize reads the
+# float32 stream and snaps on a float32 _Grid where _fits says float32 holds it.
 PRIVATE_IMPORTS = {"gptq.py": {"_Grid"},
-                   "cli.py": {"_replacing", "_write_entries"}}
+                   "cli.py": {"_Grid", "_fits", "_iter_entries", "_replacing", "_write_entries"}}
 
 
 def private_imports(source: str) -> set[str]:

@@ -114,9 +114,12 @@ def test_gptq_sweep_holds_two_weight_sized_arrays(rng):
 
 def test_quantize_command_holds_one_entry_at_a_time(rng, tmp_path):
     # neither the command nor the container reader keeps entry k's arrays
-    # while entry k + 1 is read and quantized (2.58 measured; 4.55 when both did)
+    # while entry k + 1 is read and quantized, and the entry is read, selected,
+    # snapped and measured in float32 (1.43 measured; 2.33 in float64, 4.55 when
+    # both kept entry k)
     src, out = tmp_path / "in.fpqt", tmp_path / "out.fpqt"
     write_tensors(src, {f"t{i}": rng.standard_normal((512, 512)) for i in range(6)})
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["quantize", str(src), str(out)]) == 0  # lazy imports and caches
-        assert traced_peak(lambda: cli.main(["quantize", str(src), str(out)])) <= 3 * 8 * 512 * 512
+        peak = traced_peak(lambda: cli.main(["quantize", str(src), str(out)]))
+        assert peak <= 1.66 * 8 * 512 * 512

@@ -8,7 +8,8 @@ on the calibration set only through ratios of its Cholesky factor, so
 scaling that set by 2^b as well changes nothing else.  Each output channel
 is quantized on its own, so permuting channels permutes the results.  Both
 error-metric entries, quant_error and sqnr, give the bits of a frozen
-reference that reads every peak before any sum.
+reference that reads every peak before any sum, float32 operands the bits
+of their float64 upcast.
 """
 
 import math
@@ -204,6 +205,30 @@ def error_pairs(draw):
     return order(a), order(q)
 
 
+@st.composite
+def float32_error_pairs(draw):
+    """error_pairs in float32, the width fpqt quantize measures in: magnitudes
+    2^-149 (float32's least subnormal) to 2^124 spread over up to 2^+-30 around
+    a drawn center, and q a's snap, a's relative perturbation, a plus an error
+    of any float32 magnitude, an independent tensor, zeros, or a itself."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=64))
+    center, spread = draw(st.integers(-149, 124)), draw(st.integers(0, 30))
+    normal = lambda exps: np.ldexp(rng.standard_normal(shape), np.clip(exps, -149, 124))
+    a = normal(center + rng.integers(-spread, spread + 1, shape))
+    tiny_or_huge = lambda: normal(draw(st.integers(-149, 124)))
+    q = {
+        "snap": lambda: minmax_quantize(a, draw(formats()), channel_axis=None).values,
+        "near": lambda: a * (1.0 + np.ldexp(rng.standard_normal(shape), -draw(st.integers(1, 23)))),
+        "error": lambda: a + tiny_or_huge(),
+        "other": tiny_or_huge,
+        "zeros": lambda: np.zeros(shape),
+        "same": a.copy,
+    }[draw(st.sampled_from(["snap", "near", "error", "other", "zeros", "same"]))]()
+    order = lambda x: np.asfortranarray(x) if draw(st.booleans()) else x
+    return order(a.astype(np.float32)), order(q.astype(np.float32))
+
+
 def _edge(value: float, size: int = 64) -> np.ndarray:
     """size values with peak magnitude exactly value, the others below it."""
     a = np.random.default_rng(5).uniform(-1.0, 1.0, size) * value
@@ -224,6 +249,14 @@ class TestErrorMetricsAgainstByteReference:
     @given(error_pairs())
     def test_random_shapes_orders_and_magnitudes(self, pair):
         assert_error_metrics_match_the_byte_reference(*pair)
+
+    @settings(_PROPERTY_SETTINGS, max_examples=100)
+    @given(float32_error_pairs())
+    def test_float32_pairs_give_the_bits_of_their_float64_upcast(self, pair):
+        # the reference reads the float64 upcast; the entries read float32 as it is
+        a, q = pair
+        assert_error_metrics_match_the_byte_reference(a, q)
+        assert_error_metrics_match_the_byte_reference(a, q.astype(np.float64))  # a mixed pair
 
     @pytest.mark.parametrize("peak", _PEAKS, ids=float.hex)
     def test_peak_at_the_scaling_edge(self, peak):
