@@ -54,6 +54,9 @@ LN_EPS = 1e-6
 GEMM_BITS = 24
 WEIGHT_BITS = 7  # s_w: a weight form's integers lie below 2^7, so they fit int8
 EXP_WINDOW = 400  # |peak exponent| of a row or column; keeps products and results normal
+# the units 2^(e - s) of a float32 form that holds its own values: float32's least
+# subnormal up to the unit at which GEMM_BITS-bit integers stay below 2^128
+F32_UNITS = (-149, 128 - GEMM_BITS)
 
 ONLINE_POINTS = ("attn_input", "post_attention", "ffn_input", "post_gelu")
 V_MODES = ("per_head_exact", "paper_literal")
@@ -277,9 +280,13 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
     _, k = np.frexp(max_abs(x, -1))
     if (k > 256).any():
         x = np.ldexp(x, np.where(k > 256, 128 - k, 0)[..., np.newaxis])
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + LN_EPS) * gamma + beta
+    # x.var's own steps, bit for bit, on the one x - mean the result is built in
+    d = x - x.mean(axis=-1, keepdims=True)
+    var = np.add.reduce(np.square(d), axis=-1, keepdims=True) / x.shape[-1]
+    d /= np.sqrt(var + LN_EPS)
+    d *= gamma
+    d += beta
+    return d
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -342,10 +349,13 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.nda
 class _IntForm:
     """x = q * scale along one axis of a 2-D x: q holds integers of magnitude
     below 2^s, and scale holds 2^(e - s) for each row (activations) or
-    column (weights), e being the frexp exponent of that row's or column's peak."""
+    column (weights), e being the frexp exponent of that row's or column's peak.
+    A values form has scale None and q = x itself in float32: each row is
+    integers below 2^s times its unit 2^(e - s), and every unit lies in
+    F32_UNITS (see _exact_gemm)."""
 
     q: np.ndarray
-    scale: np.ndarray
+    scale: np.ndarray | None
 
 
 def _int_form(x: np.ndarray, bits: int, axis: int, dtype: type,
@@ -354,7 +364,8 @@ def _int_form(x: np.ndarray, bits: int, axis: int, dtype: type,
     column (axis=0): q = ldexp(x, s - e) held as dtype, which must hold
     every integer below 2^s; peak is max_abs(x, axis), when the caller has it.
     None unless every peak is finite with |e| at most EXP_WINDOW (a zero
-    peak has e = 0) and every q is an integer."""
+    peak has e = 0) and every q is an integer.  For float32, when every unit
+    2^(e - s) lies in F32_UNITS, the values form: x itself in float32."""
     if peak is None:
         peak = max_abs(x, axis)
     if not np.isfinite(peak).all():
@@ -369,14 +380,22 @@ def _int_form(x: np.ndarray, bits: int, axis: int, dtype: type,
     # only a negative shift can sink a nonzero value to zero
     if shift.min(initial=0) < 0 and np.count_nonzero(q) != np.count_nonzero(x):
         return None
-    return _IntForm(q.astype(dtype), np.ldexp(1.0, e - bits))
+    unit = e - bits
+    lowest, highest = F32_UNITS
+    if dtype is np.float32 and lowest <= unit.min(initial=0) and unit.max(initial=0) <= highest:
+        return _IntForm(x.astype(np.float32), None)
+    return _IntForm(q.astype(dtype), np.ldexp(1.0, unit))
 
 
 def _exact_gemm(a: _IntForm, w: _IntForm) -> np.ndarray:
-    """a's rows times w's columns: one float32 GEMM of the integer forms,
-    cast to float64 and scaled back by each row's and column's power of two."""
+    """a's rows times w's columns: one float32 GEMM of the forms, cast to
+    float64 and scaled back by each column's power of two and, unless a is a
+    values form, each row's.  A values form needs no row scale: its partial
+    sums are integers below 2^24 times a unit in F32_UNITS, which float32
+    holds exactly (see block_forward)."""
     out = (a.q @ w.q.astype(np.float32)).astype(np.float64)
-    out *= a.scale[:, None]
+    if a.scale is not None:
+        out *= a.scale[:, None]
     out *= w.scale
     return out
 
@@ -418,8 +437,12 @@ def block_forward(
     or thread count, is an integer below 2^24 in that unit, which float32
     and float64 both hold exactly; |e| <= EXP_WINDOW keeps every product,
     sum and scaled result a normal float64, and both BLAS sums start from
-    +0.0, so a zero result is +0.0 on either path.  W_q, W_k and W_v share
-    their input's form."""
+    +0.0, so a zero result is +0.0 on either path.  An input whose row
+    units 2^(e_a - s_a) all lie in F32_UNITS enters the GEMM as its own
+    values (the values form): each partial sum is then an integer below
+    2^24 in the unit 2^(e_a - s_a), at least float32's least subnormal and
+    at most 2^104, so float32 holds it exactly and only the weights' column
+    scale remains.  W_q, W_k and W_v share their input's form."""
     if taps_only and taps is None:
         raise ValueError("taps_only needs a taps dict to fill")
     x = as_working(x)
@@ -465,12 +488,14 @@ def block_forward(
         with np.errstate(over="ignore", invalid="ignore"):
             a = feed(layer_norm(x, weights.ln1_gamma, weights.ln1_beta), "attn_input")
             ctx = attention(linear(a, "w_q"), linear(a, "w_k"), linear(a, "w_v"), weights.heads)
-            x2 = x + linear(feed(ctx, "post_attention"), "w_out")
+            x2 = linear(feed(ctx, "post_attention"), "w_out")  # a fresh array: add in place
+            x2 += x
             f = feed(layer_norm(x2, weights.ln2_gamma, weights.ln2_beta), "ffn_input")
             h = feed(gelu(linear(f, "w_fc1")), "post_gelu")
             if taps_only:  # a non-finite tap is refused by CalibrationSet
                 return None
-            out = x2 + linear(h, "w_fc2")
+            out = linear(h, "w_fc2")
+            out += x2
     except NumericalError as exc:  # from act_quant or its result's check
         weights.name_non_finite(exc)
         raise

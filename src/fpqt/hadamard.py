@@ -163,7 +163,9 @@ class HadamardSpec:
         y = v.reshape(l * a, n // a) @ inner if r == 1 else inner.T @ v.reshape(l * a, n // a, r)
         del v  # a seeded transpose's signed copy of x dies before the second stage allocates
         y = (h_a @ y.reshape(l, a, n // a * r) if a > 1 else y).reshape(l, n, r)
-        return (y if d is None or transpose else y * d[:, np.newaxis]).reshape(x.shape)
+        if d is not None and not transpose:
+            y *= d[:, np.newaxis]  # y is a fresh GEMM result: scale it in place
+        return y.reshape(x.shape)
 
 
 def build(dim: int, seed: int | None = None) -> HadamardSpec:

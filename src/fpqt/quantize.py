@@ -43,7 +43,8 @@ their sums first (quant_error four and max|a - q|, sqnr two) and read the
 exact peak of |a| and |q| only when the sums leave bounds that prove every
 peak lies in [2^-257, 2^256), where no scaling is needed: rounding is
 monotone on sums of non-negative squares, and a pairwise sum of n terms,
-each at most t, stays below 2n * t.
+each at most t, stays below 2n * t.  Where signal / mse leaves float64,
+quant_error takes sqnr_db in the log domain instead of dividing the sums.
 """
 
 from __future__ import annotations
@@ -276,7 +277,10 @@ def quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
     The sums of a^2, q^2, a*q and (a - q)^2 and max|a - q| come first, in one
     pass.  The exact peak of |a| and |q| is read only when sum a^2 or sum q^2
     reaches 2^512, or neither reaches size * 2^-513, or either is NaN: inside
-    those bounds the peak lies in [2^-257, 2^256) and needs no scaling.
+    those bounds the peak lies in [2^-257, 2^256) and needs no scaling.  When
+    the quotient signal / mse leaves float64 (0 or inf, as when a's squares
+    sink to zero beside a far larger q), sqnr_db is taken in the log domain
+    from a sum of a^2 scaled by a's own peak (_log_domain_sqnr_db).
     """
     a, q = _operands(a, q)
     if a.size == 0:
@@ -293,6 +297,8 @@ def quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
         kd = math.frexp(dmax)[1]
         _, sdd, saa, sqq, saq = _error_sums(a, q, k, kd)
     mse, sqnr_db = _mse_sqnr(sdd, saa, a.size, k, kd)
+    if sqnr_db is None:
+        sqnr_db = _log_domain_sqnr_db(a, sdd, k + kd)
     na, nq = math.sqrt(saa), math.sqrt(sqq)
     cosine = saq / (na * nq) if na and nq else 0.0
     # exactly 1.0 when identical (both all-zero included); rounding can pass +-1 otherwise
@@ -327,13 +333,36 @@ def _operands(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.atleast_1d(a, q)  # 0-d operands would give scalars, not out= buffers
 
 
-def _mse_sqnr(sdd: float, saa: float, size: int, k: int, kd: int) -> tuple[float, float]:
-    """mse and sqnr_db from the sums of (2^-(k+kd) (a - q))^2 and (2^-k a)^2."""
+def _mse_sqnr(sdd: float, saa: float, size: int, k: int, kd: int) -> tuple[float, float | None]:
+    """mse and sqnr_db from the sums of (2^-(k+kd) (a - q))^2 and (2^-k a)^2;
+    sqnr_db is None when mse is nonzero and signal / mse is 0 or inf, a zero
+    signal included: _log_domain_sqnr_db gives it then."""
     mse, signal = sdd / size, saa / size
-    sqnr_db = float("inf") if mse == 0.0 or signal == 0.0 else (
-        10.0 * float(np.log10(signal / mse)) - 20.0 * math.log10(2.0) * kd)
+    if mse == 0.0:
+        sqnr_db = float("inf")
+    else:
+        ratio = signal / mse
+        sqnr_db = None if ratio == 0.0 or ratio == math.inf else (
+            10.0 * float(np.log10(ratio)) - 20.0 * math.log10(2.0) * kd)
     with np.errstate(over="ignore"):
         return float(np.ldexp(mse, 2 * (k + kd))), sqnr_db
+
+
+def _log_domain_sqnr_db(a: np.ndarray, sdd: float, k: int) -> float:
+    """10 log10(sum a^2 / sum (a - q)^2) from sdd, the sum of (2^-k (a - q))^2,
+    where the quotient of the sums leaves float64: +inf (the sentinel) when a
+    is all zeros.  Sum a^2 is retaken with a scaled by its own peak's power of
+    two, so no square sinks to zero, and the ratio is taken from the frexp
+    split of each sum."""
+    peak = float(max_abs(a))
+    if peak == 0.0:
+        return float("inf")
+    ka, saa = math.frexp(peak)[1], 0.0
+    for (ab,) in _blocks(a):
+        ab = np.ldexp(ab, -ka, dtype=np.float64)  # a float32 block is widened first
+        saa += np.multiply(ab, ab, out=ab).sum()
+    (ms, es), (md, ed) = math.frexp(float(saa)), math.frexp(sdd)
+    return 10.0 * (math.log10(ms / md) + (es - ed + 2 * (ka - k)) * math.log10(2.0))
 
 
 def _peak_exponent(a: np.ndarray, q: np.ndarray) -> int:

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from fpqt import fusion
-from fpqt.fusion import EXP_WINDOW, LAYER_NAMES, DiTBlockWeights, _int_form, block_forward
+from fpqt.fusion import (EXP_WINDOW, F32_UNITS, GEMM_BITS, LAYER_NAMES, WEIGHT_BITS,
+                         DiTBlockWeights, _int_form, block_forward)
 from fpqt.formats import FpFormat, parse_format
 from fpqt.harness import HarnessConfig, gen_activations, init_weights, quantize_block_weights
 from fpqt.quantize import minmax_quantize
@@ -190,3 +191,72 @@ class TestWeightForms:
     def test_weights_off_an_int8_grid_have_no_form(self):
         w = quantized_block(16, 32, 2, parse_format("E4M3"), None)
         assert w.int_form("w_q") is None and w._int_forms == {"w_q": None}
+
+
+@pytest.fixture
+def values_forms(monkeypatch):
+    """For each float32 GEMM block_forward runs, whether its input entered as
+    its own values (a values form, scale None)."""
+    calls = []
+
+    def spy(a, w):
+        calls.append(a.scale is None)
+        return exact_gemm(a, w)
+
+    exact_gemm = fusion._exact_gemm
+    monkeypatch.setattr(fusion, "_exact_gemm", spy)
+    return calls
+
+
+def act_bits(k: int) -> int:
+    """s_a for a layer with in_dim k (see block_forward)."""
+    return GEMM_BITS - WEIGHT_BITS - (k - 1).bit_length()
+
+
+# (row unit exponent at the window's edge, whether the values form holds it)
+UNIT_EDGES = [(F32_UNITS[0], True), (F32_UNITS[0] - 1, False),
+              (F32_UNITS[1], True), (F32_UNITS[1] + 1, False)]
+
+
+@pytest.mark.parametrize("unit, inside", UNIT_EDGES, ids=lambda v: str(v))
+def test_values_form_at_the_float32_window_edges(values_forms, unit, inside):
+    # the lowest (or highest) nonzero row unit 2^(e_t - s_a) of every input at the
+    # edge, a +0.0 row and a -0.0 row beside it: the float64 bytes on either side,
+    # and the values form exactly inside the window
+    w = quantized_block(16, 48, 4, E2M1, None)
+
+    def act_quant(a, point):
+        q = minmax_quantize(a, E2M1, channel_axis=0).values.copy()
+        q[::2, 1::3] = -0.0
+        q[1:2], q[2:3] = -0.0, 0.0
+        return to_edge(q, unit + act_bits(q.shape[1]), 1)
+
+    x = np.random.default_rng(2).standard_normal((5, 16))
+    want = block_forward(x, writeable_copy(w), act_quant=act_quant)
+    assert not values_forms
+    assert block_forward(x, w, act_quant=act_quant).tobytes() == want.tobytes()
+    assert values_forms == [inside] * len(LAYER_NAMES)
+
+
+@pytest.mark.parametrize("unit, inside", UNIT_EDGES, ids=lambda v: str(v))
+@pytest.mark.parametrize("k", [16, 3584])
+def test_values_form_gemm_gives_the_float64_product(unit, inside, k):
+    rng = np.random.default_rng(k)
+    bits = act_bits(k)
+    w = minmax_quantize(rng.standard_normal((k, 24)), E2M1).values.copy()
+    w[:, 0] = 6.0  # E2M1's ceiling: the int8 form holds 96 all down the column
+    # four rows of integers below 2^bits, each peaking at 2^bits - 1, in units at the
+    # edge and up to 2^7 inside it, then a +0.0 row and a -0.0 row; the row at the
+    # upper edge is 2^bits - 1 throughout, so its sum with column 0 nears 2^128 there
+    ints = rng.integers(-2**bits + 1, 2**bits, (4, k)).astype(np.float64)
+    ints[:, 0] = 2**bits - 1
+    ints[:, 1::5] = -0.0
+    ints[3] = 2**bits - 1
+    shifts = np.array([0, 0, 3, 7]) - (7 if unit > 0 else 0)
+    a = np.vstack([np.ldexp(ints, (unit + shifts)[:, None]), np.zeros(k), np.full(k, -0.0)])
+    form = _int_form(a, bits, 1, np.float32)
+    assert (form.scale is None) == inside
+    if inside:
+        assert form.q.dtype == np.float32 and np.array_equal(form.q, a)
+    got = fusion._exact_gemm(form, _int_form(w, WEIGHT_BITS, 0, np.int8))
+    assert got.tobytes() == (a @ w).tobytes()

@@ -5,6 +5,8 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpqt.errors import NumericalError, ShapeError
 from fpqt.formats import FpFormat
@@ -26,6 +28,7 @@ from fpqt.fusion import (
 )
 from fpqt.hadamard import build, realize
 from fpqt.quantize import minmax_quantize
+from fpqt.tensors import max_abs
 
 
 def make_weights(n=32, heads=2, hidden=None, seed=0) -> DiTBlockWeights:
@@ -154,6 +157,34 @@ class TestNonlinearities:
         want = layer_norm(x, g, b)
         assert np.array_equal(got[[0, 2, 3]], want[[0, 2, 3]])  # other rows untouched
         assert np.allclose(got[1], (x[1] - x[1].mean()) / x[1].std() * g + b, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_layer_norm_is_numpys_mean_and_var_formula_bit_for_bit(self, data):
+        # random shapes and magnitudes 2^+-600 (rows past 2^256 take the rescale),
+        # constant, +0.0 and -0.0 rows, float32 input, identity or random gamma and beta
+        # (or beta -0.0, where the sign of each zero of the result shows)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = (*data.draw(st.lists(st.integers(1, 4), max_size=2)), data.draw(st.integers(1, 64)))
+        f32 = data.draw(st.booleans())
+        lo, hi = (-120, 90) if f32 else (-600, 600)
+        x = np.ldexp(rng.standard_normal(shape), data.draw(st.integers(lo, hi))
+                     + rng.integers(0, data.draw(st.integers(0, 30)) + 1, shape[:-1] + (1,)))
+        rows = x.reshape(-1, shape[-1])
+        for row in rows[rng.random(len(rows)) < 0.3]:
+            row[:] = data.draw(st.sampled_from([0.0, -0.0, 3.0, -(2.0**lo), 1.5 * 2.0**hi]))
+        x = x.astype(np.float32) if f32 else x
+        gamma, beta = {"identity": (np.ones(shape[-1]), np.zeros(shape[-1])),
+                       "random": (rng.standard_normal(shape[-1]), rng.standard_normal(shape[-1])),
+                       "-0.0 shift": (rng.standard_normal(shape[-1]), np.full(shape[-1], -0.0)),
+                       }[data.draw(st.sampled_from(["identity", "random", "-0.0 shift"]))]
+        want = np.asarray(x, dtype=np.float64)
+        _, k = np.frexp(max_abs(want, -1))
+        want = np.ldexp(want, np.where(k > 256, 128 - k, 0)[..., np.newaxis])
+        mean, var = want.mean(axis=-1, keepdims=True), want.var(axis=-1, keepdims=True)
+        want = (want - mean) / np.sqrt(var + 1e-6) * gamma + beta
+        got = layer_norm(x, gamma, beta)
+        assert np.isfinite(got).all() and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("which", ["gamma", "beta"])
     @pytest.mark.parametrize("shape", [(9,), (11,), (1, 10), ()])

@@ -173,12 +173,29 @@ class TestColumnPermutationEquivariance:
 
 
 
+def exact_sqnr_db(a, q) -> float:
+    """10 log10(sum a^2 / sum (a - q)^2) by math.log10 of the exact Fraction sums."""
+    av = [Fraction(x) for x in np.ravel(a).tolist()]
+    ratio = sum(x * x for x in av) / sum((x - Fraction(y)) ** 2 for x, y in zip(av, np.ravel(q).tolist()))
+    return 10.0 * (math.log10(ratio.numerator) - math.log10(ratio.denominator))
+
+
 def assert_error_metrics_match_the_byte_reference(a, q):
-    """quant_error and sqnr give the reference's floats, bit for bit."""
+    """quant_error and sqnr give the reference's floats, bit for bit, but for
+    the sqnr_db the reference gets wrong: where its quotient of sums leaves
+    float64 it gives -inf, or +inf for a nonzero signal, and the entries give
+    exact_sqnr_db instead."""
     bits = lambda metrics: {key: float(v).hex() for key, v in metrics.items()}
-    want = bits(byte_reference_quant_error(a, q))
-    assert bits(quant_error(a, q)) == want
-    assert bits(sqnr(a, q)) == {key: want[key] for key in ("mse", "sqnr_db")}
+    with np.errstate(divide="ignore"):  # the reference's log10 of a quotient that sank to 0
+        want = bits(byte_reference_quant_error(a, q))
+    got, got_sqnr = quant_error(a, q), sqnr(a, q)
+    if math.isinf(float.fromhex(want["sqnr_db"])) and np.any(a) and np.any(a != q):
+        true_db = exact_sqnr_db(a, q)
+        for entry in (got, got_sqnr):
+            assert math.isclose(entry.pop("sqnr_db"), true_db, rel_tol=1e-12)
+        del want["sqnr_db"]
+    assert bits(got) == want
+    assert bits(got_sqnr) == {key: want[key] for key in ("mse", "sqnr_db") if key in want}
 
 
 @st.composite
@@ -247,8 +264,24 @@ class TestErrorMetricsAgainstByteReference:
 
     @settings(_PROPERTY_SETTINGS, max_examples=150)
     @given(error_pairs())
+    # signal / mse sinks below float64's least subnormal: log10(0) was -inf with a RuntimeWarning
+    @example((np.array([6.47203554e-86]), np.array([-6.11867925e+76])))
     def test_random_shapes_orders_and_magnitudes(self, pair):
         assert_error_metrics_match_the_byte_reference(*pair)
+
+    @settings(_PROPERTY_SETTINGS, max_examples=100)
+    @given(st.integers(1, 40), st.integers(-1000, 1000), st.integers(-1000, 1000),
+           st.sampled_from(["other", "error"]), st.integers(0, 2**32 - 1))
+    def test_magnitude_ratios_up_to_two_to_the_thousand(self, size, center, gap, kind, seed):
+        # a and q (or a and the error a - q) apart by up to 2^1000: the quotient of the
+        # sums leaves float64 once the gap passes about 2^511, and a's squares can sink to zero
+        rng = np.random.default_rng(seed)
+        a = np.ldexp(rng.standard_normal(size), center)
+        other = np.ldexp(rng.standard_normal(size), np.clip(center + gap, -1000, 1000))
+        q = other if kind == "other" else a + other
+        assert_error_metrics_match_the_byte_reference(a, q)
+        if np.any(a) and np.any(a != q):  # neither the zero-error nor the zero-signal sentinel
+            assert math.isfinite(quant_error(a, q)["sqnr_db"])
 
     @settings(_PROPERTY_SETTINGS, max_examples=100)
     @given(float32_error_pairs())
