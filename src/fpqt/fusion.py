@@ -53,9 +53,9 @@ LN_EPS = 1e-6
 # the float32 GEMM path: every integer of magnitude below 2^24 is a float32
 GEMM_BITS = 24
 WEIGHT_BITS = 7  # s_w: a weight form's integers lie below 2^7, so they fit int8
-EXP_WINDOW = 400  # |peak exponent| of a row or column; keeps products and results normal
-# the units 2^(e - s) of a float32 form that holds its own values: float32's least
-# subnormal up to the unit at which GEMM_BITS-bit integers stay below 2^128
+EXP_WINDOW = 400  # |peak exponent| of a weight column; keeps products and results normal
+# the row units 2^(e - s) of an input the float32 GEMM takes as its own values: float32's
+# least subnormal up to the unit at which GEMM_BITS-bit integers stay below 2^128
 F32_UNITS = (-149, 128 - GEMM_BITS)
 
 ONLINE_POINTS = ("attn_input", "post_attention", "ffn_input", "post_gelu")
@@ -137,8 +137,8 @@ class DiTBlockWeights:
         return {}
 
     def int_form(self, name: str) -> _IntForm | None:
-        """The int8 integer form of layer name's weights, per output column
-        with s_w = WEIGHT_BITS (fusion._int_form), or None.  Built on first
+        """The int8 form of layer name's weights, per output column with
+        s_w = WEIGHT_BITS (fusion._int_form), or None.  Built on first
         use and kept with the block.  A matrix that is writeable, or views a
         writeable array, has none, checked on every call, so a kept form
         cannot go stale while its matrix stays read-only."""
@@ -149,7 +149,7 @@ class DiTBlockWeights:
             base = base.base
         forms = self._int_forms
         if name not in forms:
-            forms[name] = _int_form(w, WEIGHT_BITS, 0, np.int8)
+            forms[name] = _int_form(w)
         return forms[name]
 
 
@@ -347,55 +347,50 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.nda
 
 @dataclass(frozen=True)
 class _IntForm:
-    """x = q * scale along one axis of a 2-D x: q holds integers of magnitude
-    below 2^s, and scale holds 2^(e - s) for each row (activations) or
-    column (weights), e being the frexp exponent of that row's or column's peak.
-    A values form has scale None and q = x itself in float32: each row is
-    integers below 2^s times its unit 2^(e - s), and every unit lies in
-    F32_UNITS (see _exact_gemm)."""
+    """w = q * scale per column of a 2-D w: q holds int8 integers of magnitude
+    below 2^WEIGHT_BITS, and scale each column's unit 2^(e - WEIGHT_BITS), e
+    being the frexp exponent of that column's peak (see _int_form)."""
 
     q: np.ndarray
-    scale: np.ndarray | None
+    scale: np.ndarray
 
 
-def _int_form(x: np.ndarray, bits: int, axis: int, dtype: type,
-              peak: np.ndarray | None = None) -> _IntForm | None:
-    """The integer form of a 2-D x with s = bits, per row (axis=1) or per
-    column (axis=0): q = ldexp(x, s - e) held as dtype, which must hold
-    every integer below 2^s; peak is max_abs(x, axis), when the caller has it.
-    None unless every peak is finite with |e| at most EXP_WINDOW (a zero
-    peak has e = 0) and every q is an integer.  For float32, when every unit
-    2^(e - s) lies in F32_UNITS, the values form: x itself in float32."""
+def _integer_units(x: np.ndarray, bits: int, axis: int, units: tuple[int, int],
+                   peak: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray] | None:
+    """(q, u) when a 2-D x is integers q of magnitude below 2^bits times one unit
+    2^u per row (axis=1) or column (axis=0): u = e - bits, e being the frexp
+    exponent of that line's peak (0 for a zero peak), and q = ldexp(x, -u);
+    peak is max_abs(x, axis), when the caller has it.  None unless every peak
+    is finite, every u lies in units = (lowest, highest) and every q is an
+    integer."""
     if peak is None:
         peak = max_abs(x, axis)
     if not np.isfinite(peak).all():
         return None
-    _, e = np.frexp(peak)
-    if np.abs(e).max(initial=0) > EXP_WINDOW:
+    u = np.frexp(peak)[1] - bits
+    lowest, highest = units
+    if u.min(initial=lowest) < lowest or u.max(initial=highest) > highest:
         return None
-    shift = bits - e
-    q = np.ldexp(x, np.expand_dims(shift, axis))
+    q = np.ldexp(x, np.expand_dims(-u, axis))
     if not np.array_equal(np.rint(q), q):
         return None
     # only a negative shift can sink a nonzero value to zero
-    if shift.min(initial=0) < 0 and np.count_nonzero(q) != np.count_nonzero(x):
+    if u.max(initial=0) > 0 and np.count_nonzero(q) != np.count_nonzero(x):
         return None
-    unit = e - bits
-    lowest, highest = F32_UNITS
-    if dtype is np.float32 and lowest <= unit.min(initial=0) and unit.max(initial=0) <= highest:
-        return _IntForm(x.astype(np.float32), None)
-    return _IntForm(q.astype(dtype), np.ldexp(1.0, unit))
+    return q, u
 
 
-def _exact_gemm(a: _IntForm, w: _IntForm) -> np.ndarray:
-    """a's rows times w's columns: one float32 GEMM of the forms, cast to
-    float64 and scaled back by each column's power of two and, unless a is a
-    values form, each row's.  A values form needs no row scale: its partial
-    sums are integers below 2^24 times a unit in F32_UNITS, which float32
-    holds exactly (see block_forward)."""
-    out = (a.q @ w.q.astype(np.float32)).astype(np.float64)
-    if a.scale is not None:
-        out *= a.scale[:, None]
+def _int_form(w: np.ndarray) -> _IntForm | None:
+    """The int8 form of a 2-D w per column with s_w = WEIGHT_BITS, or None
+    unless _integer_units finds one with every peak exponent |e| <= EXP_WINDOW."""
+    found = _integer_units(w, WEIGHT_BITS, 0, (-EXP_WINDOW - WEIGHT_BITS, EXP_WINDOW - WEIGHT_BITS))
+    return None if found is None else _IntForm(found[0].astype(np.int8), np.ldexp(1.0, found[1]))
+
+
+def _exact_gemm(a: np.ndarray, w: _IntForm) -> np.ndarray:
+    """The float32 activations a times w: one float32 GEMM of a and w's integers,
+    cast to float64 and scaled by each column's unit (see block_forward)."""
+    out = (a @ w.q.astype(np.float32)).astype(np.float64)
     out *= w.scale
     return out
 
@@ -426,23 +421,24 @@ def block_forward(
     holding NaN or Inf.  With all of them finite the first error stands, and
     a non-finite output is a NumericalError saying the values overflowed.
 
-    With act_quant given, a layer whose input has the per-row integer form
-    with s_a = GEMM_BITS - WEIGHT_BITS - ceil(log2 K) (see _int_form; K is
-    the layer's in_dim) and whose weights have the int8 form of
-    DiTBlockWeights.int_form (s_w = WEIGHT_BITS) runs as a float32 GEMM of
-    the two forms, cast to float64 and scaled back by powers of two; every
-    other layer is a @ w in float64.  Both give the same bytes: each
-    product is an integer below 2^(s_a + s_w) in the unit 2^(e_a - s_a +
-    e_w - s_w), so every partial sum of K of them, in any order, blocking
-    or thread count, is an integer below 2^24 in that unit, which float32
-    and float64 both hold exactly; |e| <= EXP_WINDOW keeps every product,
-    sum and scaled result a normal float64, and both BLAS sums start from
-    +0.0, so a zero result is +0.0 on either path.  An input whose row
-    units 2^(e_a - s_a) all lie in F32_UNITS enters the GEMM as its own
-    values (the values form): each partial sum is then an integer below
-    2^24 in the unit 2^(e_a - s_a), at least float32's least subnormal and
-    at most 2^104, so float32 holds it exactly and only the weights' column
-    scale remains.  W_q, W_k and W_v share their input's form."""
+    With act_quant given, a layer runs as one float32 GEMM when its input is,
+    per row, integers below 2^s_a times a unit 2^(e_a - s_a) in F32_UNITS,
+    with s_a = GEMM_BITS - WEIGHT_BITS - ceil(log2 K) (K is the layer's
+    in_dim and e_a the frexp exponent of the row's peak), and its weights
+    have the int8 form of DiTBlockWeights.int_form (s_w = WEIGHT_BITS, column
+    units 2^(e_w - s_w) with |e_w| <= EXP_WINDOW): the input enters as its
+    own values in float32, and the result, cast to float64, is scaled by the
+    column units.  Every other layer is a @ w in float64.  Both give the
+    same bytes.  Each product of the GEMM is an integer below 2^(s_a + s_w)
+    in the row's unit, so every partial sum of K of them, in any order,
+    blocking or thread count, is an integer below 2^24 in that unit, which
+    lies between float32's least subnormal and 2^104, where such sums stay
+    below 2^128: float32 holds each exactly.  Scaled by a column unit, it is
+    an integer below 2^24 in a unit between 2^-556 and 2^497, a normal
+    float64, and a @ w's float64 products and partial sums are the same
+    integers in the same units; both BLAS sums start from +0.0, so a zero
+    result is +0.0 on either path.  W_q, W_k and W_v share their input's
+    float32 values."""
     if taps_only and taps is None:
         raise ValueError("taps_only needs a taps dict to fill")
     x = as_working(x)
@@ -458,7 +454,7 @@ def block_forward(
             raise ValueError(f"duplicate online transform at {t.point!r}")
         at[t.point] = t.spec
 
-    def feed(a: np.ndarray, point: str) -> tuple[np.ndarray, _IntForm | None]:
+    def feed(a: np.ndarray, point: str) -> tuple[np.ndarray, np.ndarray | None]:
         if point in at:
             spec = at[point]
             a = cross_head_apply(a, spec) if point == "post_attention" else apply_right(a, spec)
@@ -477,12 +473,13 @@ def block_forward(
         if not np.isfinite(peak).all():
             raise NumericalError(f"act_quant gave NaN or Inf at {point!r}")
         bits = GEMM_BITS - WEIGHT_BITS - (q.shape[1] - 1).bit_length()
-        return q, _int_form(q, bits, 1, np.float32, peak)
+        exact = _integer_units(q, bits, 1, F32_UNITS, peak) is not None
+        return q, q.astype(np.float32) if exact else None
 
-    def linear(fed: tuple[np.ndarray, _IntForm | None], name: str) -> np.ndarray:
-        a, form = fed
-        w_form = weights.int_form(name) if form is not None else None
-        return a @ getattr(weights, name) if w_form is None else _exact_gemm(form, w_form)
+    def linear(fed: tuple[np.ndarray, np.ndarray | None], name: str) -> np.ndarray:
+        a, a32 = fed
+        w_form = None if a32 is None else weights.int_form(name)
+        return a @ getattr(weights, name) if w_form is None else _exact_gemm(a32, w_form)
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):

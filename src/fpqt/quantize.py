@@ -38,13 +38,17 @@ width, and the error sums widen each block to float64 before any product.
 The snap and the error metrics run in blocks of about 32 K elements along
 the outermost axis in memory, so each chain of elementwise steps stays in
 cache.  Their sums are numpy's pairwise sums per block, never BLAS, so their
-numbers do not depend on the BLAS thread count.  The error metrics form
-their sums first (quant_error four and max|a - q|, sqnr two) and read the
-exact peak of |a| and |q| only when the sums leave bounds that prove every
-peak lies in [2^-257, 2^256), where no scaling is needed: rounding is
-monotone on sums of non-negative squares, and a pairwise sum of n terms,
-each at most t, stays below 2n * t.  Where signal / mse leaves float64,
-quant_error takes sqnr_db in the log domain instead of dividing the sums.
+numbers do not depend on the BLAS thread count.  quant_error reads the exact
+peak of |a| and |q| first, then forms its four sums and max|a - q| in one
+pass, with both tensors scaled by a power of two where the peak lies beyond
+2^+-256.  sqnr forms its two sums first and reads the peak, through
+quant_error, only when they leave bounds that prove every peak lies in
+[2^-257, 2^256), where no scaling is needed: rounding is monotone on sums of
+non-negative squares, and a pairwise sum of n terms, each at most t, stays
+below 2n * t.  Where signal / mse is not a normal float64, or a's squares
+can be subnormal after the scaling, quant_error takes sqnr_db in the log
+domain instead of dividing the sums, and where a's or q's squares can be,
+it takes the cosine from each tensor scaled by its own peak.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .formats import FpFormat, check_bias, check_format
 from .tensors import as_float, as_working, max_abs
 
 _BLOCK_ELEMS = 1 << 15  # elements per block of the elementwise kernels (256 KiB in float64)
-# size * 2^-513 bounds a sum of squares of size terms below 2^-514 each: see quant_error
+# size * 2^-513 bounds a sum of squares of size terms below 2^-514 each: see sqnr
 _SUM_FLOOR = 2.0**-513
 
 
@@ -266,39 +270,35 @@ def quant_error(a: np.ndarray, q: np.ndarray) -> dict[str, float]:
     sqnr_db alone, the same bits, from fewer sums.  sqnr_db is the +inf
     sentinel when the error is zero or the signal is zero (undefined); cosine
     lies in [-1, 1]: exactly 1.0 for identical tensors, 0.0 when one side alone
-    is all zeros.  Beyond a peak magnitude of 2^+-256, where sums of squares
-    could overflow or sink into subnormals, both tensors are first scaled
-    exactly by the power of two that brings the peak into [0.5, 1); an error
-    whose own peak then lies beyond 2^+-256 is scaled the same way before it is
-    squared.  Ratios are unchanged, and mse and max_abs are scaled back (+inf
-    only when the true value exceeds float64).  NumericalError when either
-    tensor holds NaN or Inf.
+    is all zeros.  NumericalError when either tensor holds NaN or Inf.
 
-    The sums of a^2, q^2, a*q and (a - q)^2 and max|a - q| come first, in one
-    pass.  The exact peak of |a| and |q| is read only when sum a^2 or sum q^2
-    reaches 2^512, or neither reaches size * 2^-513, or either is NaN: inside
-    those bounds the peak lies in [2^-257, 2^256) and needs no scaling.  When
-    the quotient signal / mse leaves float64 (0 or inf, as when a's squares
-    sink to zero beside a far larger q), sqnr_db is taken in the log domain
-    from a sum of a^2 scaled by a's own peak (_log_domain_sqnr_db).
+    The exact peak of |a| and |q| is read first.  Beyond a peak magnitude of
+    2^+-256, where sums of squares could overflow or sink into subnormals,
+    both tensors are scaled exactly by the power of two that brings the peak
+    into [0.5, 1); an error whose own peak then lies beyond 2^+-256 is scaled
+    the same way before it is squared.  Ratios are unchanged, and mse and
+    max_abs are scaled back (+inf only when the true value exceeds float64).
+    The sums of a^2, q^2, a*q and (a - q)^2 and max|a - q| then come from one
+    pass.  Where a's scaled peak lies below 2^-511, so its squares can be
+    subnormal, or signal / mse is not a normal float64, sqnr_db is taken in
+    the log domain from a sum of a^2 scaled by a's own peak
+    (_log_domain_sqnr_db); where a's or q's does, the cosine comes from one
+    more pass with each tensor scaled by its own peak's power of two.
     """
     a, q = _operands(a, q)
     if a.size == 0:
         return {"mse": 0.0, "max_abs": 0.0, "sqnr_db": float("inf"), "cosine": 1.0}
-    with np.errstate(over="ignore", invalid="ignore"):  # sums beyond 2^256 are discarded
-        dmax, sdd, saa, sqq, saq = _error_sums(a, q)
-    k = kd = 0
-    floor = a.size * _SUM_FLOOR
-    if not (saa < 2.0**512 and sqq < 2.0**512 and (saa >= floor or sqq >= floor)):
-        k = _peak_exponent(a, q)
-        if k:
-            dmax, sdd, saa, sqq, saq = _error_sums(a, q, k)
+    k, ka, kq = _peak_exponents(a, q)
+    dmax, sdd, saa, sqq, saq = _error_sums(a, q, k)
+    kd = 0
     if abs(math.frexp(dmax)[1]) > 256:
         kd = math.frexp(dmax)[1]
         _, sdd, saa, sqq, saq = _error_sums(a, q, k, kd)
     mse, sqnr_db = _mse_sqnr(sdd, saa, a.size, k, kd)
-    if sqnr_db is None:
-        sqnr_db = _log_domain_sqnr_db(a, sdd, k + kd)
+    if sqnr_db is None or (sdd and ka - k <= -511):
+        sqnr_db = _log_domain_sqnr_db(a, sdd, k + kd, ka)
+    if min(ka, kq) - k <= -511:  # a's or q's squares can sink: each in its own scale
+        _, _, saa, sqq, saq = _error_sums(a, q, ka, kq=kq)
     na, nq = math.sqrt(saa), math.sqrt(sqq)
     cosine = saq / (na * nq) if na and nq else 0.0
     # exactly 1.0 when identical (both all-zero included); rounding can pass +-1 otherwise
@@ -335,54 +335,56 @@ def _operands(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _mse_sqnr(sdd: float, saa: float, size: int, k: int, kd: int) -> tuple[float, float | None]:
     """mse and sqnr_db from the sums of (2^-(k+kd) (a - q))^2 and (2^-k a)^2;
-    sqnr_db is None when mse is nonzero and signal / mse is 0 or inf, a zero
-    signal included: _log_domain_sqnr_db gives it then."""
+    sqnr_db is None when mse is nonzero and signal / mse is not a normal
+    float64 (0, subnormal or inf), a zero signal included:
+    _log_domain_sqnr_db gives it then."""
     mse, signal = sdd / size, saa / size
     if mse == 0.0:
         sqnr_db = float("inf")
     else:
         ratio = signal / mse
-        sqnr_db = None if ratio == 0.0 or ratio == math.inf else (
+        sqnr_db = None if ratio < 2.0**-1022 or ratio == math.inf else (
             10.0 * float(np.log10(ratio)) - 20.0 * math.log10(2.0) * kd)
     with np.errstate(over="ignore"):
         return float(np.ldexp(mse, 2 * (k + kd))), sqnr_db
 
 
-def _log_domain_sqnr_db(a: np.ndarray, sdd: float, k: int) -> float:
+def _log_domain_sqnr_db(a: np.ndarray, sdd: float, k: int, ka: int) -> float:
     """10 log10(sum a^2 / sum (a - q)^2) from sdd, the sum of (2^-k (a - q))^2,
-    where the quotient of the sums leaves float64: +inf (the sentinel) when a
-    is all zeros.  Sum a^2 is retaken with a scaled by its own peak's power of
-    two, so no square sinks to zero, and the ratio is taken from the frexp
-    split of each sum."""
-    peak = float(max_abs(a))
-    if peak == 0.0:
-        return float("inf")
-    ka, saa = math.frexp(peak)[1], 0.0
+    where the quotient of the sums is not a normal float64 or a's squares can
+    be subnormal: +inf (the sentinel) when a is all zeros.  Sum a^2 is
+    retaken with a scaled by 2^-ka, ka being the frexp exponent of a's peak,
+    so no square sinks to zero, and the ratio is taken from the frexp split
+    of each sum."""
+    saa = 0.0
     for (ab,) in _blocks(a):
         ab = np.ldexp(ab, -ka, dtype=np.float64)  # a float32 block is widened first
         saa += np.multiply(ab, ab, out=ab).sum()
+    if saa == 0.0:
+        return float("inf")
     (ms, es), (md, ed) = math.frexp(float(saa)), math.frexp(sdd)
     return 10.0 * (math.log10(ms / md) + (es - ed + 2 * (ka - k)) * math.log10(2.0))
 
 
-def _peak_exponent(a: np.ndarray, q: np.ndarray) -> int:
-    """The frexp exponent of the exact peak of |a| and |q| when it lies beyond 2^+-256,
-    else 0; NumericalError when either holds NaN or Inf."""
-    peak = float(np.maximum(max_abs(a), max_abs(q)))  # np.maximum keeps a NaN
-    if not math.isfinite(peak):
+def _peak_exponents(a: np.ndarray, q: np.ndarray) -> tuple[int, int, int]:
+    """k, the frexp exponent of the exact peak of |a| and |q| when it lies beyond
+    2^+-256, else 0, then those of the peaks of |a| and of |q| (0 for a zero
+    peak); NumericalError when either holds NaN or Inf."""
+    pa, pq = float(max_abs(a)), float(max_abs(q))
+    if not (math.isfinite(pa) and math.isfinite(pq)):
         raise NumericalError("error metrics of non-finite values are undefined")
-    k = math.frexp(peak)[1]
-    return k if abs(k) > 256 else 0
+    k = math.frexp(max(pa, pq))[1]
+    return k if abs(k) > 256 else 0, math.frexp(pa)[1], math.frexp(pq)[1]
 
 
 def _error_sums(a: np.ndarray, q: np.ndarray, k: int = 0, kd: int = 0,
-                full: bool = True) -> tuple[float, ...]:
-    """One blocked pass over 2^-k a and 2^-k q: max|a - q| (0.0 unless full), then
-    sums of (2^-kd (a - q))^2, a^2 and, when full, q^2 and a*q (else 0.0) by numpy,
-    never BLAS.  A float32 operand's block is first widened, exactly, into float64
-    scratch laid out as the block is, so the sums are those of its float64
-    upcast.  Blocks of one shape share the scratch d, laid out as a fresh
-    np.subtract result: the sums' order holds."""
+                full: bool = True, kq: int | None = None) -> tuple[float, ...]:
+    """One blocked pass over 2^-k a and 2^-kq q (kq = k unless given): max|a - q|
+    (0.0 unless full), then sums of (2^-kd (a - q))^2, a^2 and, when full, q^2
+    and a*q (else 0.0) by numpy, never BLAS.  A float32 operand's block is
+    first widened, exactly, into float64 scratch laid out as the block is, so
+    the sums are those of its float64 upcast.  Blocks of one shape share the
+    scratch d, laid out as a fresh np.subtract result: the sums' order holds."""
     dmax = sdd = saa = sqq = saq = 0.0
     d = wide = None
     for ab, qb in _blocks(a, q):
@@ -392,8 +394,8 @@ def _error_sums(a: np.ndarray, q: np.ndarray, k: int = 0, kd: int = 0,
             np.copyto(wide[0], ab)
             np.copyto(wide[1], qb)
             ab, qb = wide
-        if k:
-            ab, qb = np.ldexp(ab, -k), np.ldexp(qb, -k)
+        if k or kq:
+            ab, qb = np.ldexp(ab, -k), np.ldexp(qb, -(k if kq is None else kq))
         d = np.subtract(ab, qb, out=d if d is not None and d.shape == ab.shape else None)
         if full:  # |d| squares as d does
             dmax = np.maximum(dmax, np.abs(d, out=d).max())  # np.maximum keeps a NaN

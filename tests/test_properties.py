@@ -9,7 +9,8 @@ scaling that set by 2^b as well changes nothing else.  Each output channel
 is quantized on its own, so permuting channels permutes the results.  Both
 error-metric entries, quant_error and sqnr, give the bits of a frozen
 reference that reads every peak before any sum, float32 operands the bits
-of their float64 upcast.
+of their float64 upcast, but for the sqnr_db and cosine that reference
+loses at extreme magnitude gaps: there they give those of exact sums.
 """
 
 import math
@@ -173,27 +174,68 @@ class TestColumnPermutationEquivariance:
 
 
 
+def _exact_sums(a, q) -> tuple[int, int, int, int]:
+    """Sums of a^2, q^2, a*q and (a - q)^2, exact, as integers in units of 2^-2148:
+    every float64 is an integer multiple of 2^-1074."""
+    scaled = lambda x: [n * (1 << 1074) // d for n, d in map(float.as_integer_ratio, np.ravel(x).tolist())]
+    av, qv = scaled(np.asarray(a, dtype=np.float64)), scaled(np.asarray(q, dtype=np.float64))
+    return (sum(x * x for x in av), sum(y * y for y in qv), sum(x * y for x, y in zip(av, qv)),
+            sum((x - y) ** 2 for x, y in zip(av, qv)))
+
+
 def exact_sqnr_db(a, q) -> float:
-    """10 log10(sum a^2 / sum (a - q)^2) by math.log10 of the exact Fraction sums."""
-    av = [Fraction(x) for x in np.ravel(a).tolist()]
-    ratio = sum(x * x for x in av) / sum((x - Fraction(y)) ** 2 for x, y in zip(av, np.ravel(q).tolist()))
-    return 10.0 * (math.log10(ratio.numerator) - math.log10(ratio.denominator))
+    """10 log10(sum a^2 / sum (a - q)^2) by math.log10 of the exact sums."""
+    saa, _, _, sdd = _exact_sums(a, q)
+    return 10.0 * (math.log10(saa) - math.log10(sdd))
+
+
+def exact_cosine(a, q) -> float:
+    """sum a*q / sqrt(sum a^2 * sum q^2) from the exact sums: its square is
+    rounded once, then its square root."""
+    saa, sqq, saq, _ = _exact_sums(a, q)
+    return (-1.0 if saq < 0 else 1.0) * math.sqrt(float(Fraction(saq * saq, saa * sqq)))
+
+
+def reference_defects(a, q) -> tuple[bool, bool]:
+    """Whether the byte reference's sqnr_db, and its cosine, can carry the defects
+    quant_error mends, with a margin of two binades: sqnr_db where its quotient
+    of sums is not a normal float64 or a's squares can be subnormal after the
+    joint scaling, cosine where a's or q's squares can be.  Both are False when
+    a or q is all zeros or a equals q, where the sentinels hold."""
+    a, q = np.asarray(a, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    if not np.any(a) or not np.any(q) or np.array_equal(a, q):
+        return False, False
+    ka, kq = (math.frexp(float(np.abs(x).max()))[1] for x in (a, q))
+    k = max(ka, kq) if abs(max(ka, kq)) > 256 else 0
+    ed = math.frexp(float(np.abs(np.ldexp(a, -k) - np.ldexp(q, -k)).max()))[1]
+    kd = ed if abs(ed) > 256 else 0
+    # the reference's quotient, sum (2^-k a)^2 / sum (2^-(k + kd) (a - q))^2, is at least
+    # 2^(2 (ka - k - 1)) / (size 2^(2 (ed - kd))); only below that bound are exact sums read
+    low = 2 * (ka - k - 1) - math.log2(a.size) - 2 * (ed - kd) < -1020
+    tiny_quotient = low and exact_sqnr_db(a, q) / (10.0 * math.log10(2.0)) + 2 * kd < -1020
+    return tiny_quotient or ka - k <= -509, min(ka, kq) - k <= -509
 
 
 def assert_error_metrics_match_the_byte_reference(a, q):
     """quant_error and sqnr give the reference's floats, bit for bit, but for
-    the sqnr_db the reference gets wrong: where its quotient of sums leaves
-    float64 it gives -inf, or +inf for a nonzero signal, and the entries give
-    exact_sqnr_db instead."""
+    the metrics the reference gets wrong: where its quotient of sums leaves
+    float64 its sqnr_db is -inf, or +inf for a nonzero signal, and where that
+    quotient or a's squares can be subnormal (reference_defects) it loses
+    bits, so the entries give exact_sqnr_db instead; where a's or q's squares
+    can be subnormal it loses the cosine, and quant_error gives exact_cosine."""
     bits = lambda metrics: {key: float(v).hex() for key, v in metrics.items()}
     with np.errstate(divide="ignore"):  # the reference's log10 of a quotient that sank to 0
         want = bits(byte_reference_quant_error(a, q))
     got, got_sqnr = quant_error(a, q), sqnr(a, q)
-    if math.isinf(float.fromhex(want["sqnr_db"])) and np.any(a) and np.any(a != q):
+    sqnr_defect, cosine_defect = reference_defects(a, q)
+    if sqnr_defect or (math.isinf(float.fromhex(want["sqnr_db"])) and np.any(a) and np.any(a != q)):
         true_db = exact_sqnr_db(a, q)
         for entry in (got, got_sqnr):
             assert math.isclose(entry.pop("sqnr_db"), true_db, rel_tol=1e-12)
         del want["sqnr_db"]
+    if cosine_defect:  # sum a*q rounds by about n eps of |a| |q| (Cauchy-Schwarz): abs_tol
+        assert math.isclose(got.pop("cosine"), exact_cosine(a, q), rel_tol=1e-12, abs_tol=1e-12)
+        del want["cosine"]
     assert bits(got) == want
     assert bits(got_sqnr) == {key: want[key] for key in ("mse", "sqnr_db") if key in want}
 
@@ -258,9 +300,10 @@ _PEAKS = [2.0**256, _BELOW(2.0**256), 2.0**-257, _BELOW(2.0**-257)]
 
 
 class TestErrorMetricsAgainstByteReference:
-    """The sums come first, and the exact peak is read only outside bounds
-    that prove it needs no scaling; these pin that both entries still give
-    the bits of the reference that reads every peak first."""
+    """quant_error reads the exact peak first, as the reference does; sqnr forms
+    its sums first and reads the peak only outside bounds that prove it needs
+    no scaling.  These pin that both entries give the reference's bits, and
+    the exact sums' sqnr_db and cosine where the reference loses them."""
 
     @settings(_PROPERTY_SETTINGS, max_examples=150)
     @given(error_pairs())
@@ -282,6 +325,39 @@ class TestErrorMetricsAgainstByteReference:
         assert_error_metrics_match_the_byte_reference(a, q)
         if np.any(a) and np.any(a != q):  # neither the zero-error nor the zero-signal sentinel
             assert math.isfinite(quant_error(a, q)["sqnr_db"])
+
+    @settings(_PROPERTY_SETTINGS, max_examples=100)
+    @given(st.integers(1, 40), st.integers(-20, 20), st.integers(-1000, 1000), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_cosine_at_magnitude_gaps_up_to_two_to_the_thousand(self, size, center, gap, flip, seed):
+        # q is a scaled by 2^gap and by factors in [1/2, 2], so every product a_i q_i has
+        # one sign and the cosine lies far from 0; beyond a gap of about 2^511 the smaller
+        # tensor's squares sink after the joint scaling, and its cosine read 0.0
+        rng = np.random.default_rng(seed)
+        a = np.ldexp(rng.standard_normal(size), center)
+        q = np.ldexp(a * rng.uniform(0.5, 2.0, size), gap) * (-1.0 if flip else 1.0)
+        assert math.isclose(quant_error(a, q)["cosine"], exact_cosine(a, q), rel_tol=1e-12)
+
+    def test_parallel_tensors_far_apart_have_cosine_one(self):
+        assert quant_error(np.full(4, 2.0**-530), np.full(4, 2.0**500))["cosine"] == 1.0
+
+    @settings(_PROPERTY_SETTINGS, max_examples=100)
+    @given(st.sampled_from([(-300, -260, 250), (70, 90, 600), (-530, -510, -255)]),
+           st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_sqnr_db_where_the_quotient_or_a_s_squares_are_subnormal(self, regime, size, seed):
+        # a 2^-300 to 2^-260 beside q near 2^250: the quotient of the sums is subnormal;
+        # a near 2^80 beside q near 2^600, and a near 2^-520 beside q near 2^-256: a's
+        # squares are subnormal after the joint scaling, beside a subnormal and a normal
+        # quotient.  Dividing the sums there read sqnr_db up to 1e-4 off (relative), and
+        # the cosine from the jointly scaled sums up to 3e-6 off
+        lo, hi, q_exp = regime
+        rng = np.random.default_rng(seed)
+        a = np.ldexp(rng.standard_normal(size), rng.integers(lo, hi + 1))
+        q = np.ldexp(rng.uniform(0.5, 1.0, size) * rng.choice([-1.0, 1.0], size), q_exp)
+        got = quant_error(a, q)
+        assert math.isclose(got["sqnr_db"], exact_sqnr_db(a, q), rel_tol=1e-12)
+        assert math.isclose(got["cosine"], exact_cosine(a, q), rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(sqnr(a, q)["sqnr_db"], exact_sqnr_db(a, q), rel_tol=1e-12)
 
     @settings(_PROPERTY_SETTINGS, max_examples=100)
     @given(float32_error_pairs())
@@ -313,8 +389,8 @@ class TestErrorMetricsAgainstByteReference:
         a = np.zeros(2**14)
         a[123] = 2.0**-250
         reads = []
-        peak_exponent = quantize._peak_exponent
-        monkeypatch.setattr(quantize, "_peak_exponent", lambda a, q: reads.append(1) or peak_exponent(a, q))
+        peak_exponents = quantize._peak_exponents
+        monkeypatch.setattr(quantize, "_peak_exponents", lambda a, q: reads.append(1) or peak_exponents(a, q))
         for q in (np.zeros_like(a), a / 2):
             assert_error_metrics_match_the_byte_reference(a, q)
             assert len(reads) == 2  # once for quant_error and once for sqnr
@@ -324,11 +400,12 @@ class TestErrorMetricsAgainstByteReference:
         a = np.random.default_rng(0).standard_normal((300, 200))
         q = minmax_quantize(a, FpFormat(2, 1)).values
         calls = []
-        sums, peak_exponent = quantize._error_sums, quantize._peak_exponent
+        sums, peak_exponents = quantize._error_sums, quantize._peak_exponents
         monkeypatch.setattr(quantize, "_error_sums", lambda *args, **kw: calls.append(kw) or sums(*args, **kw))
-        monkeypatch.setattr(quantize, "_peak_exponent", lambda a, q: calls.append("peak") or peak_exponent(a, q))
+        monkeypatch.setattr(quantize, "_peak_exponents", lambda a, q: calls.append("peak") or peak_exponents(a, q))
         assert_error_metrics_match_the_byte_reference(a, q)
-        assert calls == [{}, {"full": False}]  # quant_error's one full pass, then sqnr's lean one
+        # quant_error's peak read and one full pass, then sqnr's lean one
+        assert calls == ["peak", {}, {"full": False}]
 
     @pytest.mark.parametrize("same", [True, False], ids=["a_equals_q", "all_zeros"])
     def test_no_error_or_no_signal(self, same):
